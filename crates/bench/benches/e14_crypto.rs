@@ -7,7 +7,7 @@
 //! no shared mutable state).
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
-use dri_crypto::ed25519::SigningKey;
+use dri_crypto::ed25519::{PreparedVerifyingKey, SigningKey};
 use dri_crypto::jwt::{self, Claims, Signer, Validation, Verifier};
 use dri_crypto::{chacha20, hmac, sha2, x25519};
 
@@ -78,6 +78,13 @@ fn benches(c: &mut Criterion) {
     c.bench_function("e14/ed25519_sign", |b| b.iter(|| black_box(sk.sign(msg))));
     c.bench_function("e14/ed25519_verify", |b| {
         b.iter(|| assert!(pk.verify(msg, &sig)))
+    });
+    let prepared = PreparedVerifyingKey::new(&pk);
+    c.bench_function("e14/ed25519_verify_prepared", |b| {
+        b.iter(|| assert!(prepared.verify(msg, &sig)))
+    });
+    c.bench_function("e14/ed25519_from_seed", |b| {
+        b.iter(|| black_box(SigningKey::from_seed(black_box(&[2u8; 32]))))
     });
 
     // Key agreement.

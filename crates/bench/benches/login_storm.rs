@@ -120,9 +120,8 @@ fn print_report() {
         }
     }
 
-    // Cache effectiveness: counters from a serial warm run are
-    // deterministic (parallel runs race on first-miss, so hit/miss splits
-    // there can wobble by a few).
+    // Cache effectiveness: counters from a serial warm run (a parallel
+    // run counts the same: racing first misses count one miss per key).
     let (_, _, _, steps_per_flow, warm_infra) = storm_run(45, StormMode::Serial, true);
     let m = warm_infra.metrics();
     println!("\n-- cache counters, N=45 serial warm storm --");

@@ -95,12 +95,17 @@ impl TokenCache {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Cache hits served (signature verification skipped).
+    /// Cache hits: validations served from a verified entry (signature
+    /// verification skipped), plus validations that lost a verify race as
+    /// described under [`TokenCache::misses`].
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache misses (full verification performed).
+    /// Cache misses: one per distinct (token, epoch) verified into the
+    /// cache plus one per failed verification. A validation that verified
+    /// concurrently with another one of the same bytes, and found that
+    /// one's entry on insert, counts as a hit.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -175,20 +180,41 @@ impl TokenCache {
                 jwt::validate_claims(&entry.claims, validation)?;
                 return Ok(entry.claims);
             }
-            self.epoch_busts.fetch_add(1, Ordering::Relaxed);
-            self.entries.remove(&cache_key);
+            // Validations racing on one stale entry: only the one that
+            // removes it counts the bust.
+            if self
+                .entries
+                .remove_if(&cache_key, |e| e.epoch < epoch)
+                .is_some()
+            {
+                self.epoch_busts.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        dri_trace::add_attr("cache.token", "miss");
-        let claims = jwt::verify(token, &Verifier::Ed25519Prepared(key), validation)?;
-        self.entries.insert(
-            cache_key,
-            CachedVerification {
-                epoch,
-                claims: claims.clone(),
-            },
-        );
-        Ok(claims)
+        let result = jwt::verify(token, &Verifier::Ed25519Prepared(key), validation);
+        // As in the PDP memo: when concurrent validations of the same
+        // bytes all miss, the first insert is the miss and the rest
+        // replace its current-epoch entry and count hits.
+        let raced = match &result {
+            Ok(claims) => {
+                let replaced = self.entries.insert(
+                    cache_key,
+                    CachedVerification {
+                        epoch,
+                        claims: claims.clone(),
+                    },
+                );
+                matches!(replaced, Some(entry) if entry.epoch == epoch)
+            }
+            Err(_) => false,
+        };
+        if raced {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            dri_trace::add_attr("cache.token", "hit");
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            dri_trace::add_attr("cache.token", "miss");
+        }
+        result
     }
 }
 
@@ -318,5 +344,33 @@ mod tests {
         tampered.pop();
         assert!(cache.validate("k1", &pk, &tampered, &v).is_err());
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
+    }
+
+    #[test]
+    fn concurrent_first_validations_count_one_miss_per_token() {
+        // Workers released together onto each unseeded token all miss
+        // the lookup; only the first insert may count as a miss.
+        const WORKERS: usize = 4;
+        const TOKENS: u64 = 8;
+        let sk = SigningKey::from_seed(&[7u8; 32]);
+        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let cache = TokenCache::new(4);
+        let tokens: Vec<String> = (0..TOKENS)
+            .map(|i| signed(&sk, "k1", 1000 + i, 600).0)
+            .collect();
+        let v = validation(1100);
+        let barrier = std::sync::Barrier::new(WORKERS);
+        std::thread::scope(|scope| {
+            for _ in 0..WORKERS {
+                scope.spawn(|| {
+                    for token in &tokens {
+                        barrier.wait();
+                        cache.validate("k1", &pk, token, &v).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.misses(), TOKENS);
+        assert_eq!(cache.hits(), TOKENS * (WORKERS as u64 - 1));
     }
 }

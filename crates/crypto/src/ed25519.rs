@@ -4,8 +4,19 @@
 //! group in extended coordinates, point compression/decompression, and the
 //! `sign`/`verify` operations. Verified against the RFC 8032 §7.1 test
 //! vectors. Variable-time throughout (simulation grade).
+//!
+//! The fast paths follow the ref10 design (Bernstein et al., *High-speed
+//! high-security signatures*): `[s]B` is 64 mixed additions from a
+//! fixed-base table of signed radix-16 multiples, built once per process;
+//! `[k]A` in verification is a signed radix-16 window over `A..8A`;
+//! scalars reduce mod `L` by Barrett reduction. Each fast path is
+//! differential-tested against the naive code it replaced, which is kept
+//! under `#[cfg(test)]`.
 
-use crate::fe25519::{curve_d, sqrt_m1, Fe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+use crate::fe25519::{batch_invert, Fe, D, D2, SQRT_M1};
 use crate::sha2::Sha512;
 
 /// The group order L = 2^252 + 27742317777372353535851937790883648493,
@@ -17,6 +28,37 @@ pub const L: [u64; 4] = [
     0x1000_0000_0000_0000,
 ];
 
+/// μ = ⌊2^512 / L⌋, the Barrett constant for reduction mod L.
+const MU: [u64; 5] = [
+    0xed9c_e5a3_0a2c_131b,
+    0x2106_215d_0863_29a7,
+    0xffff_ffff_ffff_ffeb,
+    0xffff_ffff_ffff_ffff,
+    0x0000_0000_0000_000f,
+];
+
+static SIGNS: AtomicU64 = AtomicU64::new(0);
+static VERIFIES: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide Ed25519 operation counts since start-up.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpCounts {
+    /// Calls to [`SigningKey::sign`].
+    pub signs: u64,
+    /// Calls to [`VerifyingKey::verify`] and
+    /// [`PreparedVerifyingKey::verify`], accepted or not.
+    pub verifies: u64,
+}
+
+/// Read the process-wide sign and verify counters. They only grow; take
+/// the difference of two readings to count the operations in between.
+pub fn op_counts() -> OpCounts {
+    OpCounts {
+        signs: SIGNS.load(Ordering::Relaxed),
+        verifies: VERIFIES.load(Ordering::Relaxed),
+    }
+}
+
 /// A scalar mod L, kept fully reduced.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Scalar(pub [u64; 4]);
@@ -27,8 +69,8 @@ impl Scalar {
     /// The zero scalar.
     pub const ZERO: Scalar = Scalar([0, 0, 0, 0]);
 
-    /// Reduce a 512-bit little-endian value mod L (binary long division;
-    /// slow but obviously correct, and off the hot path).
+    /// Reduce a 512-bit little-endian value mod L (Barrett reduction;
+    /// runs twice per signature).
     pub fn from_bytes_wide(bytes: &[u8; 64]) -> Scalar {
         let mut limbs = [0u64; 8];
         for i in 0..8 {
@@ -36,7 +78,7 @@ impl Scalar {
             chunk.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
             limbs[i] = u64::from_le_bytes(chunk);
         }
-        Scalar(mod_l_wide(&limbs))
+        Scalar(barrett_reduce(&limbs))
     }
 
     /// Reduce a 256-bit little-endian value mod L.
@@ -55,7 +97,7 @@ impl Scalar {
             chunk.copy_from_slice(&bytes[i * 8..i * 8 + 8]);
             limbs[i] = u64::from_le_bytes(chunk);
         }
-        if geq4(&limbs, &L) {
+        if geq(&limbs, &L) {
             None
         } else {
             Some(Scalar(limbs))
@@ -83,8 +125,8 @@ impl Scalar {
         }
         // Both inputs < L < 2^253, so no carry out of 256 bits.
         debug_assert!(!carry);
-        if geq4(&out, &L) {
-            out = sub4(&out, &L);
+        if geq(&out, &L) {
+            out = sub_wrapping(&out, &L);
         }
         Scalar(out)
     }
@@ -92,16 +134,8 @@ impl Scalar {
     /// Scalar multiplication mod L.
     pub fn mul(self, rhs: Scalar) -> Scalar {
         let mut wide = [0u64; 8];
-        for i in 0..4 {
-            let mut carry: u128 = 0;
-            for j in 0..4 {
-                let v = (self.0[i] as u128) * (rhs.0[j] as u128) + wide[i + j] as u128 + carry;
-                wide[i + j] = v as u64;
-                carry = v >> 64;
-            }
-            wide[i + 4] = carry as u64;
-        }
-        Scalar(mod_l_wide(&wide))
+        mul_limbs(&self.0, &rhs.0, &mut wide);
+        Scalar(barrett_reduce(&wide))
     }
 
     /// True if the scalar is zero.
@@ -109,14 +143,31 @@ impl Scalar {
         self.0 == [0, 0, 0, 0]
     }
 
-    /// Bit `i` (little-endian) of the scalar.
-    fn bit(&self, i: usize) -> bool {
-        (self.0[i / 64] >> (i % 64)) & 1 == 1
+    /// Signed radix-16 digits `e` with `self = Σ e[i]·16^i`: `e[0..63]`
+    /// lie in [−8, 7] and the top digit absorbs the last carry, so
+    /// `e[63] ≤ 8` for any value below 2^255 (reduced scalars are below
+    /// 2^253).
+    fn radix16(&self) -> [i8; 64] {
+        debug_assert!(self.0[3] >> 63 == 0, "scalar not reduced");
+        let bytes = self.to_bytes();
+        let mut e = [0i8; 64];
+        for (i, b) in bytes.iter().enumerate() {
+            e[2 * i] = (b & 15) as i8;
+            e[2 * i + 1] = (b >> 4) as i8;
+        }
+        let mut carry = 0i8;
+        for d in e.iter_mut().take(63) {
+            *d += carry;
+            carry = (*d + 8) >> 4;
+            *d -= carry << 4;
+        }
+        e[63] += carry;
+        e
     }
 }
 
-fn geq4(a: &[u64; 4], b: &[u64; 4]) -> bool {
-    for i in (0..4).rev() {
+fn geq<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
+    for i in (0..N).rev() {
         if a[i] > b[i] {
             return true;
         }
@@ -127,20 +178,59 @@ fn geq4(a: &[u64; 4], b: &[u64; 4]) -> bool {
     true
 }
 
-fn sub4(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
-    let mut out = [0u64; 4];
+/// `a − b mod 2^(64·N)`.
+fn sub_wrapping<const N: usize>(a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+    let mut out = [0u64; N];
     let mut borrow = false;
-    for i in 0..4 {
+    for i in 0..N {
         let (d1, b1) = a[i].overflowing_sub(b[i]);
         let (d2, b2) = d1.overflowing_sub(borrow as u64);
         out[i] = d2;
         borrow = b1 || b2;
     }
-    debug_assert!(!borrow);
     out
 }
 
-/// Remainder of a 512-bit value mod L via bitwise long division.
+/// `out = a·b mod 2^(64·out.len())`, schoolbook; `out` must start zeroed.
+fn mul_limbs(a: &[u64], b: &[u64], out: &mut [u64]) {
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry: u128 = 0;
+        for (j, &bj) in b.iter().enumerate() {
+            let Some(o) = out.get_mut(i + j) else { break };
+            let v = (ai as u128) * (bj as u128) + *o as u128 + carry;
+            *o = v as u64;
+            carry = v >> 64;
+        }
+        // Skipped exactly when the row was truncated.
+        if let Some(o) = out.get_mut(i + b.len()) {
+            *o = carry as u64;
+        }
+    }
+}
+
+/// Remainder of a 512-bit value mod L by Barrett reduction (HAC 14.42
+/// with b = 2^64, k = 4, μ = ⌊b^8 / L⌋).
+fn barrett_reduce(x: &[u64; 8]) -> [u64; 4] {
+    // q3 = ⌊⌊x / b^3⌋ · μ / b^5⌋ underestimates ⌊x / L⌋ by at most 2.
+    let mut q2 = [0u64; 10];
+    mul_limbs(&x[3..], &MU, &mut q2);
+    // r = (x − q3·L) mod b^5. HAC bounds r below 3L; for this L, μ's
+    // truncation error is under 0.23, so r < 2L and the loop runs at
+    // most once.
+    let mut q3l = [0u64; 5];
+    mul_limbs(&q2[5..], &L, &mut q3l);
+    let x_lo = [x[0], x[1], x[2], x[3], x[4]];
+    let mut r = sub_wrapping(&x_lo, &q3l);
+    let l5 = [L[0], L[1], L[2], L[3], 0];
+    while geq(&r, &l5) {
+        r = sub_wrapping(&r, &l5);
+    }
+    [r[0], r[1], r[2], r[3]]
+}
+
+/// Remainder of a 512-bit value mod L via bitwise long division: the
+/// reference Barrett reduction is tested against.
+#[cfg(test)]
 fn mod_l_wide(x: &[u64; 8]) -> [u64; 4] {
     // Working remainder with one spare limb of headroom.
     let mut rem = [0u64; 5];
@@ -190,6 +280,90 @@ pub struct Point {
     t: Fe,
 }
 
+/// A point in affine Niels form (y+x, y−x, 2d·xy): the operand of a
+/// mixed addition, as stored in the fixed-base table.
+#[derive(Clone, Copy)]
+struct AffineNiels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+/// A point in projective Niels form (Y+X, Y−X, Z, 2d·T): the operand of
+/// a general addition, as stored in a variable-base window.
+#[derive(Clone, Copy)]
+struct ProjectiveNiels {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    z: Fe,
+    t2d: Fe,
+}
+
+// Negation maps (x, y) to (−x, y): swap y±x and negate the xy term.
+impl std::ops::Neg for AffineNiels {
+    type Output = AffineNiels;
+    fn neg(self) -> AffineNiels {
+        AffineNiels {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            xy2d: self.xy2d.neg(),
+        }
+    }
+}
+
+impl std::ops::Neg for ProjectiveNiels {
+    type Output = ProjectiveNiels;
+    fn neg(self) -> ProjectiveNiels {
+        ProjectiveNiels {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z: self.z,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+/// `digit·P` from a row holding `P..8P`; `None` for a zero digit.
+fn select<T: Copy + std::ops::Neg<Output = T>>(row: &[T; 8], digit: i8) -> Option<T> {
+    match digit {
+        0 => None,
+        d if d > 0 => Some(row[d as usize - 1]),
+        d => Some(-row[(-d) as usize - 1]),
+    }
+}
+
+/// The fixed-base table: row `i` holds `(j+1)·16^i·B` for `j` in 0..8,
+/// 64 × 8 affine Niels entries (48 KiB), built on first use.
+fn base_table() -> &'static [[AffineNiels; 8]; 64] {
+    static TABLE: OnceLock<[[AffineNiels; 8]; 64]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut points = Vec::with_capacity(64 * 8);
+        let mut row_base = Point::base();
+        for _ in 0..64 {
+            let mut p = row_base;
+            for _ in 0..8 {
+                points.push(p);
+                p = p.add(&row_base);
+            }
+            row_base = row_base.mul_by_pow_2(4);
+        }
+        let mut zinv: Vec<Fe> = points.iter().map(|p| p.z).collect();
+        batch_invert(&mut zinv);
+        std::array::from_fn(|i| {
+            std::array::from_fn(|j| {
+                let p = &points[i * 8 + j];
+                let x = p.x.mul(zinv[i * 8 + j]);
+                let y = p.y.mul(zinv[i * 8 + j]);
+                AffineNiels {
+                    y_plus_x: y.add(x),
+                    y_minus_x: y.sub(x),
+                    xy2d: x.mul(y).mul(D2),
+                }
+            })
+        })
+    })
+}
+
 impl Point {
     /// The neutral element.
     pub fn identity() -> Point {
@@ -201,7 +375,8 @@ impl Point {
         }
     }
 
-    /// The standard base point B (y = 4/5, x even... the RFC 8032 basepoint).
+    /// The standard base point B (RFC 8032 §5.1): y = 4/5, with x the
+    /// even ("positive") root.
     pub fn base() -> Point {
         // x(B), y(B) as little-endian limb constants.
         const BX: [u64; 4] = [
@@ -226,46 +401,117 @@ impl Point {
         }
     }
 
-    /// Unified point addition ("add-2008-hwcd-3" for a = −1 twisted
-    /// Edwards curves; valid for doubling too).
-    pub fn add(&self, other: &Point) -> Point {
-        let two_d = curve_d().add(curve_d());
-        let a = self.y.sub(self.x).mul(other.y.sub(other.x));
-        let b = self.y.add(self.x).mul(other.y.add(other.x));
-        let c = self.t.mul(two_d).mul(other.t);
-        let d = self.z.add(self.z).mul(other.z);
-        let e = b.sub(a);
-        let f = d.sub(c);
-        let g = d.add(c);
-        let h = b.add(a);
+    /// The tail shared by every addition formula: (E·F, G·H, F·G, E·H).
+    fn from_efgh(e: Fe, f: Fe, g: Fe, h: Fe) -> Point {
         Point {
             x: e.mul(f),
             y: g.mul(h),
             z: f.mul(g),
             t: e.mul(h),
         }
+    }
+
+    fn to_projective_niels(self) -> ProjectiveNiels {
+        ProjectiveNiels {
+            y_plus_x: self.y.add(self.x),
+            y_minus_x: self.y.sub(self.x),
+            z: self.z,
+            t2d: self.t.mul(D2),
+        }
+    }
+
+    /// Unified addition ("add-2008-hwcd-3" for a = −1 twisted Edwards
+    /// curves) with a precomputed operand: 8 multiplications.
+    fn add_projective_niels(&self, q: &ProjectiveNiels) -> Point {
+        let a = self.y.sub(self.x).mul(q.y_minus_x);
+        let b = self.y.add(self.x).mul(q.y_plus_x);
+        let c = self.t.mul(q.t2d);
+        let zz = self.z.mul(q.z);
+        let d = zz.add(zz);
+        Point::from_efgh(b.sub(a), d.sub(c), d.add(c), b.add(a))
+    }
+
+    /// Mixed addition with an affine operand (Z = 1): 7 multiplications.
+    fn add_affine_niels(&self, q: &AffineNiels) -> Point {
+        let a = self.y.sub(self.x).mul(q.y_minus_x);
+        let b = self.y.add(self.x).mul(q.y_plus_x);
+        let c = self.t.mul(q.xy2d);
+        let d = self.z.add(self.z);
+        Point::from_efgh(b.sub(a), d.sub(c), d.add(c), b.add(a))
+    }
+
+    /// Unified point addition (valid for doubling too).
+    pub fn add(&self, other: &Point) -> Point {
+        self.add_projective_niels(&other.to_projective_niels())
     }
 
     /// Point doubling (dbl-2008-hwcd).
     pub fn double(&self) -> Point {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square().mul_small(2);
-        // For a = −1: D = −A.
-        let d = a.neg();
-        let e = self.x.add(self.y).square().sub(a).sub(b);
-        let g = d.add(b);
-        let f = g.sub(c);
-        let h = d.sub(b);
-        Point {
-            x: e.mul(f),
-            y: g.mul(h),
-            z: f.mul(g),
-            t: e.mul(h),
-        }
+        self.mul_by_pow_2(1)
     }
 
-    /// Variable-time scalar multiplication (MSB-first double-and-add).
+    /// `[2^k]P` by `k` doublings (dbl-2008-hwcd). Doubling never reads T,
+    /// so T is computed for the final result only.
+    fn mul_by_pow_2(&self, k: u32) -> Point {
+        let mut p = *self;
+        for i in 0..k {
+            let a = p.x.square();
+            let b = p.y.square();
+            let zz = p.z.square();
+            let c = zz.add(zz);
+            // For a = −1: D = −A.
+            let d = a.neg();
+            let e = p.x.add(p.y).square().sub(a).sub(b);
+            let g = d.add(b);
+            let f = g.sub(c);
+            let h = d.sub(b);
+            p = Point {
+                x: e.mul(f),
+                y: g.mul(h),
+                z: f.mul(g),
+                t: if i + 1 == k { e.mul(h) } else { Fe::ZERO },
+            };
+        }
+        p
+    }
+
+    /// `[s]B` from the fixed-base table: one mixed addition per nonzero
+    /// signed radix-16 digit of `s`, and no doublings.
+    pub fn mul_base(s: &Scalar) -> Point {
+        let mut acc = Point::identity();
+        for (row, &digit) in base_table().iter().zip(s.radix16().iter()) {
+            if let Some(q) = select(row, digit) {
+                acc = acc.add_affine_niels(&q);
+            }
+        }
+        acc
+    }
+
+    /// `[k]P` by a signed radix-16 window over the multiples `P..8P`:
+    /// 252 doublings and at most 64 additions.
+    fn mul_windowed(&self, k: &Scalar) -> Point {
+        let p = self.to_projective_niels();
+        let mut window = [p; 8];
+        let mut multiple = *self;
+        for entry in window.iter_mut().skip(1) {
+            multiple = multiple.add_projective_niels(&p);
+            *entry = multiple.to_projective_niels();
+        }
+        let mut acc = Point::identity();
+        for (i, &digit) in k.radix16().iter().enumerate().rev() {
+            if i < 63 {
+                acc = acc.mul_by_pow_2(4);
+            }
+            if let Some(q) = select(&window, digit) {
+                acc = acc.add_projective_niels(&q);
+            }
+        }
+        acc
+    }
+
+    /// `[s]P` by MSB-first double-and-add over bits 0..253: the reference
+    /// `mul_base` and `mul_windowed` are tested against.
+    #[cfg(test)]
     pub fn mul_scalar(&self, s: &Scalar) -> Point {
         let mut acc = Point::identity();
         let mut started = false;
@@ -273,7 +519,7 @@ impl Point {
             if started {
                 acc = acc.double();
             }
-            if s.bit(i) {
+            if (s.0[i / 64] >> (i % 64)) & 1 == 1 {
                 acc = if started { acc.add(self) } else { *self };
                 started = true;
             }
@@ -300,17 +546,18 @@ impl Point {
     /// Decompress from the 32-byte wire format; `None` if not on the curve.
     pub fn decompress(bytes: &[u8; 32]) -> Option<Point> {
         let sign = bytes[31] >> 7 == 1;
-        let y = Fe::from_bytes(bytes); // masks the sign bit
-                                       // Canonicality: re-encoding must give the same y bits.
+        // `from_bytes` masks the sign bit. Canonicality: re-encoding y
+        // with the sign bit must give back the input, so y ≥ p is rejected.
+        let y = Fe::from_bytes(bytes);
         let mut y_bytes = y.to_bytes();
-        y_bytes[31] |= (bytes[31] & 0x80) & 0x80;
+        y_bytes[31] |= bytes[31] & 0x80;
         if y_bytes != *bytes {
             return None;
         }
         // x^2 = (y^2 - 1) / (d y^2 + 1)
         let yy = y.square();
         let u = yy.sub(Fe::ONE);
-        let v = curve_d().mul(yy).add(Fe::ONE);
+        let v = D.mul(yy).add(Fe::ONE);
         // Candidate root: x = u v^3 (u v^7)^((p-5)/8)
         let v3 = v.square().mul(v);
         let v7 = v3.square().mul(v);
@@ -318,7 +565,7 @@ impl Point {
         let vxx = v.mul(x.square());
         if vxx != u {
             if vxx == u.neg() {
-                x = x.mul(sqrt_m1());
+                x = x.mul(SQRT_M1);
             } else {
                 return None;
             }
@@ -350,7 +597,7 @@ impl Point {
         let x = self.x.mul(zinv);
         let y = self.y.mul(zinv);
         let lhs = y.square().sub(x.square());
-        let rhs = Fe::ONE.add(curve_d().mul(x.square()).mul(y.square()));
+        let rhs = Fe::ONE.add(D.mul(x.square()).mul(y.square()));
         lhs == rhs
     }
 }
@@ -379,9 +626,8 @@ impl SigningKey {
         let a = Scalar::from_bytes(&a_bytes);
         let mut prefix = [0u8; 32];
         prefix.copy_from_slice(&digest[32..]);
-        let public_point = Point::base().mul_scalar(&a);
         let public = VerifyingKey {
-            bytes: public_point.compress(),
+            bytes: Point::mul_base(&a).compress(),
         };
         SigningKey {
             seed: *seed,
@@ -403,11 +649,12 @@ impl SigningKey {
 
     /// Sign `msg`, producing a 64-byte signature (R ‖ s).
     pub fn sign(&self, msg: &[u8]) -> [u8; 64] {
+        SIGNS.fetch_add(1, Ordering::Relaxed);
         let mut h = Sha512::new();
         h.update(&self.prefix);
         h.update(msg);
         let r = Scalar::from_bytes_wide(&h.finalize());
-        let r_point = Point::base().mul_scalar(&r).compress();
+        let r_point = Point::mul_base(&r).compress();
 
         let mut h2 = Sha512::new();
         h2.update(&r_point);
@@ -434,6 +681,34 @@ impl std::fmt::Debug for SigningKey {
     }
 }
 
+/// RFC 8032 §5.1.7 with the cofactorless equation `[s]B == R + [k]A`,
+/// for a key whose point `a` is already decompressed from `a_bytes`.
+fn verify_with_point(a: &Point, a_bytes: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> bool {
+    let mut r_bytes = [0u8; 32];
+    r_bytes.copy_from_slice(&sig[..32]);
+    let mut s_bytes = [0u8; 32];
+    s_bytes.copy_from_slice(&sig[32..]);
+
+    let s = match Scalar::from_canonical_bytes(&s_bytes) {
+        Some(s) => s,
+        None => return false,
+    };
+    let r = match Point::decompress(&r_bytes) {
+        Some(r) => r,
+        None => return false,
+    };
+
+    let mut h = Sha512::new();
+    h.update(&r_bytes);
+    h.update(a_bytes);
+    h.update(msg);
+    let k = Scalar::from_bytes_wide(&h.finalize());
+
+    let lhs = Point::mul_base(&s);
+    let rhs = r.add(&a.mul_windowed(&k));
+    lhs.equals(&rhs)
+}
+
 /// An Ed25519 verifying (public) key.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct VerifyingKey {
@@ -453,34 +728,8 @@ impl VerifyingKey {
 
     /// Verify `sig` over `msg` (RFC 8032 §5.1.7, cofactorless equation).
     pub fn verify(&self, msg: &[u8], sig: &[u8; 64]) -> bool {
-        let mut r_bytes = [0u8; 32];
-        r_bytes.copy_from_slice(&sig[..32]);
-        let mut s_bytes = [0u8; 32];
-        s_bytes.copy_from_slice(&sig[32..]);
-
-        let s = match Scalar::from_canonical_bytes(&s_bytes) {
-            Some(s) => s,
-            None => return false,
-        };
-        let a = match Point::decompress(&self.bytes) {
-            Some(a) => a,
-            None => return false,
-        };
-        let r = match Point::decompress(&r_bytes) {
-            Some(r) => r,
-            None => return false,
-        };
-
-        let mut h = Sha512::new();
-        h.update(&r_bytes);
-        h.update(&self.bytes);
-        h.update(msg);
-        let k = Scalar::from_bytes_wide(&h.finalize());
-
-        // Check s·B == R + k·A.
-        let lhs = Point::base().mul_scalar(&s);
-        let rhs = r.add(&a.mul_scalar(&k));
-        lhs.equals(&rhs)
+        VERIFIES.fetch_add(1, Ordering::Relaxed);
+        Point::decompress(&self.bytes).is_some_and(|a| verify_with_point(&a, &self.bytes, msg, sig))
     }
 }
 
@@ -529,34 +778,10 @@ impl PreparedVerifyingKey {
     /// Verify `sig` over `msg`, skipping the per-call decompression of A.
     /// Same accept/reject behaviour as [`VerifyingKey::verify`].
     pub fn verify(&self, msg: &[u8], sig: &[u8; 64]) -> bool {
-        let a = match &self.point {
-            Some(a) => a,
-            None => return false,
-        };
-        let mut r_bytes = [0u8; 32];
-        r_bytes.copy_from_slice(&sig[..32]);
-        let mut s_bytes = [0u8; 32];
-        s_bytes.copy_from_slice(&sig[32..]);
-
-        let s = match Scalar::from_canonical_bytes(&s_bytes) {
-            Some(s) => s,
-            None => return false,
-        };
-        let r = match Point::decompress(&r_bytes) {
-            Some(r) => r,
-            None => return false,
-        };
-
-        let mut h = Sha512::new();
-        h.update(&r_bytes);
-        h.update(&self.bytes);
-        h.update(msg);
-        let k = Scalar::from_bytes_wide(&h.finalize());
-
-        // Check s·B == R + k·A.
-        let lhs = Point::base().mul_scalar(&s);
-        let rhs = r.add(&a.mul_scalar(&k));
-        lhs.equals(&rhs)
+        VERIFIES.fetch_add(1, Ordering::Relaxed);
+        self.point
+            .as_ref()
+            .is_some_and(|a| verify_with_point(a, &self.bytes, msg, sig))
     }
 }
 
@@ -580,7 +805,7 @@ mod tests {
     #[test]
     fn base_point_has_order_l() {
         // L · B == identity, (L-1) · B == -B
-        let l_minus_1 = Scalar(sub4(&L, &[1, 0, 0, 0]));
+        let l_minus_1 = Scalar(sub_wrapping(&L, &[1, 0, 0, 0]));
         let p = Point::base().mul_scalar(&l_minus_1);
         let sum = p.add(&Point::base());
         assert!(sum.equals(&Point::identity()));
@@ -629,7 +854,7 @@ mod tests {
         assert!(Scalar::from_bytes(&bytes).is_zero());
         assert!(Scalar::from_canonical_bytes(&bytes).is_none());
         // L - 1 is canonical.
-        let lm1 = sub4(&L, &[1, 0, 0, 0]);
+        let lm1 = sub_wrapping(&L, &[1, 0, 0, 0]);
         let mut b2 = [0u8; 32];
         for i in 0..4 {
             b2[i * 8..i * 8 + 8].copy_from_slice(&lm1[i].to_le_bytes());
@@ -779,6 +1004,290 @@ mod tests {
                 malleated[32 + i * 8..32 + i * 8 + 8].copy_from_slice(&out[i].to_le_bytes());
             }
             assert!(!sk.verifying_key().verify(b"msg", &malleated));
+        }
+    }
+
+    // ---- Differential tests: every fast path against its naive reference.
+
+    use proptest::prelude::*;
+
+    fn limbs_from_bytes(bytes: &[u8; 64]) -> [u64; 8] {
+        let mut limbs = [0u64; 8];
+        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
+            limbs[i] = u64::from_le_bytes(chunk.try_into().unwrap());
+        }
+        limbs
+    }
+
+    /// Scalars at the edges of the signed radix-16 recoding: zero, one,
+    /// single digits either side of the sign flip, L−1 and L−2, all-8
+    /// nibbles (every digit carries), 2^252 − 1 (a carry ripples through
+    /// every digit into the top one) and 2^251.
+    fn edge_scalars() -> Vec<Scalar> {
+        vec![
+            Scalar::ZERO,
+            Scalar([1, 0, 0, 0]),
+            Scalar([7, 0, 0, 0]),
+            Scalar([8, 0, 0, 0]),
+            Scalar([15, 0, 0, 0]),
+            Scalar(sub_wrapping(&L, &[1, 0, 0, 0])),
+            Scalar(sub_wrapping(&L, &[2, 0, 0, 0])),
+            Scalar([
+                0x8888_8888_8888_8888,
+                0x8888_8888_8888_8888,
+                0x8888_8888_8888_8888,
+                0x0888_8888_8888_8888,
+            ]),
+            Scalar([u64::MAX, u64::MAX, u64::MAX, 0x0fff_ffff_ffff_ffff]),
+            Scalar([0, 0, 0, 0x0800_0000_0000_0000]),
+        ]
+    }
+
+    /// Encodings of the eight small-order points (the torsion subgroup).
+    const SMALL_ORDER: [&str; 8] = [
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000080",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+        "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+        "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+    ];
+
+    fn small_order_points() -> Vec<[u8; 32]> {
+        SMALL_ORDER
+            .iter()
+            .map(|h| hex::decode_array::<32>(h).unwrap())
+            .collect()
+    }
+
+    /// Points off the prime-order subgroup too: every torsion point, and
+    /// B plus each of them.
+    fn edge_points() -> Vec<Point> {
+        let mut points = vec![Point::base(), Point::identity()];
+        for enc in small_order_points() {
+            let t = Point::decompress(&enc).expect("torsion points decode");
+            points.push(t);
+            points.push(Point::base().add(&t));
+        }
+        points
+    }
+
+    /// The verifier this crate shipped before the fast paths: naive
+    /// double-and-add for both scalar multiplications.
+    fn naive_verify(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> bool {
+        let Some(a) = Point::decompress(key) else {
+            return false;
+        };
+        let r_bytes: [u8; 32] = sig[..32].try_into().unwrap();
+        let s_bytes: [u8; 32] = sig[32..].try_into().unwrap();
+        let Some(s) = Scalar::from_canonical_bytes(&s_bytes) else {
+            return false;
+        };
+        let Some(r) = Point::decompress(&r_bytes) else {
+            return false;
+        };
+        let mut h = Sha512::new();
+        h.update(&r_bytes);
+        h.update(key);
+        h.update(msg);
+        let k = Scalar(mod_l_wide(&limbs_from_bytes(&h.finalize())));
+        Point::base()
+            .mul_scalar(&s)
+            .equals(&r.add(&a.mul_scalar(&k)))
+    }
+
+    /// Both verify paths agree with the naive verifier on `sig`; returns
+    /// the shared verdict.
+    fn verdict(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> bool {
+        let vk = VerifyingKey::from_bytes(*key);
+        let fast = vk.verify(msg, sig);
+        assert_eq!(fast, PreparedVerifyingKey::new(&vk).verify(msg, sig));
+        assert_eq!(fast, naive_verify(key, msg, sig), "key {key:?} sig {sig:?}");
+        fast
+    }
+
+    /// `s + L` as a 256-bit integer, when it fits.
+    fn s_plus_l(sig: &[u8; 64]) -> Option<[u8; 64]> {
+        let s = Scalar::from_canonical_bytes(&sig[32..].try_into().unwrap()).unwrap();
+        let mut carry = 0u128;
+        let mut out = *sig;
+        for i in 0..4 {
+            let v = s.0[i] as u128 + L[i] as u128 + carry;
+            out[32 + i * 8..40 + i * 8].copy_from_slice(&(v as u64).to_le_bytes());
+            carry = v >> 64;
+        }
+        (carry == 0).then_some(out)
+    }
+
+    /// Every structured mutation of a valid signature must be rejected
+    /// by the fast and the naive verifier alike.
+    fn assert_mutations_rejected(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) {
+        if let Some(bad) = s_plus_l(sig) {
+            assert!(!verdict(key, msg, &bad), "s + L accepted");
+        }
+        // Non-canonical R: the identity's y = 1 re-encoded as p + 1.
+        let mut non_canonical_r = *sig;
+        non_canonical_r[..32].copy_from_slice(
+            &hex::decode_array::<32>(
+                "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+            )
+            .unwrap(),
+        );
+        assert!(!verdict(key, msg, &non_canonical_r), "non-canonical R");
+        for t in small_order_points() {
+            let mut small_r = *sig;
+            small_r[..32].copy_from_slice(&t);
+            assert!(!verdict(key, msg, &small_r), "small-order R accepted");
+            assert!(!verdict(&t, msg, sig), "small-order key accepted");
+        }
+    }
+
+    #[test]
+    fn barrett_matches_long_division_on_edges() {
+        let widen = |k: [u64; 4]| {
+            let mut limbs = [0u64; 8];
+            limbs[..4].copy_from_slice(&k);
+            limbs
+        };
+        let cases = [
+            [0u64; 8],
+            widen(sub_wrapping(&L, &[1, 0, 0, 0])),
+            widen(L),
+            widen([L[0] + 1, L[1], L[2], L[3]]),
+            [u64::MAX; 8],
+            [0, 0, 0, 0, 0, 0, 0, 1 << 63],
+            [u64::MAX, u64::MAX, u64::MAX, u64::MAX, 0, 0, 0, 0],
+        ];
+        for x in cases {
+            assert_eq!(barrett_reduce(&x), mod_l_wide(&x), "x = {x:x?}");
+        }
+        // L·k for a spread of k reduces to zero.
+        for k in [1u64, 2, 16, u64::MAX] {
+            let mut x = [0u64; 8];
+            mul_limbs(&L, &[k], &mut x);
+            assert_eq!(barrett_reduce(&x), [0; 4], "{k}·L");
+        }
+    }
+
+    #[test]
+    fn radix16_digits_recompose_and_stay_in_range() {
+        for s in edge_scalars() {
+            let digits = s.radix16();
+            assert!(digits[..63].iter().all(|d| (-8..=7).contains(d)));
+            assert!((-8..=8).contains(&digits[63]));
+            let mut acc = Scalar::ZERO;
+            let mut pow = Scalar([1, 0, 0, 0]);
+            for &d in &digits {
+                let term = pow.mul(Scalar([d.unsigned_abs() as u64, 0, 0, 0]));
+                acc = if d < 0 {
+                    acc.add(Scalar(sub_wrapping(&L, &term.0)))
+                } else {
+                    acc.add(term)
+                };
+                pow = pow.mul(Scalar([16, 0, 0, 0]));
+            }
+            assert_eq!(acc, s);
+        }
+    }
+
+    #[test]
+    fn scalar_multiplications_match_naive_on_edges() {
+        for s in edge_scalars() {
+            assert!(
+                Point::mul_base(&s).equals(&Point::base().mul_scalar(&s)),
+                "mul_base {s:?}"
+            );
+            for p in edge_points() {
+                assert!(
+                    p.mul_windowed(&s).equals(&p.mul_scalar(&s)),
+                    "windowed {s:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn verify_rejects_structured_mutations_like_naive() {
+        let sk = SigningKey::from_seed(&[9u8; 32]);
+        let key = *sk.verifying_key().as_bytes();
+        for msg in [&b""[..], b"x", b"an RBAC token body"] {
+            let sig = sk.sign(msg);
+            assert!(verdict(&key, msg, &sig));
+            assert_mutations_rejected(&key, msg, &sig);
+        }
+    }
+
+    #[test]
+    fn op_counts_count_signs_and_verifies() {
+        let sk = SigningKey::from_seed(&[3u8; 32]);
+        let before = op_counts();
+        let sig = sk.sign(b"m");
+        assert!(sk.verifying_key().verify(b"m", &sig));
+        assert!(!PreparedVerifyingKey::new(&sk.verifying_key()).verify(b"n", &sig));
+        let after = op_counts();
+        // Other tests run in parallel threads, so only lower bounds hold.
+        assert!(after.signs > before.signs);
+        assert!(after.verifies >= before.verifies + 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn barrett_matches_long_division(bytes in any::<[u8; 64]>()) {
+            let x = limbs_from_bytes(&bytes);
+            prop_assert_eq!(barrett_reduce(&x), mod_l_wide(&x));
+            let s = Scalar::from_bytes_wide(&bytes);
+            prop_assert_eq!(s.mul(s).0, mod_l_wide(&{
+                let mut wide = [0u64; 8];
+                mul_limbs(&s.0, &s.0, &mut wide);
+                wide
+            }));
+        }
+
+        #[test]
+        fn mul_base_matches_naive(bytes in any::<[u8; 64]>()) {
+            let s = Scalar(mod_l_wide(&limbs_from_bytes(&bytes)));
+            prop_assert!(Point::mul_base(&s).equals(&Point::base().mul_scalar(&s)));
+        }
+
+        #[test]
+        fn mul_windowed_matches_naive(
+            point_scalar in any::<[u8; 64]>(),
+            torsion in 0usize..9,
+            bytes in any::<[u8; 64]>(),
+        ) {
+            let mut p = Point::base().mul_scalar(&Scalar(mod_l_wide(&limbs_from_bytes(&point_scalar))));
+            if let Some(t) = small_order_points().get(torsion) {
+                p = p.add(&Point::decompress(t).unwrap());
+            }
+            let s = Scalar(mod_l_wide(&limbs_from_bytes(&bytes)));
+            prop_assert!(p.mul_windowed(&s).equals(&p.mul_scalar(&s)));
+        }
+
+        #[test]
+        fn verify_matches_naive(
+            seed in any::<[u8; 32]>(),
+            msg in proptest::collection::vec(any::<u8>(), 0..48),
+            flip in 0usize..(64 * 8),
+            key_flip in 0usize..(32 * 8),
+        ) {
+            let sk = SigningKey::from_seed(&seed);
+            let key = *sk.verifying_key().as_bytes();
+            let sig = sk.sign(&msg);
+            prop_assert!(verdict(&key, &msg, &sig));
+            let mut bad_sig = sig;
+            bad_sig[flip / 8] ^= 1 << (flip % 8);
+            prop_assert!(!verdict(&key, &msg, &bad_sig));
+            let mut bad_key = key;
+            bad_key[key_flip / 8] ^= 1 << (key_flip % 8);
+            prop_assert!(!verdict(&bad_key, &msg, &sig));
+            let mut bad_msg = msg.clone();
+            bad_msg.push(0);
+            prop_assert!(!verdict(&key, &bad_msg, &sig));
+            assert_mutations_rejected(&key, &msg, &sig);
         }
     }
 }

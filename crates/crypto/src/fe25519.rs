@@ -2,9 +2,11 @@
 //!
 //! Elements are held as four 64-bit little-endian limbs, always reduced to
 //! `[0, p)` after every public operation. Multiplication uses schoolbook
-//! 4×4 limb products accumulated in `u128`, followed by the standard
-//! `2^256 ≡ 38 (mod p)` fold. This is variable-time, which is acceptable
-//! for the simulation-grade purposes of this crate.
+//! 4×4 limb products accumulated in `u128`, squaring the 10 distinct
+//! products, both followed by the standard `2^256 ≡ 38 (mod p)` fold.
+//! Inversion and the decompression power use the ref10 addition chain.
+//! This is variable-time, which is acceptable for the simulation-grade
+//! purposes of this crate.
 
 /// p = 2^255 − 19 as little-endian u64 limbs.
 pub const P: [u64; 4] = [
@@ -104,9 +106,45 @@ impl Fe {
         reduce_wide(&r)
     }
 
-    /// Field squaring.
+    /// Field squaring: the 6 cross products once, doubled, plus the 4
+    /// diagonal squares — 10 limb products instead of `mul`'s 16.
     pub fn square(self) -> Fe {
-        self.mul(self)
+        let a = &self.0;
+        let mut r = [0u64; 8];
+        // Cross products a[i]·a[j], i < j, row by row.
+        for i in 0..3 {
+            let mut carry: u128 = 0;
+            for j in i + 1..4 {
+                let v = (a[i] as u128) * (a[j] as u128) + r[i + j] as u128 + carry;
+                r[i + j] = v as u64;
+                carry = v >> 64;
+            }
+            r[i + 4] = carry as u64;
+        }
+        // Double them (the sum is below 2^511, so the shift cannot overflow).
+        for i in (1..8).rev() {
+            r[i] = (r[i] << 1) | (r[i - 1] >> 63);
+        }
+        // Add the diagonal squares a[i]^2 at limb 2i.
+        let mut carry: u128 = 0;
+        for i in 0..4 {
+            let sq = (a[i] as u128) * (a[i] as u128);
+            let lo = r[2 * i] as u128 + (sq as u64) as u128 + carry;
+            r[2 * i] = lo as u64;
+            let hi = r[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
+            r[2 * i + 1] = hi as u64;
+            carry = hi >> 64;
+        }
+        reduce_wide(&r)
+    }
+
+    /// `self^(2^n)`: `n` successive squarings.
+    fn square_n(self, n: u32) -> Fe {
+        let mut x = self;
+        for _ in 0..n {
+            x = x.square();
+        }
+        x
     }
 
     /// Multiply by a small constant.
@@ -124,7 +162,9 @@ impl Fe {
     }
 
     /// Raise to the power given as 256-bit little-endian limbs
-    /// (square-and-multiply, variable time).
+    /// (square-and-multiply): the reference the addition chains are
+    /// tested against.
+    #[cfg(test)]
     pub fn pow_limbs(self, exp: &[u64; 4]) -> Fe {
         let mut acc = Fe::ONE;
         // Process from the most significant bit downwards.
@@ -138,29 +178,35 @@ impl Fe {
         acc
     }
 
-    /// Multiplicative inverse via Fermat: a^(p−2).
-    pub fn invert(self) -> Fe {
-        // p - 2 = 2^255 - 21
-        const EXP: [u64; 4] = [
-            0xffff_ffff_ffff_ffeb,
-            0xffff_ffff_ffff_ffff,
-            0xffff_ffff_ffff_ffff,
-            0x7fff_ffff_ffff_ffff,
-        ];
-        self.pow_limbs(&EXP)
+    /// The shared prefix of the ref10 addition chains for `invert` and
+    /// `pow_p58`: returns `(self^(2^250 − 1), self^11)`.
+    fn pow_2_250_1(self) -> (Fe, Fe) {
+        let z2 = self.square();
+        let z9 = z2.square_n(2).mul(self);
+        let z11 = z9.mul(z2);
+        let z_5_0 = z11.square().mul(z9); // 2^5 − 1
+        let z_10_0 = z_5_0.square_n(5).mul(z_5_0);
+        let z_20_0 = z_10_0.square_n(10).mul(z_10_0);
+        let z_40_0 = z_20_0.square_n(20).mul(z_20_0);
+        let z_50_0 = z_40_0.square_n(10).mul(z_10_0);
+        let z_100_0 = z_50_0.square_n(50).mul(z_50_0);
+        let z_200_0 = z_100_0.square_n(100).mul(z_100_0);
+        let z_250_0 = z_200_0.square_n(50).mul(z_50_0);
+        (z_250_0, z11)
     }
 
-    /// a^((p−5)/8), the core of the combined sqrt/division used in
-    /// point decompression (RFC 8032 §5.1.3).
+    /// Multiplicative inverse via Fermat: a^(p−2) = a^(2^255 − 21), by
+    /// the ref10 chain (254 squarings, 11 multiplications). Maps 0 to 0.
+    pub fn invert(self) -> Fe {
+        let (z_250_0, z11) = self.pow_2_250_1();
+        z_250_0.square_n(5).mul(z11)
+    }
+
+    /// a^((p−5)/8) = a^(2^252 − 3), the core of the combined sqrt/division
+    /// used in point decompression (RFC 8032 §5.1.3).
     pub fn pow_p58(self) -> Fe {
-        // (p - 5) / 8 = (2^255 - 24) / 8 = 2^252 - 3
-        const EXP: [u64; 4] = [
-            0xffff_ffff_ffff_fffd,
-            0xffff_ffff_ffff_ffff,
-            0xffff_ffff_ffff_ffff,
-            0x0fff_ffff_ffff_ffff,
-        ];
-        self.pow_limbs(&EXP)
+        let (z_250_0, _) = self.pow_2_250_1();
+        z_250_0.square_n(2).mul(self)
     }
 
     /// True if the element is zero.
@@ -182,27 +228,48 @@ impl Fe {
     }
 }
 
-/// sqrt(-1) mod p, used in decompression. Precomputed constant.
-pub fn sqrt_m1() -> Fe {
-    // 2^((p-1)/4) mod p
-    const SQRT_M1: [u64; 4] = [
-        0xc4ee_1b27_4a0e_a0b0,
-        0x2f43_1806_ad2f_e478,
-        0x2b4d_0099_3dfb_d7a7,
-        0x2b83_2480_4fc1_df0b,
-    ];
-    Fe(SQRT_M1)
-}
+/// sqrt(−1) = 2^((p−1)/4) mod p, used in decompression.
+pub const SQRT_M1: Fe = Fe([
+    0xc4ee_1b27_4a0e_a0b0,
+    0x2f43_1806_ad2f_e478,
+    0x2b4d_0099_3dfb_d7a7,
+    0x2b83_2480_4fc1_df0b,
+]);
 
 /// d = −121665/121666, the edwards25519 curve constant.
-pub fn curve_d() -> Fe {
-    const D: [u64; 4] = [
-        0x75eb_4dca_1359_78a3,
-        0x0070_0a4d_4141_d8ab,
-        0x8cc7_4079_7779_e898,
-        0x5203_6cee_2b6f_fe73,
-    ];
-    Fe(D)
+pub const D: Fe = Fe([
+    0x75eb_4dca_1359_78a3,
+    0x0070_0a4d_4141_d8ab,
+    0x8cc7_4079_7779_e898,
+    0x5203_6cee_2b6f_fe73,
+]);
+
+/// 2d, the constant every point addition multiplies by.
+pub const D2: Fe = Fe([
+    0xebd6_9b94_26b2_f159,
+    0x00e0_149a_8283_b156,
+    0x198e_80f2_eef3_d130,
+    0x2406_d9dc_56df_fce7,
+]);
+
+/// Invert every element of `xs` in place with a single field inversion
+/// (Montgomery's trick: 3 multiplications per element). No element may
+/// be zero.
+pub(crate) fn batch_invert(xs: &mut [Fe]) {
+    let mut prefix = Vec::with_capacity(xs.len());
+    let mut acc = Fe::ONE;
+    for x in xs.iter() {
+        prefix.push(acc);
+        acc = acc.mul(*x);
+    }
+    // `inv` is always the inverse of the product of the elements not yet
+    // visited by the backward sweep.
+    let mut inv = acc.invert();
+    for (x, before) in xs.iter_mut().zip(prefix).rev() {
+        let next = inv.mul(*x);
+        *x = inv.mul(before);
+        inv = next;
+    }
 }
 
 fn geq(a: &[u64; 4], b: &[u64; 4]) -> bool {
@@ -241,45 +308,28 @@ fn sub_raw(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
     out
 }
 
-/// Reduce an 8-limb (512-bit) value mod p using 2^256 ≡ 38.
+/// Reduce an 8-limb (512-bit) value mod p using 2^256 ≡ 38 and
+/// 2^255 ≡ 19.
 fn reduce_wide(r: &[u64; 8]) -> Fe {
-    // lo + 38 * hi, at most 65 + 256 bits -> fits in 5 limbs.
-    let mut acc = [0u128; 5];
-    for i in 0..4 {
-        acc[i] += r[i] as u128;
-        acc[i] += (r[i + 4] as u128) * 38;
-    }
-    let mut limbs = [0u64; 5];
+    // lo + 38·hi: 256 bits plus a carry of at most 38.
+    let mut lo = [0u64; 4];
     let mut carry: u128 = 0;
-    for i in 0..5 {
-        let v = acc[i] + carry;
-        limbs[i] = v as u64;
+    for i in 0..4 {
+        let v = r[i] as u128 + (r[i + 4] as u128) * 38 + carry;
+        lo[i] = v as u64;
         carry = v >> 64;
     }
-    debug_assert_eq!(carry, 0);
-    // Second fold: limbs[4] * 2^256 ≡ limbs[4] * 38. Loop in case the
-    // addition itself wraps past 2^256 (then the wrap is worth another 38).
-    let mut lo = [limbs[0], limbs[1], limbs[2], limbs[3]];
-    let mut extra: u64 = limbs[4].wrapping_mul(38); // limbs[4] < 39, no overflow
-    while extra != 0 {
-        let mut carry: u64 = extra;
-        for limb in lo.iter_mut() {
-            let (v, c) = limb.overflowing_add(carry);
-            *limb = v;
-            carry = c as u64;
-            if carry == 0 {
-                break;
-            }
-        }
-        extra = carry * 38;
-    }
-    // Final: fold the top bit (2^255 ≡ 19) and reduce below p.
-    let top = lo[3] >> 63;
+    // carry·2^256 + lo = (2·carry + bit 255)·2^255 + (lo mod 2^255).
+    let top = ((carry as u64) << 1) | (lo[3] >> 63);
     lo[3] &= 0x7fff_ffff_ffff_ffff;
-    let mut fe = Fe(lo);
-    if top == 1 {
-        fe = fe.add(Fe([19, 0, 0, 0]));
+    let mut c = top * 19;
+    for limb in lo.iter_mut() {
+        let (v, o) = limb.overflowing_add(c);
+        *limb = v;
+        c = o as u64;
     }
+    // Now below 2^255 + 77·19 < 2p: one conditional subtraction.
+    let mut fe = Fe(lo);
     fe.reduce_once();
     fe
 }
@@ -334,15 +384,14 @@ mod tests {
 
     #[test]
     fn sqrt_m1_squares_to_minus_one() {
-        let i = sqrt_m1();
-        assert_eq!(i.square(), Fe::ONE.neg());
+        assert_eq!(SQRT_M1.square(), Fe::ONE.neg());
     }
 
     #[test]
     fn curve_d_definition() {
         // d * 121666 == -121665
-        let d = curve_d();
-        assert_eq!(d.mul(fe(121666)), fe(121665).neg());
+        assert_eq!(D.mul(fe(121666)), fe(121665).neg());
+        assert_eq!(D.add(D), D2);
     }
 
     #[test]
@@ -380,5 +429,73 @@ mod tests {
         assert_eq!(a.pow_limbs(&[10, 0, 0, 0]), fe(59049));
         assert_eq!(a.pow_limbs(&[0, 0, 0, 0]), Fe::ONE);
         assert_eq!(a.pow_limbs(&[1, 0, 0, 0]), a);
+    }
+
+    // Differential references: the addition chains against generic
+    // square-and-multiply, and `square` against `mul`.
+    const P_MINUS_2: [u64; 4] = [
+        0xffff_ffff_ffff_ffeb,
+        0xffff_ffff_ffff_ffff,
+        0xffff_ffff_ffff_ffff,
+        0x7fff_ffff_ffff_ffff,
+    ];
+    const P_MINUS_5_OVER_8: [u64; 4] = [
+        0xffff_ffff_ffff_fffd,
+        0xffff_ffff_ffff_ffff,
+        0xffff_ffff_ffff_ffff,
+        0x0fff_ffff_ffff_ffff,
+    ];
+
+    fn edge_elements() -> Vec<Fe> {
+        let p_minus_1 = Fe(P).sub(fe(1));
+        vec![
+            Fe::ZERO,
+            Fe::ONE,
+            fe(2),
+            fe(19),
+            fe(u64::MAX),
+            p_minus_1,
+            p_minus_1.sub(fe(18)),
+            Fe([u64::MAX, u64::MAX, u64::MAX, 0x3fff_ffff_ffff_ffff]),
+            Fe([0, 0, 0, 0x4000_0000_0000_0000]),
+            SQRT_M1,
+            D,
+        ]
+    }
+
+    #[test]
+    fn fast_paths_match_references_on_edge_elements() {
+        for a in edge_elements() {
+            assert_eq!(a.square(), a.mul(a), "square {a:?}");
+            assert_eq!(a.invert(), a.pow_limbs(&P_MINUS_2), "invert {a:?}");
+            assert_eq!(a.pow_p58(), a.pow_limbs(&P_MINUS_5_OVER_8), "pow_p58 {a:?}");
+        }
+    }
+
+    #[test]
+    fn batch_invert_matches_invert() {
+        let xs: Vec<Fe> = edge_elements().into_iter().skip(1).collect();
+        let mut inv = xs.clone();
+        batch_invert(&mut inv);
+        for (x, i) in xs.iter().zip(&inv) {
+            assert_eq!(*i, x.invert());
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn square_matches_mul(b in any::<[u8; 32]>()) {
+            let a = Fe::from_bytes(&b);
+            prop_assert_eq!(a.square(), a.mul(a));
+        }
+
+        #[test]
+        fn chains_match_pow_limbs(b in any::<[u8; 32]>()) {
+            let a = Fe::from_bytes(&b);
+            prop_assert_eq!(a.invert(), a.pow_limbs(&P_MINUS_2));
+            prop_assert_eq!(a.pow_p58(), a.pow_limbs(&P_MINUS_5_OVER_8));
+        }
     }
 }

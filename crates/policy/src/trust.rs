@@ -355,30 +355,40 @@ impl MemoizedPdp {
         }
         let key = Self::memo_key(&req);
         let current = self.epoch();
-        match self.memo.get_cloned(&key) {
-            Some(entry) if entry.epoch == current => {
+        if let Some(entry) = self.memo.get_cloned(&key) {
+            if entry.epoch == current {
                 self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 dri_trace::add_attr("cache.pdp", "hit");
                 return entry.decision;
             }
-            Some(_) => {
+            // Callers racing on one stale entry: only the one that
+            // removes it counts the bust.
+            if self.memo.remove_if(&key, |e| e.epoch < current).is_some() {
                 self.epoch_busts
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.memo.remove(&key);
             }
-            None => {}
         }
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        dri_trace::add_attr("cache.pdp", "miss");
         let decision = self.pdp.decide(&req);
-        self.memo.insert(
+        let replaced = self.memo.insert(
             key,
             MemoEntry {
                 epoch: current,
                 decision: decision.clone(),
             },
         );
+        // Count from what the insert replaced, not from the lookup: when
+        // concurrent callers miss on one key, the first insert is the
+        // miss and the rest find its current-epoch entry and count hits,
+        // so misses equal the distinct (key, epoch) insertions whatever
+        // the interleaving.
+        if matches!(replaced, Some(entry) if entry.epoch == current) {
+            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            dri_trace::add_attr("cache.pdp", "hit");
+        } else {
+            self.misses
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            dri_trace::add_attr("cache.pdp", "miss");
+        }
         decision
     }
 }
@@ -580,6 +590,31 @@ mod tests {
         assert_eq!(memo.hits(), 1);
         assert_eq!(memo.epoch_busts(), 1);
         assert_eq!(memo.misses(), 2);
+    }
+
+    #[test]
+    fn concurrent_first_misses_count_one_miss_per_key() {
+        // Workers released together onto each fresh key all miss the
+        // lookup; only the first insert may count as a miss.
+        const WORKERS: usize = 8;
+        const KEYS: u64 = 64;
+        let memo = MemoizedPdp::new(PolicyDecisionPoint::default(), 16);
+        let barrier = std::sync::Barrier::new(WORKERS);
+        std::thread::scope(|scope| {
+            for _ in 0..WORKERS {
+                scope.spawn(|| {
+                    for k in 0..KEYS {
+                        let mut req = base_request();
+                        req.session_age_secs = k * SESSION_AGE_BUCKET_SECS;
+                        barrier.wait();
+                        memo.decide(&req);
+                    }
+                });
+            }
+        });
+        assert_eq!(memo.misses(), KEYS);
+        assert_eq!(memo.hits(), KEYS * (WORKERS as u64 - 1));
+        assert_eq!(memo.epoch_busts(), 0);
     }
 
     #[test]

@@ -167,6 +167,17 @@ impl<V> ShardMap<V> {
         self.write_shard(key).remove(key)
     }
 
+    /// Remove `key` only if `pred` holds for its value, checked and
+    /// removed under one shard lock; returns the removed value.
+    pub fn remove_if(&self, key: &str, pred: impl FnOnce(&V) -> bool) -> Option<V> {
+        let mut shard = self.write_shard(key);
+        if shard.get(key).is_some_and(pred) {
+            shard.remove(key)
+        } else {
+            None
+        }
+    }
+
     /// Whether `key` is present.
     pub fn contains_key(&self, key: &str) -> bool {
         self.read_shard(key).contains_key(key)
@@ -373,6 +384,10 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m.remove("a"), Some(2));
         assert!(m.is_empty());
+        m.insert("b".into(), 3);
+        assert_eq!(m.remove_if("b", |&v| v > 3), None);
+        assert_eq!(m.remove_if("b", |&v| v == 3), Some(3));
+        assert_eq!(m.remove_if("b", |_| true), None);
     }
 
     #[test]

@@ -1,0 +1,92 @@
+//! Deterministic crypto op-count gate.
+//!
+//! Wall-clock costs vary by host; the number of Ed25519 signatures and
+//! verifications a flow performs does not. This gate pins those counts
+//! per flow, so a change that quietly adds a signature or a verify to a
+//! hot path fails on any host.
+//!
+//! The counters are process-wide (`dri_crypto::ed25519::op_counts`), so
+//! this file holds exactly one `#[test]`: no other test shares the
+//! process and moves them while a section is being counted.
+
+use isambard_dri::core::{InfraConfig, Infrastructure};
+use isambard_dri::crypto::ed25519::{op_counts, OpCounts};
+use isambard_dri::workload::{build_population, run_storm, StormMode};
+
+const PROJECTS: usize = 4;
+const USERS: u64 = PROJECTS as u64 * 8;
+
+fn storm_infra(verification_cache: bool) -> (Infrastructure, Vec<(String, String)>) {
+    let config = InfraConfig::builder()
+        .jupyter_capacity(4096)
+        .interactive_nodes(4096)
+        .edge_threshold(usize::MAX / 2)
+        .verification_cache(verification_cache)
+        .build()
+        .expect("gate config is valid");
+    let infra = Infrastructure::new(config);
+    let pop = build_population(&infra, PROJECTS, 7).expect("population");
+    let users = pop
+        .projects
+        .iter()
+        .flat_map(|p| {
+            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
+                p.researcher_labels
+                    .iter()
+                    .map(|r| (r.clone(), p.name.clone())),
+            )
+        })
+        .collect();
+    (infra, users)
+}
+
+/// Ed25519 operations performed by `f`.
+fn counted(f: impl FnOnce()) -> OpCounts {
+    let before = op_counts();
+    f();
+    let after = op_counts();
+    OpCounts {
+        signs: after.signs - before.signs,
+        verifies: after.verifies - before.verifies,
+    }
+}
+
+fn storm_counts(verification_cache: bool) -> OpCounts {
+    let (infra, users) = storm_infra(verification_cache);
+    assert_eq!(users.len() as u64, USERS);
+    counted(|| {
+        let result = run_storm(&infra, &users, StormMode::Serial);
+        assert_eq!(result.completed, users.len(), "{:?}", result.failures);
+    })
+}
+
+/// Scale per-flow counts to `flows` flows.
+fn per_flow(signs: u64, verifies: u64, flows: u64) -> OpCounts {
+    OpCounts {
+        signs: signs * flows,
+        verifies: verifies * flows,
+    }
+}
+
+#[test]
+fn ed25519_ops_per_flow_are_pinned() {
+    // Warm story 6: the one RBAC token signature and no verify at all
+    // (the issuing broker seeds the token cache).
+    assert_eq!(storm_counts(true), per_flow(1, 0, USERS), "warm storm");
+    // Cold story 6 (verification caches off): the token is verified once
+    // at the relying service.
+    assert_eq!(storm_counts(false), per_flow(1, 1, USERS), "cold storm");
+
+    // One federated login plus story 4 (SSH through CA and bastion):
+    // the counts measured when this gate was written. A change that moves
+    // them must say why.
+    let (infra, users) = storm_infra(true);
+    let (label, project) = &users[1];
+    let ssh = counted(|| {
+        infra.federated_login(label).expect("federated login");
+        infra
+            .story4_ssh_connect(label.as_str(), project)
+            .expect("story 4");
+    });
+    assert_eq!(ssh, per_flow(5, 5, 1), "federated login + story 4");
+}
