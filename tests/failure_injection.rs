@@ -2,7 +2,7 @@
 //! the availability half of the paper's "balancing security,
 //! availability, usability, and cost-efficiency".
 
-use isambard_dri::core::{FlowError, InfraConfig, Infrastructure};
+use isambard_dri::core::{ChaosOutcome, FlowError, InfraConfig, Infrastructure};
 use isambard_dri::fault::FaultPlan;
 use isambard_dri::federation::AuthnError;
 use isambard_dri::netsim::BastionError;
@@ -266,4 +266,189 @@ fn chaos_bastion_and_killswitch_drills_pass() {
     let drill = infra.chaos_killswitch_drill("alice", "p", 60_000).unwrap();
     assert!(drill.passed(), "failed checks: {:?}", drill.failures());
     assert_eq!(drill.fault_ids.len(), 1);
+}
+
+/// One drill's expected record: scenario, timeline, check names, fault
+/// ids and the (retries, breaker trips, degraded logins) deltas.
+struct Expected {
+    scenario: &'static str,
+    timeline: &'static [&'static str],
+    checks: &'static [&'static str],
+    fault_ids: &'static [&'static str],
+    counters: (u64, u64, u64),
+}
+
+fn assert_drill(outcome: &ChaosOutcome, want: &Expected) {
+    assert!(
+        outcome.passed(),
+        "{}: {:?}",
+        want.scenario,
+        outcome.failures()
+    );
+    assert_eq!(outcome.scenario, want.scenario);
+    assert_eq!(outcome.timeline, want.timeline, "{}", want.scenario);
+    let checks: Vec<&str> = outcome.checks.iter().map(|(name, _)| *name).collect();
+    assert_eq!(checks, want.checks, "{}", want.scenario);
+    assert_eq!(outcome.fault_ids, want.fault_ids, "{}", want.scenario);
+    assert_eq!(
+        (
+            outcome.retries,
+            outcome.breaker_trips,
+            outcome.degraded_logins
+        ),
+        want.counters,
+        "{}",
+        want.scenario
+    );
+}
+
+/// All six drills in the `chaos_day` arrangement, pinned literally:
+/// drills 1–3 each on a fresh onboarded infrastructure, 4–6 in sequence
+/// on one infrastructure with `dave` registered as an administrator
+/// before the tailnet storm.
+#[test]
+fn six_chaos_drills_keep_their_exact_records() {
+    let fresh = || {
+        let infra = Infrastructure::new(InfraConfig::default());
+        infra.create_federated_user("alice", "pw");
+        infra
+            .story1_onboard_pi("climate-llm", "alice", 100.0)
+            .unwrap();
+        infra
+    };
+    let mut outcomes = vec![
+        fresh().chaos_bastion_loss("alice", "climate-llm").unwrap(),
+        fresh().chaos_idp_outage("alice", 60_000).unwrap(),
+        fresh()
+            .chaos_killswitch_drill("alice", "climate-llm", 60_000)
+            .unwrap(),
+    ];
+    let infra = fresh();
+    outcomes.push(
+        infra
+            .chaos_scheduler_outage("alice", "climate-llm")
+            .unwrap(),
+    );
+    outcomes.push(infra.chaos_login_drain("alice", "climate-llm").unwrap());
+    infra.story2_register_admin("dave").unwrap();
+    outcomes.push(infra.chaos_tailnet_storm("dave").unwrap());
+
+    const FAULT: &str = "fault-4d9b3f1ec9cf6b1b";
+    let expected = [
+        Expected {
+            scenario: "bastion-loss",
+            timeline: &[
+                "baseline: ssh relay through the full HA set",
+                "drain instance 0: relay transparent",
+                "drain instance 1: relay transparent",
+                "drain last instance: relay refused",
+                "restore one instance: service resumed",
+            ],
+            checks: &[
+                "instance loss transparent until the last",
+                "exhausted HA set refuses cleanly",
+                "restore resumes service",
+            ],
+            fault_ids: &[],
+            counters: (0, 0, 0),
+        },
+        Expected {
+            scenario: "idp-outage",
+            timeline: &[
+                "schedule fault-4d9b3f1ec9cf6b1b: home IdP dark for 60000ms",
+                "login 1: degraded to last-resort:alice after retries",
+                "login 2: degraded to last-resort:alice after retries",
+                "login 3: degraded to last-resort:alice after retries",
+                "login 4: breaker open, failover without touching the IdP",
+                "window passed: half-open probe, primary path restored",
+            ],
+            checks: &[
+                "outage logins degrade to last resort",
+                "faults were injected at the idp hop",
+                "idp breaker tripped after repeated failures",
+                "open breaker fails over fast",
+                "primary path restored after the window",
+            ],
+            fault_ids: &[FAULT],
+            counters: (6, 1, 4),
+        },
+        Expected {
+            scenario: "killswitch-drill",
+            timeline: &[
+                "setup: live broker session + bastion relay + shell",
+                "compromise simulated: active fault fault-4d9b3f1ec9cf6b1b",
+                "kill chain: bastion=1 shells=1 notebooks=0 jobs=0",
+                "stand down: subject reinstated, plane disarmed",
+            ],
+            checks: &[
+                "kill chain severed live footholds",
+                "drill cites an active fault id",
+                "kill event joins to the originating trace",
+                "reinstatement restores login",
+            ],
+            fault_ids: &[FAULT],
+            counters: (0, 0, 0),
+        },
+        Expected {
+            scenario: "scheduler-outage",
+            timeline: &[
+                "baseline: 20 healthy submissions seeded",
+                "job job-000021 running before the outage",
+                "schedule fault-4d9b3f1ec9cf6b1b: scheduler dark",
+                "storm: 3 submissions refused, budget exhausted, drill closed",
+                "job job-000021 completed through the outage",
+                "recovery: submission accepted after disarm",
+            ],
+            checks: &[
+                "baseline traffic seeded the budget window",
+                "survivor job running before the outage",
+                "drill admitted with budget headroom",
+                "outage fails new submissions closed",
+                "budget exhaustion closed the drill",
+                "running job survived the scheduler outage",
+                "recovery submission accepted",
+            ],
+            fault_ids: &[FAULT],
+            counters: (0, 0, 0),
+        },
+        Expected {
+            scenario: "login-drain",
+            timeline: &[
+                "baseline: shell shell-000001 established",
+                "login node draining for maintenance",
+                "new session refused while draining",
+                "restore: new sessions accepted again",
+            ],
+            checks: &[
+                "established shell survives the drain",
+                "draining node refuses new sessions",
+                "restore resumes service",
+                "established shell alive end to end",
+            ],
+            fault_ids: &[],
+            counters: (0, 0, 0),
+        },
+        Expected {
+            scenario: "tailnet-storm",
+            timeline: &[
+                "baseline: dave-storm-drill enrolled, overlay path up",
+                "storm: 1 user leases force-expired",
+                "re-auth through the broker restored the overlay",
+            ],
+            checks: &[
+                "baseline overlay path works",
+                "storm expired at least the drill lease",
+                "expired lease forces re-authentication",
+                "broker session survives the storm",
+                "re-enrolment restores the overlay",
+                "infrastructure enrolment untouched",
+            ],
+            fault_ids: &[],
+            counters: (0, 0, 0),
+        },
+    ];
+    assert_eq!(outcomes.len(), expected.len());
+    for (outcome, want) in outcomes.iter().zip(&expected) {
+        assert_drill(outcome, want);
+    }
 }
