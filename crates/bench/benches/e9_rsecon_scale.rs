@@ -19,18 +19,11 @@ use dri_workload::{build_population, run_storm, StormMode};
 
 fn storm_users(infra: &Infrastructure, n: usize) -> Vec<(String, String)> {
     let projects = n.div_ceil(8);
-    let pop = build_population(infra, projects, 7).expect("population");
-    pop.projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .take(n)
-        .collect()
+    let mut users = build_population(infra, projects, 7)
+        .expect("population")
+        .members();
+    users.truncate(n);
+    users
 }
 
 fn big_config(broker_shards: usize) -> InfraConfig {

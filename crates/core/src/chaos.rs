@@ -56,6 +56,56 @@ impl ChaosOutcome {
     }
 }
 
+/// The bookkeeping every drill shares: counter readings at the start,
+/// plus the timeline, checks and fault ids collected along the way.
+struct Drill<'a> {
+    infra: &'a Infrastructure,
+    scenario: &'static str,
+    retries_before: u64,
+    trips_before: u64,
+    degraded_before: u64,
+    fault_ids: Vec<String>,
+    timeline: Vec<String>,
+    checks: Vec<(&'static str, bool)>,
+}
+
+impl<'a> Drill<'a> {
+    fn start(infra: &'a Infrastructure, scenario: &'static str) -> Drill<'a> {
+        Drill {
+            infra,
+            scenario,
+            retries_before: infra.resilience.retries(),
+            trips_before: infra.resilience.breakers().trips(),
+            degraded_before: infra.resilience.degraded_logins(),
+            fault_ids: Vec::new(),
+            timeline: Vec::new(),
+            checks: Vec::new(),
+        }
+    }
+
+    fn note(&mut self, line: impl Into<String>) {
+        self.timeline.push(line.into());
+    }
+
+    fn check(&mut self, name: &'static str, ok: bool) {
+        self.checks.push((name, ok));
+    }
+
+    /// The outcome, with counters reported as deltas since [`Drill::start`].
+    fn finish(self) -> ChaosOutcome {
+        let resilience = &self.infra.resilience;
+        ChaosOutcome {
+            scenario: self.scenario,
+            fault_ids: self.fault_ids,
+            timeline: self.timeline,
+            checks: self.checks,
+            retries: resilience.retries() - self.retries_before,
+            breaker_trips: resilience.breakers().trips() - self.trips_before,
+            degraded_logins: resilience.degraded_logins() - self.degraded_before,
+        }
+    }
+}
+
 impl Infrastructure {
     /// **Chaos day 1 — bastion loss.** Instances of the HA bastion set
     /// are drained one by one: service stays transparent until the set
@@ -66,14 +116,10 @@ impl Infrastructure {
         label: &str,
         project: &str,
     ) -> Result<ChaosOutcome, FlowError> {
-        let before_retries = self.resilience.retries();
-        let before_trips = self.resilience.breakers().trips();
-        let before_degraded = self.resilience.degraded_logins();
-        let mut timeline = Vec::new();
-        let mut checks = Vec::new();
+        let mut drill = Drill::start(self, "bastion-loss");
 
         self.story4_ssh_connect(label, project)?;
-        timeline.push("baseline: ssh relay through the full HA set".to_string());
+        drill.note("baseline: ssh relay through the full HA set");
 
         let instances = self.config.bastion_instances;
         let mut transparent = true;
@@ -81,12 +127,12 @@ impl Infrastructure {
             self.bastion.drain_instance(i).map_err(FlowError::Bastion)?;
             let ok = self.story4_ssh_connect(label, project).is_ok();
             transparent &= ok;
-            timeline.push(format!(
+            drill.note(format!(
                 "drain instance {i}: relay {}",
                 if ok { "transparent" } else { "FAILED" }
             ));
         }
-        checks.push(("instance loss transparent until the last", transparent));
+        drill.check("instance loss transparent until the last", transparent);
 
         self.bastion
             .drain_instance(instances - 1)
@@ -95,28 +141,20 @@ impl Infrastructure {
             self.story4_ssh_connect(label, project),
             Err(FlowError::Bastion(BastionError::Unavailable))
         );
-        timeline.push("drain last instance: relay refused".to_string());
-        checks.push(("exhausted HA set refuses cleanly", exhausted));
+        drill.note("drain last instance: relay refused");
+        drill.check("exhausted HA set refuses cleanly", exhausted);
 
         self.bastion
             .restore_instance(0)
             .map_err(FlowError::Bastion)?;
         let recovered = self.story4_ssh_connect(label, project).is_ok();
-        timeline.push("restore one instance: service resumed".to_string());
-        checks.push(("restore resumes service", recovered));
+        drill.note("restore one instance: service resumed");
+        drill.check("restore resumes service", recovered);
         for i in 1..instances {
             let _ = self.bastion.restore_instance(i);
         }
 
-        Ok(ChaosOutcome {
-            scenario: "bastion-loss",
-            fault_ids: Vec::new(),
-            timeline,
-            checks,
-            retries: self.resilience.retries() - before_retries,
-            breaker_trips: self.resilience.breakers().trips() - before_trips,
-            degraded_logins: self.resilience.degraded_logins() - before_degraded,
-        })
+        Ok(drill.finish())
     }
 
     /// **Chaos day 2 — home-IdP outage.** The institutional IdP goes
@@ -127,18 +165,15 @@ impl Infrastructure {
     /// half-opens. `label` must be an onboarded federated user.
     pub fn chaos_idp_outage(&self, label: &str, outage_ms: u64) -> Result<ChaosOutcome, FlowError> {
         self.enroll_last_resort_fallback(label)?;
-        let before_retries = self.resilience.retries();
-        let before_trips = self.resilience.breakers().trips();
+        let mut drill = Drill::start(self, "idp-outage");
         let before_rejections = self.resilience.breakers().rejections();
-        let before_degraded = self.resilience.degraded_logins();
-        let mut timeline = Vec::new();
-        let mut checks = Vec::new();
 
         let now = self.clock.now_ms();
         let plan = FaultPlan::new(self.config.seed).outage("idp", now, now + outage_ms);
         let fault_id = plan.fault_id(0);
+        drill.fault_ids.push(fault_id.clone());
         let plane = self.install_fault_plan(plan);
-        timeline.push(format!(
+        drill.note(format!(
             "schedule {fault_id}: home IdP dark for {outage_ms}ms"
         ));
 
@@ -151,26 +186,26 @@ impl Infrastructure {
                 Ok(session) => {
                     let degraded = session.subject.starts_with("last-resort:");
                     degraded_ok &= degraded;
-                    timeline.push(format!(
+                    drill.note(format!(
                         "login {round}: degraded to {} after retries",
                         session.subject
                     ));
                 }
                 Err(e) => {
                     degraded_ok = false;
-                    timeline.push(format!("login {round}: FAILED ({e})"));
+                    drill.note(format!("login {round}: FAILED ({e})"));
                 }
             }
         }
-        checks.push(("outage logins degrade to last resort", degraded_ok));
-        checks.push((
+        drill.check("outage logins degrade to last resort", degraded_ok);
+        drill.check(
             "faults were injected at the idp hop",
             plane.failures_injected() > 0,
-        ));
-        checks.push((
+        );
+        drill.check(
             "idp breaker tripped after repeated failures",
-            self.resilience.breakers().trips() > before_trips,
-        ));
+            self.resilience.breakers().trips() > drill.trips_before,
+        );
 
         // A fourth login is rejected by the open breaker without touching
         // the IdP — and still lands on the last-resort route.
@@ -180,8 +215,8 @@ impl Infrastructure {
             .map(|s| s.subject.starts_with("last-resort:"))
             .unwrap_or(false);
         let rejected_fast = self.resilience.breakers().rejections() > before_rejections;
-        timeline.push("login 4: breaker open, failover without touching the IdP".to_string());
-        checks.push(("open breaker fails over fast", fast_ok && rejected_fast));
+        drill.note("login 4: breaker open, failover without touching the IdP");
+        drill.check("open breaker fails over fast", fast_ok && rejected_fast);
 
         // Outage window passes, breaker cools off, the probe succeeds:
         // primary path restored.
@@ -191,18 +226,10 @@ impl Infrastructure {
             .federated_login(label)
             .map(|s| s.subject.starts_with("maid-"))
             .unwrap_or(false);
-        timeline.push("window passed: half-open probe, primary path restored".to_string());
-        checks.push(("primary path restored after the window", restored));
+        drill.note("window passed: half-open probe, primary path restored");
+        drill.check("primary path restored after the window", restored);
 
-        Ok(ChaosOutcome {
-            scenario: "idp-outage",
-            fault_ids: vec![fault_id],
-            timeline,
-            checks,
-            retries: self.resilience.retries() - before_retries,
-            breaker_trips: self.resilience.breakers().trips() - before_trips,
-            degraded_logins: self.resilience.degraded_logins() - before_degraded,
-        })
+        Ok(drill.finish())
     }
 
     /// **Chaos day 3 — kill-switch drill.** With live sessions on the
@@ -217,27 +244,26 @@ impl Infrastructure {
         project: &str,
         window_ms: u64,
     ) -> Result<ChaosOutcome, FlowError> {
-        let before_retries = self.resilience.retries();
-        let before_trips = self.resilience.breakers().trips();
-        let before_degraded = self.resilience.degraded_logins();
-        let mut timeline = Vec::new();
-        let mut checks = Vec::new();
+        let mut drill = Drill::start(self, "killswitch-drill");
 
         self.federated_login(label)?;
         self.story4_ssh_connect(label, project)?;
-        timeline.push("setup: live broker session + bastion relay + shell".to_string());
+        drill.note("setup: live broker session + bastion relay + shell");
 
         let now = self.clock.now_ms();
         let plan = FaultPlan::new(self.config.seed).outage("bastion", now, now + window_ms);
         let plane = self.install_fault_plan(plan);
         let fault_id = match plane.active_outage("bastion") {
-            Some(id) => id,
+            Some(id) => {
+                drill.fault_ids.push(id.clone());
+                id
+            }
             None => {
-                checks.push(("active outage is queryable", false));
+                drill.check("active outage is queryable", false);
                 String::new()
             }
         };
-        timeline.push(format!("compromise simulated: active fault {fault_id}"));
+        drill.note(format!("compromise simulated: active fault {fault_id}"));
 
         let subject = self
             .subject_of(label)
@@ -263,18 +289,18 @@ impl Infrastructure {
             )
             .with_trace_id(origin_trace.clone()),
         );
-        timeline.push(format!(
+        drill.note(format!(
             "kill chain: bastion={} shells={} notebooks={} jobs={}",
             report.bastion_sessions_cut,
             report.shells_cut,
             report.notebooks_cut,
             report.jobs_cancelled
         ));
-        checks.push((
+        drill.check(
             "kill chain severed live footholds",
             report.bastion_sessions_cut >= 1 && report.shells_cut >= 1,
-        ));
-        checks.push(("drill cites an active fault id", !fault_id.is_empty()));
+        );
+        drill.check("drill cites an active fault id", !fault_id.is_empty());
 
         // The SOC can join the drill events back to the originating
         // login's full trace through the SIEM's trace index.
@@ -287,28 +313,16 @@ impl Infrastructure {
                     .any(|e| e.kind == EventKind::KillSwitch && e.detail.contains(&fault_id))
             })
             .unwrap_or(false);
-        checks.push(("kill event joins to the originating trace", correlated));
+        drill.check("kill event joins to the originating trace", correlated);
 
         // Stand down: reinstate the subject, disarm the plane, re-login.
         self.reinstate_user(&subject);
         plane.set_enabled(false);
         let recovered = self.federated_login(label).is_ok();
-        timeline.push("stand down: subject reinstated, plane disarmed".to_string());
-        checks.push(("reinstatement restores login", recovered));
+        drill.note("stand down: subject reinstated, plane disarmed");
+        drill.check("reinstatement restores login", recovered);
 
-        Ok(ChaosOutcome {
-            scenario: "killswitch-drill",
-            fault_ids: if fault_id.is_empty() {
-                Vec::new()
-            } else {
-                vec![fault_id]
-            },
-            timeline,
-            checks,
-            retries: self.resilience.retries() - before_retries,
-            breaker_trips: self.resilience.breakers().trips() - before_trips,
-            degraded_logins: self.resilience.degraded_logins() - before_degraded,
-        })
+        Ok(drill.finish())
     }
 
     /// **Budget-driven chaos admission.** A drill targeting `dependency`
@@ -336,11 +350,7 @@ impl Infrastructure {
         label: &str,
         project: &str,
     ) -> Result<ChaosOutcome, FlowError> {
-        let before_retries = self.resilience.retries();
-        let before_trips = self.resilience.breakers().trips();
-        let before_degraded = self.resilience.degraded_logins();
-        let mut timeline = Vec::new();
-        let mut checks = Vec::new();
+        let mut drill = Drill::start(self, "scheduler-outage");
 
         self.federated_login(label)?;
         let subject = self
@@ -371,8 +381,8 @@ impl Infrastructure {
                 Err(_) => break,
             }
         }
-        timeline.push(format!("baseline: {seeded} healthy submissions seeded"));
-        checks.push(("baseline traffic seeded the budget window", seeded == 20));
+        drill.note(format!("baseline: {seeded} healthy submissions seeded"));
+        drill.check("baseline traffic seeded the budget window", seeded == 20);
 
         // One long job running before the outage — the survivor.
         let survivor = self
@@ -384,17 +394,18 @@ impl Infrastructure {
             .scheduler
             .job(&survivor)
             .is_some_and(|j| j.state == JobState::Running);
-        timeline.push(format!("job {survivor} running before the outage"));
-        checks.push(("survivor job running before the outage", running));
+        drill.note(format!("job {survivor} running before the outage"));
+        drill.check("survivor job running before the outage", running);
 
         let admitted = self.chaos_admitted("slurm");
-        checks.push(("drill admitted with budget headroom", admitted));
+        drill.check("drill admitted with budget headroom", admitted);
 
         let now = self.clock.now_ms();
         let plan = FaultPlan::new(self.config.seed).outage("slurm", now, u64::MAX);
         let fault_id = plan.fault_id(0);
+        drill.fault_ids.push(fault_id.clone());
         let plane = self.install_fault_plan(plan);
-        timeline.push(format!("schedule {fault_id}: scheduler dark"));
+        drill.note(format!("schedule {fault_id}: scheduler dark"));
 
         // Inject while the budget allows; each refused submission burns
         // budget, and exhaustion — not a fixed count — closes the drill.
@@ -407,17 +418,17 @@ impl Infrastructure {
             storm += 1;
         }
         plane.set_enabled(false);
-        timeline.push(format!(
+        drill.note(format!(
             "storm: {storm} submissions refused, budget exhausted, drill closed"
         ));
-        checks.push((
+        drill.check(
             "outage fails new submissions closed",
             failed_closed && storm > 0,
-        ));
-        checks.push((
+        );
+        drill.check(
             "budget exhaustion closed the drill",
             storm < 50 && !self.chaos_admitted("slurm"),
-        ));
+        );
 
         // The running job survives the whole outage and completes on
         // schedule.
@@ -427,8 +438,8 @@ impl Infrastructure {
             .scheduler
             .job(&survivor)
             .is_some_and(|j| j.state == JobState::Completed);
-        timeline.push(format!("job {survivor} completed through the outage"));
-        checks.push(("running job survived the scheduler outage", survived));
+        drill.note(format!("job {survivor} completed through the outage"));
+        drill.check("running job survived the scheduler outage", survived);
 
         // Disarmed plane + fresh window: submissions flow again.
         let recovered = match self.scheduler.submit(&account, project, "gh", 1, 60) {
@@ -439,18 +450,10 @@ impl Infrastructure {
             }
             Err(_) => false,
         };
-        timeline.push("recovery: submission accepted after disarm".to_string());
-        checks.push(("recovery submission accepted", recovered));
+        drill.note("recovery: submission accepted after disarm");
+        drill.check("recovery submission accepted", recovered);
 
-        Ok(ChaosOutcome {
-            scenario: "scheduler-outage",
-            fault_ids: vec![fault_id],
-            timeline,
-            checks,
-            retries: self.resilience.retries() - before_retries,
-            breaker_trips: self.resilience.breakers().trips() - before_trips,
-            degraded_logins: self.resilience.degraded_logins() - before_degraded,
-        })
+        Ok(drill.finish())
     }
 
     /// **Chaos day 5 — login-node drain.** The login node is drained for
@@ -459,52 +462,40 @@ impl Infrastructure {
     /// [`LoginError::Draining`], and restore resumes service. `label`
     /// must be an onboarded member of `project`.
     pub fn chaos_login_drain(&self, label: &str, project: &str) -> Result<ChaosOutcome, FlowError> {
-        let before_retries = self.resilience.retries();
-        let before_trips = self.resilience.breakers().trips();
-        let before_degraded = self.resilience.degraded_logins();
-        let mut timeline = Vec::new();
-        let mut checks = Vec::new();
+        let mut drill = Drill::start(self, "login-drain");
         let budgets = self.resilience.budgets();
 
         let baseline = self.story4_ssh_connect(label, project)?;
         budgets.record("login", self.clock.now_ms(), true);
         let shell_id = baseline.shell.id.clone();
-        timeline.push(format!("baseline: shell {shell_id} established"));
+        drill.note(format!("baseline: shell {shell_id} established"));
 
         self.login_node.set_draining(true);
-        timeline.push("login node draining for maintenance".to_string());
+        drill.note("login node draining for maintenance");
 
         let alive = self.login_node.session_alive(&shell_id);
-        checks.push(("established shell survives the drain", alive));
+        drill.check("established shell survives the drain", alive);
 
         let refused = matches!(
             self.story4_ssh_connect(label, project),
             Err(FlowError::Login(LoginError::Draining))
         );
-        timeline.push("new session refused while draining".to_string());
-        checks.push(("draining node refuses new sessions", refused));
+        drill.note("new session refused while draining");
+        drill.check("draining node refuses new sessions", refused);
 
         self.login_node.set_draining(false);
         let restored = self.story4_ssh_connect(label, project).is_ok();
         if restored {
             budgets.record("login", self.clock.now_ms(), true);
         }
-        timeline.push("restore: new sessions accepted again".to_string());
-        checks.push(("restore resumes service", restored));
-        checks.push((
+        drill.note("restore: new sessions accepted again");
+        drill.check("restore resumes service", restored);
+        drill.check(
             "established shell alive end to end",
             self.login_node.session_alive(&shell_id),
-        ));
+        );
 
-        Ok(ChaosOutcome {
-            scenario: "login-drain",
-            fault_ids: Vec::new(),
-            timeline,
-            checks,
-            retries: self.resilience.retries() - before_retries,
-            breaker_trips: self.resilience.breakers().trips() - before_trips,
-            degraded_logins: self.resilience.degraded_logins() - before_degraded,
-        })
+        Ok(drill.finish())
     }
 
     /// **Chaos day 6 — tailnet lease-expiry storm.** Every user lease on
@@ -514,11 +505,7 @@ impl Infrastructure {
     /// broker sessions are untouched, so re-auth needs no new login.
     /// `label` must be a vetted administrator.
     pub fn chaos_tailnet_storm(&self, label: &str) -> Result<ChaosOutcome, FlowError> {
-        let before_retries = self.resilience.retries();
-        let before_trips = self.resilience.breakers().trips();
-        let before_degraded = self.resilience.degraded_logins();
-        let mut timeline = Vec::new();
-        let mut checks = Vec::new();
+        let mut drill = Drill::start(self, "tailnet-storm");
         let budgets = self.resilience.budgets();
 
         self.admin_login(label)?;
@@ -533,23 +520,23 @@ impl Infrastructure {
             .map_err(FlowError::Tailnet)?;
         let baseline = self.tailnet.send(&node, "mdc-mgmt01", b"status").is_ok();
         budgets.record("tailnet", self.clock.now_ms(), baseline);
-        timeline.push(format!("baseline: {node_name} enrolled, overlay path up"));
-        checks.push(("baseline overlay path works", baseline));
+        drill.note(format!("baseline: {node_name} enrolled, overlay path up"));
+        drill.check("baseline overlay path works", baseline);
 
         let expired = self.tailnet.expire_all_leases();
-        timeline.push(format!("storm: {expired} user leases force-expired"));
-        checks.push(("storm expired at least the drill lease", expired >= 1));
+        drill.note(format!("storm: {expired} user leases force-expired"));
+        drill.check("storm expired at least the drill lease", expired >= 1);
 
         let cut = matches!(
             self.tailnet.send(&node, "mdc-mgmt01", b"status"),
             Err(TailnetError::NotEnrolled(_))
         );
-        checks.push(("expired lease forces re-authentication", cut));
+        drill.check("expired lease forces re-authentication", cut);
 
         // The broker session established before the storm is untouched:
         // re-auth is a token issuance, not a fresh login ceremony.
         let session_alive = !self.broker.sessions_of_subject(&subject).is_empty();
-        checks.push(("broker session survives the storm", session_alive));
+        drill.check("broker session survives the storm", session_alive);
 
         let (fresh, _) = self.token_for(label, "mgmt-tailnet", Vec::new())?;
         self.tailnet
@@ -557,22 +544,14 @@ impl Infrastructure {
             .map_err(FlowError::Tailnet)?;
         let recovered = self.tailnet.send(&node, "mdc-mgmt01", b"status").is_ok();
         budgets.record("tailnet", self.clock.now_ms(), recovered);
-        timeline.push("re-auth through the broker restored the overlay".to_string());
-        checks.push(("re-enrolment restores the overlay", recovered));
+        drill.note("re-auth through the broker restored the overlay");
+        drill.check("re-enrolment restores the overlay", recovered);
 
         // Infrastructure enrolments never lapse: the management endpoint
         // was reachable throughout.
         let infra_intact = self.tailnet.public_key_of("mdc-mgmt01").is_some();
-        checks.push(("infrastructure enrolment untouched", infra_intact));
+        drill.check("infrastructure enrolment untouched", infra_intact);
 
-        Ok(ChaosOutcome {
-            scenario: "tailnet-storm",
-            fault_ids: Vec::new(),
-            timeline,
-            checks,
-            retries: self.resilience.retries() - before_retries,
-            breaker_trips: self.resilience.breakers().trips() - before_trips,
-            degraded_logins: self.resilience.degraded_logins() - before_degraded,
-        })
+        Ok(drill.finish())
     }
 }

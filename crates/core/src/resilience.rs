@@ -87,11 +87,6 @@ impl Resilience {
         &self.breakers
     }
 
-    /// The retry policy applied to transient hops.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// The effective retry policy for a dependency: the SIEM-feedback
     /// override when one is installed, the base policy otherwise.
     pub fn retry_policy_for(&self, dependency: &str) -> RetryPolicy {
@@ -425,11 +420,6 @@ impl Infrastructure {
             self.siem.ingest(events);
         }
         findings
-    }
-
-    /// The installed fault plane, if any.
-    pub fn fault_plane(&self) -> Option<Arc<FaultPlane>> {
-        self.resilience.plane()
     }
 
     /// Enrol a federated user at the IdP of Last Resort as a *fallback*

@@ -147,16 +147,6 @@ impl<V> ShardMap<V> {
         self.shards[self.shard_of(key)].write()
     }
 
-    /// Read-lock shard `idx` directly.
-    pub fn read_at(&self, idx: usize) -> RwLockReadGuard<'_, HashMap<String, V>> {
-        self.shards[idx].read()
-    }
-
-    /// Write-lock shard `idx` directly.
-    pub fn write_at(&self, idx: usize) -> RwLockWriteGuard<'_, HashMap<String, V>> {
-        self.shards[idx].write()
-    }
-
     /// Insert, returning the previous value for `key` if any.
     pub fn insert(&self, key: String, value: V) -> Option<V> {
         self.write_shard(&key).insert(key, value)

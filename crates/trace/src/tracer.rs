@@ -178,27 +178,6 @@ pub struct Tracer {
     stages: Vec<StagePair>,
     clock: SimClock,
     wall: RwLock<Option<Arc<WallClockFn>>>,
-    /// Tail-sampling knob: keep 1 in N ordinary flows (0 or 1 = keep
-    /// everything). Flows carrying a denial, error, or injected-fault
-    /// marker are always retained regardless.
-    tail_keep_1_in: AtomicU64,
-    tail_retained: AtomicU64,
-    tail_sampled_out: AtomicU64,
-    /// Head-sampling knob: keep 1 in N flows, decided from the trace
-    /// id's low bits at mint time — *before* any span is buffered (0 or
-    /// 1 = keep everything). Unlike tail sampling there is no
-    /// keep-on-error override: the decision is made with nothing but
-    /// the id in hand. That is the trade: head sampling caps the
-    /// buffering cost, tail sampling keeps the interesting flows.
-    head_keep_1_in: AtomicU64,
-    head_dropped: AtomicU64,
-    /// Per-stage span budget: each *flow* stores at most this many
-    /// spans per stage (0 = unlimited). Over-budget spans — and their
-    /// subtrees — are dropped at flush; stage histograms still see
-    /// every span. Per-flow, not global, so the retained set is
-    /// independent of flush interleaving.
-    stage_budget: AtomicU64,
-    budget_dropped: AtomicU64,
 }
 
 impl Tracer {
@@ -222,13 +201,6 @@ impl Tracer {
                 .collect(),
             clock,
             wall: RwLock::new(None),
-            tail_keep_1_in: AtomicU64::new(0),
-            tail_retained: AtomicU64::new(0),
-            tail_sampled_out: AtomicU64::new(0),
-            head_keep_1_in: AtomicU64::new(0),
-            head_dropped: AtomicU64::new(0),
-            stage_budget: AtomicU64::new(0),
-            budget_dropped: AtomicU64::new(0),
         }
     }
 
@@ -266,143 +238,16 @@ impl Tracer {
 
     /// Flush one finished flow into the collector and the stage
     /// histograms. Called once per flow, from the root guard's drop.
-    /// Stage histograms always see the flow; the span store only keeps
-    /// it if tail sampling says so.
+    /// Every flow is kept until [`clear_spans`](Tracer::clear_spans).
     fn flush(&self, trace_id: TraceId, done: Vec<SpanRecord>) {
         for span in &done {
             self.record_stage(span.stage, span.steps(), span.wall_us);
         }
-        if !self.tail_keep(&trace_id, &done) {
-            self.tail_sampled_out.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let done = self.apply_stage_budget(done);
-        self.tail_retained.fetch_add(1, Ordering::Relaxed);
         self.spans.insert(trace_id.to_hex(), done);
     }
 
-    /// Enforce the per-flow per-stage span budget: spans are considered
-    /// in open order (parents before children); once a stage has
-    /// `budget` spans stored for this flow, further spans of that stage
-    /// — and their entire subtrees — are dropped, so the retained spans
-    /// still form a well-formed tree rooted at the flow span.
-    fn apply_stage_budget(&self, done: Vec<SpanRecord>) -> Vec<SpanRecord> {
-        let budget = self.stage_budget.load(Ordering::Acquire);
-        if budget == 0 {
-            return done;
-        }
-        let mut order: Vec<usize> = (0..done.len()).collect();
-        order.sort_by_key(|&i| done[i].start_step);
-        let mut per_stage = [0u64; STAGE_COUNT];
-        let mut dropped_ids: std::collections::HashSet<SpanId> = std::collections::HashSet::new();
-        let mut keep = vec![false; done.len()];
-        for &i in &order {
-            let s = &done[i];
-            let parent_dropped = s.parent_id.is_some_and(|p| dropped_ids.contains(&p));
-            if parent_dropped || per_stage[s.stage as usize] >= budget {
-                dropped_ids.insert(s.span_id);
-                continue;
-            }
-            per_stage[s.stage as usize] += 1;
-            keep[i] = true;
-        }
-        if dropped_ids.is_empty() {
-            return done;
-        }
-        self.budget_dropped
-            .fetch_add(dropped_ids.len() as u64, Ordering::Relaxed);
-        done.into_iter()
-            .enumerate()
-            .filter_map(|(i, s)| keep[i].then_some(s))
-            .collect()
-    }
-
-    /// Tail-based sampling decision, made with the *whole* flow in
-    /// hand: flows that ended in a denial, an error, or an injected
-    /// fault are always retained — those are exactly the traces the SOC
-    /// will ask for. Ordinary flows are kept 1-in-N by a deterministic
-    /// function of the trace id, so the retained set is identical for
-    /// serial and parallel runs.
-    fn tail_keep(&self, trace_id: &TraceId, done: &[SpanRecord]) -> bool {
-        let n = self.tail_keep_1_in.load(Ordering::Acquire);
-        if n <= 1 {
-            return true;
-        }
-        let must_keep = done.iter().any(|s| {
-            s.attrs.iter().any(|(k, v)| {
-                k == "error" || k == "fault.injected" || (k == "outcome" && v == "denied")
-            })
-        });
-        must_keep || trace_id.low64().is_multiple_of(n)
-    }
-
-    /// Set tail sampling to keep 1 ordinary flow in `n` (`0` or `1`
-    /// restores keep-everything). Denied/errored/faulted flows are
-    /// retained regardless of `n`.
-    pub fn set_tail_sampling(&self, n: u64) {
-        self.tail_keep_1_in.store(n, Ordering::Release);
-    }
-
-    /// Current tail-sampling divisor (0 = keep everything).
-    pub fn tail_sampling(&self) -> u64 {
-        self.tail_keep_1_in.load(Ordering::Acquire)
-    }
-
-    /// Flows retained by the tail sampler (== flows collected).
-    pub fn tail_retained(&self) -> u64 {
-        self.tail_retained.load(Ordering::Relaxed)
-    }
-
-    /// Flows whose spans were dropped by tail sampling (their latency
-    /// samples still reached the stage histograms).
-    pub fn tail_sampled_out(&self) -> u64 {
-        self.tail_sampled_out.load(Ordering::Relaxed)
-    }
-
-    /// Head-sampling decision for a freshly minted trace id. Purely a
-    /// function of the id, so the kept set is identical for serial and
-    /// parallel runs of the same seed.
-    fn head_keep(&self, trace_id: &TraceId) -> bool {
-        let n = self.head_keep_1_in.load(Ordering::Acquire);
-        n <= 1 || trace_id.low64().is_multiple_of(n)
-    }
-
-    /// Set head sampling to keep 1 flow in `n`, decided by the trace
-    /// id's low bits before any span is buffered (`0` or `1` restores
-    /// keep-everything). Sampled-out flows still mint their id — per-key
-    /// sequences advance identically — but buffer no spans, feed no
-    /// histograms, and are never stored.
-    pub fn set_head_sampling(&self, n: u64) {
-        self.head_keep_1_in.store(n, Ordering::Release);
-    }
-
-    /// Current head-sampling divisor (0 = keep everything).
-    pub fn head_sampling(&self) -> u64 {
-        self.head_keep_1_in.load(Ordering::Acquire)
-    }
-
-    /// Flows dropped at mint time by head sampling.
-    pub fn head_dropped(&self) -> u64 {
-        self.head_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Set the per-flow per-stage stored-span budget (`0` = unlimited).
-    pub fn set_stage_budget(&self, budget: u64) {
-        self.stage_budget.store(budget, Ordering::Release);
-    }
-
-    /// Current per-flow per-stage stored-span budget (0 = unlimited).
-    pub fn stage_budget(&self) -> u64 {
-        self.stage_budget.load(Ordering::Acquire)
-    }
-
-    /// Spans dropped by the per-stage budget (histograms saw them).
-    pub fn budget_dropped(&self) -> u64 {
-        self.budget_dropped.load(Ordering::Relaxed)
-    }
-
     /// Record one latency sample for `stage`.
-    pub fn record_stage(&self, stage: Stage, steps: u64, wall_us: u64) {
+    fn record_stage(&self, stage: Stage, steps: u64, wall_us: u64) {
         let pair = &self.stages[stage as usize];
         pair.steps.record(steps);
         pair.wall_us.record(wall_us);
@@ -424,11 +269,6 @@ impl Tracer {
         let mut n = 0;
         self.spans.for_each(|_, v| n += v.len());
         n
-    }
-
-    /// The spans of one trace, by id.
-    pub fn spans_of(&self, trace_id: &TraceId) -> Option<Vec<SpanRecord>> {
-        self.spans.get_cloned(&trace_id.to_hex())
     }
 
     /// Every collected span, in canonical order: sorted by
@@ -499,11 +339,6 @@ struct OpenSpan {
 struct FlowFrame {
     tracer: Arc<Tracer>,
     trace_id: TraceId,
-    /// `false` when head sampling dropped this flow at mint time: the
-    /// frame stays on the stack (so nested flows don't mint fresh
-    /// roots and `current_trace_id` still answers for provenance), but
-    /// no span is ever buffered and nothing is flushed.
-    record: bool,
     /// Open spans, innermost last (the root is index 0 for the whole
     /// life of the frame).
     stack: Vec<OpenSpan>,
@@ -521,9 +356,6 @@ impl FlowFrame {
     }
 
     fn open(&mut self, name: &'static str, stage: Stage, attrs: &[(&str, &str)]) {
-        if !self.record {
-            return;
-        }
         self.span_seq += 1;
         let span_id = SpanId::mint(self.trace_id.low64(), self.span_seq);
         let parent_id = self.stack.last().map(|s| s.span_id);
@@ -593,20 +425,12 @@ pub fn flow(tracer: &Arc<Tracer>, key: &str, name: &'static str, stage: Stage) -
             }
         }
         let trace_id = tracer.mint(key);
-        // Head sampling: decided here, before any buffering. The mint
-        // above already advanced the per-key sequence, so later flows
-        // of the same key get the same ids whether this one was kept.
-        let record = tracer.head_keep(&trace_id);
-        if !record {
-            tracer.head_dropped.fetch_add(1, Ordering::Relaxed);
-        }
         let wall = tracer.wall.read().clone();
         let mut frame = FlowFrame {
             tracer: tracer.clone(),
             trace_id,
-            record,
             stack: Vec::with_capacity(8),
-            done: Vec::with_capacity(if record { 16 } else { 0 }),
+            done: Vec::with_capacity(16),
             step: 0,
             span_seq: 0,
             wall,
@@ -698,9 +522,6 @@ impl Drop for FlowGuard {
                     let Some(mut frame) = frames.pop() else {
                         return;
                     };
-                    if !frame.record {
-                        return;
-                    }
                     // Close anything a panic unwound past, then the root.
                     while !frame.stack.is_empty() {
                         frame.close();
@@ -888,176 +709,6 @@ mod tests {
         assert_eq!(summaries[1].steps.count, 1);
         // The span opened and closed with one nested step pair: 2 steps.
         assert!(summaries[1].steps.p50 >= 1);
-    }
-
-    #[test]
-    fn tail_sampling_drops_ordinary_flows_but_keeps_denials() {
-        let t = test_tracer();
-        // Keep (almost) nothing ordinary.
-        t.set_tail_sampling(u64::MAX);
-        for i in 0..16 {
-            let user = format!("ok-{i}");
-            let _f = flow(&t, &user, "login", Stage::Flow);
-            let _s = span("broker.establish", Stage::Broker);
-        }
-        // A flow that ends denied must survive sampling.
-        {
-            let _f = flow(&t, "mallory", "login", Stage::Flow);
-            let _s = span("net.connect", Stage::Network);
-            add_attr("outcome", "denied");
-        }
-        // So must one carrying an injected fault.
-        {
-            let _f = flow(&t, "chaos", "login", Stage::Flow);
-            let _s = span("idp.authenticate", Stage::Discovery);
-            add_attr("fault.injected", "fault-00deadbeef");
-        }
-        let spans = t.all_spans();
-        let kept: std::collections::HashSet<_> =
-            spans.iter().map(|s| s.trace_id.to_hex()).collect();
-        assert_eq!(kept.len(), 2, "only the denial and the fault survive");
-        assert_eq!(t.tail_retained(), 2);
-        assert_eq!(t.tail_sampled_out(), 16);
-        // Histograms saw every flow, sampled out or not.
-        let flow_summary = &t.stage_summaries()[0];
-        assert_eq!(flow_summary.stage, Stage::Flow);
-        assert_eq!(flow_summary.steps.count, 18);
-        // Keep-all restores full collection.
-        t.set_tail_sampling(0);
-        {
-            let _f = flow(&t, "alice", "login", Stage::Flow);
-        }
-        assert_eq!(t.tail_retained(), 3);
-    }
-
-    #[test]
-    fn head_sampling_drops_before_buffering_and_is_deterministic() {
-        let run = || {
-            let t = test_tracer();
-            t.set_head_sampling(4);
-            for i in 0..32 {
-                let user = format!("user-{i}");
-                let _f = flow(&t, &user, "login", Stage::Flow);
-                let _s = span("broker.establish", Stage::Broker);
-            }
-            (
-                t.all_spans()
-                    .iter()
-                    .map(|s| s.trace_id.to_hex())
-                    .collect::<Vec<_>>(),
-                t.head_dropped(),
-            )
-        };
-        let (kept_a, dropped_a) = run();
-        let (kept_b, dropped_b) = run();
-        assert_eq!(kept_a, kept_b, "kept set is a pure function of the ids");
-        assert_eq!(dropped_a, dropped_b);
-        assert!(
-            dropped_a > 0,
-            "1-in-4 sampling drops something over 32 flows"
-        );
-        let kept_flows: std::collections::HashSet<_> = kept_a.iter().collect();
-        assert_eq!(kept_flows.len() as u64 + dropped_a, 32);
-        // Head-dropped flows never reached the histograms (unlike tail).
-        let t = test_tracer();
-        t.set_head_sampling(u64::MAX);
-        for i in 0..8 {
-            let user = format!("user-{i}");
-            let _f = flow(&t, &user, "login", Stage::Flow);
-        }
-        assert!(t.stage_summaries().is_empty());
-        assert_eq!(t.head_dropped(), 8);
-    }
-
-    #[test]
-    fn head_sampling_keeps_per_key_id_sequences_stable() {
-        let ids_with_sampling = {
-            let t = test_tracer();
-            t.set_head_sampling(u64::MAX); // drop everything...
-            {
-                let _f = flow(&t, "alice", "login", Stage::Flow);
-            }
-            t.set_head_sampling(0); // ...then keep everything
-            let _f = flow(&t, "alice", "login", Stage::Flow);
-            drop(_f);
-            t.all_spans()[0].trace_id.to_hex()
-        };
-        let first_id = {
-            let t = test_tracer();
-            {
-                let _f = flow(&t, "alice", "login", Stage::Flow);
-            }
-            t.all_spans()[0].trace_id.to_hex()
-        };
-        let second_id = {
-            let t = test_tracer();
-            {
-                let _f = flow(&t, "alice", "login", Stage::Flow);
-            }
-            let _f = flow(&t, "alice", "login", Stage::Flow);
-            drop(_f);
-            t.all_spans()
-                .iter()
-                .map(|s| s.trace_id.to_hex())
-                .find(|id| *id != first_id)
-                .unwrap()
-        };
-        // The second login of "alice" has the same id either way: the
-        // sampled-out first login still advanced the sequence.
-        assert_eq!(ids_with_sampling, second_id);
-    }
-
-    #[test]
-    fn stage_budget_caps_stored_spans_per_flow() {
-        let t = test_tracer();
-        t.set_stage_budget(2);
-        {
-            let _f = flow(&t, "alice", "login", Stage::Flow);
-            for _ in 0..5 {
-                let _s = span("net.connect", Stage::Network);
-            }
-            let _keep = span("broker.establish", Stage::Broker);
-        }
-        let spans = t.all_spans();
-        // Root + 2 network (budget) + 1 broker survive.
-        assert_eq!(spans.len(), 4);
-        assert_eq!(
-            spans.iter().filter(|s| s.stage == Stage::Network).count(),
-            2
-        );
-        assert_eq!(t.budget_dropped(), 3);
-        // The surviving spans still form a well-formed tree.
-        assert_eq!(spans.iter().filter(|s| s.parent_id.is_none()).count(), 1);
-        // Histograms saw every span, dropped or not.
-        let network = t
-            .stage_summaries()
-            .into_iter()
-            .find(|s| s.stage == Stage::Network)
-            .unwrap();
-        assert_eq!(network.steps.count, 5);
-    }
-
-    #[test]
-    fn stage_budget_drops_whole_subtrees() {
-        let t = test_tracer();
-        t.set_stage_budget(1);
-        {
-            let _f = flow(&t, "alice", "login", Stage::Flow);
-            {
-                let _a = span("net.connect", Stage::Network);
-                let _child = span("broker.establish", Stage::Broker);
-            }
-            {
-                // Second network span is over budget; its broker child
-                // must go with it even though broker has budget left.
-                let _b = span("net.reconnect", Stage::Network);
-                let _child = span("broker.reissue", Stage::Broker);
-            }
-        }
-        let spans = t.all_spans();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["login", "net.connect", "broker.establish"]);
-        assert_eq!(t.budget_dropped(), 2);
     }
 
     #[test]

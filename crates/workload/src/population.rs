@@ -23,14 +23,17 @@ pub struct Population {
 }
 
 impl Population {
-    /// Every user label, PIs first.
-    pub fn all_labels(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for p in &self.projects {
-            out.push(p.pi_label.clone());
-            out.extend(p.researcher_labels.iter().cloned());
-        }
-        out
+    /// Every member as `(label, project name)`, project by project with
+    /// the PI first: the user list storms and day simulations run over.
+    pub fn members(&self) -> Vec<(String, String)> {
+        self.projects
+            .iter()
+            .flat_map(|p| {
+                std::iter::once(&p.pi_label)
+                    .chain(&p.researcher_labels)
+                    .map(|label| (label.clone(), p.name.clone()))
+            })
+            .collect()
     }
 
     /// Total humans.
@@ -85,7 +88,16 @@ mod tests {
         let pop = build_population(&infra, 3, 2).unwrap();
         assert_eq!(pop.projects.len(), 3);
         assert_eq!(pop.user_count(), 9);
-        assert_eq!(pop.all_labels().len(), 9);
+        let members = pop.members();
+        assert_eq!(members.len(), 9);
+        assert_eq!(
+            members[0],
+            ("pi-000".to_string(), "project-000".to_string())
+        );
+        assert_eq!(
+            members[1],
+            ("res-000-000".to_string(), "project-000".to_string())
+        );
         // Everyone is genuinely onboarded: portal knows all projects and
         // each project has 3 members.
         for p in &pop.projects {

@@ -68,17 +68,7 @@ pub fn run_day(
     config: &DayConfig,
     rng: &mut SimRng,
 ) -> DayReport {
-    let users: Vec<(String, String)> = population
-        .projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect();
+    let users = population.members();
     assert!(!users.is_empty(), "population must be onboarded");
 
     let tokens_before = infra.broker.tokens_issued();

@@ -134,17 +134,7 @@ mod tests {
     use dri_core::InfraConfig;
 
     fn storm_users(infra: &Infrastructure, projects: usize, per: usize) -> Vec<(String, String)> {
-        let pop = build_population(infra, projects, per).unwrap();
-        pop.projects
-            .iter()
-            .flat_map(|p| {
-                std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                    p.researcher_labels
-                        .iter()
-                        .map(|r| (r.clone(), p.name.clone())),
-                )
-            })
-            .collect()
+        build_population(infra, projects, per).unwrap().members()
     }
 
     #[test]

@@ -55,18 +55,9 @@ fn storm_best_us(plan: Option<FaultPlan>, disarm: bool) -> u64 {
             .build()
             .unwrap();
         let infra = Infrastructure::new(config);
-        let pop = build_population(&infra, 9, 4).expect("population");
-        let users: Vec<(String, String)> = pop
-            .projects
-            .iter()
-            .flat_map(|p| {
-                std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                    p.researcher_labels
-                        .iter()
-                        .map(|r| (r.clone(), p.name.clone())),
-                )
-            })
-            .collect();
+        let users = build_population(&infra, 9, 4)
+            .expect("population")
+            .members();
         if let Some(plan) = plan.clone() {
             let plane = infra.install_fault_plan(plan);
             if disarm {
@@ -212,18 +203,9 @@ fn main() {
         .build()
         .unwrap();
     let infra = Infrastructure::new(config);
-    let pop = build_population(&infra, 9, 4).expect("population");
-    let users: Vec<(String, String)> = pop
-        .projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect();
+    let users = build_population(&infra, 9, 4)
+        .expect("population")
+        .members();
     let now = infra.clock.now_ms();
     infra.install_fault_plan(FaultPlan::new(9).flaky("edge", 150, now, u64::MAX));
     run_storm(&infra, &users, StormMode::Parallel(8));

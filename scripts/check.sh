@@ -26,6 +26,7 @@ cargo test -q --offline -p isambard-dri --test trace_provenance
 echo "== resilience: fault plane + breaker/budget determinism =="
 cargo test -q --offline -p dri-fault
 cargo test -q --offline -p isambard-dri --test failure_injection
+cargo test -q --offline -p isambard-dri --test failure_injection six_chaos_drills_keep_their_exact_records -- --exact
 cargo test -q --offline -p isambard-dri --test chaos_determinism
 
 echo "== degraded modes: no dropped sessions, no stale allows =="

@@ -67,18 +67,9 @@ fn chaos_ledger(seed: u64, projects: usize, researchers: usize, mode: StormMode)
             }));
     }
 
-    let pop = build_population(&infra, projects, researchers).unwrap();
-    let users: Vec<(String, String)> = pop
-        .projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect();
+    let users = build_population(&infra, projects, researchers)
+        .unwrap()
+        .members();
     infra.install_fault_plan(chaos_plan(seed, infra.clock.now_ms()));
     let result = run_storm(&infra, &users, mode);
     let spans = infra.tracer.all_spans();

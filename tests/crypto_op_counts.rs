@@ -25,18 +25,9 @@ fn storm_infra(verification_cache: bool) -> (Infrastructure, Vec<(String, String
         .build()
         .expect("gate config is valid");
     let infra = Infrastructure::new(config);
-    let pop = build_population(&infra, PROJECTS, 7).expect("population");
-    let users = pop
-        .projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect();
+    let users = build_population(&infra, PROJECTS, 7)
+        .expect("population")
+        .members();
     (infra, users)
 }
 

@@ -5,17 +5,7 @@ use isambard_dri::core::{InfraConfig, Infrastructure};
 use isambard_dri::workload::{build_population, run_storm, StormMode};
 
 fn users_for(infra: &Infrastructure, projects: usize, per: usize) -> Vec<(String, String)> {
-    let pop = build_population(infra, projects, per).unwrap();
-    pop.projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect()
+    build_population(infra, projects, per).unwrap().members()
 }
 
 #[test]

@@ -20,18 +20,9 @@ fn storm_setup(seed: u64) -> (Infrastructure, Vec<(String, String)>) {
         .build()
         .expect("stress config is valid");
     let infra = Infrastructure::new(config);
-    let pop = build_population(&infra, STORM_USERS / 8, 7).unwrap();
-    let users: Vec<(String, String)> = pop
-        .projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect();
+    let users = build_population(&infra, STORM_USERS / 8, 7)
+        .unwrap()
+        .members();
     assert_eq!(users.len(), STORM_USERS);
     (infra, users)
 }
@@ -112,18 +103,7 @@ fn coarse_baseline_matches_sharded_results() {
         .unwrap();
     let infra = Infrastructure::new(config);
     assert_eq!(infra.broker.shard_count(), 1);
-    let pop = build_population(&infra, 4, 7).unwrap();
-    let users: Vec<(String, String)> = pop
-        .projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect();
+    let users = build_population(&infra, 4, 7).unwrap().members();
     let result = run_storm(&infra, &users, StormMode::Parallel(8));
     assert_eq!(result.completed, 32, "failures: {:?}", result.failures);
     assert_eq!(infra.broker.shard_token_counts().len(), 1);

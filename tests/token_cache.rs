@@ -218,18 +218,7 @@ fn storm_config(cache: bool) -> InfraConfig {
 /// exported chrome trace.
 fn storm_outcome(cache: bool, mode: StormMode) -> (usize, Vec<(String, String)>, usize, String) {
     let infra = Infrastructure::new(storm_config(cache));
-    let pop = build_population(&infra, 2, 7).unwrap();
-    let users: Vec<(String, String)> = pop
-        .projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect();
+    let users = build_population(&infra, 2, 7).unwrap().members();
     let r = run_storm(&infra, &users, mode);
     (
         r.completed,

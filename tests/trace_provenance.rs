@@ -26,18 +26,7 @@ fn rsecon_run(seed: u64, mode: StormMode) -> (Infrastructure, Vec<SpanRecord>) {
         .build()
         .unwrap();
     let infra = Infrastructure::new(config);
-    let pop = build_population(&infra, 9, 4).unwrap();
-    let users: Vec<(String, String)> = pop
-        .projects
-        .iter()
-        .flat_map(|p| {
-            std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                p.researcher_labels
-                    .iter()
-                    .map(|r| (r.clone(), p.name.clone())),
-            )
-        })
-        .collect();
+    let users = build_population(&infra, 9, 4).unwrap().members();
     assert_eq!(users.len(), RSECON_USERS);
 
     // One SSH connection exercises the CA, bastion, and login-node hops.
@@ -163,18 +152,7 @@ proptest! {
                 .build()
                 .unwrap();
             let infra = Infrastructure::new(config);
-            let pop = build_population(&infra, 2, 2).unwrap();
-            let users: Vec<(String, String)> = pop
-                .projects
-                .iter()
-                .flat_map(|p| {
-                    std::iter::once((p.pi_label.clone(), p.name.clone())).chain(
-                        p.researcher_labels
-                            .iter()
-                            .map(|r| (r.clone(), p.name.clone())),
-                    )
-                })
-                .collect();
+            let users = build_population(&infra, 2, 2).unwrap().members();
             let result = run_storm(&infra, &users, mode);
             assert_eq!(result.completed, users.len(), "{:?}", result.failures);
             infra.tracer.all_spans()
