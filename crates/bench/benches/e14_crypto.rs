@@ -79,6 +79,10 @@ fn benches(c: &mut Criterion) {
     c.bench_function("e14/ed25519_verify", |b| {
         b.iter(|| assert!(pk.verify(msg, &sig)))
     });
+    // The one-time cost of a per-key table, paid when a key is trusted.
+    c.bench_function("e14/ed25519_prepare", |b| {
+        b.iter(|| black_box(PreparedVerifyingKey::new(black_box(&pk))))
+    });
     let prepared = PreparedVerifyingKey::new(&pk);
     c.bench_function("e14/ed25519_verify_prepared", |b| {
         b.iter(|| assert!(prepared.verify(msg, &sig)))

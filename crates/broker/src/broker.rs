@@ -158,8 +158,9 @@ pub struct Jwks {
     pub issuer: String,
     /// Key-ring generation; bumped by every rotation or prune.
     pub epoch: u64,
-    /// Keys are stored pre-decompressed: the curve point is recovered
-    /// once at publication instead of on every signature check.
+    /// Keys are stored prepared: each key's fixed-base table is built
+    /// once, when its kid is first published, instead of paying 252
+    /// doublings on every signature check.
     keys: HashMap<String, PreparedVerifyingKey>,
     /// The issuer's shared verified-token cache, consulted on
     /// validation. Every service holding this snapshot reaches the same
@@ -201,6 +202,29 @@ impl Jwks {
 /// tokens until pruned.
 struct SignerRing {
     keys: Vec<(String, SigningKey)>,
+}
+
+impl SignerRing {
+    /// The ring's verifying keys, prepared. A kid whose key bytes
+    /// `previous` already holds reuses that prepared key (and its table),
+    /// so a rotation prepares one key and a prune prepares none.
+    fn prepared_keys(
+        &self,
+        previous: &HashMap<String, PreparedVerifyingKey>,
+    ) -> HashMap<String, PreparedVerifyingKey> {
+        self.keys
+            .iter()
+            .map(|(kid, sk)| {
+                let vk = sk.verifying_key();
+                let key = previous
+                    .get(kid)
+                    .filter(|p| p.as_bytes() == vk.as_bytes())
+                    .cloned()
+                    .unwrap_or_else(|| PreparedVerifyingKey::new(&vk));
+                (kid.clone(), key)
+            })
+            .collect()
+    }
 }
 
 /// Default number of shards per concurrent map (power of two).
@@ -295,11 +319,7 @@ impl IdentityBroker {
         let jwks = Jwks {
             issuer: issuer.clone(),
             epoch: 0,
-            keys: ring
-                .keys
-                .iter()
-                .map(|(kid, sk)| (kid.clone(), PreparedVerifyingKey::new(&sk.verifying_key())))
-                .collect(),
+            keys: ring.prepared_keys(&HashMap::new()),
             cache: Some(token_cache.clone()),
         };
         IdentityBroker {
@@ -369,14 +389,11 @@ impl IdentityBroker {
         self.token_cache.bump_epoch();
         let ring = self.signer.load();
         let epoch = self.key_epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        let keys = ring.prepared_keys(&self.jwks_cache.load().keys);
         self.jwks_cache.store(Jwks {
             issuer: self.issuer.clone(),
             epoch,
-            keys: ring
-                .keys
-                .iter()
-                .map(|(kid, sk)| (kid.clone(), PreparedVerifyingKey::new(&sk.verifying_key())))
-                .collect(),
+            keys,
             cache: Some(self.token_cache.clone()),
         });
     }
@@ -421,13 +438,13 @@ impl IdentityBroker {
         self.faults
             .check("broker")
             .map_err(|_| BrokerError::Unavailable)?;
-        let proxy = self
+        let (_, proxy_key) = self
             .registry
             .lookup(proxy_entity_id)
-            .filter(|e| e.kind == EntityKind::Proxy)
+            .filter(|(e, _)| e.kind == EntityKind::Proxy)
             .ok_or_else(|| BrokerError::UnknownProxy(proxy_entity_id.to_string()))?;
         let now = self.clock.now_secs();
-        let assertion = Assertion::verify(assertion_wire, &proxy.signing_key, &self.issuer, now)
+        let assertion = Assertion::verify(assertion_wire, &proxy_key, &self.issuer, now)
             .map_err(BrokerError::BadAssertion)?;
         self.establish(
             assertion.subject.clone(),

@@ -8,13 +8,14 @@
 //! The fast paths follow the ref10 design (Bernstein et al., *High-speed
 //! high-security signatures*): `[s]B` is 64 mixed additions from a
 //! fixed-base table of signed radix-16 multiples, built once per process;
-//! `[k]A` in verification is a signed radix-16 window over `A..8A`;
-//! scalars reduce mod `L` by Barrett reduction. Each fast path is
-//! differential-tested against the naive code it replaced, which is kept
-//! under `#[cfg(test)]`.
+//! `[k]A` in verification is a signed radix-16 window over `A..8A`, or,
+//! for a [`PreparedVerifyingKey`], 64 mixed additions from the same kind
+//! of table built for A; scalars reduce mod `L` by Barrett reduction.
+//! Each fast path is differential-tested against the naive code it
+//! replaced, which is kept under `#[cfg(test)]`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::fe25519::{batch_invert, Fe, D, D2, SQRT_M1};
 use crate::sha2::Sha512;
@@ -39,6 +40,8 @@ const MU: [u64; 5] = [
 
 static SIGNS: AtomicU64 = AtomicU64::new(0);
 static VERIFIES: AtomicU64 = AtomicU64::new(0);
+static TABLES: AtomicU64 = AtomicU64::new(0);
+static TABLE_VERIFIES: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide Ed25519 operation counts since start-up.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,14 +51,20 @@ pub struct OpCounts {
     /// Calls to [`VerifyingKey::verify`] and
     /// [`PreparedVerifyingKey::verify`], accepted or not.
     pub verifies: u64,
+    /// Per-key fixed-base tables built by [`PreparedVerifyingKey::new`].
+    pub tables: u64,
+    /// The part of `verifies` served by a per-key table.
+    pub table_verifies: u64,
 }
 
-/// Read the process-wide sign and verify counters. They only grow; take
-/// the difference of two readings to count the operations in between.
+/// Read the process-wide operation counters. They only grow; take the
+/// difference of two readings to count the operations in between.
 pub fn op_counts() -> OpCounts {
     OpCounts {
         signs: SIGNS.load(Ordering::Relaxed),
         verifies: VERIFIES.load(Ordering::Relaxed),
+        tables: TABLES.load(Ordering::Relaxed),
+        table_verifies: TABLE_VERIFIES.load(Ordering::Relaxed),
     }
 }
 
@@ -332,36 +341,46 @@ fn select<T: Copy + std::ops::Neg<Output = T>>(row: &[T; 8], digit: i8) -> Optio
     }
 }
 
-/// The fixed-base table: row `i` holds `(j+1)·16^i·B` for `j` in 0..8,
-/// 64 × 8 affine Niels entries (48 KiB), built on first use.
-fn base_table() -> &'static [[AffineNiels; 8]; 64] {
-    static TABLE: OnceLock<[[AffineNiels; 8]; 64]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut points = Vec::with_capacity(64 * 8);
-        let mut row_base = Point::base();
-        for _ in 0..64 {
-            let mut p = row_base;
-            for _ in 0..8 {
-                points.push(p);
-                p = p.add(&row_base);
-            }
+/// A fixed-base table for a point `P`: row `i` holds `(j+1)·16^i·P` for
+/// `j` in 0..8, 64 × 8 affine Niels entries (48 KiB).
+type NielsTable = [[AffineNiels; 8]; 64];
+
+/// Build the fixed-base table of `p`: 448 additions, 252 doublings and
+/// one batched inversion to bring every entry to affine form.
+fn niels_table(p: &Point) -> NielsTable {
+    let mut points = Vec::with_capacity(64 * 8);
+    let mut row_base = *p;
+    for i in 0..64 {
+        let mut q = row_base;
+        points.push(q);
+        for _ in 1..8 {
+            q = q.add(&row_base);
+            points.push(q);
+        }
+        if i < 63 {
             row_base = row_base.mul_by_pow_2(4);
         }
-        let mut zinv: Vec<Fe> = points.iter().map(|p| p.z).collect();
-        batch_invert(&mut zinv);
-        std::array::from_fn(|i| {
-            std::array::from_fn(|j| {
-                let p = &points[i * 8 + j];
-                let x = p.x.mul(zinv[i * 8 + j]);
-                let y = p.y.mul(zinv[i * 8 + j]);
-                AffineNiels {
-                    y_plus_x: y.add(x),
-                    y_minus_x: y.sub(x),
-                    xy2d: x.mul(y).mul(D2),
-                }
-            })
+    }
+    let mut zinv: Vec<Fe> = points.iter().map(|p| p.z).collect();
+    batch_invert(&mut zinv);
+    std::array::from_fn(|i| {
+        std::array::from_fn(|j| {
+            let p = &points[i * 8 + j];
+            let x = p.x.mul(zinv[i * 8 + j]);
+            let y = p.y.mul(zinv[i * 8 + j]);
+            AffineNiels {
+                y_plus_x: y.add(x),
+                y_minus_x: y.sub(x),
+                xy2d: x.mul(y).mul(D2),
+            }
         })
     })
+}
+
+/// The base point's table, built on first use.
+fn base_table() -> &'static NielsTable {
+    static TABLE: OnceLock<NielsTable> = OnceLock::new();
+    TABLE.get_or_init(|| niels_table(&Point::base()))
 }
 
 impl Point {
@@ -475,11 +494,16 @@ impl Point {
         p
     }
 
-    /// `[s]B` from the fixed-base table: one mixed addition per nonzero
-    /// signed radix-16 digit of `s`, and no doublings.
+    /// `[s]B` from the base point's table.
     pub fn mul_base(s: &Scalar) -> Point {
+        Point::mul_fixed(base_table(), s)
+    }
+
+    /// `[s]P` from `P`'s fixed-base table: one mixed addition per nonzero
+    /// signed radix-16 digit of `s`, and no doublings.
+    fn mul_fixed(table: &NielsTable, s: &Scalar) -> Point {
         let mut acc = Point::identity();
-        for (row, &digit) in base_table().iter().zip(s.radix16().iter()) {
+        for (row, &digit) in table.iter().zip(s.radix16().iter()) {
             if let Some(q) = select(row, digit) {
                 acc = acc.add_affine_niels(&q);
             }
@@ -510,7 +534,7 @@ impl Point {
     }
 
     /// `[s]P` by MSB-first double-and-add over bits 0..253: the reference
-    /// `mul_base` and `mul_windowed` are tested against.
+    /// `mul_base`, `mul_fixed` and `mul_windowed` are tested against.
     #[cfg(test)]
     pub fn mul_scalar(&self, s: &Scalar) -> Point {
         let mut acc = Point::identity();
@@ -682,8 +706,13 @@ impl std::fmt::Debug for SigningKey {
 }
 
 /// RFC 8032 §5.1.7 with the cofactorless equation `[s]B == R + [k]A`,
-/// for a key whose point `a` is already decompressed from `a_bytes`.
-fn verify_with_point(a: &Point, a_bytes: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> bool {
+/// for the key encoded as `a_bytes`; `mul_a` computes `[k]A`.
+fn verify_with(
+    a_bytes: &[u8; 32],
+    msg: &[u8],
+    sig: &[u8; 64],
+    mul_a: impl FnOnce(&Scalar) -> Point,
+) -> bool {
     let mut r_bytes = [0u8; 32];
     r_bytes.copy_from_slice(&sig[..32]);
     let mut s_bytes = [0u8; 32];
@@ -705,7 +734,7 @@ fn verify_with_point(a: &Point, a_bytes: &[u8; 32], msg: &[u8], sig: &[u8; 64]) 
     let k = Scalar::from_bytes_wide(&h.finalize());
 
     let lhs = Point::mul_base(&s);
-    let rhs = r.add(&a.mul_windowed(&k));
+    let rhs = r.add(&mul_a(&k));
     lhs.equals(&rhs)
 }
 
@@ -729,7 +758,8 @@ impl VerifyingKey {
     /// Verify `sig` over `msg` (RFC 8032 §5.1.7, cofactorless equation).
     pub fn verify(&self, msg: &[u8], sig: &[u8; 64]) -> bool {
         VERIFIES.fetch_add(1, Ordering::Relaxed);
-        Point::decompress(&self.bytes).is_some_and(|a| verify_with_point(&a, &self.bytes, msg, sig))
+        Point::decompress(&self.bytes)
+            .is_some_and(|a| verify_with(&self.bytes, msg, sig, |k| a.mul_windowed(k)))
     }
 }
 
@@ -739,29 +769,38 @@ impl std::fmt::Debug for VerifyingKey {
     }
 }
 
-/// A verifying key with its curve point decompressed once up front.
+/// A verifying key with a fixed-base table of its curve point, built
+/// once up front.
 ///
-/// [`VerifyingKey::verify`] re-decompresses the public-key point A on
-/// every call; a verifier that checks many signatures under the same key
-/// (JWKS keys, the SSH user-CA key) pays that cost per signature for no
-/// reason. `PreparedVerifyingKey` hoists the decompression to
-/// construction time. Accept/reject behaviour is byte-for-byte identical
-/// to the unprepared path: a key whose encoding is not a curve point
-/// rejects every signature, exactly as `VerifyingKey::verify` does.
-#[derive(Clone, Debug)]
+/// [`VerifyingKey::verify`] decompresses the public-key point A and
+/// computes `[k]A` with 252 doublings on every call. A verifier that
+/// checks many signatures under the same long-lived key (JWKS keys, the
+/// SSH user-CA key, federation entities' assertion keys) builds A's
+/// table once, for about four plain verifies, and then computes `[k]A`
+/// with 64 mixed additions and no doublings. The table is 48 KiB and
+/// shared by every clone. Accept/reject behaviour is byte-for-byte
+/// identical to the unprepared path: a key whose encoding is not a curve
+/// point rejects every signature, exactly as `VerifyingKey::verify`
+/// does. Keys used for only a few signatures should stay plain.
+#[derive(Clone)]
 pub struct PreparedVerifyingKey {
     bytes: [u8; 32],
     /// `None` when the key bytes do not decode to a curve point — such a
     /// key fails every verification, matching the lazy path.
-    point: Option<Point>,
+    table: Option<Arc<NielsTable>>,
 }
 
 impl PreparedVerifyingKey {
-    /// Decompress the key's curve point once, for reuse across verifies.
+    /// Decompress the key's curve point and build its fixed-base table,
+    /// for reuse across verifies.
     pub fn new(key: &VerifyingKey) -> PreparedVerifyingKey {
+        let table = Point::decompress(&key.bytes).map(|a| {
+            TABLES.fetch_add(1, Ordering::Relaxed);
+            Arc::new(niels_table(&a))
+        });
         PreparedVerifyingKey {
             bytes: key.bytes,
-            point: Point::decompress(&key.bytes),
+            table,
         }
     }
 
@@ -775,13 +814,24 @@ impl PreparedVerifyingKey {
         VerifyingKey { bytes: self.bytes }
     }
 
-    /// Verify `sig` over `msg`, skipping the per-call decompression of A.
+    /// Verify `sig` over `msg` with `[k]A` read from the key's table.
     /// Same accept/reject behaviour as [`VerifyingKey::verify`].
     pub fn verify(&self, msg: &[u8], sig: &[u8; 64]) -> bool {
         VERIFIES.fetch_add(1, Ordering::Relaxed);
-        self.point
-            .as_ref()
-            .is_some_and(|a| verify_with_point(a, &self.bytes, msg, sig))
+        self.table.as_ref().is_some_and(|table| {
+            TABLE_VERIFIES.fetch_add(1, Ordering::Relaxed);
+            verify_with(&self.bytes, msg, sig, |k| Point::mul_fixed(table, k))
+        })
+    }
+}
+
+impl std::fmt::Debug for PreparedVerifyingKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "PreparedVerifyingKey({})",
+            crate::hex::encode(&self.bytes)
+        )
     }
 }
 
@@ -961,8 +1011,19 @@ mod tests {
         let prepared = PreparedVerifyingKey::new(&pk);
         assert_eq!(prepared.as_bytes(), pk.as_bytes());
         assert_eq!(prepared.verifying_key(), pk);
+        assert_eq!(
+            format!("{prepared:?}"),
+            format!("PreparedVerifyingKey({})", hex::encode(pk.as_bytes()))
+        );
+        // Clones share the one table.
+        let clone = prepared.clone();
+        assert!(Arc::ptr_eq(
+            prepared.table.as_ref().unwrap(),
+            clone.table.as_ref().unwrap()
+        ));
         let sig = sk.sign(b"cached hot path");
         assert!(prepared.verify(b"cached hot path", &sig));
+        assert!(clone.verify(b"cached hot path", &sig));
         assert!(!prepared.verify(b"cached hot patH", &sig));
         let mut bad = sig;
         bad[0] ^= 1;
@@ -977,6 +1038,7 @@ mod tests {
         // all-0xff is not a curve point; both paths must reject.
         let bogus = VerifyingKey::from_bytes([0xffu8; 32]);
         let prepared = PreparedVerifyingKey::new(&bogus);
+        assert!(prepared.table.is_none());
         let sig = SigningKey::from_seed(&[1u8; 32]).sign(b"msg");
         assert!(!bogus.verify(b"msg", &sig));
         assert!(!prepared.verify(b"msg", &sig));
@@ -1194,16 +1256,19 @@ mod tests {
 
     #[test]
     fn scalar_multiplications_match_naive_on_edges() {
+        let tables: Vec<(Point, NielsTable)> = edge_points()
+            .into_iter()
+            .map(|p| (p, niels_table(&p)))
+            .collect();
         for s in edge_scalars() {
             assert!(
                 Point::mul_base(&s).equals(&Point::base().mul_scalar(&s)),
                 "mul_base {s:?}"
             );
-            for p in edge_points() {
-                assert!(
-                    p.mul_windowed(&s).equals(&p.mul_scalar(&s)),
-                    "windowed {s:?}"
-                );
+            for (p, table) in &tables {
+                let naive = p.mul_scalar(&s);
+                assert!(p.mul_windowed(&s).equals(&naive), "windowed {s:?}");
+                assert!(Point::mul_fixed(table, &s).equals(&naive), "fixed {s:?}");
             }
         }
     }
@@ -1230,6 +1295,8 @@ mod tests {
         // Other tests run in parallel threads, so only lower bounds hold.
         assert!(after.signs > before.signs);
         assert!(after.verifies >= before.verifies + 2);
+        assert!(after.tables > before.tables);
+        assert!(after.table_verifies > before.table_verifies);
     }
 
     proptest! {
@@ -1264,7 +1331,9 @@ mod tests {
                 p = p.add(&Point::decompress(t).unwrap());
             }
             let s = Scalar(mod_l_wide(&limbs_from_bytes(&bytes)));
-            prop_assert!(p.mul_windowed(&s).equals(&p.mul_scalar(&s)));
+            let naive = p.mul_scalar(&s);
+            prop_assert!(p.mul_windowed(&s).equals(&naive));
+            prop_assert!(Point::mul_fixed(&niels_table(&p), &s).equals(&naive));
         }
 
         #[test]

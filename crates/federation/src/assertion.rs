@@ -7,7 +7,7 @@
 //! metadata, the audience restriction, and the validity window.
 
 use dri_crypto::base64;
-use dri_crypto::ed25519::{SigningKey, VerifyingKey};
+use dri_crypto::ed25519::{PreparedVerifyingKey, SigningKey};
 use dri_crypto::json::Value;
 
 use crate::types::{Attribute, LevelOfAssurance};
@@ -109,10 +109,11 @@ impl Assertion {
     }
 
     /// Verify a wire-form assertion against the issuer's public key and
-    /// the receiver's expectations.
+    /// the receiver's expectations. Issuer keys are long-lived federation
+    /// metadata, so the key comes prepared.
     pub fn verify(
         wire: &str,
-        issuer_key: &VerifyingKey,
+        issuer_key: &PreparedVerifyingKey,
         expected_audience: &str,
         now_secs: u64,
     ) -> Result<Assertion, AssertionError> {
@@ -210,7 +211,7 @@ mod tests {
         let wire = a.sign(&key);
         let got = Assertion::verify(
             &wire,
-            &key.verifying_key(),
+            &(&key.verifying_key()).into(),
             "https://proxy.myaccessid.org",
             1100,
         )
@@ -228,7 +229,7 @@ mod tests {
         assert_eq!(
             Assertion::verify(
                 &wire,
-                &other.verifying_key(),
+                &(&other.verifying_key()).into(),
                 "https://proxy.myaccessid.org",
                 1100
             ),
@@ -240,7 +241,7 @@ mod tests {
     fn verify_rejects_expired_and_wrong_audience() {
         let key = SigningKey::from_seed(&[1u8; 32]);
         let wire = sample().sign(&key);
-        let pk = key.verifying_key();
+        let pk = (&key.verifying_key()).into();
         assert_eq!(
             Assertion::verify(&wire, &pk, "https://proxy.myaccessid.org", 1300),
             Err(AssertionError::Expired)
@@ -265,7 +266,7 @@ mod tests {
         assert_eq!(
             Assertion::verify(
                 &forged,
-                &key.verifying_key(),
+                &(&key.verifying_key()).into(),
                 "https://proxy.myaccessid.org",
                 1100
             ),

@@ -279,7 +279,7 @@ mod tests {
     fn password_login_produces_verifiable_assertion() {
         let idp = idp();
         let wire = idp.authenticate("alice", "hunter2", None, "aud").unwrap();
-        let a = Assertion::verify(&wire, &idp.verifying_key(), "aud", 10).unwrap();
+        let a = Assertion::verify(&wire, &(&idp.verifying_key()).into(), "aud", 10).unwrap();
         assert_eq!(a.subject, "alice@bristol.ac.uk");
         assert_eq!(a.authn_context, "pwd");
         assert_eq!(a.loa, LevelOfAssurance::Medium);
@@ -318,7 +318,7 @@ mod tests {
         let wire = idp
             .authenticate("bob", "passw0rd", Some(right), "aud")
             .unwrap();
-        let a = Assertion::verify(&wire, &idp.verifying_key(), "aud", 1).unwrap();
+        let a = Assertion::verify(&wire, &(&idp.verifying_key()).into(), "aud", 1).unwrap();
         assert_eq!(a.authn_context, "pwd+totp");
     }
 
@@ -340,8 +340,8 @@ mod tests {
         let idp = idp();
         let w1 = idp.authenticate("alice", "hunter2", None, "aud").unwrap();
         let w2 = idp.authenticate("alice", "hunter2", None, "aud").unwrap();
-        let a1 = Assertion::verify(&w1, &idp.verifying_key(), "aud", 1).unwrap();
-        let a2 = Assertion::verify(&w2, &idp.verifying_key(), "aud", 1).unwrap();
+        let a1 = Assertion::verify(&w1, &(&idp.verifying_key()).into(), "aud", 1).unwrap();
+        let a2 = Assertion::verify(&w2, &(&idp.verifying_key()).into(), "aud", 1).unwrap();
         assert_ne!(a1.assertion_id, a2.assertion_id);
     }
 

@@ -188,7 +188,7 @@ impl IdpProxy {
         if !self.services.read().contains_key(service_entity_id) {
             return Err(ProxyError::UnknownService(service_entity_id.to_string()));
         }
-        let idp = self
+        let (idp, idp_key) = self
             .registry
             .lookup(idp_entity_id)
             .ok_or_else(|| ProxyError::UnknownIdp(idp_entity_id.to_string()))?;
@@ -198,7 +198,7 @@ impl IdpProxy {
             return Err(ProxyError::IdpNotEligible(idp_entity_id.to_string()));
         }
         let now = self.clock.now_secs();
-        let upstream = Assertion::verify(upstream_wire, &idp.signing_key, &self.entity_id, now)
+        let upstream = Assertion::verify(upstream_wire, &idp_key, &self.entity_id, now)
             .map_err(ProxyError::BadAssertion)?;
         if upstream.issuer != idp_entity_id {
             return Err(ProxyError::BadAssertion(AssertionError::BadSignature));
@@ -322,20 +322,24 @@ mod tests {
     struct Fixture {
         proxy: IdpProxy,
         idp: IdentityProvider,
+        registry: Arc<FederationRegistry>,
+        clock: SimClock,
     }
 
-    fn fixture() -> Fixture {
-        let clock = SimClock::starting_at(1_000_000);
-        let registry = Arc::new(FederationRegistry::new());
-        registry.register_federation("ukamf", "Jisc");
+    /// The Bristol IdP with `alice` provisioned, keyed from `seed`.
+    fn bristol(seed: [u8; 32], clock: &SimClock) -> IdentityProvider {
         let idp = IdentityProvider::new(
             "https://idp.bristol.ac.uk",
             "bristol.ac.uk",
             LevelOfAssurance::Medium,
-            [1u8; 32],
+            seed,
             clock.clone(),
         );
         idp.provision_user("alice", "pw", "Alice", "staff", None);
+        idp
+    }
+
+    fn register(registry: &FederationRegistry, idp: &IdentityProvider) {
         registry
             .register_entity(EntityDescriptor {
                 entity_id: idp.entity_id.clone(),
@@ -347,9 +351,27 @@ mod tests {
                 signing_key: idp.verifying_key(),
             })
             .unwrap();
-        let proxy = IdpProxy::new("https://proxy.myaccessid.org", [2u8; 32], clock, registry);
+    }
+
+    fn fixture() -> Fixture {
+        let clock = SimClock::starting_at(1_000_000);
+        let registry = Arc::new(FederationRegistry::new());
+        registry.register_federation("ukamf", "Jisc");
+        let idp = bristol([1u8; 32], &clock);
+        register(&registry, &idp);
+        let proxy = IdpProxy::new(
+            "https://proxy.myaccessid.org",
+            [2u8; 32],
+            clock.clone(),
+            registry.clone(),
+        );
         proxy.register_service("https://broker.isambard.ac.uk");
-        Fixture { proxy, idp }
+        Fixture {
+            proxy,
+            idp,
+            registry,
+            clock,
+        }
     }
 
     fn login(f: &Fixture) -> (String, String) {
@@ -375,7 +397,7 @@ mod tests {
         // the cuid as subject.
         let a = Assertion::verify(
             &assertion_wire,
-            &f.proxy.verifying_key(),
+            &(&f.proxy.verifying_key()).into(),
             "https://broker.isambard.ac.uk",
             1000,
         )
@@ -386,6 +408,42 @@ mod tests {
         let (cuid2, _) = login(&f);
         assert_eq!(cuid1, cuid2);
         assert_eq!(f.proxy.account_count(), 1);
+    }
+
+    /// Invalidation leads caching for the registry's prepared keys: after
+    /// the IdP re-keys (deregistered, then registered with a new key), an
+    /// assertion signed under the old key is refused.
+    #[test]
+    fn rekeyed_idp_assertions_under_the_old_key_are_refused() {
+        let f = fixture();
+        let old_wire = f
+            .idp
+            .authenticate("alice", "pw", None, "https://proxy.myaccessid.org")
+            .unwrap();
+        let rekeyed = bristol([3u8; 32], &f.clock);
+        f.registry
+            .deregister_entity("https://idp.bristol.ac.uk")
+            .unwrap();
+        register(&f.registry, &rekeyed);
+        assert_eq!(
+            f.proxy.broker_login(
+                "https://idp.bristol.ac.uk",
+                &old_wire,
+                "https://broker.isambard.ac.uk"
+            ),
+            Err(ProxyError::BadAssertion(AssertionError::BadSignature))
+        );
+        let new_wire = rekeyed
+            .authenticate("alice", "pw", None, "https://proxy.myaccessid.org")
+            .unwrap();
+        assert!(f
+            .proxy
+            .broker_login(
+                "https://idp.bristol.ac.uk",
+                &new_wire,
+                "https://broker.isambard.ac.uk"
+            )
+            .is_ok());
     }
 
     #[test]

@@ -13,8 +13,9 @@
 use std::collections::{HashMap, HashSet};
 
 use dri_clock::{IdGen, SimClock};
-use dri_crypto::ed25519::VerifyingKey;
+use dri_crypto::ed25519::{PreparedVerifyingKey, VerifyingKey};
 use dri_sshca::cert::{CertError, SshCertificate};
+use dri_sync::Snapshot;
 use parking_lot::RwLock;
 
 use crate::topology::{NetError, Network};
@@ -82,7 +83,8 @@ pub struct Bastion {
     /// The fabric host id of the bastion service.
     pub host_id: String,
     clock: SimClock,
-    ca_key: RwLock<VerifyingKey>,
+    /// The trusted user-CA key, prepared once at trust time.
+    ca_key: Snapshot<PreparedVerifyingKey>,
     state: RwLock<BastionState>,
     ids: IdGen,
     faults: dri_fault::FaultHook,
@@ -101,7 +103,7 @@ impl Bastion {
         Bastion {
             host_id: host_id.into(),
             clock,
-            ca_key: RwLock::new(ca_key),
+            ca_key: Snapshot::new(PreparedVerifyingKey::new(&ca_key)),
             state: RwLock::new(BastionState {
                 instance_healthy: vec![true; instances],
                 sessions: HashMap::new(),
@@ -124,7 +126,7 @@ impl Bastion {
 
     /// Update the trusted CA key (CA rotation).
     pub fn trust_ca(&self, key: VerifyingKey) {
-        *self.ca_key.write() = key;
+        self.ca_key.store(PreparedVerifyingKey::new(&key));
     }
 
     /// Relay an SSH connection from `src` to `target` as `principal`,
@@ -175,7 +177,7 @@ impl Bastion {
             .connect(src, &self.host_id, "ssh")
             .map_err(BastionError::Network)?;
         // Certificate gate.
-        cert.verify(&self.ca_key.read(), self.clock.now_secs(), Some(principal))
+        cert.verify_prepared(&self.ca_key.load(), self.clock.now_secs(), Some(principal))
             .map_err(BastionError::Cert)?;
         // Hop 2: bastion -> login node over ssh.
         network

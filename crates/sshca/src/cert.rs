@@ -226,33 +226,38 @@ impl SshCertificate {
         now_secs: u64,
         principal: Option<&str>,
     ) -> Result<(), CertError> {
-        if !ca_key.verify(&self.tbs_bytes(), &self.signature) {
-            return Err(CertError::BadSignature);
-        }
-        if now_secs < self.valid_after {
-            return Err(CertError::NotYetValid);
-        }
-        if now_secs >= self.valid_before {
-            return Err(CertError::Expired);
-        }
-        if let Some(p) = principal {
-            if !self.principals.iter().any(|x| x == p) {
-                return Err(CertError::PrincipalNotAllowed);
-            }
-        }
-        Ok(())
+        self.check(
+            ca_key.verify(&self.tbs_bytes(), &self.signature),
+            now_secs,
+            principal,
+        )
     }
 
-    /// [`SshCertificate::verify`] against a pre-decompressed CA key:
-    /// same checks, same order, same errors, but the CA point
-    /// decompression is paid once at trust time instead of per login.
+    /// [`SshCertificate::verify`] against a prepared CA key: same checks,
+    /// same order, same errors, but the CA key's table is built once at
+    /// trust time and each check skips the doublings of `[k]A`.
     pub fn verify_prepared(
         &self,
         ca_key: &PreparedVerifyingKey,
         now_secs: u64,
         principal: Option<&str>,
     ) -> Result<(), CertError> {
-        if !ca_key.verify(&self.tbs_bytes(), &self.signature) {
+        self.check(
+            ca_key.verify(&self.tbs_bytes(), &self.signature),
+            now_secs,
+            principal,
+        )
+    }
+
+    /// The checks after the signature, in order: validity window, then
+    /// the principal.
+    fn check(
+        &self,
+        signature_ok: bool,
+        now_secs: u64,
+        principal: Option<&str>,
+    ) -> Result<(), CertError> {
+        if !signature_ok {
             return Err(CertError::BadSignature);
         }
         if now_secs < self.valid_after {

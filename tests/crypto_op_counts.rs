@@ -3,7 +3,9 @@
 //! Wall-clock costs vary by host; the number of Ed25519 signatures and
 //! verifications a flow performs does not. This gate pins those counts
 //! per flow, so a change that quietly adds a signature or a verify to a
-//! hot path fails on any host.
+//! hot path fails on any host. It also pins how many verifies a per-key
+//! table serves and how many tables are built, so a long-lived key that
+//! slips back to the plain path, or one re-prepared per flow, fails too.
 //!
 //! The counters are process-wide (`dri_crypto::ed25519::op_counts`), so
 //! this file holds exactly one `#[test]`: no other test shares the
@@ -39,6 +41,8 @@ fn counted(f: impl FnOnce()) -> OpCounts {
     OpCounts {
         signs: after.signs - before.signs,
         verifies: after.verifies - before.verifies,
+        tables: after.tables - before.tables,
+        table_verifies: after.table_verifies - before.table_verifies,
     }
 }
 
@@ -51,11 +55,13 @@ fn storm_counts(verification_cache: bool) -> OpCounts {
     })
 }
 
-/// Scale per-flow counts to `flows` flows.
-fn per_flow(signs: u64, verifies: u64, flows: u64) -> OpCounts {
+/// Scale per-flow counts to `flows` flows; no flow builds a table.
+fn per_flow(signs: u64, verifies: u64, table_verifies: u64, flows: u64) -> OpCounts {
     OpCounts {
         signs: signs * flows,
         verifies: verifies * flows,
+        tables: 0,
+        table_verifies: table_verifies * flows,
     }
 }
 
@@ -63,14 +69,17 @@ fn per_flow(signs: u64, verifies: u64, flows: u64) -> OpCounts {
 fn ed25519_ops_per_flow_are_pinned() {
     // Warm story 6: the one RBAC token signature and no verify at all
     // (the issuing broker seeds the token cache).
-    assert_eq!(storm_counts(true), per_flow(1, 0, USERS), "warm storm");
+    assert_eq!(storm_counts(true), per_flow(1, 0, 0, USERS), "warm storm");
     // Cold story 6 (verification caches off): the token is verified once
-    // at the relying service.
-    assert_eq!(storm_counts(false), per_flow(1, 1, USERS), "cold storm");
+    // at the relying service, from the JWKS key's table.
+    assert_eq!(storm_counts(false), per_flow(1, 1, 1, USERS), "cold storm");
 
     // One federated login plus story 4 (SSH through CA and bastion):
     // the counts measured when this gate was written. A change that moves
-    // them must say why.
+    // them must say why. Four verifies are under long-lived keys and use
+    // their tables: the IdP's and the proxy's assertions, and the CA's
+    // certificate at the bastion and at the login node. The fifth, the
+    // possession proof under the user's own key, stays plain.
     let (infra, users) = storm_infra(true);
     let (label, project) = &users[1];
     let ssh = counted(|| {
@@ -79,5 +88,22 @@ fn ed25519_ops_per_flow_are_pinned() {
             .story4_ssh_connect(label.as_str(), project)
             .expect("story 4");
     });
-    assert_eq!(ssh, per_flow(5, 5, 1), "federated login + story 4");
+    assert_eq!(ssh, per_flow(5, 5, 4, 1), "federated login + story 4");
+
+    // A rotation prepares only the new key, a prune none: the kept keys'
+    // tables carry over, and every relying service's snapshot shares them.
+    let rotation = counted(|| {
+        infra.broker.rotate_keys([0x33; 32]);
+        infra.jupyter.update_jwks(infra.broker.jwks());
+        infra.broker.prune_keys(2);
+        infra.jupyter.update_jwks(infra.broker.jwks());
+    });
+    assert_eq!(
+        rotation,
+        OpCounts {
+            tables: 1,
+            ..OpCounts::default()
+        },
+        "rotate_keys + prune_keys(2)"
+    );
 }

@@ -1,7 +1,9 @@
 //! E6 — user story 4: SSH to the AI platform with short-lived
 //! certificates and the transparent bastion.
 
+use isambard_dri::cluster::LoginError;
 use isambard_dri::core::{FlowError, InfraConfig, Infrastructure};
+use isambard_dri::netsim::BastionError;
 use isambard_dri::sshca::CertError;
 
 fn onboarded() -> Infrastructure {
@@ -62,6 +64,45 @@ fn certificate_expiry_forces_reissuance() {
     infra.federated_login("alice").unwrap();
     let second = infra.story4_ssh_connect("alice", "climate-llm").unwrap();
     assert!(second.cert_serial > first.cert_serial);
+}
+
+/// Invalidation leads caching for the prepared CA keys: once the CA
+/// re-keys and both checkpoints are told, a certificate signed under the
+/// old key is refused at the bastion and at the login node, and a freshly
+/// issued one is accepted at both.
+#[test]
+fn ca_rotation_refuses_old_certificates_at_bastion_and_login_node() {
+    let infra = onboarded();
+    infra.story4_ssh_connect("alice", "climate-llm").unwrap();
+    infra.ssh_ca.rotate_key([0x5a; 32]);
+    infra.bastion.trust_ca(infra.ssh_ca.public_key());
+    infra.login_node.trust_ca(infra.ssh_ca.public_key());
+
+    let users = infra.users.read();
+    let client = users.get("alice").unwrap().ssh.as_ref().unwrap();
+    let old_cert = client.certificate.clone().unwrap();
+    let account = client.alias_for("climate-llm").unwrap().user.clone();
+    assert_eq!(
+        infra.bastion.relay(
+            &infra.network,
+            "internet/user",
+            "mdc/login01",
+            &old_cert,
+            &account
+        ),
+        Err(BastionError::Cert(CertError::BadSignature))
+    );
+    assert_eq!(
+        infra
+            .login_node
+            .open_session(&old_cert, &account, |ch| client.sign_auth_challenge(ch)),
+        Err(LoginError::Cert(CertError::BadSignature))
+    );
+    drop(users);
+
+    let outcome = infra.story4_ssh_connect("alice", "climate-llm").unwrap();
+    assert!(infra.bastion.session_alive(&outcome.relay.id));
+    assert!(infra.login_node.session_alive(&outcome.shell.id));
 }
 
 #[test]
