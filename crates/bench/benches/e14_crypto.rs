@@ -7,7 +7,8 @@
 //! no shared mutable state).
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
-use dri_crypto::ed25519::{PreparedVerifyingKey, SigningKey};
+use dri_crypto::ed25519::{Point, PreparedVerifyingKey, Scalar, SigningKey};
+use dri_crypto::fe25519::Fe;
 use dri_crypto::jwt::{self, Claims, Signer, Validation, Verifier};
 use dri_crypto::{chacha20, hmac, sha2, x25519};
 
@@ -68,6 +69,17 @@ fn benches(c: &mut Criterion) {
     c.bench_function("e14/hmac_sha256_1k", |b| {
         let data = vec![1u8; 1024];
         b.iter(|| black_box(hmac::hmac_sha256(b"key", &data)))
+    });
+
+    // The two primitives under sign and verify: a field inversion (one
+    // per compression) and a fixed-base multiplication [s]B.
+    let fe = Fe::from_bytes(&[0x5au8; 32]);
+    c.bench_function("e14/fe25519_invert", |b| {
+        b.iter(|| black_box(black_box(fe).invert()))
+    });
+    let s = Scalar::from_bytes(&[0xa5u8; 32]);
+    c.bench_function("e14/ed25519_mul_base", |b| {
+        b.iter(|| black_box(Point::mul_base(black_box(&s))))
     });
 
     // Signatures.

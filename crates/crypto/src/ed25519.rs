@@ -6,13 +6,19 @@
 //! vectors. Variable-time throughout (simulation grade).
 //!
 //! The fast paths follow the ref10 design (Bernstein et al., *High-speed
-//! high-security signatures*): `[s]B` is 64 mixed additions from a
-//! fixed-base table of signed radix-16 multiples, built once per process;
-//! `[k]A` in verification is a signed radix-16 window over `A..8A`, or,
-//! for a [`PreparedVerifyingKey`], 64 mixed additions from the same kind
-//! of table built for A; scalars reduce mod `L` by Barrett reduction.
-//! Each fast path is differential-tested against the naive code it
-//! replaced, which is kept under `#[cfg(test)]`.
+//! high-security signatures*). `[s]B` is at most 32 mixed additions from
+//! a fixed-base table of signed radix-256 multiples of B (32 × 128
+//! entries, 384 KiB on the heap, built once per process). `[k]A` in
+//! verification is a signed radix-16 window over `A..8A`, or, for a
+//! [`PreparedVerifyingKey`], at most 64 mixed additions from a radix-16
+//! table of A (64 × 8 entries, 48 KiB): the narrower width keeps the
+//! tables built per trusted key and per key rotation small and quick to
+//! build. Both tables come from one builder and one walker, generic over
+//! the window. Verification never decompresses R: it compresses
+//! `[s]B + [k](−A)` and compares the bytes with R's encoding. Scalars
+//! reduce mod `L` by Barrett reduction. Each fast path is
+//! differential-tested against the naive code it replaced, which is kept
+//! under `#[cfg(test)]`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -152,25 +158,28 @@ impl Scalar {
         self.0 == [0, 0, 0, 0]
     }
 
-    /// Signed radix-16 digits `e` with `self = Σ e[i]·16^i`: `e[0..63]`
-    /// lie in [−8, 7] and the top digit absorbs the last carry, so
-    /// `e[63] ≤ 8` for any value below 2^255 (reduced scalars are below
-    /// 2^253).
-    fn radix16(&self) -> [i8; 64] {
-        debug_assert!(self.0[3] >> 63 == 0, "scalar not reduced");
+    /// Signed radix-2^w digits `e` with `self = Σ e[i]·2^(w·i)`, for
+    /// `w = 256 / N` (4 or 8): `e[0..N−1]` lie in [−2^(w−1), 2^(w−1) − 1]
+    /// and the top digit absorbs the last carry. Reduced scalars are
+    /// below 2^253, so the top digit is at most 2 (w = 4) or 32 (w = 8).
+    fn signed_digits<const N: usize>(&self) -> [i8; N] {
+        let w = 256 / N;
+        debug_assert!(w == 4 || w == 8);
+        debug_assert!(self.0[3] >> 61 == 0, "scalar not reduced");
         let bytes = self.to_bytes();
-        let mut e = [0i8; 64];
-        for (i, b) in bytes.iter().enumerate() {
-            e[2 * i] = (b & 15) as i8;
-            e[2 * i + 1] = (b >> 4) as i8;
+        let mut e = [0i8; N];
+        let mut carry = 0i16;
+        for (i, d) in e.iter_mut().enumerate() {
+            let bit = i * w;
+            let v = i16::from(bytes[bit / 8] >> (bit % 8)) & ((1 << w) - 1);
+            let v = v + carry;
+            carry = if i + 1 < N {
+                (v + (1 << (w - 1))) >> w
+            } else {
+                0
+            };
+            *d = (v - (carry << w)) as i8;
         }
-        let mut carry = 0i8;
-        for d in e.iter_mut().take(63) {
-            *d += carry;
-            carry = (*d + 8) >> 4;
-            *d -= carry << 4;
-        }
-        e[63] += carry;
         e
     }
 }
@@ -332,54 +341,66 @@ impl std::ops::Neg for ProjectiveNiels {
     }
 }
 
-/// `digit·P` from a row holding `P..8P`; `None` for a zero digit.
-fn select<T: Copy + std::ops::Neg<Output = T>>(row: &[T; 8], digit: i8) -> Option<T> {
-    match digit {
-        0 => None,
-        d if d > 0 => Some(row[d as usize - 1]),
-        d => Some(-row[(-d) as usize - 1]),
-    }
+/// `digit·P` from a row holding `P..N·P`; `None` for a zero digit.
+fn select<T: Copy + std::ops::Neg<Output = T>, const N: usize>(
+    row: &[T; N],
+    digit: i8,
+) -> Option<T> {
+    let entry = row[usize::from(digit.unsigned_abs()).checked_sub(1)?];
+    Some(if digit < 0 { -entry } else { entry })
 }
 
-/// A fixed-base table for a point `P`: row `i` holds `(j+1)·16^i·P` for
-/// `j` in 0..8, 64 × 8 affine Niels entries (48 KiB).
-type NielsTable = [[AffineNiels; 8]; 64];
+/// A fixed-base table of a point `P` for signed radix-2^w digits:
+/// `ROWS = 256 / w` rows of `COLS = 2^(w−1)` affine Niels entries, row
+/// `i` holding `(j+1)·2^(w·i)·P` for `j` in `0..COLS`.
+type NielsTable<const ROWS: usize, const COLS: usize> = [[AffineNiels; COLS]; ROWS];
 
-/// Build the fixed-base table of `p`: 448 additions, 252 doublings and
-/// one batched inversion to bring every entry to affine form.
-fn niels_table(p: &Point) -> NielsTable {
-    let mut points = Vec::with_capacity(64 * 8);
+/// A per-key table: radix 16, 64 × 8 entries (48 KiB).
+type KeyTable = NielsTable<64, 8>;
+
+/// The base point's table: radix 256, 32 × 128 entries (384 KiB).
+type BaseTable = NielsTable<32, 128>;
+
+/// Build the fixed-base table of `p` row by row: `COLS − 1` additions,
+/// one doubling and one batched inversion (to affine form) per row, so
+/// only one row of projective points is held at a time.
+fn niels_table<const ROWS: usize, const COLS: usize>(p: &Point) -> Box<NielsTable<ROWS, COLS>> {
+    debug_assert_eq!(2 * COLS, 1 << (256 / ROWS), "COLS = 2^(w−1)");
+    let mut rows = Vec::with_capacity(ROWS);
+    let mut points = Vec::with_capacity(COLS);
+    let mut zinv = Vec::with_capacity(COLS);
     let mut row_base = *p;
-    for i in 0..64 {
-        let mut q = row_base;
-        points.push(q);
-        for _ in 1..8 {
-            q = q.add(&row_base);
-            points.push(q);
+    for _ in 0..ROWS {
+        let step = row_base.to_projective_niels();
+        points.clear();
+        points.push(row_base);
+        for j in 1..COLS {
+            points.push(points[j - 1].add_projective_niels(&step));
         }
-        if i < 63 {
-            row_base = row_base.mul_by_pow_2(4);
-        }
-    }
-    let mut zinv: Vec<Fe> = points.iter().map(|p| p.z).collect();
-    batch_invert(&mut zinv);
-    std::array::from_fn(|i| {
-        std::array::from_fn(|j| {
-            let p = &points[i * 8 + j];
-            let x = p.x.mul(zinv[i * 8 + j]);
-            let y = p.y.mul(zinv[i * 8 + j]);
+        zinv.clear();
+        zinv.extend(points.iter().map(|p| p.z));
+        batch_invert(&mut zinv);
+        rows.push(std::array::from_fn(|j| {
+            let x = points[j].x.mul(zinv[j]);
+            let y = points[j].y.mul(zinv[j]);
             AffineNiels {
                 y_plus_x: y.add(x),
                 y_minus_x: y.sub(x),
                 xy2d: x.mul(y).mul(D2),
             }
-        })
-    })
+        }));
+        // The last entry is 2^(w−1)·row_base; one doubling gives the next.
+        row_base = points[COLS - 1].double();
+    }
+    let Ok(table) = rows.into_boxed_slice().try_into() else {
+        unreachable!("ROWS rows were pushed")
+    };
+    table
 }
 
 /// The base point's table, built on first use.
-fn base_table() -> &'static NielsTable {
-    static TABLE: OnceLock<NielsTable> = OnceLock::new();
+fn base_table() -> &'static BaseTable {
+    static TABLE: OnceLock<Box<BaseTable>> = OnceLock::new();
     TABLE.get_or_init(|| niels_table(&Point::base()))
 }
 
@@ -494,16 +515,19 @@ impl Point {
         p
     }
 
-    /// `[s]B` from the base point's table.
+    /// `[s]B` from the base point's radix-256 table.
     pub fn mul_base(s: &Scalar) -> Point {
         Point::mul_fixed(base_table(), s)
     }
 
     /// `[s]P` from `P`'s fixed-base table: one mixed addition per nonzero
-    /// signed radix-16 digit of `s`, and no doublings.
-    fn mul_fixed(table: &NielsTable, s: &Scalar) -> Point {
+    /// signed radix-2^w digit of `s`, and no doublings.
+    fn mul_fixed<const ROWS: usize, const COLS: usize>(
+        table: &NielsTable<ROWS, COLS>,
+        s: &Scalar,
+    ) -> Point {
         let mut acc = Point::identity();
-        for (row, &digit) in table.iter().zip(s.radix16().iter()) {
+        for (row, &digit) in table.iter().zip(s.signed_digits::<ROWS>().iter()) {
             if let Some(q) = select(row, digit) {
                 acc = acc.add_affine_niels(&q);
             }
@@ -522,7 +546,7 @@ impl Point {
             *entry = multiple.to_projective_niels();
         }
         let mut acc = Point::identity();
-        for (i, &digit) in k.radix16().iter().enumerate().rev() {
+        for (i, &digit) in k.signed_digits::<64>().iter().enumerate().rev() {
             if i < 63 {
                 acc = acc.mul_by_pow_2(4);
             }
@@ -609,7 +633,9 @@ impl Point {
         })
     }
 
-    /// Constant comparison in affine coordinates.
+    /// Comparison in affine coordinates: the reference the recompressing
+    /// verifier is tested against.
+    #[cfg(test)]
     pub fn equals(&self, other: &Point) -> bool {
         // x1 z2 == x2 z1 and y1 z2 == y2 z1
         self.x.mul(other.z) == other.x.mul(self.z) && self.y.mul(other.z) == other.y.mul(self.z)
@@ -707,35 +733,32 @@ impl std::fmt::Debug for SigningKey {
 
 /// RFC 8032 §5.1.7 with the cofactorless equation `[s]B == R + [k]A`,
 /// for the key encoded as `a_bytes`; `mul_a` computes `[k]A`.
+///
+/// As in ref10, R is never decompressed: the check is
+/// `compress([s]B + [k](−A)) == sig[..32]`. `compress` emits only the
+/// canonical encoding of a curve point, so the bytes match exactly when
+/// `sig[..32]` decodes to that point. Non-canonical, off-curve and "−0"
+/// encodings of R therefore fail, as they fail to decompress.
 fn verify_with(
     a_bytes: &[u8; 32],
     msg: &[u8],
     sig: &[u8; 64],
     mul_a: impl FnOnce(&Scalar) -> Point,
 ) -> bool {
-    let mut r_bytes = [0u8; 32];
-    r_bytes.copy_from_slice(&sig[..32]);
-    let mut s_bytes = [0u8; 32];
-    s_bytes.copy_from_slice(&sig[32..]);
-
-    let s = match Scalar::from_canonical_bytes(&s_bytes) {
-        Some(s) => s,
-        None => return false,
-    };
-    let r = match Point::decompress(&r_bytes) {
-        Some(r) => r,
-        None => return false,
+    let (r_bytes, s_bytes) = sig.split_at(32);
+    let Some(s) = Scalar::from_canonical_bytes(s_bytes.try_into().expect("32 bytes")) else {
+        return false;
     };
 
     let mut h = Sha512::new();
-    h.update(&r_bytes);
+    h.update(r_bytes);
     h.update(a_bytes);
     h.update(msg);
     let k = Scalar::from_bytes_wide(&h.finalize());
 
-    let lhs = Point::mul_base(&s);
-    let rhs = r.add(&mul_a(&k));
-    lhs.equals(&rhs)
+    let minus_ka = -mul_a(&k).to_projective_niels();
+    let r = Point::mul_base(&s).add_projective_niels(&minus_ka);
+    r.compress() == r_bytes
 }
 
 /// An Ed25519 verifying (public) key.
@@ -787,7 +810,7 @@ pub struct PreparedVerifyingKey {
     bytes: [u8; 32],
     /// `None` when the key bytes do not decode to a curve point — such a
     /// key fails every verification, matching the lazy path.
-    table: Option<Arc<NielsTable>>,
+    table: Option<Arc<KeyTable>>,
 }
 
 impl PreparedVerifyingKey {
@@ -796,7 +819,7 @@ impl PreparedVerifyingKey {
     pub fn new(key: &VerifyingKey) -> PreparedVerifyingKey {
         let table = Point::decompress(&key.bytes).map(|a| {
             TABLES.fetch_add(1, Ordering::Relaxed);
-            Arc::new(niels_table(&a))
+            Arc::from(niels_table::<64, 8>(&a))
         });
         PreparedVerifyingKey {
             bytes: key.bytes,
@@ -1081,10 +1104,11 @@ mod tests {
         limbs
     }
 
-    /// Scalars at the edges of the signed radix-16 recoding: zero, one,
-    /// single digits either side of the sign flip, L−1 and L−2, all-8
-    /// nibbles (every digit carries), 2^252 − 1 (a carry ripples through
-    /// every digit into the top one) and 2^251.
+    /// Scalars at the edges of the signed radix-16 and radix-256
+    /// recodings: zero, one, single digits either side of each sign
+    /// flip, L−1 and L−2, all-8 nibbles (every radix-16 digit carries),
+    /// all-0x80 bytes (every radix-256 digit carries), 2^252 − 1 (a carry
+    /// ripples through every digit into the top one) and 2^251.
     fn edge_scalars() -> Vec<Scalar> {
         vec![
             Scalar::ZERO,
@@ -1092,6 +1116,9 @@ mod tests {
             Scalar([7, 0, 0, 0]),
             Scalar([8, 0, 0, 0]),
             Scalar([15, 0, 0, 0]),
+            Scalar([127, 0, 0, 0]),
+            Scalar([128, 0, 0, 0]),
+            Scalar([255, 0, 0, 0]),
             Scalar(sub_wrapping(&L, &[1, 0, 0, 0])),
             Scalar(sub_wrapping(&L, &[2, 0, 0, 0])),
             Scalar([
@@ -1099,6 +1126,12 @@ mod tests {
                 0x8888_8888_8888_8888,
                 0x8888_8888_8888_8888,
                 0x0888_8888_8888_8888,
+            ]),
+            Scalar([
+                0x8080_8080_8080_8080,
+                0x8080_8080_8080_8080,
+                0x8080_8080_8080_8080,
+                0x0080_8080_8080_8080,
             ]),
             Scalar([u64::MAX, u64::MAX, u64::MAX, 0x0fff_ffff_ffff_ffff]),
             Scalar([0, 0, 0, 0x0800_0000_0000_0000]),
@@ -1183,21 +1216,50 @@ mod tests {
         (carry == 0).then_some(out)
     }
 
+    /// R encodings `Point::decompress` refuses and `compress` never
+    /// emits: every non-canonical y in [p, 2^255) (p + 1 is the
+    /// identity's y = 1) with either sign bit, the "−0" encodings of
+    /// y = 1 and y = −1 (x = 0 with the sign bit set), and y = 2, which
+    /// is off the curve.
+    fn r_encodings_that_never_decode() -> Vec<[u8; 32]> {
+        let mut encodings = Vec::new();
+        for i in 0..19u8 {
+            // p + i = 2^255 − 19 + i.
+            let mut y = [0xffu8; 32];
+            y[0] = 0xed + i;
+            y[31] = 0x7f;
+            encodings.push(y);
+            y[31] |= 0x80;
+            encodings.push(y);
+        }
+        for h in [
+            "0100000000000000000000000000000000000000000000000000000000000080",
+            "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+            "0200000000000000000000000000000000000000000000000000000000000000",
+        ] {
+            encodings.push(hex::decode_array::<32>(h).unwrap());
+        }
+        for r in &encodings {
+            assert!(Point::decompress(r).is_none(), "{} decodes", hex::encode(r));
+        }
+        encodings
+    }
+
     /// Every structured mutation of a valid signature must be rejected
     /// by the fast and the naive verifier alike.
     fn assert_mutations_rejected(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) {
         if let Some(bad) = s_plus_l(sig) {
             assert!(!verdict(key, msg, &bad), "s + L accepted");
         }
-        // Non-canonical R: the identity's y = 1 re-encoded as p + 1.
-        let mut non_canonical_r = *sig;
-        non_canonical_r[..32].copy_from_slice(
-            &hex::decode_array::<32>(
-                "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
-            )
-            .unwrap(),
-        );
-        assert!(!verdict(key, msg, &non_canonical_r), "non-canonical R");
+        // −R: a canonical encoding of a curve point, just not this one.
+        let mut minus_r = *sig;
+        minus_r[31] ^= 0x80;
+        assert!(!verdict(key, msg, &minus_r), "−R accepted");
+        for r in r_encodings_that_never_decode() {
+            let mut bad_r = *sig;
+            bad_r[..32].copy_from_slice(&r);
+            assert!(!verdict(key, msg, &bad_r), "R = {}", hex::encode(&r));
+        }
         for t in small_order_points() {
             let mut small_r = *sig;
             small_r[..32].copy_from_slice(&t);
@@ -1233,42 +1295,61 @@ mod tests {
         }
     }
 
+    /// The digits of `s` lie in [−half, half − 1], the top one in
+    /// [−half, half], and recompose to `s` in radix `2·half`.
+    fn assert_digits_recompose<const N: usize>(s: Scalar, half: i16) {
+        let digits = s.signed_digits::<N>();
+        assert!(digits[..N - 1]
+            .iter()
+            .all(|&d| (-half..half).contains(&i16::from(d))));
+        assert!((-half..=half).contains(&i16::from(digits[N - 1])));
+        let mut acc = Scalar::ZERO;
+        let mut pow = Scalar([1, 0, 0, 0]);
+        for &d in &digits {
+            let term = pow.mul(Scalar([d.unsigned_abs() as u64, 0, 0, 0]));
+            acc = if d < 0 {
+                acc.add(Scalar(sub_wrapping(&L, &term.0)))
+            } else {
+                acc.add(term)
+            };
+            pow = pow.mul(Scalar([2 * half as u64, 0, 0, 0]));
+        }
+        assert_eq!(acc, s, "radix {}", 2 * half);
+    }
+
     #[test]
-    fn radix16_digits_recompose_and_stay_in_range() {
+    fn signed_digits_recompose_and_stay_in_range() {
         for s in edge_scalars() {
-            let digits = s.radix16();
-            assert!(digits[..63].iter().all(|d| (-8..=7).contains(d)));
-            assert!((-8..=8).contains(&digits[63]));
-            let mut acc = Scalar::ZERO;
-            let mut pow = Scalar([1, 0, 0, 0]);
-            for &d in &digits {
-                let term = pow.mul(Scalar([d.unsigned_abs() as u64, 0, 0, 0]));
-                acc = if d < 0 {
-                    acc.add(Scalar(sub_wrapping(&L, &term.0)))
-                } else {
-                    acc.add(term)
-                };
-                pow = pow.mul(Scalar([16, 0, 0, 0]));
-            }
-            assert_eq!(acc, s);
+            assert_digits_recompose::<64>(s, 8);
+            assert_digits_recompose::<32>(s, 128);
         }
     }
 
     #[test]
-    fn scalar_multiplications_match_naive_on_edges() {
-        let tables: Vec<(Point, NielsTable)> = edge_points()
-            .into_iter()
-            .map(|p| (p, niels_table(&p)))
-            .collect();
+    fn mul_base_matches_naive_on_edges() {
         for s in edge_scalars() {
             assert!(
                 Point::mul_base(&s).equals(&Point::base().mul_scalar(&s)),
                 "mul_base {s:?}"
             );
-            for (p, table) in &tables {
+        }
+    }
+
+    #[test]
+    fn scalar_multiplications_match_naive_on_edges() {
+        let tables: Vec<_> = edge_points()
+            .into_iter()
+            .map(|p| (p, niels_table::<64, 8>(&p), niels_table::<32, 128>(&p)))
+            .collect();
+        for s in edge_scalars() {
+            for (p, narrow, wide) in &tables {
                 let naive = p.mul_scalar(&s);
                 assert!(p.mul_windowed(&s).equals(&naive), "windowed {s:?}");
-                assert!(Point::mul_fixed(table, &s).equals(&naive), "fixed {s:?}");
+                assert!(
+                    Point::mul_fixed(narrow, &s).equals(&naive),
+                    "radix 16 {s:?}"
+                );
+                assert!(Point::mul_fixed(wide, &s).equals(&naive), "radix 256 {s:?}");
             }
         }
     }
@@ -1333,7 +1414,7 @@ mod tests {
             let s = Scalar(mod_l_wide(&limbs_from_bytes(&bytes)));
             let naive = p.mul_scalar(&s);
             prop_assert!(p.mul_windowed(&s).equals(&naive));
-            prop_assert!(Point::mul_fixed(&niels_table(&p), &s).equals(&naive));
+            prop_assert!(Point::mul_fixed(&niels_table::<64, 8>(&p), &s).equals(&naive));
         }
 
         #[test]

@@ -4,9 +4,11 @@
 //! `[0, p)` after every public operation. Multiplication uses schoolbook
 //! 4×4 limb products accumulated in `u128`, squaring the 10 distinct
 //! products, both followed by the standard `2^256 ≡ 38 (mod p)` fold.
-//! Inversion and the decompression power use the ref10 addition chain.
-//! This is variable-time, which is acceptable for the simulation-grade
-//! purposes of this crate.
+//! Inversion is Bernstein–Yang safegcd (variable-time divsteps in batches
+//! of 62 on signed 62-bit limbs, after libsecp256k1's `modinv64_var`); the
+//! decompression power keeps the ref10 addition chain. This is
+//! variable-time, which is acceptable for the simulation-grade purposes
+//! of this crate.
 
 /// p = 2^255 − 19 as little-endian u64 limbs.
 pub const P: [u64; 4] = [
@@ -196,10 +198,47 @@ impl Fe {
     }
 
     /// Multiplicative inverse via Fermat: a^(p−2) = a^(2^255 − 21), by
-    /// the ref10 chain (254 squarings, 11 multiplications). Maps 0 to 0.
-    pub fn invert(self) -> Fe {
+    /// the ref10 chain (254 squarings, 11 multiplications): the reference
+    /// `invert` is tested against.
+    #[cfg(test)]
+    fn invert_fermat(self) -> Fe {
         let (z_250_0, z11) = self.pow_2_250_1();
         z_250_0.square_n(5).mul(z11)
+    }
+
+    /// Multiplicative inverse by safegcd (Bernstein & Yang 2019, "Fast
+    /// constant-time gcd computation and modular inversion"), in the
+    /// variable-time form of libsecp256k1's `modinv64_var`: batches of 62
+    /// divsteps on `(f, g) = (p, self)`, each applied to `(f, g)` and to
+    /// the Bézout coefficients `(d, e)` as one 2×2 matrix, until `g = 0`;
+    /// then `d = ±self^−1`. Maps 0 to 0.
+    pub fn invert(self) -> Fe {
+        let mut d = [0i64; 5];
+        let mut e = [1i64, 0, 0, 0, 0];
+        let mut f = P62;
+        let mut g = to_signed62(&self.0);
+        // Limbs of f and g still in use; shrinks as they do.
+        let mut len = 5;
+        // η = −δ, with δ = 1 at the start.
+        let mut eta = -1i64;
+        loop {
+            let t;
+            (eta, t) = divsteps_62_var(eta, f[0] as u64, g[0] as u64);
+            update_de_62(&mut d, &mut e, &t);
+            update_fg_62(&mut f[..len], &mut g[..len], &t);
+            if g[..len].iter().all(|&x| x == 0) {
+                break;
+            }
+            // Drop the top limb when it is only sign extension in both.
+            let (fn_, gn) = (f[len - 1], g[len - 1]);
+            if len > 1 && fn_ ^ (fn_ >> 63) == 0 && gn ^ (gn >> 63) == 0 {
+                f[len - 2] |= fn_ << 62;
+                g[len - 2] |= gn << 62;
+                len -= 1;
+            }
+        }
+        // f is now ±gcd(p, self) = ±1, and d = ±self^−1 accordingly.
+        Fe(from_signed62(normalize_62(d, f[len - 1])))
     }
 
     /// a^((p−5)/8) = a^(2^252 − 3), the core of the combined sqrt/division
@@ -251,6 +290,184 @@ pub const D2: Fe = Fe([
     0x198e_80f2_eef3_d130,
     0x2406_d9dc_56df_fce7,
 ]);
+
+/// p in signed 62-bit limbs: −19 + 2^7·2^248.
+const P62: [i64; 5] = [-19, 0, 0, 0, 128];
+/// p^−1 mod 2^62.
+const P_INV62: u64 = 0x3943_5e50_d794_35e5;
+/// The low 62 bits.
+const M62: u64 = u64::MAX >> 2;
+
+/// Reduced limbs as signed 62-bit limbs (all nonnegative).
+fn to_signed62(a: &[u64; 4]) -> [i64; 5] {
+    [
+        a[0] & M62,
+        (a[0] >> 62 | a[1] << 2) & M62,
+        (a[1] >> 60 | a[2] << 4) & M62,
+        (a[2] >> 58 | a[3] << 6) & M62,
+        a[3] >> 56,
+    ]
+    .map(|x| x as i64)
+}
+
+/// Signed 62-bit limbs of a value in `[0, p)`, normalised, as u64 limbs.
+fn from_signed62(v: [i64; 5]) -> [u64; 4] {
+    let v = v.map(|x| x as u64);
+    [
+        v[0] | v[1] << 62,
+        v[1] >> 2 | v[2] << 60,
+        v[2] >> 4 | v[3] << 58,
+        v[3] >> 6 | v[4] << 56,
+    ]
+}
+
+/// The transition matrix of 62 divsteps, scaled by 2^62: it maps
+/// `(f, g)` to `2^62·(f', g') = (u·f + v·g, q·f + r·g)`.
+struct Trans {
+    u: i64,
+    v: i64,
+    q: i64,
+    r: i64,
+}
+
+/// 62 divsteps on the low 64 bits of `(f, g)` (f odd), starting from
+/// `eta`; returns the new `eta` and the transition matrix. Runs of zero
+/// bits in g are skipped at once, and each other step cancels up to 6
+/// (η < 0) or 4 (η ≥ 0) low bits of g with one multiple of f.
+fn divsteps_62_var(mut eta: i64, f0: u64, g0: u64) -> (i64, Trans) {
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let (mut f, mut g) = (f0, g0);
+    // Divsteps left in this batch.
+    let mut i = 62u32;
+    loop {
+        // A sentinel bit stops the count at i.
+        let zeros = (g | u64::MAX << i).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= i64::from(zeros);
+        i -= zeros;
+        if i == 0 {
+            break;
+        }
+        debug_assert!(f & 1 == 1 && g & 1 == 1);
+        let (m, w);
+        if eta < 0 {
+            // δ > 0 and g odd: swap, (f, g) = (g, −f).
+            eta = -eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+            // Cancel up to 6 bits of g, no more than i, and no more than
+            // η + 1 (after that η changes sign again).
+            let limit = (eta + 1).min(i64::from(i)) as u32;
+            m = (u64::MAX >> (64 - limit)) & 63;
+            // w = −g/f mod 2^6.
+            w = f
+                .wrapping_mul(g)
+                .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2))
+                & m;
+        } else {
+            // Here η is usually small: cancel up to 4 bits.
+            let limit = (eta + 1).min(i64::from(i)) as u32;
+            m = (u64::MAX >> (64 - limit)) & 15;
+            // w = −g/f mod 2^4.
+            let f_inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+            w = f_inv.wrapping_neg().wrapping_mul(g) & m;
+        }
+        g = g.wrapping_add(f.wrapping_mul(w));
+        q = q.wrapping_add(u.wrapping_mul(w));
+        r = r.wrapping_add(v.wrapping_mul(w));
+        debug_assert!(g & m == 0);
+    }
+    let t = Trans {
+        u: u as i64,
+        v: v as i64,
+        q: q as i64,
+        r: r as i64,
+    };
+    (eta, t)
+}
+
+/// `(d, e) = t·(d, e) / 2^62 mod p`, keeping both in `(−2p, p)`: a
+/// multiple of p chosen to clear the low 62 bits is added before the
+/// shift, and one more when the input was negative.
+fn update_de_62(d: &mut [i64; 5], e: &mut [i64; 5], t: &Trans) {
+    let (u, v, q, r) = (t.u as i128, t.v as i128, t.q as i128, t.r as i128);
+    // Start with p·(t·[sd, se]) for the sign masks of d and e.
+    let (sd, se) = (d[4] >> 63, e[4] >> 63);
+    let mut md = (t.u & sd) + (t.v & se);
+    let mut me = (t.q & sd) + (t.r & se);
+    let mut cd = u * d[0] as i128 + v * e[0] as i128;
+    let mut ce = q * d[0] as i128 + r * e[0] as i128;
+    // Make t·[d, e] + p·[md, me] divisible by 2^62.
+    md -= (P_INV62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
+    me -= (P_INV62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
+    cd += P62[0] as i128 * md as i128;
+    ce += P62[0] as i128 * me as i128;
+    debug_assert!(cd as u64 & M62 == 0 && ce as u64 & M62 == 0);
+    cd >>= 62;
+    ce >>= 62;
+    for i in 1..5 {
+        cd += u * d[i] as i128 + v * e[i] as i128 + P62[i] as i128 * md as i128;
+        ce += q * d[i] as i128 + r * e[i] as i128 + P62[i] as i128 * me as i128;
+        d[i - 1] = (cd as u64 & M62) as i64;
+        e[i - 1] = (ce as u64 & M62) as i64;
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d[4] = cd as i64;
+    e[4] = ce as i64;
+}
+
+/// `(f, g) = t·(f, g) / 2^62` over the limbs in use (exact: the matrix
+/// clears the low 62 bits of both).
+fn update_fg_62(f: &mut [i64], g: &mut [i64], t: &Trans) {
+    let (u, v, q, r) = (t.u as i128, t.v as i128, t.q as i128, t.r as i128);
+    let mut cf = u * f[0] as i128 + v * g[0] as i128;
+    let mut cg = q * f[0] as i128 + r * g[0] as i128;
+    debug_assert!(cf as u64 & M62 == 0 && cg as u64 & M62 == 0);
+    cf >>= 62;
+    cg >>= 62;
+    for i in 1..f.len() {
+        cf += u * f[i] as i128 + v * g[i] as i128;
+        cg += q * f[i] as i128 + r * g[i] as i128;
+        f[i - 1] = (cf as u64 & M62) as i64;
+        g[i - 1] = (cg as u64 & M62) as i64;
+        cf >>= 62;
+        cg >>= 62;
+    }
+    let top = f.len() - 1;
+    f[top] = cf as i64;
+    g[top] = cg as i64;
+}
+
+/// Bring `d` from `(−2p, p)` to `[0, p)`, negated first if `sign < 0`.
+fn normalize_62(mut d: [i64; 5], sign: i64) -> [i64; 5] {
+    let add_p = |d: &mut [i64; 5]| {
+        if d[4] < 0 {
+            for (x, m) in d.iter_mut().zip(P62) {
+                *x += m;
+            }
+        }
+    };
+    let carry = |d: &mut [i64; 5]| {
+        for i in 0..4 {
+            d[i + 1] += d[i] >> 62;
+            d[i] &= M62 as i64;
+        }
+    };
+    // (−2p, p) → (−p, p), then negate if asked; limbs stay in (−2^63, 2^63).
+    add_p(&mut d);
+    if sign < 0 {
+        d = d.map(|x| -x);
+    }
+    carry(&mut d);
+    // (−p, p) → [0, p).
+    add_p(&mut d);
+    carry(&mut d);
+    d
+}
 
 /// Invert every element of `xs` in place with a single field inversion
 /// (Montgomery's trick: 3 multiplications per element). No element may
@@ -467,8 +684,20 @@ mod tests {
     fn fast_paths_match_references_on_edge_elements() {
         for a in edge_elements() {
             assert_eq!(a.square(), a.mul(a), "square {a:?}");
-            assert_eq!(a.invert(), a.pow_limbs(&P_MINUS_2), "invert {a:?}");
+            assert_eq!(a.invert_fermat(), a.pow_limbs(&P_MINUS_2), "chain {a:?}");
+            assert_eq!(a.invert(), a.invert_fermat(), "invert {a:?}");
             assert_eq!(a.pow_p58(), a.pow_limbs(&P_MINUS_5_OVER_8), "pow_p58 {a:?}");
+        }
+    }
+
+    #[test]
+    fn invert_matches_fermat_at_both_ends_of_the_field() {
+        let p_minus_300 = Fe(P).sub(fe(300));
+        for n in 0..300 {
+            let low = fe(n);
+            assert_eq!(low.invert(), low.invert_fermat(), "{n}");
+            let high = p_minus_300.add(fe(n));
+            assert_eq!(high.invert(), high.invert_fermat(), "p − 300 + {n}");
         }
     }
 
@@ -494,7 +723,8 @@ mod tests {
         #[test]
         fn chains_match_pow_limbs(b in any::<[u8; 32]>()) {
             let a = Fe::from_bytes(&b);
-            prop_assert_eq!(a.invert(), a.pow_limbs(&P_MINUS_2));
+            prop_assert_eq!(a.invert_fermat(), a.pow_limbs(&P_MINUS_2));
+            prop_assert_eq!(a.invert(), a.invert_fermat());
             prop_assert_eq!(a.pow_p58(), a.pow_limbs(&P_MINUS_5_OVER_8));
         }
     }

@@ -40,6 +40,9 @@ cargo test -q --offline -p dri-broker token_cache
 cargo test -q --offline -p dri-policy trust
 cargo test -q --offline -p isambard-dri --test token_cache
 
+echo "== crypto differential: every fast path against its slow reference, RFC 8032/7748 vectors =="
+cargo test -q --offline -p dri-crypto
+
 echo "== crypto op-count gate: Ed25519 signs/verifies per flow pinned exactly =="
 cargo test -q --offline -p isambard-dri --test crypto_op_counts
 
