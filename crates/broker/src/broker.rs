@@ -8,7 +8,7 @@ use std::sync::Arc;
 use dri_clock::{IdGen, SimClock};
 use dri_crypto::ed25519::{PreparedVerifyingKey, SigningKey};
 use dri_crypto::json::Value;
-use dri_crypto::jwt::{self, Claims, Signer, Validation, Verifier};
+use dri_crypto::jwt::{self, Claims, Signer, Validation};
 use dri_federation::assertion::{Assertion, AssertionError};
 use dri_federation::metadata::{EntityKind, FederationRegistry};
 use dri_federation::types::LevelOfAssurance;
@@ -166,7 +166,7 @@ pub struct Jwks {
     /// validation. Every service holding this snapshot reaches the same
     /// cache, so a token verified (or seeded at signing) anywhere in the
     /// trust domain is a hit everywhere else.
-    cache: Option<Arc<TokenCache>>,
+    cache: Arc<TokenCache>,
 }
 
 impl Jwks {
@@ -185,10 +185,7 @@ impl Jwks {
             now: now_secs,
             leeway: 0,
         };
-        match &self.cache {
-            Some(cache) => cache.validate(&kid, key, token, &validation),
-            None => jwt::verify(token, &Verifier::Ed25519Prepared(key), &validation),
-        }
+        self.cache.validate(&kid, key, token, &validation)
     }
 
     /// Number of published keys.
@@ -320,7 +317,7 @@ impl IdentityBroker {
             issuer: issuer.clone(),
             epoch: 0,
             keys: ring.prepared_keys(&HashMap::new()),
-            cache: Some(token_cache.clone()),
+            cache: token_cache.clone(),
         };
         IdentityBroker {
             issuer,
@@ -394,7 +391,7 @@ impl IdentityBroker {
             issuer: self.issuer.clone(),
             epoch,
             keys,
-            cache: Some(self.token_cache.clone()),
+            cache: self.token_cache.clone(),
         });
     }
 

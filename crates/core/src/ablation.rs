@@ -89,41 +89,47 @@ impl PerimeterBaseline {
     /// on the login node, then enumerates everything the flat network
     /// allows. Shared-group storage means every project is exposed.
     pub fn blast_radius(&self) -> BlastRadius {
-        let foothold = "mdc/login01";
-        let mut reachable = 0usize;
-        let mut mgmt = 0usize;
-        let mut storage = 0usize;
-        for host in self.network.host_ids() {
-            if host == foothold || host.starts_with("internet") {
-                continue;
-            }
-            let services = self
-                .network
-                .host(&host)
-                .map(|h| h.services)
-                .unwrap_or_default();
-            for service in services {
-                if self.network.check(foothold, &host, &service).is_ok() {
-                    reachable += 1;
-                    if host.contains("mgmt") || service == "admin-api" {
-                        mgmt += 1;
-                    }
-                    if service == "lustre" {
-                        storage += 1;
-                    }
+        // Long-lived authorized_keys entry: usable until someone
+        // notices — effectively unbounded. Flat POSIX groups: every
+        // project's data is on the same FS.
+        blast_radius_from_login(&self.network, u64::MAX, self.project_count)
+    }
+}
+
+/// Walk everything an attacker on the login node can dial: every
+/// non-internet `(host, service)` pair `network` allows from there.
+fn blast_radius_from_login(
+    network: &Network,
+    exposure_secs: u64,
+    projects_exposed: usize,
+) -> BlastRadius {
+    let foothold = "mdc/login01";
+    let mut reachable = 0usize;
+    let mut mgmt = 0usize;
+    let mut storage = 0usize;
+    for host in network.host_ids() {
+        if host == foothold || host.starts_with("internet") {
+            continue;
+        }
+        let services = network.host(&host).map(|h| h.services).unwrap_or_default();
+        for service in services {
+            if network.check(foothold, &host, &service).is_ok() {
+                reachable += 1;
+                if host.contains("mgmt") || service == "admin-api" {
+                    mgmt += 1;
+                }
+                if service == "lustre" {
+                    storage += 1;
                 }
             }
         }
-        BlastRadius {
-            reachable_services: reachable,
-            management_reachable: mgmt,
-            storage_reachable: storage,
-            // Long-lived authorized_keys entry: usable until someone
-            // notices — effectively unbounded.
-            exposure_secs: u64::MAX,
-            // Flat POSIX groups: every project's data is on the same FS.
-            projects_exposed: self.project_count,
-        }
+    }
+    BlastRadius {
+        reachable_services: reachable,
+        management_reachable: mgmt,
+        storage_reachable: storage,
+        exposure_secs,
+        projects_exposed,
     }
 }
 
@@ -133,40 +139,13 @@ impl Infrastructure {
     /// ssh surface as the certified principals, until the certificate
     /// expires; segmentation stops everything else.
     pub fn zta_blast_radius(&self, stolen_cert_principals: usize) -> BlastRadius {
-        let foothold = "mdc/login01";
-        let mut reachable = 0usize;
-        let mut mgmt = 0usize;
-        let mut storage = 0usize;
-        for host in self.network.host_ids() {
-            if host == foothold || host.starts_with("internet") {
-                continue;
-            }
-            let services = self
-                .network
-                .host(&host)
-                .map(|h| h.services)
-                .unwrap_or_default();
-            for service in services {
-                if self.network.check(foothold, &host, &service).is_ok() {
-                    reachable += 1;
-                    if host.contains("mgmt") || service == "admin-api" {
-                        mgmt += 1;
-                    }
-                    if service == "lustre" {
-                        storage += 1;
-                    }
-                }
-            }
-        }
-        BlastRadius {
-            reachable_services: reachable,
-            management_reachable: mgmt,
-            storage_reachable: storage,
-            exposure_secs: self.config.cert_ttl_secs,
-            // Unique per-project UNIX accounts: only the projects named
-            // as principals on the stolen certificate.
-            projects_exposed: stolen_cert_principals,
-        }
+        // Unique per-project UNIX accounts: only the projects named as
+        // principals on the stolen certificate.
+        blast_radius_from_login(
+            &self.network,
+            self.config.cert_ttl_secs,
+            stolen_cert_principals,
+        )
     }
 }
 
@@ -177,24 +156,40 @@ mod tests {
 
     #[test]
     fn perimeter_blast_radius_is_everything() {
-        let baseline = PerimeterBaseline::new(SimClock::new(), 20);
-        let br = baseline.blast_radius();
-        assert!(br.management_reachable >= 1, "flat net exposes mgmt");
-        assert!(br.storage_reachable >= 1, "flat net exposes storage");
-        assert_eq!(br.projects_exposed, 20, "shared FS exposes all projects");
-        assert_eq!(br.exposure_secs, u64::MAX, "long-lived keys never expire");
+        // The flat network exposes the whole interior from the login
+        // node: 5 services, 2 of them management, 1 storage; the shared
+        // FS exposes every hosted project; long-lived keys never expire.
+        for hosted in [5, 20, 100] {
+            let br = PerimeterBaseline::new(SimClock::new(), hosted).blast_radius();
+            assert_eq!(
+                br,
+                BlastRadius {
+                    reachable_services: 5,
+                    management_reachable: 2,
+                    storage_reachable: 1,
+                    exposure_secs: u64::MAX,
+                    projects_exposed: hosted,
+                }
+            );
+        }
     }
 
     #[test]
     fn zta_blast_radius_is_contained() {
+        // Segmentation leaves the HPC zone's 4 services (storage among
+        // them) and no management endpoint; only the stolen cert's
+        // project, only until the cert expires.
         let infra = Infrastructure::new(InfraConfig::default());
-        let br = infra.zta_blast_radius(1);
         assert_eq!(
-            br.management_reachable, 0,
-            "mgmt zone unreachable from HPC foothold"
+            infra.zta_blast_radius(1),
+            BlastRadius {
+                reachable_services: 4,
+                management_reachable: 0,
+                storage_reachable: 1,
+                exposure_secs: infra.config.cert_ttl_secs,
+                projects_exposed: 1,
+            }
         );
-        assert_eq!(br.projects_exposed, 1, "only the stolen cert's project");
-        assert_eq!(br.exposure_secs, infra.config.cert_ttl_secs);
     }
 
     #[test]

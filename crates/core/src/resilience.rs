@@ -13,12 +13,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dri_fault::{
-    BreakerConfig, BudgetConfig, CircuitBreakers, ErrorBudgets, FaultPlan, FaultPlane, RetryPolicy,
+    stage_of, BreakerConfig, BudgetConfig, CircuitBreakers, ErrorBudgets, FaultPlan, FaultPlane,
+    RetryPolicy,
 };
 use dri_federation::idp::AuthnError;
 use dri_federation::proxy::ProxyError;
 use dri_siem::events::{EventKind, Severity};
-use dri_trace::Stage;
 use parking_lot::RwLock;
 
 use crate::flows::FlowError;
@@ -206,21 +206,6 @@ impl std::fmt::Display for IdpHop {
             IdpHop::Idp(e) => write!(f, "{e}"),
             IdpHop::Proxy(e) => write!(f, "{e}"),
         }
-    }
-}
-
-/// The trace stage a dependency's retry spans belong to.
-fn stage_of(dependency: &str) -> Stage {
-    match dependency {
-        "idp" | "proxy" => Stage::Discovery,
-        "broker" => Stage::Broker,
-        "sshca" => Stage::SshCa,
-        "bastion" => Stage::Bastion,
-        "edge" => Stage::Edge,
-        "tunnel" => Stage::Tunnel,
-        "slurm" | "login" => Stage::Cluster,
-        "tailnet" => Stage::Tailnet,
-        _ => Stage::Flow,
     }
 }
 

@@ -41,7 +41,7 @@ pub use breaker::{
 };
 pub use budget::{BudgetConfig, BudgetWindow, ErrorBudgets};
 pub use hook::FaultHook;
-pub use plan::{FaultKind, FaultPlan, FaultPlane, FaultSpec, InjectedFault};
+pub use plan::{stage_of, FaultKind, FaultPlan, FaultPlane, FaultSpec, InjectedFault};
 pub use retry::RetryPolicy;
 
 /// splitmix64 finalizer: the shared bit mixer behind fault ids, flaky

@@ -220,21 +220,6 @@ impl FaultPlane {
         spec.component == category
     }
 
-    /// The trace stage latency spans of `component` belong to.
-    fn stage_of(component: &str) -> dri_trace::Stage {
-        match component.split(':').next().unwrap_or(component) {
-            "idp" | "proxy" => dri_trace::Stage::Discovery,
-            "broker" => dri_trace::Stage::Broker,
-            "sshca" => dri_trace::Stage::SshCa,
-            "bastion" => dri_trace::Stage::Bastion,
-            "edge" => dri_trace::Stage::Edge,
-            "tunnel" => dri_trace::Stage::Tunnel,
-            "slurm" | "login" => dri_trace::Stage::Cluster,
-            "tailnet" => dri_trace::Stage::Tailnet,
-            _ => dri_trace::Stage::Flow,
-        }
-    }
-
     /// Consult the plane at a hop of `component`. `Ok(())` lets the call
     /// proceed; `Err` means the active fault fires here. On failure the
     /// fault id and component are attached to the innermost open trace
@@ -264,7 +249,7 @@ impl FaultPlane {
                     for _ in 0..n {
                         let _s = dri_trace::span_with(
                             "fault.latency",
-                            Self::stage_of(component),
+                            stage_of(component),
                             &[("fault.component", component), ("fault.id", &fault_id)],
                         );
                     }
@@ -332,6 +317,23 @@ impl std::fmt::Debug for FaultPlane {
             .field("enabled", &self.enabled())
             .field("failures_injected", &self.failures_injected())
             .finish()
+    }
+}
+
+/// The trace stage a component's spans belong to: its `fault.latency`
+/// spans here and its `retry.backoff` spans in `dri-core`. A
+/// `category:instance` id maps by its category.
+pub fn stage_of(component: &str) -> dri_trace::Stage {
+    match component.split(':').next().unwrap_or(component) {
+        "idp" | "proxy" => dri_trace::Stage::Discovery,
+        "broker" => dri_trace::Stage::Broker,
+        "sshca" => dri_trace::Stage::SshCa,
+        "bastion" => dri_trace::Stage::Bastion,
+        "edge" => dri_trace::Stage::Edge,
+        "tunnel" => dri_trace::Stage::Tunnel,
+        "slurm" | "login" => dri_trace::Stage::Cluster,
+        "tailnet" => dri_trace::Stage::Tailnet,
+        _ => dri_trace::Stage::Flow,
     }
 }
 

@@ -8,20 +8,30 @@
 //! lazily by any accessor ([`Siem::alerts`], [`Siem::event_count`], …)
 //! or explicitly via [`Siem::flush`], so every read still observes
 //! exactly the events enqueued before it.
+//!
+//! One drain runs at a time: a private mutex is held from dequeuing a
+//! batch through state update, taps and external monitors. A reader
+//! whose flush finds the queue empty therefore still waits for a batch
+//! another thread dequeued but has not finished processing. Taps and
+//! monitors run under that mutex, so they must not call back into the
+//! SIEM.
 
 use std::collections::{HashMap, VecDeque};
 
 use crossbeam::channel::{self, TrySendError};
 use dri_clock::{IdGen, SimClock};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::events::{EventKind, SecurityEvent, Severity};
 
 /// Callback notified for every raised alert (the external 24/7 monitor).
+/// Runs while the SIEM drains a batch; it must not call back into the
+/// SIEM.
 pub type AlertSink = Box<dyn Fn(&Alert) + Send + Sync>;
 
 /// Callback invoked for every drained event (e.g. the rate-anomaly
-/// detector taps the stream at batch-drain time).
+/// detector taps the stream at batch-drain time). Runs while the SIEM
+/// drains a batch; it must not call back into the SIEM.
 pub type IngestTap = Box<dyn Fn(&SecurityEvent) + Send + Sync>;
 
 /// Capacity of the bounded ingest queue. A full queue makes the
@@ -126,6 +136,10 @@ pub struct Siem {
     taps: RwLock<Vec<IngestTap>>,
     ingest_tx: channel::Sender<SecurityEvent>,
     ingest_rx: channel::Receiver<SecurityEvent>,
+    /// Held from dequeuing a batch until its taps and monitors have
+    /// run, so a flush that finds the queue empty cannot overtake a
+    /// batch still in flight on another thread.
+    drain: Mutex<()>,
     ids: IdGen,
 }
 
@@ -141,6 +155,7 @@ impl Siem {
             taps: RwLock::new(Vec::new()),
             ingest_tx,
             ingest_rx,
+            drain: Mutex::new(()),
             ids: IdGen::new("alert"),
         }
     }
@@ -172,6 +187,7 @@ impl Siem {
                 Err(TrySendError::Disconnected(back)) => {
                     // The receiver lives as long as the SIEM; process
                     // inline if it is somehow gone.
+                    let _drain = self.drain.lock();
                     self.process_batch(vec![back]);
                     return;
                 }
@@ -181,12 +197,17 @@ impl Siem {
 
     /// Drain everything queued and run detection, merging the batch into
     /// state under a single lock acquisition. Returns alerts raised by
-    /// the drained events.
+    /// the drained events. Waits for any batch another thread is still
+    /// draining, so on return every event enqueued before the call has
+    /// been stored, tapped and alerted on.
     pub fn flush(&self) -> Vec<Alert> {
+        let _drain = self.drain.lock();
+        self.drain_queue()
+    }
+
+    /// Dequeue and process one batch; the caller holds `drain`.
+    fn drain_queue(&self) -> Vec<Alert> {
         let mut batch: Vec<SecurityEvent> = self.ingest_rx.try_iter().collect();
-        if batch.is_empty() {
-            return Vec::new();
-        }
         // Merge concurrent producers into timeline order; the sort is
         // stable, so same-timestamp events keep their queue order.
         batch.sort_by_key(|e| e.at_ms);
@@ -202,7 +223,8 @@ impl Siem {
     /// each. Queued events are drained first so the timeline stays in
     /// order; the returned alerts are those raised by `events`.
     pub fn ingest(&self, events: Vec<SecurityEvent>) -> Vec<Alert> {
-        self.flush();
+        let _drain = self.drain.lock();
+        self.drain_queue();
         self.process_batch(events)
     }
 
@@ -386,7 +408,7 @@ impl Siem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn siem() -> (Siem, SimClock) {
@@ -651,5 +673,38 @@ mod tests {
         }
         siem.ingest(vec![failure(clock.now_ms(), "maid-2")]);
         assert_eq!(seen.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn flush_waits_for_a_batch_another_thread_is_draining() {
+        let (siem, clock) = siem();
+        let entered = Arc::new(AtomicBool::new(false));
+        let tapped = Arc::new(AtomicBool::new(false));
+        {
+            let (entered, tapped) = (entered.clone(), tapped.clone());
+            siem.register_tap(Box::new(move |_event| {
+                entered.store(true, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                tapped.store(true, Ordering::SeqCst);
+            }));
+        }
+        clock.advance(10);
+        siem.enqueue(failure(clock.now_ms(), "maid-1"));
+        std::thread::scope(|scope| {
+            scope.spawn(|| siem.flush());
+            while !entered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            // The other thread has dequeued the event and sits in its
+            // tap: the queue is empty, yet this flush must not return
+            // before that batch is fully processed.
+            assert_eq!(siem.pending(), 0);
+            siem.flush();
+            assert!(
+                tapped.load(Ordering::SeqCst),
+                "flush returned before the in-flight batch was tapped"
+            );
+        });
+        assert_eq!(siem.events_ingested(), 1);
     }
 }

@@ -71,8 +71,8 @@ pub struct SshCa {
     clock: SimClock,
     jwks: Snapshot<Jwks>,
     authz: Arc<dyn AuthorizationSource>,
-    /// Certificate lifetime in seconds (short-lived by design; the E12
-    /// experiment sweeps this).
+    /// Certificate lifetime in seconds (short-lived by design; fixed at
+    /// construction from the deployment config).
     pub cert_ttl_secs: u64,
     serial: AtomicU64,
     /// Optional revocation check callback into the broker.
@@ -132,11 +132,6 @@ impl SshCa {
     /// new key is distributed — a coarse kill switch).
     pub fn rotate_key(&self, seed: [u8; 32]) {
         *self.ca_key.write() = SigningKey::from_seed(&seed);
-    }
-
-    /// Change certificate TTL (E12 sweeps this).
-    pub fn set_cert_ttl(&mut self, ttl_secs: u64) {
-        self.cert_ttl_secs = ttl_secs;
     }
 
     /// Sign a user's SSH public key after validating their `ssh-ca` token.

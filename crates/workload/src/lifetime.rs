@@ -27,9 +27,9 @@ pub struct LifetimePoint {
 /// Sweep credential lifetimes for a `work_secs`-long day.
 ///
 /// `exposure_weight` converts an hour of mean exposure into the
-/// equivalent annoyance of one re-authentication; the default used by
-/// the E12 bench is 2.0 (an hour of stolen-credential exposure is twice
-/// as bad as one extra login).
+/// equivalent annoyance of one re-authentication; E12 uses 2.0 (an
+/// hour of stolen-credential exposure is twice as bad as one extra
+/// login).
 pub fn sweep_lifetimes(
     ttls_secs: &[u64],
     work_secs: u64,
@@ -83,17 +83,22 @@ mod tests {
 
     #[test]
     fn crossover_favours_hours_not_extremes() {
-        // With exposure weighted at 2 reauth-equivalents/hour, the best
-        // TTL is neither 1 minute (reauth hell) nor 1 week (exposure).
-        let ttls: Vec<u64> = vec![60, 900, 3600, 4 * 3600, 8 * 3600, 24 * 3600, 7 * 24 * 3600];
+        // The E12 sweep, 1 min to 30 days, with exposure weighted at 2
+        // reauth-equivalents/hour: the knee is 4 h, neither 1 minute
+        // (reauth hell) nor a week or a month (exposure).
+        let ttls: Vec<u64> = vec![
+            60,
+            300,
+            900,
+            3600,
+            4 * 3600,
+            8 * 3600,
+            24 * 3600,
+            7 * 24 * 3600,
+            30 * 24 * 3600,
+        ];
         let points = sweep_lifetimes(&ttls, DAY, 2.0);
-        let best = best_lifetime(&points).unwrap();
-        assert!(best.ttl_secs >= 3600, "not re-auth hell: {}", best.ttl_secs);
-        assert!(
-            best.ttl_secs <= 24 * 3600,
-            "not unlimited exposure: {}",
-            best.ttl_secs
-        );
+        assert_eq!(best_lifetime(&points).unwrap().ttl_secs, 4 * 3600);
     }
 
     #[test]

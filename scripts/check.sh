@@ -4,6 +4,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== docs cite only files that exist =="
+# `tests/x.rs`, `crates/c/tests/x.rs` and `examples/x.rs` are paths from
+# the repo root; `benches/x.rs` and `bench x` name a dri-bench target.
+docs=(README.md DESIGN.md EXPERIMENTS.md)
+cited=$(
+    {
+        grep -ohE '(crates/[a-z_]+/)?(tests|examples)/[a-z0-9_]+\.rs' "${docs[@]}" || true
+        { grep -ohE 'benches/[a-z0-9_]+\.rs|bench [a-z0-9_]+`' "${docs[@]}" || true; } |
+            sed -E 's/^bench ([a-z0-9_]+)`$/benches\/\1.rs/; s/^/crates\/bench\//'
+    } | sort -u
+)
+missing=0
+for path in $cited; do
+    [ -f "$path" ] || { echo "cited but missing: $path"; missing=1; }
+done
+[ "$missing" = 0 ]
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

@@ -87,10 +87,13 @@ fn matrix_shape_is_stable() {
     let a = infra().reachability_matrix();
     let b = infra().reachability_matrix();
     assert_eq!(a, b);
-    // Expected scale: 13 hosts, ~15 services across destinations.
-    assert!(a.len() >= 150, "matrix has {} entries", a.len());
+    // Exact scale: 13 hosts, 168 (src, dst, service) entries, of which
+    // the allow rules open 26 and default-deny closes 142.
+    assert_eq!(infra().network.host_ids().len(), 13);
+    assert_eq!(a.len(), 168, "matrix entries");
     let allowed = a.iter().filter(|(_, _, _, ok)| *ok).count();
     let denied = a.len() - allowed;
+    assert_eq!((allowed, denied), (26, 142), "allowed / denied entries");
     assert!(
         denied as f64 / a.len() as f64 > 0.6,
         "default-deny: {denied}/{} denied",
