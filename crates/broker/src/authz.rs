@@ -22,7 +22,9 @@ pub trait AuthorizationSource: Send + Sync {
 
     /// Project-scoped UNIX accounts for the subject (used by the SSH CA:
     /// one unique UNIX user per user-per-project, per the paper's ZTA
-    /// requirement). Pairs of `(project_id, unix_account)`.
+    /// requirement). Pairs of `(project_name, unix_account)`: the
+    /// project's human name, not its id, which is what story 6 and the
+    /// scheduler-outage drill match on.
     fn unix_accounts(&self, subject: &str) -> Vec<(String, String)>;
 }
 

@@ -177,6 +177,18 @@ impl Jwks {
         audience: &str,
         now_secs: u64,
     ) -> Result<Claims, jwt::JwtError> {
+        self.validate_shared(token, audience, now_secs)
+            .map(Arc::unwrap_or_clone)
+    }
+
+    /// [`Jwks::validate`], returning the claims shared with the token
+    /// cache instead of a copy of them.
+    pub fn validate_shared(
+        &self,
+        token: &str,
+        audience: &str,
+        now_secs: u64,
+    ) -> Result<Arc<Claims>, jwt::JwtError> {
         let kid = jwt::peek_kid(token).ok_or(jwt::JwtError::Malformed)?;
         let key = self.keys.get(&kid).ok_or(jwt::JwtError::BadSignature)?;
         let validation = Validation {
@@ -185,7 +197,7 @@ impl Jwks {
             now: now_secs,
             leeway: 0,
         };
-        self.cache.validate(&kid, key, token, &validation)
+        self.cache.validate_shared(&kid, key, token, &validation)
     }
 
     /// Number of published keys.
@@ -516,6 +528,18 @@ impl IdentityBroker {
         audience: &str,
         extra: Vec<(String, Value)>,
     ) -> Result<(String, Claims), BrokerError> {
+        self.issue_token_shared(session_id, audience, extra)
+            .map(|(token, claims)| (token, Arc::unwrap_or_clone(claims)))
+    }
+
+    /// [`IdentityBroker::issue_token_with_extra`], returning the claims
+    /// shared with the token cache's seed entry instead of a copy.
+    pub fn issue_token_shared(
+        &self,
+        session_id: &str,
+        audience: &str,
+        extra: Vec<(String, Value)>,
+    ) -> Result<(String, Arc<Claims>), BrokerError> {
         let _span = dri_trace::span_with(
             "broker.issue_token",
             dri_trace::Stage::Broker,
@@ -526,66 +550,69 @@ impl IdentityBroker {
             .map_err(|_| BrokerError::Unavailable)?;
         let _coarse = self.coarse_write();
         let now = self.clock.now_secs();
-        let session = self
+        // Copy out only what the token needs; the session stays in its
+        // shard.
+        let (subject, acr, source, loa, expires_at) = self
             .sessions
-            .get_cloned(session_id)
+            .with(session_id, |s| {
+                (
+                    s.subject.clone(),
+                    s.acr.clone(),
+                    s.source,
+                    s.loa,
+                    s.expires_at,
+                )
+            })
             .ok_or(BrokerError::InvalidSession)?;
-        let policy = self
-            .policies
-            .load()
+        let policies = self.policies.load();
+        let policy = policies
             .get(audience)
-            .cloned()
             .ok_or_else(|| BrokerError::UnknownService(audience.to_string()))?;
-        if now >= session.expires_at {
+        if now >= expires_at {
             return Err(BrokerError::SessionExpired);
         }
-        if self.revoked_subjects.contains(&session.subject) {
+        if self.revoked_subjects.contains(&subject) {
             return Err(BrokerError::SubjectRevoked);
         }
-        if session.loa < policy.min_loa {
+        if loa < policy.min_loa {
             return Err(BrokerError::InsufficientLoa);
         }
         if let Some(required) = &policy.required_acr {
-            if &session.acr != required {
+            if &acr != required {
                 return Err(BrokerError::AcrMismatch);
             }
         }
-        if policy.admin_only && session.source != IdentitySource::AdminIdp {
+        if policy.admin_only && source != IdentitySource::AdminIdp {
             return Err(BrokerError::AdminOnly);
         }
-        let roles = self.authz.roles_for(&session.subject, audience);
+        let roles = self.authz.roles_for(&subject, audience);
         if roles.is_empty() {
             return Err(BrokerError::NoRolesForAudience);
         }
 
-        let mut claims = Claims::new(
-            self.issuer.clone(),
-            session.subject.clone(),
-            audience,
-            now,
-            policy.ttl_secs,
-        );
-        claims.token_id = self.jti_ids.next();
-        claims.session_id = session.session_id.clone();
-        claims.acr = session.acr.clone();
-        claims.roles = roles;
-        claims.extra = extra;
-
         // Count the issue on the subject's shard, record the active
         // token on the jti's shard, and sign off an immutable key-ring
         // snapshot — three independent touch points, no global lock.
-        let shard = shard_index(hash_key(&session.subject), self.tokens_issued.len());
+        let shard = shard_index(hash_key(&subject), self.tokens_issued.len());
         self.tokens_issued[shard].fetch_add(1, Ordering::Relaxed);
-        self.active_tokens.insert(
-            claims.token_id.clone(),
-            (session.subject.clone(), claims.expires_at),
-        );
+        let token_id = self.jti_ids.next();
+        let expires_at = now + policy.ttl_secs;
+        self.active_tokens
+            .insert(token_id.clone(), (subject.clone(), expires_at));
+        let mut claims = Claims::new(self.issuer.clone(), subject, audience, now, policy.ttl_secs);
+        claims.token_id = token_id;
+        claims.session_id = session_id.to_string();
+        claims.acr = acr;
+        claims.roles = roles;
+        claims.extra = extra;
         let ring = self.signer.load();
         let (kid, key) = ring.keys.last().expect("at least one key");
         let token = jwt::sign(&claims, &Signer::Ed25519(key), kid);
         // Issuer and verifiers share a trust domain: seed the verified-
         // token cache at sign time so the first validation is a hit.
-        self.token_cache.seed(kid, &token, &claims);
+        let claims = Arc::new(claims);
+        self.token_cache
+            .seed_shared(kid, &token, Arc::clone(&claims));
         Ok((token, claims))
     }
 
@@ -721,8 +748,19 @@ impl IdentityBroker {
 
     /// Look up a live session.
     pub fn session(&self, session_id: &str) -> Option<SessionInfo> {
+        self.with_session(session_id, SessionInfo::clone)
+    }
+
+    /// Read a live session in place, without cloning it. `f` runs under
+    /// the session's shard lock, so it must not call back into the
+    /// broker.
+    pub fn with_session<R>(
+        &self,
+        session_id: &str,
+        f: impl FnOnce(&SessionInfo) -> R,
+    ) -> Option<R> {
         let _coarse = self.coarse_read();
-        self.sessions.get_cloned(session_id)
+        self.sessions.with(session_id, f)
     }
 
     /// Every live session of `subject`, sorted by session id for

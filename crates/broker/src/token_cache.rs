@@ -27,6 +27,7 @@
 //! already a hit.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use dri_crypto::ed25519::PreparedVerifyingKey;
 use dri_crypto::jwt::{self, Claims, JwtError, Validation, Verifier};
@@ -36,10 +37,12 @@ use dri_sync::ShardMap;
 /// Default shard count for the cache map (power of two).
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
+/// A verified entry. The claims are shared: a hit hands out the `Arc`,
+/// not a deep copy.
 #[derive(Clone)]
 struct CachedVerification {
     epoch: u64,
-    claims: Claims,
+    claims: Arc<Claims>,
 }
 
 /// Sharded verified-token cache with epoch invalidation.
@@ -141,6 +144,14 @@ impl TokenCache {
     /// are trusted by construction, so the verifier's first validation
     /// of these bytes is a hit.
     pub fn seed(&self, kid: &str, token: &str, claims: &Claims) {
+        if self.enabled() {
+            self.seed_shared(kid, token, Arc::new(claims.clone()));
+        }
+    }
+
+    /// [`TokenCache::seed`] with claims the issuer already holds in an
+    /// `Arc`: the entry shares them instead of copying.
+    pub fn seed_shared(&self, kid: &str, token: &str, claims: Arc<Claims>) {
         if !self.enabled() {
             return;
         }
@@ -148,7 +159,7 @@ impl TokenCache {
             TokenCache::cache_key(kid, token),
             CachedVerification {
                 epoch: self.epoch(),
-                claims: claims.clone(),
+                claims,
             },
         );
     }
@@ -166,8 +177,21 @@ impl TokenCache {
         token: &str,
         validation: &Validation,
     ) -> Result<Claims, JwtError> {
+        self.validate_shared(kid, key, token, validation)
+            .map(Arc::unwrap_or_clone)
+    }
+
+    /// [`TokenCache::validate`], returning the claims shared with the
+    /// cache entry instead of a copy of them.
+    pub fn validate_shared(
+        &self,
+        kid: &str,
+        key: &PreparedVerifyingKey,
+        token: &str,
+        validation: &Validation,
+    ) -> Result<Arc<Claims>, JwtError> {
         if !self.enabled() {
-            return jwt::verify(token, &Verifier::Ed25519Prepared(key), validation);
+            return jwt::verify(token, &Verifier::Ed25519Prepared(key), validation).map(Arc::new);
         }
         let cache_key = TokenCache::cache_key(kid, token);
         let epoch = self.epoch();
@@ -190,7 +214,7 @@ impl TokenCache {
                 self.epoch_busts.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let result = jwt::verify(token, &Verifier::Ed25519Prepared(key), validation);
+        let result = jwt::verify(token, &Verifier::Ed25519Prepared(key), validation).map(Arc::new);
         // As in the PDP memo: when concurrent validations of the same
         // bytes all miss, the first insert is the miss and the rest
         // replace its current-epoch entry and count hits.
@@ -200,7 +224,7 @@ impl TokenCache {
                     cache_key,
                     CachedVerification {
                         epoch,
-                        claims: claims.clone(),
+                        claims: Arc::clone(claims),
                     },
                 );
                 matches!(replaced, Some(entry) if entry.epoch == epoch)

@@ -194,8 +194,12 @@ impl IdGen {
 
     /// Next unique id.
     pub fn next(&self) -> String {
+        use std::fmt::Write;
         let n = self.counter.fetch_add(1, Ordering::Relaxed) + 1;
-        format!("{}-{:06}", self.prefix, n)
+        // Sized up front: `format!` would guess short and grow.
+        let mut id = String::with_capacity(self.prefix.len() + 21);
+        let _ = write!(id, "{}-{:06}", self.prefix, n);
+        id
     }
 }
 

@@ -165,7 +165,7 @@ impl JupyterService {
         let claims = self
             .jwks
             .load()
-            .validate(token, &self.audience, now)
+            .validate_shared(token, &self.audience, now)
             .map_err(JupyterError::BadToken)?;
         if let Some(check) = &self.introspect {
             if !check(&claims.token_id) {

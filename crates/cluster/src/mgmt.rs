@@ -139,7 +139,7 @@ impl ManagementPlane {
         let claims = self
             .jwks
             .load()
-            .validate(token, &self.audience, now)
+            .validate_shared(token, &self.audience, now)
             .map_err(MgmtError::BadToken)?;
         if !claims.has_role("sysadmin") {
             return Err(MgmtError::RoleMissing);

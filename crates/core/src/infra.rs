@@ -881,6 +881,18 @@ impl Infrastructure {
         audience: &str,
         extra: Vec<(String, Value)>,
     ) -> Result<(String, Claims), FlowError> {
+        self.token_for_shared(label, audience, extra)
+            .map(|(token, claims)| (token, Arc::unwrap_or_clone(claims)))
+    }
+
+    /// [`Infrastructure::token_for`], returning the claims shared with
+    /// the broker's token cache instead of a copy.
+    pub(crate) fn token_for_shared(
+        &self,
+        label: &str,
+        audience: &str,
+        extra: Vec<(String, Value)>,
+    ) -> Result<(String, Arc<Claims>), FlowError> {
         let session_id = {
             let users = self.users.read();
             users
@@ -898,7 +910,7 @@ impl Infrastructure {
             },
             || {
                 self.broker
-                    .issue_token_with_extra(&session_id, audience, extra.clone())
+                    .issue_token_shared(&session_id, audience, extra.clone())
             },
         )?;
         self.emit(

@@ -268,8 +268,9 @@ impl Infrastructure {
 
         // PDP gate (tenet 4): dynamic decision before touching the CA.
         // Official-class projects attract the Elevated threshold.
-        let sensitivity = self.project_sensitivity(label, project_name);
-        self.consult_pdp_for(label, "ssh-ca", sensitivity)?;
+        let subject = self.subject_of(label);
+        let sensitivity = self.project_sensitivity(subject.as_deref(), project_name);
+        self.consult_pdp_for(label, &session_id, "ssh-ca", sensitivity)?;
         trace.push("pdp: dynamic access decision");
 
         // Take the user's SSH client out (create on first use).
@@ -368,9 +369,9 @@ impl Infrastructure {
         let label = label.as_str();
         let _flow = dri_trace::flow(&self.tracer, label, "story5.privileged_op", Stage::Flow);
         let mut trace = Vec::with_capacity(8);
-        let _session = self.session_of(label)?;
+        let session_id = self.session_of(label)?;
 
-        self.consult_pdp_for(label, "mgmt-cluster", Sensitivity::Critical)?;
+        self.consult_pdp_for(label, &session_id, "mgmt-cluster", Sensitivity::Critical)?;
         trace.push("pdp: dynamic access decision (critical)");
 
         // Token for tailnet enrolment.
@@ -440,28 +441,27 @@ impl Infrastructure {
         let label = label.as_str();
         let _flow = dri_trace::flow(&self.tracer, label, "story6.jupyter", Stage::Flow);
         let mut trace = Vec::with_capacity(8);
-        let _ = self.session_of(label)?;
+        let session_id = self.session_of(label)?;
 
-        let sensitivity = self.project_sensitivity(label, project_name);
-        self.consult_pdp_for(label, "jupyter", sensitivity)?;
+        let subject = self.subject_of(label);
+        let sensitivity = self.project_sensitivity(subject.as_deref(), project_name);
+        self.consult_pdp_for(label, &session_id, "jupyter", sensitivity)?;
         trace.push("pdp: dynamic access decision");
 
         // Find the user's unix account for this project.
-        let subject = self
-            .subject_of(label)
-            .ok_or_else(|| FlowError::NotLoggedIn(label.to_string()))?;
-        let account = self
-            .portal
-            .unix_accounts(&subject)
-            .into_iter()
-            .find(|(p, _)| p == project_name)
-            .map(|(_, a)| a)
-            .ok_or(FlowError::Jupyter(
-                dri_cluster::jupyter::JupyterError::NoAccount,
-            ))?;
+        let subject = subject.ok_or_else(|| FlowError::NotLoggedIn(label.to_string()))?;
+        let mut account = None;
+        self.portal.for_each_active_membership(&subject, |p, m| {
+            if account.is_none() && p.name == project_name {
+                account = Some(m.unix_account.clone());
+            }
+        });
+        let account = account.ok_or(FlowError::Jupyter(
+            dri_cluster::jupyter::JupyterError::NoAccount,
+        ))?;
 
         // Token with the account + project claims.
-        let (token, _claims) = self.token_for(
+        let (token, _claims) = self.token_for_shared(
             label,
             "jupyter",
             vec![
@@ -474,21 +474,23 @@ impl Infrastructure {
         // Through the edge and the reverse tunnel. The W3C-style
         // `traceparent` header carries the flow context across the HTTP
         // hop; the authenticator surfaces it as a span attribute.
-        let mut headers = vec![("x-auth-token".to_string(), token)];
-        if let Some(ctx) = dri_trace::current_ctx() {
-            headers.push(("traceparent".to_string(), ctx.traceparent()));
-        }
+        let traceparent = dri_trace::current_ctx().map(|ctx| ctx.traceparent());
         let response = self.with_retry(
             "edge",
             label,
             |e: &dri_netsim::edge::EdgeError| matches!(e, dri_netsim::edge::EdgeError::Down),
             || {
+                let mut headers = Vec::with_capacity(2);
+                headers.push(("x-auth-token".to_string(), token.clone()));
+                if let Some(tp) = &traceparent {
+                    headers.push(("traceparent".to_string(), tp.clone()));
+                }
                 self.edge.handle(
                     &self.tunnel,
                     source_ip,
                     HttpRequest {
                         path: "/jupyter".into(),
-                        headers: headers.clone(),
+                        headers,
                         body: Vec::new(),
                     },
                 )
@@ -583,23 +585,22 @@ impl Infrastructure {
             .ok_or_else(|| FlowError::NotLoggedIn(label.to_string()))?;
         // The session must still be live *and unexpired* at the broker —
         // an aged-out session means interactive re-authentication.
-        match self.broker.session(&sid) {
-            Some(s) if self.clock.now_secs() < s.expires_at => Ok(sid.into()),
+        let now = self.clock.now_secs();
+        match self.broker.with_session(&sid, |s| now < s.expires_at) {
+            Some(true) => Ok(sid.into()),
             _ => Err(FlowError::NotLoggedIn(label.to_string())),
         }
     }
 
     /// The PDP sensitivity implied by a project's data classification.
-    fn project_sensitivity(&self, label: &str, project_name: &str) -> Sensitivity {
-        let subject = match self.subject_of(label) {
-            Some(s) => s,
-            None => return Sensitivity::Standard,
+    fn project_sensitivity(&self, subject: Option<&str>, project_name: &str) -> Sensitivity {
+        let Some(subject) = subject else {
+            return Sensitivity::Standard;
         };
-        let official = self
-            .portal
-            .active_projects_for(&subject)
-            .iter()
-            .any(|p| p.name == project_name && p.data_class == DataClass::Official);
+        let mut official = false;
+        self.portal.for_each_active_membership(subject, |p, _| {
+            official |= p.name == project_name && p.data_class == DataClass::Official;
+        });
         if official {
             Sensitivity::Elevated
         } else {
@@ -607,25 +608,27 @@ impl Infrastructure {
         }
     }
 
+    /// Consult the PDP for `resource` with the live session `session_id`
+    /// (already checked by [`Infrastructure::session_of`]).
     fn consult_pdp_for(
         &self,
         label: &str,
+        session_id: &str,
         resource: &str,
         sensitivity: Sensitivity,
     ) -> Result<(), FlowError> {
-        let (subject, loa, acr, age) = {
-            let sid = self.session_of(label)?;
-            let session = self
-                .broker
-                .session(&sid)
-                .ok_or_else(|| FlowError::NotLoggedIn(label.to_string()))?;
-            (
-                session.subject.clone(),
-                session.loa,
-                session.acr.clone(),
-                self.clock.now_secs().saturating_sub(session.established_at),
-            )
-        };
+        let now = self.clock.now_secs();
+        let (subject, loa, acr, age) = self
+            .broker
+            .with_session(session_id, |session| {
+                (
+                    session.subject.clone(),
+                    session.loa,
+                    session.acr.clone(),
+                    now.saturating_sub(session.established_at),
+                )
+            })
+            .ok_or_else(|| FlowError::NotLoggedIn(label.to_string()))?;
         let has_role = !self.portal.roles_for(&subject, resource).is_empty();
         let device = if acr == "mfa-hw" {
             DevicePosture::healthy()

@@ -11,7 +11,10 @@ use crate::poly1305::{poly1305, verify_poly1305};
 /// Encrypt and authenticate: returns `ciphertext ‖ tag(16)`.
 pub fn seal(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
     let otk = poly_key(key, nonce);
-    let mut out = chacha20::encrypt(key, nonce, 1, plaintext);
+    // Room for the tag up front, so appending it does not reallocate.
+    let mut out = Vec::with_capacity(plaintext.len() + 16);
+    out.extend_from_slice(plaintext);
+    chacha20::xor_in_place(key, nonce, 1, &mut out);
     let tag = poly1305(&otk, &mac_data(aad, &out));
     out.extend_from_slice(&tag);
     out

@@ -22,8 +22,14 @@ fn alphabet(v: Variant) -> &'static [u8; 64] {
 
 /// Encode `data` under the given variant.
 pub fn encode(data: &[u8], variant: Variant) -> String {
-    let table = alphabet(variant);
     let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
+    encode_into(data, variant, &mut out);
+    out
+}
+
+/// Append the encoding of `data` under the given variant to `out`.
+pub fn encode_into(data: &[u8], variant: Variant, out: &mut String) {
+    let table = alphabet(variant);
     for chunk in data.chunks(3) {
         let b0 = chunk[0] as u32;
         let b1 = *chunk.get(1).unwrap_or(&0) as u32;
@@ -42,7 +48,6 @@ pub fn encode(data: &[u8], variant: Variant) -> String {
             out.push('=');
         }
     }
-    out
 }
 
 /// Encode with the unpadded URL-safe alphabet (JOSE `base64url`).

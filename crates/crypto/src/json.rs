@@ -6,7 +6,7 @@
 //! important for the deterministic experiments.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,18 +124,13 @@ impl Value {
     }
 }
 
-fn write_value(v: &Value, out: &mut String) {
+/// Append the compact JSON of `v` to `out`.
+pub(crate) fn write_value(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
+        Value::Num(n) => write_number(*n, out),
         Value::Str(s) => write_string(s, out),
         Value::Arr(items) => {
             out.push('[');
@@ -162,7 +157,18 @@ fn write_value(v: &Value, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Append a JSON number: integral values below 9e15 print as integers.
+pub(crate) fn write_number(n: f64, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = if n.fract() == 0.0 && n.abs() < 9e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    };
+}
+
+/// Append `s` as a quoted, escaped JSON string.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -171,7 +177,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -5,10 +5,10 @@
 //! simulated infrastructure is gated on one of these, and validation is a
 //! real signature check plus `exp`/`nbf`/`aud`/`iss` claim enforcement.
 
-use crate::base64::{decode_url, encode_url};
+use crate::base64::{decode_url, encode_into, Variant};
 use crate::ed25519::{PreparedVerifyingKey, SigningKey, VerifyingKey};
 use crate::hmac::{hmac_sha256, verify_hmac_sha256};
-use crate::json::Value;
+use crate::json::{write_number, write_string, write_value, Value};
 
 /// Supported JWS algorithms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +80,9 @@ impl Claims {
         }
     }
 
+    /// The claims as a JSON tree: the reference encoding that
+    /// [`Claims::write_json`] must match byte for byte.
+    #[cfg(test)]
     fn to_value(&self) -> Value {
         let mut v = Value::obj([
             ("iss", Value::s(&*self.issuer)),
@@ -100,6 +103,67 @@ impl Claims {
             v.set(k.clone(), val.clone());
         }
         v
+    }
+
+    /// Append the compact JSON of the claims to `out`, exactly as
+    /// `to_value().to_json()` renders it but without building the tree:
+    /// members in byte order of their names, and an extra claim
+    /// replacing a registered claim (or an earlier extra) of the same
+    /// name.
+    fn write_json(&self, out: &mut String) {
+        enum Member<'a> {
+            Str(&'a str),
+            Num(u64),
+            Roles(&'a [String]),
+            Extra(&'a Value),
+        }
+        // Registered names, already in byte order.
+        let mut members: Vec<(&str, Member<'_>)> = Vec::with_capacity(10 + self.extra.len());
+        members.extend([
+            ("acr", Member::Str(&self.acr)),
+            ("aud", Member::Str(&self.audience)),
+            ("exp", Member::Num(self.expires_at)),
+            ("iat", Member::Num(self.issued_at)),
+            ("iss", Member::Str(&self.issuer)),
+            ("jti", Member::Str(&self.token_id)),
+            ("nbf", Member::Num(self.not_before)),
+            ("roles", Member::Roles(&self.roles)),
+            ("sid", Member::Str(&self.session_id)),
+            ("sub", Member::Str(&self.subject)),
+        ]);
+        for (name, value) in &self.extra {
+            match members.iter_mut().find(|(n, _)| *n == name.as_str()) {
+                Some(slot) => slot.1 = Member::Extra(value),
+                None => members.push((name, Member::Extra(value))),
+            }
+        }
+        if !self.extra.is_empty() {
+            members.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        }
+        out.push('{');
+        for (i, (name, member)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_string(name, out);
+            out.push(':');
+            match member {
+                Member::Str(s) => write_string(s, out),
+                Member::Num(n) => write_number(*n as f64, out),
+                Member::Roles(roles) => {
+                    out.push('[');
+                    for (j, role) in roles.iter().enumerate() {
+                        if j > 0 {
+                            out.push(',');
+                        }
+                        write_string(role, out);
+                    }
+                    out.push(']');
+                }
+                Member::Extra(value) => write_value(value, out),
+            }
+        }
+        out.push('}');
     }
 
     fn from_value(v: &Value) -> Result<Claims, JwtError> {
@@ -177,29 +241,56 @@ pub enum Verifier<'a> {
     Hmac(&'a [u8]),
 }
 
+/// Unpadded base64url length of `n` bytes.
+fn b64_len(n: usize) -> usize {
+    (n * 4).div_ceil(3)
+}
+
 /// Sign `claims` into a compact JWS (`header.payload.signature`).
 ///
-/// `kid` identifies the signing key in the issuer's JWKS.
+/// `kid` identifies the signing key in the issuer's JWKS. The header and
+/// claims JSON are written into one scratch buffer and base64url-encoded
+/// straight into the token, with no `Value` tree; the unit tests keep
+/// the tree-building encoder as the byte-for-byte reference.
 pub fn sign(claims: &Claims, signer: &Signer<'_>, kid: &str) -> String {
     let alg = match signer {
         Signer::Ed25519(_) => Algorithm::EdDSA,
         Signer::Hmac(_) => Algorithm::HS256,
     };
-    let header = Value::obj([
-        ("alg", Value::s(alg.as_str())),
-        ("typ", Value::s("JWT")),
-        ("kid", Value::s(kid)),
-    ]);
-    let signing_input = format!(
-        "{}.{}",
-        encode_url(header.to_json().as_bytes()),
-        encode_url(claims.to_value().to_json().as_bytes())
-    );
-    let sig = match signer {
-        Signer::Ed25519(sk) => sk.sign(signing_input.as_bytes()).to_vec(),
-        Signer::Hmac(key) => hmac_sha256(key, signing_input.as_bytes()).to_vec(),
+    // Header members in byte order: alg, kid, typ.
+    let mut json = String::with_capacity(384);
+    json.push_str("{\"alg\":");
+    write_string(alg.as_str(), &mut json);
+    json.push_str(",\"kid\":");
+    write_string(kid, &mut json);
+    json.push_str(",\"typ\":\"JWT\"}");
+    let header_len = json.len();
+    claims.write_json(&mut json);
+    let (header, payload) = json.as_bytes().split_at(header_len);
+
+    let sig_len = match signer {
+        Signer::Ed25519(_) => 64,
+        Signer::Hmac(_) => 32,
     };
-    format!("{signing_input}.{}", encode_url(&sig))
+    let mut token = String::with_capacity(
+        b64_len(header.len()) + b64_len(payload.len()) + b64_len(sig_len) + 2,
+    );
+    encode_into(header, Variant::UrlSafeNoPad, &mut token);
+    token.push('.');
+    encode_into(payload, Variant::UrlSafeNoPad, &mut token);
+    match signer {
+        Signer::Ed25519(sk) => {
+            let sig = sk.sign(token.as_bytes());
+            token.push('.');
+            encode_into(&sig, Variant::UrlSafeNoPad, &mut token);
+        }
+        Signer::Hmac(key) => {
+            let sig = hmac_sha256(key, token.as_bytes());
+            token.push('.');
+            encode_into(&sig, Variant::UrlSafeNoPad, &mut token);
+        }
+    }
+    token
 }
 
 /// Expected-value checks applied during verification.
@@ -303,8 +394,23 @@ pub fn validate_claims(claims: &Claims, validation: &Validation) -> Result<(), J
 pub fn peek_kid(token: &str) -> Option<String> {
     let h = token.split('.').next()?;
     let bytes = decode_url(h).ok()?;
-    let v = Value::parse(std::str::from_utf8(&bytes).ok()?).ok()?;
+    let json = std::str::from_utf8(&bytes).ok()?;
+    if let Some(kid) = written_header_kid(json) {
+        return Some(kid.to_string());
+    }
+    let v = Value::parse(json).ok()?;
     v.get("kid").and_then(Value::as_str).map(str::to_string)
+}
+
+/// The `kid` of a header laid out exactly as [`sign`] writes it,
+/// `{"alg":"…","kid":"…","typ":"JWT"}`, with no escape in either value.
+/// Such a header parses to an object whose `kid` is that text, so the
+/// JSON parser is skipped; any other header returns `None` and is parsed.
+fn written_header_kid(json: &str) -> Option<&str> {
+    let (alg, rest) = json.strip_prefix(r#"{"alg":""#)?.split_once('"')?;
+    let (kid, rest) = rest.strip_prefix(r#","kid":""#)?.split_once('"')?;
+    let plain = !alg.contains('\\') && !kid.contains('\\');
+    (plain && rest == r#","typ":"JWT"}"#).then_some(kid)
 }
 
 /// JWT verification errors.
@@ -348,6 +454,113 @@ impl std::error::Error for JwtError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::base64::encode_url;
+
+    /// The `Value`-tree encoder [`sign`] replaced, kept as its reference.
+    pub(super) fn sign_reference(claims: &Claims, signer: &Signer<'_>, kid: &str) -> String {
+        let alg = match signer {
+            Signer::Ed25519(_) => Algorithm::EdDSA,
+            Signer::Hmac(_) => Algorithm::HS256,
+        };
+        let header = Value::obj([
+            ("alg", Value::s(alg.as_str())),
+            ("typ", Value::s("JWT")),
+            ("kid", Value::s(kid)),
+        ]);
+        let signing_input = format!(
+            "{}.{}",
+            encode_url(header.to_json().as_bytes()),
+            encode_url(claims.to_value().to_json().as_bytes())
+        );
+        let sig = match signer {
+            Signer::Ed25519(sk) => sk.sign(signing_input.as_bytes()).to_vec(),
+            Signer::Hmac(key) => hmac_sha256(key, signing_input.as_bytes()).to_vec(),
+        };
+        format!("{signing_input}.{}", encode_url(&sig))
+    }
+
+    /// Claims that exercise every branch of the direct writer: escapes
+    /// and control characters, non-ASCII, large and non-integral
+    /// numbers, nested extras, extras overriding registered names and
+    /// earlier extras, and names sorting before, between and after the
+    /// registered ones.
+    fn awkward_claims() -> Vec<Claims> {
+        let mut out = vec![sample_claims(0), Claims::new("", "", "", 0, 0)];
+        let mut c = sample_claims(u64::MAX / 3);
+        c.subject = "quote\" back\\slash\n\r\t\u{1}\u{1f}\u{7f} é ☃ 𝄞".into();
+        c.roles = vec!["".into(), "a\"b".into(), "pi".into()];
+        c.acr = "\u{0}".into();
+        c.extra = vec![
+            ("sub".into(), Value::s("overrides the subject")),
+            ("exp".into(), Value::Num(1.5)),
+            (
+                "z".into(),
+                Value::Arr(vec![Value::Null, Value::Bool(true), Value::i(-7)]),
+            ),
+            (
+                "A".into(),
+                Value::obj([("k", Value::s("v")), ("b", Value::Num(1e300))]),
+            ),
+            ("roles".into(), Value::s("not a list")),
+            ("jtj".into(), Value::Bool(false)),
+            ("z".into(), Value::s("last z wins")),
+            ("".into(), Value::u(9_007_199_254_740_993)),
+        ];
+        out.push(c);
+        out
+    }
+
+    #[test]
+    fn peek_kid_fast_path_agrees_with_the_parser() {
+        let parsed = |json: &str| {
+            let v = Value::parse(json).ok()?;
+            v.get("kid").and_then(Value::as_str).map(str::to_string)
+        };
+        let headers = [
+            r#"{"alg":"EdDSA","kid":"fds-key-1","typ":"JWT"}"#,
+            r#"{"alg":"EdDSA","kid":"","typ":"JWT"}"#,
+            "{\"alg\":\"\",\"kid\":\"é ☃ \u{7f}\ttab\",\"typ\":\"JWT\"}",
+            r#"{"alg":"EdDSA","kid":"a\"b","typ":"JWT"}"#,
+            r#"{"alg":"EdDSA","kid":"a\u0041","typ":"JWT"}"#,
+            r#"{"alg":"Ed\u0044SA","kid":"k","typ":"JWT"}"#,
+            r#"{"alg":"EdDSA","kid":"k","typ":"JWT"} "#,
+            r#"{"alg":"EdDSA","kid":"k","typ":"JWT"}x"#,
+            r#"{"alg":"EdDSA","kid":"k","typ":"JWT","kid":"other"}"#,
+            r#"{"alg":"EdDSA","kid":"k","typ":"JWT""#,
+            r#"{"alg":"EdDSA", "kid":"k","typ":"JWT"}"#,
+            r#"{"kid":"k","alg":"EdDSA","typ":"JWT"}"#,
+            r#"{"alg":"EdDSA","kid":7,"typ":"JWT"}"#,
+            r#"{"alg":"EdDSA","kid":"k\"#,
+            "",
+        ];
+        for json in headers {
+            let token = format!("{}.e30.", encode_url(json.as_bytes()));
+            assert_eq!(peek_kid(&token), parsed(json), "{json}");
+        }
+        let sk = SigningKey::from_seed(&[1u8; 32]);
+        for kid in ["fds-key-1", "", "q\"uote", "back\\slash", "\u{1}"] {
+            let token = sign(&sample_claims(0), &Signer::Ed25519(&sk), kid);
+            assert_eq!(peek_kid(&token).as_deref(), Some(kid));
+        }
+    }
+
+    #[test]
+    fn direct_writer_matches_value_tree_reference() {
+        let sk = SigningKey::from_seed(&[6u8; 32]);
+        for claims in awkward_claims() {
+            let mut json = String::new();
+            claims.write_json(&mut json);
+            assert_eq!(json, claims.to_value().to_json());
+            for kid in ["fds-key-1", "", "k\"\u{2}"] {
+                for signer in [Signer::Ed25519(&sk), Signer::Hmac(b"secret")] {
+                    assert_eq!(
+                        sign(&claims, &signer, kid),
+                        sign_reference(&claims, &signer, kid)
+                    );
+                }
+            }
+        }
+    }
 
     fn sample_claims(now: u64) -> Claims {
         let mut c = Claims::new(

@@ -217,8 +217,12 @@ impl CircuitBreakers {
         self.rejections.load(Ordering::Relaxed)
     }
 
-    fn key(dependency: &str, lane: &str) -> String {
-        format!("{dependency}|{lane}")
+    /// Apply `f` to the `(dependency, lane)` breaker, creating it Closed
+    /// on first use.
+    fn with_lane<R>(&self, dependency: &str, lane: &str, f: impl FnOnce(&mut LaneState) -> R) -> R {
+        dri_sync::with_key(format_args!("{dependency}|{lane}"), |key| {
+            self.lanes.upsert(key, f)
+        })
     }
 
     fn emit(&self, transitions: &[BreakerTransition]) {
@@ -243,46 +247,41 @@ impl CircuitBreakers {
         lane: &str,
         now_ms: u64,
     ) -> Result<BreakerState, BreakerOpen> {
-        let key = Self::key(dependency, lane);
         let config = self.config_for(dependency);
         let mut transitions = Vec::new();
-        let decision = {
-            let mut shard = self.lanes.write_shard(&key);
-            let st = shard.entry(key.clone()).or_default();
-            match st.state() {
-                BreakerState::Closed => Ok(BreakerState::Closed),
-                BreakerState::Open => {
-                    if now_ms >= st.opened_at_ms.saturating_add(config.open_ms) {
-                        st.state = 2;
-                        st.probes_used = 0;
-                        transitions.push(BreakerTransition {
-                            dependency: dependency.to_string(),
-                            lane: lane.to_string(),
-                            from: BreakerState::Open,
-                            to: BreakerState::HalfOpen,
-                            at_ms: now_ms,
-                            seq: st.next_seq(),
-                        });
-                        if st.probes_used < config.probe_budget {
-                            st.probes_used += 1;
-                            Ok(BreakerState::HalfOpen)
-                        } else {
-                            Err(())
-                        }
-                    } else {
-                        Err(())
-                    }
-                }
-                BreakerState::HalfOpen => {
+        let decision = self.with_lane(dependency, lane, |st| match st.state() {
+            BreakerState::Closed => Ok(BreakerState::Closed),
+            BreakerState::Open => {
+                if now_ms >= st.opened_at_ms.saturating_add(config.open_ms) {
+                    st.state = 2;
+                    st.probes_used = 0;
+                    transitions.push(BreakerTransition {
+                        dependency: dependency.to_string(),
+                        lane: lane.to_string(),
+                        from: BreakerState::Open,
+                        to: BreakerState::HalfOpen,
+                        at_ms: now_ms,
+                        seq: st.next_seq(),
+                    });
                     if st.probes_used < config.probe_budget {
                         st.probes_used += 1;
                         Ok(BreakerState::HalfOpen)
                     } else {
                         Err(())
                     }
+                } else {
+                    Err(())
                 }
             }
-        };
+            BreakerState::HalfOpen => {
+                if st.probes_used < config.probe_budget {
+                    st.probes_used += 1;
+                    Ok(BreakerState::HalfOpen)
+                } else {
+                    Err(())
+                }
+            }
+        });
         self.emit(&transitions);
         decision.map_err(|()| {
             self.rejections.fetch_add(1, Ordering::Relaxed);
@@ -295,12 +294,9 @@ impl CircuitBreakers {
 
     /// Report the outcome of an admitted call.
     pub fn record(&self, dependency: &str, lane: &str, now_ms: u64, success: bool) {
-        let key = Self::key(dependency, lane);
         let config = self.config_for(dependency);
         let mut transitions = Vec::new();
-        {
-            let mut shard = self.lanes.write_shard(&key);
-            let st = shard.entry(key.clone()).or_default();
+        self.with_lane(dependency, lane, |st| {
             let from = st.state();
             match (from, success) {
                 (BreakerState::Closed, true) => st.consecutive_failures = 0,
@@ -351,25 +347,23 @@ impl CircuitBreakers {
                 // happen when callers admit first) changes nothing.
                 (BreakerState::Open, _) => {}
             }
-        }
+        });
         self.emit(&transitions);
     }
 
     /// The current state of one breaker, projecting an elapsed Open
     /// window as HalfOpen (read-only; no transition is emitted).
     pub fn state(&self, dependency: &str, lane: &str, now_ms: u64) -> BreakerState {
-        let key = Self::key(dependency, lane);
         let open_ms = self.config_for(dependency).open_ms;
-        let shard = self.lanes.read_shard(&key);
-        match shard.get(&key) {
-            Some(st) => match st.state() {
+        let state = dri_sync::with_key(format_args!("{dependency}|{lane}"), |key| {
+            self.lanes.with(key, |st| match st.state() {
                 BreakerState::Open if now_ms >= st.opened_at_ms.saturating_add(open_ms) => {
                     BreakerState::HalfOpen
                 }
                 s => s,
-            },
-            None => BreakerState::Closed,
-        }
+            })
+        });
+        state.unwrap_or(BreakerState::Closed)
     }
 }
 

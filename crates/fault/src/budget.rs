@@ -92,27 +92,26 @@ impl ErrorBudgets {
         at_ms / self.config.window_ms
     }
 
-    fn key(dependency: &str, window: u64) -> String {
-        format!("{dependency}|{window}")
-    }
-
     /// Record one call outcome for `dependency` at sim time `at_ms`.
     pub fn record(&self, dependency: &str, at_ms: u64, success: bool) {
-        let key = Self::key(dependency, self.window_of(at_ms));
-        let mut shard = self.windows.write_shard(&key);
-        let counters = shard.entry(key).or_insert((0, 0));
-        if success {
-            counters.0 += 1;
-        } else {
-            counters.1 += 1;
-        }
+        let window = self.window_of(at_ms);
+        dri_sync::with_key(format_args!("{dependency}|{window}"), |key| {
+            self.windows.upsert(key, |counters| {
+                if success {
+                    counters.0 += 1;
+                } else {
+                    counters.1 += 1;
+                }
+            })
+        });
     }
 
     /// `(ok, err)` counters for a (dependency, window) pair.
     pub fn counts(&self, dependency: &str, window: u64) -> (u64, u64) {
-        self.windows
-            .get_cloned(&Self::key(dependency, window))
-            .unwrap_or((0, 0))
+        dri_sync::with_key(format_args!("{dependency}|{window}"), |key| {
+            self.windows.get_cloned(key)
+        })
+        .unwrap_or((0, 0))
     }
 
     fn burn_of(ok: u64, err: u64) -> u64 {

@@ -111,10 +111,8 @@ impl EdgeProxy {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(EdgeError::Blocked);
         }
-        let over_rate = {
-            // Rate scoring holds only this source's shard lock.
-            let mut shard = self.windows.write_shard(source);
-            let window = shard.entry(source.to_string()).or_default();
+        // Rate scoring holds only this source's shard lock.
+        let over_rate = self.windows.upsert(source, |window| {
             while window
                 .front()
                 .is_some_and(|t| now.saturating_sub(*t) > self.window_ms)
@@ -123,7 +121,7 @@ impl EdgeProxy {
             }
             window.push_back(now);
             window.len() > self.threshold
-        };
+        });
         if over_rate {
             // Automatic mitigation: block the source outright.
             self.auto_blocked.insert(source.to_string());

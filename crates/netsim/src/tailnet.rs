@@ -204,7 +204,7 @@ impl Tailnet {
         let claims = self
             .jwks
             .load()
-            .validate(token, &self.audience, now)
+            .validate_shared(token, &self.audience, now)
             .map_err(TailnetError::BadToken)?;
         if !claims.has_role(&self.required_role) {
             return Err(TailnetError::RoleMissing);

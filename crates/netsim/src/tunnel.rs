@@ -38,7 +38,12 @@ impl HttpRequest {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let headers: usize = self
+            .headers
+            .iter()
+            .map(|(k, v)| k.len() + v.len() + 2)
+            .sum();
+        let mut out = Vec::with_capacity(self.path.len() + headers + self.body.len() + 2);
         out.extend_from_slice(self.path.as_bytes());
         out.push(0);
         for (k, v) in &self.headers {

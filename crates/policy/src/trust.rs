@@ -7,6 +7,8 @@
 //! explicitly, so experiments can ablate individual signals and watch
 //! decisions change.
 
+use std::sync::Arc;
+
 use dri_federation::types::LevelOfAssurance;
 
 /// Device posture signals.
@@ -96,8 +98,9 @@ pub struct AccessDecision {
     pub score: f64,
     /// Threshold that applied.
     pub threshold: f64,
-    /// Human-readable contributing reasons (for audit).
-    pub reasons: Vec<String>,
+    /// Human-readable contributing reasons (for audit). Shared, so a
+    /// memoized decision is handed out without copying them.
+    pub reasons: Arc<[String]>,
 }
 
 /// The policy decision point.
@@ -130,7 +133,7 @@ impl PolicyDecisionPoint {
     /// "never trust, always verify" means some signals are gates, not
     /// weights.
     pub fn decide(&self, req: &AccessRequest) -> AccessDecision {
-        let mut reasons = Vec::new();
+        let mut reasons = Vec::with_capacity(5);
 
         // Gates.
         if !req.has_role {
@@ -138,7 +141,7 @@ impl PolicyDecisionPoint {
                 allow: false,
                 score: 0.0,
                 threshold: self.threshold(req.sensitivity),
-                reasons: vec!["no role on resource (authorisation-led)".into()],
+                reasons: Arc::new(["no role on resource (authorisation-led)".to_string()]),
             };
         }
         if req.device.compromised {
@@ -146,7 +149,7 @@ impl PolicyDecisionPoint {
                 allow: false,
                 score: 0.0,
                 threshold: self.threshold(req.sensitivity),
-                reasons: vec!["device flagged compromised".into()],
+                reasons: Arc::new(["device flagged compromised".to_string()]),
             };
         }
         if req.session_age_secs >= self.max_session_age_secs {
@@ -154,7 +157,7 @@ impl PolicyDecisionPoint {
                 allow: false,
                 score: 0.0,
                 threshold: self.threshold(req.sensitivity),
-                reasons: vec!["session stale; re-authentication required".into()],
+                reasons: Arc::new(["session stale; re-authentication required".to_string()]),
             };
         }
 
@@ -207,7 +210,7 @@ impl PolicyDecisionPoint {
             allow: score >= threshold,
             score,
             threshold,
-            reasons,
+            reasons: reasons.into(),
         }
     }
 
@@ -329,33 +332,41 @@ impl MemoizedPdp {
         req
     }
 
-    /// Every feature `PolicyDecisionPoint::decide` reads, minus the
-    /// subject — cross-user sharing is sound precisely because the
-    /// decision never reads the subject.
-    fn memo_key(req: &AccessRequest) -> String {
-        format!(
-            "{}|{:?}|{}|{:?}|{}|{:?}|{}|{:?}",
-            req.resource,
-            req.sensitivity,
-            req.has_role,
-            req.loa,
-            req.acr,
-            req.device,
-            req.session_age_secs,
-            req.source,
+    /// Call `f` with the memo key of `req`: every feature
+    /// `PolicyDecisionPoint::decide` reads, with the session age
+    /// quantized, minus the subject — cross-user sharing is sound
+    /// precisely because the decision never reads the subject. The key
+    /// is formatted on the stack; only a miss copies it into the memo.
+    fn with_memo_key<R>(req: &AccessRequest, f: impl FnOnce(&str) -> R) -> R {
+        let age = (req.session_age_secs / SESSION_AGE_BUCKET_SECS) * SESSION_AGE_BUCKET_SECS;
+        dri_sync::with_key(
+            format_args!(
+                "{}|{:?}|{}|{:?}|{}|{:?}|{}|{:?}",
+                req.resource,
+                req.sensitivity,
+                req.has_role,
+                req.loa,
+                req.acr,
+                req.device,
+                age,
+                req.source,
+            ),
+            f,
         )
     }
 
     /// Decide `req`, consulting the memo when enabled. Identical output
     /// to `self.pdp.decide(&canonicalized)` in all cases.
     pub fn decide(&self, req: &AccessRequest) -> AccessDecision {
-        let req = Self::canonicalize(req);
         if !self.enabled() {
-            return self.pdp.decide(&req);
+            return self.pdp.decide(&Self::canonicalize(req));
         }
-        let key = Self::memo_key(&req);
+        Self::with_memo_key(req, |key| self.decide_memoized(key, req))
+    }
+
+    fn decide_memoized(&self, key: &str, req: &AccessRequest) -> AccessDecision {
         let current = self.epoch();
-        if let Some(entry) = self.memo.get_cloned(&key) {
+        if let Some(entry) = self.memo.get_cloned(key) {
             if entry.epoch == current {
                 self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 dri_trace::add_attr("cache.pdp", "hit");
@@ -363,14 +374,14 @@ impl MemoizedPdp {
             }
             // Callers racing on one stale entry: only the one that
             // removes it counts the bust.
-            if self.memo.remove_if(&key, |e| e.epoch < current).is_some() {
+            if self.memo.remove_if(key, |e| e.epoch < current).is_some() {
                 self.epoch_busts
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
         }
-        let decision = self.pdp.decide(&req);
+        let decision = self.pdp.decide(&Self::canonicalize(req));
         let replaced = self.memo.insert(
-            key,
+            key.to_string(),
             MemoEntry {
                 epoch: current,
                 decision: decision.clone(),

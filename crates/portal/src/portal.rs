@@ -1,6 +1,6 @@
 //! The portal service: project lifecycle, invitations, role queries.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dri_broker::authz::AuthorizationSource;
@@ -45,13 +45,32 @@ impl std::fmt::Display for PortalError {
 impl std::error::Error for PortalError {}
 
 struct PortalState {
-    projects: HashMap<String, Project>,
+    /// Keyed by project id; ordered, so a walk visits projects in id
+    /// order without sorting.
+    projects: BTreeMap<String, Project>,
     invitations: HashMap<String, Invitation>,
     /// Portal-level allocator subjects (can create projects).
     allocators: Vec<String>,
-    /// Non-project grants: (subject, audience) -> roles. Used for admin
-    /// audiences (mgmt-tailnet, sec-zone, portal-admin).
-    admin_grants: HashMap<(String, String), Vec<String>>,
+    /// Non-project grants: subject -> audience -> roles. Used for admin
+    /// audiences (mgmt-tailnet, sec-zone, portal-admin). Nested so a
+    /// lookup borrows both keys; a subject's entry is removed with its
+    /// last grant.
+    admin_grants: HashMap<String, HashMap<String, Vec<String>>>,
+}
+
+impl PortalState {
+    /// The subject's memberships in projects that grant access at `now`,
+    /// in project-id order, borrowed: no project is cloned.
+    fn active_memberships<'a>(
+        &'a self,
+        subject: &'a str,
+        now: u64,
+    ) -> impl Iterator<Item = (&'a Project, &'a Membership)> + 'a {
+        self.projects
+            .values()
+            .filter(move |p| p.grants_access(now))
+            .filter_map(move |p| p.member(subject).map(|m| (p, m)))
+    }
 }
 
 /// The user & project management portal.
@@ -71,7 +90,7 @@ impl Portal {
         Portal {
             clock,
             state: RwLock::new(PortalState {
-                projects: HashMap::new(),
+                projects: BTreeMap::new(),
                 invitations: HashMap::new(),
                 allocators: Vec::new(),
                 admin_grants: HashMap::new(),
@@ -90,19 +109,27 @@ impl Portal {
     /// Record a non-project (admin) grant, e.g.
     /// `grant_admin("admin:dave", "mgmt-tailnet", &["sysadmin"])`.
     pub fn grant_admin(&self, subject: &str, audience: &str, roles: &[&str]) {
-        self.state.write().admin_grants.insert(
-            (subject.to_string(), audience.to_string()),
-            roles.iter().map(|r| r.to_string()).collect(),
-        );
+        self.state
+            .write()
+            .admin_grants
+            .entry(subject.to_string())
+            .or_default()
+            .insert(
+                audience.to_string(),
+                roles.iter().map(|r| r.to_string()).collect(),
+            );
     }
 
     /// Remove an admin grant ("access is revoked when an individual
     /// leaves the group").
     pub fn revoke_admin(&self, subject: &str, audience: &str) {
-        self.state
-            .write()
-            .admin_grants
-            .remove(&(subject.to_string(), audience.to_string()));
+        let mut state = self.state.write();
+        if let Some(grants) = state.admin_grants.get_mut(subject) {
+            grants.remove(audience);
+            if grants.is_empty() {
+                state.admin_grants.remove(subject);
+            }
+        }
     }
 
     fn is_allocator(&self, subject: &str) -> bool {
@@ -326,18 +353,30 @@ impl Portal {
         self.state.read().projects.get(project_id).cloned()
     }
 
-    /// All projects a subject belongs to that currently grant access.
+    /// All projects a subject belongs to that currently grant access, in
+    /// project-id order (owned copies; see
+    /// [`Portal::for_each_active_membership`] for a borrowed walk).
     pub fn active_projects_for(&self, subject: &str) -> Vec<Project> {
+        let mut out = Vec::new();
+        self.for_each_active_membership(subject, |p, _| out.push(p.clone()));
+        out
+    }
+
+    /// Visit the subject's memberships in projects that currently grant
+    /// access, in project-id order, under one read lock. Nothing is
+    /// cloned: this is the walk behind every per-flow authorisation
+    /// query. `f` runs under the lock, so it must not call back into the
+    /// portal.
+    pub fn for_each_active_membership(
+        &self,
+        subject: &str,
+        mut f: impl FnMut(&Project, &Membership),
+    ) {
         let now = self.clock.now_secs();
         let state = self.state.read();
-        let mut out: Vec<Project> = state
-            .projects
-            .values()
-            .filter(|p| p.grants_access(now) && p.member(subject).is_some())
-            .cloned()
-            .collect();
-        out.sort_by(|a, b| a.id.cmp(&b.id));
-        out
+        for (project, membership) in state.active_memberships(subject, now) {
+            f(project, membership);
+        }
     }
 
     /// Count of projects (metrics).
@@ -348,28 +387,25 @@ impl Portal {
 
 impl AuthorizationSource for Portal {
     fn roles_for(&self, subject: &str, audience: &str) -> Vec<String> {
-        let mut roles: Vec<String> = Vec::new();
+        let now = self.clock.now_secs();
+        let state = self.state.read();
         // Admin grants first.
-        if let Some(r) = self
-            .state
-            .read()
+        let mut roles: Vec<String> = state
             .admin_grants
-            .get(&(subject.to_string(), audience.to_string()))
-        {
-            roles.extend(r.iter().cloned());
-        }
+            .get(subject)
+            .and_then(|grants| grants.get(audience))
+            .cloned()
+            .unwrap_or_default();
         // Project-derived grants: audience must be a member service of an
         // active project the subject belongs to.
         if self.member_audiences.iter().any(|a| a == audience) {
-            for project in self.active_projects_for(subject) {
+            for (project, m) in state.active_memberships(subject, now) {
                 if !project.services.iter().any(|s| s == audience) {
                     continue;
                 }
-                if let Some(m) = project.member(subject) {
-                    let role = m.role.as_str().to_string();
-                    if !roles.contains(&role) {
-                        roles.push(role);
-                    }
+                let role = m.role.as_str();
+                if !roles.iter().any(|r| r == role) {
+                    roles.push(role.to_string());
                 }
             }
         }
@@ -381,24 +417,25 @@ impl AuthorizationSource for Portal {
         if state.allocators.iter().any(|a| a == subject) {
             return true;
         }
-        if state.admin_grants.keys().any(|(s, _)| s == subject) {
+        if state.admin_grants.contains_key(subject) {
             return true;
         }
-        drop(state);
         // Membership of any active project, or a pending invitation being
         // claimed, authorises registration. (Invitation claiming is
         // handled by the acceptance flow; here membership suffices.)
-        !self.active_projects_for(subject).is_empty()
+        let member = state
+            .active_memberships(subject, self.clock.now_secs())
+            .next()
+            .is_some();
+        member
     }
 
     fn unix_accounts(&self, subject: &str) -> Vec<(String, String)> {
-        self.active_projects_for(subject)
-            .into_iter()
-            .filter_map(|p| {
-                p.member(subject)
-                    .map(|m| (p.name.clone(), m.unix_account.clone()))
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_active_membership(subject, |p, m| {
+            out.push((p.name.clone(), m.unix_account.clone()));
+        });
+        out
     }
 }
 

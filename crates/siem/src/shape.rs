@@ -56,7 +56,7 @@ pub fn find_pdp_bypasses(spans: &[SpanRecord]) -> Vec<PdpBypassFinding> {
             let vetted = policy_step.is_some_and(|step| step < sshca.start_step);
             (!vetted).then(|| PdpBypassFinding {
                 trace_id,
-                span_name: sshca.name.clone(),
+                span_name: sshca.name.to_string(),
                 start_step: sshca.start_step,
                 at_ms: sshca.start_ms,
             })

@@ -148,7 +148,7 @@ impl SshCa {
         let claims = self
             .jwks
             .load()
-            .validate(token, &self.audience, now)
+            .validate_shared(token, &self.audience, now)
             .map_err(CaError::BadToken)?;
         if let Some(check) = &self.introspect {
             if !check(&claims.token_id) {

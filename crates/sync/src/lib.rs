@@ -12,11 +12,14 @@
 //!   shards routed by key hash, so concurrent login storms touching
 //!   different subjects take different locks.
 //! * [`hash_key`] / [`shard_index`] — the FNV-1a routing hash and mask.
+//! * [`with_key`] — a composite key formatted on the stack, so a lookup
+//!   under a `"{a}|{b}"`-style key allocates nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
@@ -41,6 +44,39 @@ pub fn hash_key(key: &str) -> u64 {
 pub fn shard_index(hash: u64, shards: usize) -> usize {
     debug_assert!(shards.is_power_of_two());
     (hash as usize) & (shards - 1)
+}
+
+/// Stack space for [`with_key`]; longer keys fall back to a `String`.
+const KEY_BUF: usize = 256;
+
+struct KeyBuf {
+    buf: [u8; KEY_BUF],
+    len: usize,
+}
+
+impl Write for KeyBuf {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        let dst = self.buf.get_mut(self.len..end).ok_or(fmt::Error)?;
+        dst.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
+/// Call `f` with `args` formatted, on the stack when the text fits in
+/// 256 bytes and in a `String` otherwise. Hot paths use it to look up
+/// maps under composite keys such as `"{dependency}|{lane}"` without
+/// allocating one per call.
+pub fn with_key<R>(args: fmt::Arguments<'_>, f: impl FnOnce(&str) -> R) -> R {
+    let mut key = KeyBuf {
+        buf: [0; KEY_BUF],
+        len: 0,
+    };
+    if key.write_fmt(args).is_err() {
+        return f(&args.to_string());
+    }
+    f(std::str::from_utf8(&key.buf[..key.len]).expect("whole str slices were written"))
 }
 
 /// Round a requested shard count to the nearest usable power of two,
@@ -191,6 +227,19 @@ impl<V> ShardMap<V> {
         self.write_shard(key).get_mut(key).map(f)
     }
 
+    /// Apply `f` mutably to the value under `key`, inserting
+    /// `V::default()` first when absent. Only that insert copies the key.
+    pub fn upsert<R>(&self, key: &str, f: impl FnOnce(&mut V) -> R) -> R
+    where
+        V: Default,
+    {
+        let mut shard = self.write_shard(key);
+        if let Some(v) = shard.get_mut(key) {
+            return f(v);
+        }
+        f(shard.entry(key.to_string()).or_default())
+    }
+
     /// Total entries across all shards (locks shards one at a time).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().len()).sum()
@@ -337,6 +386,25 @@ mod tests {
         }
         // 256 keys over 16 shards must hit far more than one shard.
         assert!(seen.len() > shards / 2, "only {} shards hit", seen.len());
+    }
+
+    #[test]
+    fn with_key_formats_short_and_long_keys_alike() {
+        let long = "x".repeat(KEY_BUF);
+        for lane in ["alice", "", long.as_str(), "é☃"] {
+            let expected = format!("idp|{lane}|7");
+            with_key(format_args!("idp|{lane}|{}", 7), |k| {
+                assert_eq!(k, expected)
+            });
+        }
+    }
+
+    #[test]
+    fn upsert_inserts_default_once_then_updates() {
+        let m: ShardMap<u64> = ShardMap::new(4);
+        assert_eq!(m.upsert("k", |v| std::mem::replace(v, 5)), 0);
+        assert_eq!(m.upsert("k", |v| *v), 5);
+        assert_eq!(m.len(), 1);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> String {
             }
             Value::obj([
                 ("ph", Value::s("X")),
-                ("name", Value::s(s.name.clone())),
+                ("name", Value::s(s.name)),
                 ("cat", Value::s(s.stage.as_str())),
                 ("ts", Value::u(s.start_step)),
                 ("dur", Value::u(s.steps())),
@@ -88,12 +88,12 @@ pub fn flamegraph(spans: &[SpanRecord]) -> String {
             .sum();
         let self_steps = s.steps().saturating_sub(child_steps);
         // Build the path root-first.
-        let mut path = vec![s.name.as_str()];
+        let mut path = vec![s.name];
         let mut cursor = s.parent_id;
         while let Some(pid) = cursor {
             match by_id.get(&(s.trace_id, pid)) {
                 Some(parent) => {
-                    path.push(parent.name.as_str());
+                    path.push(parent.name);
                     cursor = parent.parent_id;
                 }
                 None => break,

@@ -157,7 +157,17 @@ impl TraceCtx {
     /// Render as a `traceparent` header value
     /// (`00-<trace-id>-<parent-id>-01`; the `01` flag marks "sampled").
     pub fn traceparent(&self) -> String {
-        format!("00-{}-{}-01", self.trace_id.to_hex(), self.span_id.to_hex())
+        let mut s = String::with_capacity(55);
+        s.push_str("00-");
+        for b in self.trace_id.0 {
+            hex_byte(&mut s, b);
+        }
+        s.push('-');
+        for b in self.span_id.0 {
+            hex_byte(&mut s, b);
+        }
+        s.push_str("-01");
+        s
     }
 
     /// Parse a `traceparent` header value produced by [`traceparent`]

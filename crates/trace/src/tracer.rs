@@ -17,6 +17,7 @@
 //!   feed histograms only — never identifiers or the chrome export —
 //!   so determinism is preserved.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -112,7 +113,7 @@ pub struct SpanRecord {
     /// Parent span id; `None` only for the flow root.
     pub parent_id: Option<SpanId>,
     /// Operation name, e.g. `broker.issue_token`.
-    pub name: String,
+    pub name: &'static str,
     /// Pipeline stage for latency attribution.
     pub stage: Stage,
     /// Logical step counter at open (per-trace, deterministic).
@@ -127,8 +128,10 @@ pub struct SpanRecord {
     /// Wall-clock duration in µs (0 when no wall source is installed).
     /// Feeds histograms only; excluded from deterministic exports.
     pub wall_us: u64,
-    /// Key/value attributes (zone, domain, audience, ...).
-    pub attrs: Vec<(String, String)>,
+    /// Key/value attributes (zone, domain, audience, ...). Keys are
+    /// static names, borrowed rather than copied; the `Cow` keeps them
+    /// comparable with `==` against `&str` and `String`.
+    pub attrs: Vec<(Cow<'static, str>, String)>,
 }
 
 impl SpanRecord {
@@ -227,12 +230,10 @@ impl Tracer {
         let hash = hash_key(key);
         let shard = shard_index(hash, self.minted.len());
         self.minted[shard].fetch_add(1, Ordering::Relaxed);
-        let seq = {
-            let mut guard = self.seqs.write_shard(key);
-            let entry = guard.entry(key.to_string()).or_insert(0);
-            *entry += 1;
-            *entry
-        };
+        let seq = self.seqs.upsert(key, |seq| {
+            *seq += 1;
+            *seq
+        });
         TraceId::mint(self.seed, hash, seq)
     }
 
@@ -333,7 +334,7 @@ struct OpenSpan {
     start_step: u64,
     start_ms: u64,
     wall_start: u64,
-    attrs: Vec<(String, String)>,
+    attrs: Vec<(Cow<'static, str>, String)>,
 }
 
 struct FlowFrame {
@@ -355,7 +356,7 @@ impl FlowFrame {
         self.wall.as_ref().map(|f| f()).unwrap_or(0)
     }
 
-    fn open(&mut self, name: &'static str, stage: Stage, attrs: &[(&str, &str)]) {
+    fn open(&mut self, name: &'static str, stage: Stage, attrs: &[(&'static str, &str)]) {
         self.span_seq += 1;
         let span_id = SpanId::mint(self.trace_id.low64(), self.span_seq);
         let parent_id = self.stack.last().map(|s| s.span_id);
@@ -371,7 +372,7 @@ impl FlowFrame {
             wall_start: self.wall_now(),
             attrs: attrs
                 .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .map(|&(k, v)| (Cow::Borrowed(k), v.to_string()))
                 .collect(),
         });
     }
@@ -385,7 +386,7 @@ impl FlowFrame {
             trace_id: self.trace_id,
             span_id: open.span_id,
             parent_id: open.parent_id,
-            name: open.name.to_string(),
+            name: open.name,
             stage: open.stage,
             start_step: open.start_step,
             end_step,
@@ -450,7 +451,7 @@ pub fn span(name: &'static str, stage: Stage) -> SpanGuard {
 }
 
 /// [`span`] with initial attributes.
-pub fn span_with(name: &'static str, stage: Stage, attrs: &[(&str, &str)]) -> SpanGuard {
+pub fn span_with(name: &'static str, stage: Stage, attrs: &[(&'static str, &str)]) -> SpanGuard {
     ACTIVE.with(|cell| {
         let mut frames = cell.borrow_mut();
         match frames.last_mut() {
@@ -464,11 +465,11 @@ pub fn span_with(name: &'static str, stage: Stage, attrs: &[(&str, &str)]) -> Sp
 }
 
 /// Attach an attribute to the innermost open span, if any.
-pub fn add_attr(key: &str, value: &str) {
+pub fn add_attr(key: &'static str, value: &str) {
     ACTIVE.with(|cell| {
         let mut frames = cell.borrow_mut();
         if let Some(open) = frames.last_mut().and_then(|f| f.stack.last_mut()) {
-            open.attrs.push((key.to_string(), value.to_string()));
+            open.attrs.push((Cow::Borrowed(key), value.to_string()));
         }
     });
 }

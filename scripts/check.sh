@@ -63,6 +63,9 @@ cargo test -q --offline -p dri-crypto
 echo "== crypto op-count gate: Ed25519 signs/verifies per flow pinned exactly =="
 cargo test -q --offline -p isambard-dri --test crypto_op_counts
 
+echo "== allocation budget: per-flow allocations pinned exactly =="
+cargo test -q --offline -p isambard-dri --test alloc_counts
+
 echo "== login-storm gate (warm >= 2x cold; auto-skipped below 4 cores) =="
 BENCH_LOGIN_STORM_JSON=0 cargo bench --offline -p dri-bench --bench login_storm -- skip_criterion_timing_loop
 

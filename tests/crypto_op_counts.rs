@@ -7,6 +7,11 @@
 //! table serves and how many tables are built, so a long-lived key that
 //! slips back to the plain path, or one re-prepared per flow, fails too.
 //!
+//! The same sections pin the spans a flow records and the PDP
+//! consultations it makes, read from `Tracer::span_count` and
+//! `Infrastructure::pdp_consultation_count`, so a dropped `policy.decide`
+//! span or a second consultation fails here too.
+//!
 //! The counters are process-wide (`dri_crypto::ed25519::op_counts`), so
 //! this file holds exactly one `#[test]`: no other test shares the
 //! process and moves them while a section is being counted.
@@ -46,13 +51,29 @@ fn counted(f: impl FnOnce()) -> OpCounts {
     }
 }
 
-fn storm_counts(verification_cache: bool) -> OpCounts {
+/// Spans recorded and PDP consultations made on `infra` by `f`.
+fn traced(infra: &Infrastructure, f: impl FnOnce()) -> (usize, u64) {
+    let (spans, pdp) = (infra.tracer.span_count(), infra.pdp_consultation_count());
+    f();
+    (
+        infra.tracer.span_count() - spans,
+        infra.pdp_consultation_count() - pdp,
+    )
+}
+
+/// Ed25519 operations, then spans and PDP consultations, of one serial
+/// storm over the population.
+fn storm_counts(verification_cache: bool) -> (OpCounts, (usize, u64)) {
     let (infra, users) = storm_infra(verification_cache);
     assert_eq!(users.len() as u64, USERS);
-    counted(|| {
-        let result = run_storm(&infra, &users, StormMode::Serial);
-        assert_eq!(result.completed, users.len(), "{:?}", result.failures);
-    })
+    let mut ledger = (0, 0);
+    let ops = counted(|| {
+        ledger = traced(&infra, || {
+            let result = run_storm(&infra, &users, StormMode::Serial);
+            assert_eq!(result.completed, users.len(), "{:?}", result.failures);
+        });
+    });
+    (ops, ledger)
 }
 
 /// Scale per-flow counts to `flows` flows; no flow builds a table.
@@ -68,11 +89,23 @@ fn per_flow(signs: u64, verifies: u64, table_verifies: u64, flows: u64) -> OpCou
 #[test]
 fn ed25519_ops_per_flow_are_pinned() {
     // Warm story 6: the one RBAC token signature and no verify at all
-    // (the issuing broker seeds the token cache).
-    assert_eq!(storm_counts(true), per_flow(1, 0, 0, USERS), "warm storm");
+    // (the issuing broker seeds the token cache). Seven spans per flow
+    // (flow root, policy.decide, broker.issue_token, edge.handle,
+    // tunnel.handle, jupyter.spawn, slurm.submit) and one PDP
+    // consultation.
+    let (warm, warm_ledger) = storm_counts(true);
+    assert_eq!(warm, per_flow(1, 0, 0, USERS), "warm storm");
+    assert_eq!(
+        warm_ledger,
+        (7 * USERS as usize, USERS),
+        "warm storm spans, PDP"
+    );
     // Cold story 6 (verification caches off): the token is verified once
-    // at the relying service, from the JWKS key's table.
-    assert_eq!(storm_counts(false), per_flow(1, 1, 1, USERS), "cold storm");
+    // at the relying service, from the JWKS key's table. The span tree
+    // and the consultation are the same as warm.
+    let (cold, cold_ledger) = storm_counts(false);
+    assert_eq!(cold, per_flow(1, 1, 1, USERS), "cold storm");
+    assert_eq!(cold_ledger, warm_ledger, "cold storm spans, PDP");
 
     // One federated login plus story 4 (SSH through CA and bastion):
     // the counts measured when this gate was written. A change that moves
@@ -82,13 +115,19 @@ fn ed25519_ops_per_flow_are_pinned() {
     // possession proof under the user's own key, stays plain.
     let (infra, users) = storm_infra(true);
     let (label, project) = &users[1];
+    let mut ssh_ledger = (0, 0);
     let ssh = counted(|| {
-        infra.federated_login(label).expect("federated login");
-        infra
-            .story4_ssh_connect(label.as_str(), project)
-            .expect("story 4");
+        ssh_ledger = traced(&infra, || {
+            infra.federated_login(label).expect("federated login");
+            infra
+                .story4_ssh_connect(label.as_str(), project)
+                .expect("story 4");
+        });
     });
     assert_eq!(ssh, per_flow(5, 5, 4, 1), "federated login + story 4");
+    // Fourteen spans over the two flows, and the one PDP consultation
+    // story 4 makes before touching the CA.
+    assert_eq!(ssh_ledger, (14, 1), "federated login + story 4 spans, PDP");
 
     // A rotation prepares only the new key, a prune none: the kept keys'
     // tables carry over, and every relying service's snapshot shares them.

@@ -123,6 +123,228 @@ proptest! {
     }
 }
 
+// --- token codec: no panics on hostile input, sign/verify round trip ------
+
+mod token_codec {
+    use std::collections::BTreeMap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use isambard_dri::crypto::base64;
+    use isambard_dri::crypto::ed25519::SigningKey;
+    use isambard_dri::crypto::json::Value;
+    use isambard_dri::crypto::jwt::{self, Claims, Signer, Validation, Verifier};
+    use proptest::prelude::*;
+
+    /// The inputs of a case derive from its seed alone (the vendored
+    /// proptest does not shrink), so a failure names the seed to replay.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.below(items.len())]
+        }
+    }
+
+    const REGISTERED: [&str; 10] = [
+        "iss", "sub", "aud", "exp", "nbf", "iat", "jti", "sid", "acr", "roles",
+    ];
+    const NOW: u64 = 1_000_000;
+
+    /// A string mixing JSON escapes, control characters, non-ASCII and
+    /// arbitrary scalar values.
+    fn text(rng: &mut Rng) -> String {
+        const POOL: [char; 14] = [
+            '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '☃', '𝄞', 'a', ' ', '/',
+        ];
+        (0..rng.below(12))
+            .map(|_| {
+                if rng.below(4) == 0 {
+                    char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('?')
+                } else {
+                    *rng.pick(&POOL)
+                }
+            })
+            .collect()
+    }
+
+    fn value(rng: &mut Rng, depth: u32) -> Value {
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 0),
+            2 => Value::i(rng.next() as i64 >> 12),
+            3 => Value::Str(text(rng)),
+            4 => Value::Arr((0..rng.below(4)).map(|_| value(rng, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..rng.below(4))
+                    .map(|_| (text(rng), value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Random claims, valid at `NOW`. Extras reuse registered names (with
+    /// a value of the registered claim's type) and repeat names, so the
+    /// round trip exercises overriding.
+    fn claims(rng: &mut Rng) -> Claims {
+        let mut c = Claims::new(
+            text(rng),
+            text(rng),
+            text(rng),
+            NOW - rng.below(100) as u64,
+            900,
+        );
+        c.token_id = text(rng);
+        c.session_id = text(rng);
+        c.acr = text(rng);
+        c.roles = (0..rng.below(4)).map(|_| text(rng)).collect();
+        for _ in 0..rng.below(6) {
+            let name = match rng.below(3) {
+                0 => rng.pick(&REGISTERED).to_string(),
+                1 => rng.pick(&["z", "project", "unix_account", ""]).to_string(),
+                _ => text(rng),
+            };
+            let v = match name.as_str() {
+                "exp" => Value::u(NOW + 1 + rng.below(1000) as u64),
+                "nbf" | "iat" => Value::u(NOW - rng.below(1000) as u64),
+                "roles" => Value::Arr((0..rng.below(3)).map(|_| Value::Str(text(rng))).collect()),
+                n if REGISTERED.contains(&n) => Value::Str(text(rng)),
+                _ => value(rng, 2),
+            };
+            c.extra.push((name, v));
+        }
+        c
+    }
+
+    /// What verification must return for `c`: each extra with a
+    /// registered name replaces that claim, later extras replace earlier
+    /// ones, and the remaining extras come back in name order.
+    fn round_tripped(c: &Claims) -> Claims {
+        let mut out = c.clone();
+        let mut extra = BTreeMap::new();
+        for (name, v) in &c.extra {
+            let s = || v.as_str().unwrap_or_default().to_string();
+            match name.as_str() {
+                "iss" => out.issuer = s(),
+                "sub" => out.subject = s(),
+                "aud" => out.audience = s(),
+                "jti" => out.token_id = s(),
+                "sid" => out.session_id = s(),
+                "acr" => out.acr = s(),
+                "exp" => out.expires_at = v.as_u64().unwrap(),
+                "nbf" => out.not_before = v.as_u64().unwrap(),
+                "iat" => out.issued_at = v.as_u64().unwrap(),
+                "roles" => {
+                    out.roles = v
+                        .as_arr()
+                        .unwrap()
+                        .iter()
+                        .map(|r| r.as_str().unwrap().to_string())
+                        .collect()
+                }
+                _ => {
+                    extra.insert(name.clone(), v.clone());
+                }
+            }
+        }
+        out.extra = extra.into_iter().collect();
+        out
+    }
+
+    /// `token` with a few random byte edits (flip, insert, delete,
+    /// truncate), read back as text.
+    fn mutated(rng: &mut Rng, token: &str) -> String {
+        let mut bytes = token.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(4) {
+            let at = rng.below(bytes.len() + 1);
+            match rng.below(4) {
+                0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+                1 => bytes.insert(at, *rng.pick(b".=-_+/\"{}A0\xff\x00")),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Every decoder on the token path, on `input` and on each of its
+    /// dot-separated segments decoded.
+    fn decode_everything(input: &str, sk: &SigningKey) {
+        let validation = Validation {
+            now: NOW,
+            ..Default::default()
+        };
+        let _ = jwt::peek_kid(input);
+        let _ = jwt::verify(input, &Verifier::Ed25519(&sk.verifying_key()), &validation);
+        let _ = jwt::verify(input, &Verifier::Hmac(b"k"), &validation);
+        let _ = Value::parse(input);
+        let _ = base64::decode_url(input);
+        for segment in input.split('.') {
+            if let Ok(bytes) = base64::decode_url(segment) {
+                let _ = Value::parse(&String::from_utf8_lossy(&bytes));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn token_decoders_never_panic(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            let sk = SigningKey::from_seed(&[7u8; 32]);
+            let c = claims(&mut rng);
+            let token = jwt::sign(&c, &Signer::Ed25519(&sk), &text(&mut rng));
+            let mut inputs = vec![token.clone(), String::new(), "..".into(), "{".into()];
+            inputs.extend((0..8).map(|_| mutated(&mut rng, &token)));
+            inputs.extend((0..4).map(|_| {
+                let junk: Vec<u8> = (0..rng.below(96)).map(|_| rng.next() as u8).collect();
+                String::from_utf8_lossy(&junk).into_owned()
+            }));
+            inputs.push(format!("{}.{}.", base64::encode_url(b"{\"kid\":"), text(&mut rng)));
+            for input in &inputs {
+                let outcome = catch_unwind(AssertUnwindSafe(|| decode_everything(input, &sk)));
+                prop_assert!(outcome.is_ok(), "seed {seed}: a decoder panicked on {input:?}");
+            }
+        }
+
+        #[test]
+        fn signed_tokens_verify_to_equal_claims(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            let sk = SigningKey::from_seed(&[8u8; 32]);
+            let c = claims(&mut rng);
+            let kid = text(&mut rng);
+            let expected = round_tripped(&c);
+            let validation = Validation {
+                now: NOW,
+                ..Default::default()
+            };
+            for (signer, verifier) in [
+                (Signer::Ed25519(&sk), Verifier::Ed25519(&sk.verifying_key())),
+                (Signer::Hmac(b"secret"), Verifier::Hmac(b"secret")),
+            ] {
+                let token = jwt::sign(&c, &signer, &kid);
+                prop_assert_eq!(jwt::peek_kid(&token), Some(kid.clone()));
+                let got = jwt::verify(&token, &verifier, &validation);
+                prop_assert!(got.as_ref() == Ok(&expected), "seed {seed}: {got:?} != {expected:?}");
+            }
+        }
+    }
+}
+
 // --- infrastructure invariants (non-proptest: expensive to build) --------
 
 mod infra_invariants {
