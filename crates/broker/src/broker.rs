@@ -197,7 +197,7 @@ impl Jwks {
             now: now_secs,
             leeway: 0,
         };
-        self.cache.validate_shared(&kid, key, token, &validation)
+        self.cache.validate(&kid, key, token, &validation)
     }
 
     /// Number of published keys.
@@ -349,16 +349,18 @@ impl IdentityBroker {
             session_ids: IdGen::new("sess"),
             jti_ids: IdGen::new("jti"),
             key_ids,
-            faults: dri_fault::FaultHook::new(),
+            faults: dri_fault::FaultHook::default(),
             token_cache,
             coarse_gate: (shards == 1).then(|| RwLock::new(())),
         }
     }
 
-    /// Attach the shared fault plane; outages of component `broker` make
-    /// login and token issuance fail with [`BrokerError::Unavailable`].
-    pub fn install_fault_plane(&self, plane: Arc<dri_fault::FaultPlane>) {
-        self.faults.install(plane);
+    /// Attach the infrastructure's shared fault hook; outages of component
+    /// `broker` make login and token issuance fail with
+    /// [`BrokerError::Unavailable`].
+    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> IdentityBroker {
+        self.faults = hook;
+        self
     }
 
     fn coarse_write(&self) -> Option<parking_lot::RwLockWriteGuard<'_, ()>> {
@@ -611,8 +613,7 @@ impl IdentityBroker {
         // Issuer and verifiers share a trust domain: seed the verified-
         // token cache at sign time so the first validation is a hit.
         let claims = Arc::new(claims);
-        self.token_cache
-            .seed_shared(kid, &token, Arc::clone(&claims));
+        self.token_cache.seed(kid, &token, Arc::clone(&claims));
         Ok((token, claims))
     }
 
@@ -667,7 +668,8 @@ impl IdentityBroker {
         let ring = self.signer.load();
         let (kid, key) = ring.keys.last().expect("key");
         let token = jwt::sign(&derived, &Signer::Ed25519(key), kid);
-        self.token_cache.seed(kid, &token, &derived);
+        self.token_cache
+            .seed(kid, &token, Arc::new(derived.clone()));
         Ok((token, derived))
     }
 

@@ -22,15 +22,6 @@ use dri_federation::idp::totp_code;
 use dri_sync::ShardMap;
 use parking_lot::Mutex;
 
-/// Which second factor a directory user has enrolled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MfaMethod {
-    /// FIDO2-style hardware key (admins).
-    HardwareKey,
-    /// TOTP authenticator app (last-resort users).
-    Totp,
-}
-
 /// The user-side half of a hardware key: lives on the user's device,
 /// never enters the IdP.
 #[derive(Clone)]
@@ -62,7 +53,6 @@ struct DirectoryUser {
     username: String,
     password_hash: [u8; 32],
     salt: [u8; 8],
-    mfa: MfaMethod,
     totp_secret: Option<Vec<u8>>,
     hw_key: Option<VerifyingKey>,
     active: bool,
@@ -201,7 +191,6 @@ impl ManagedIdp {
                 username: username.to_string(),
                 password_hash: Self::hash_password(&salt, password),
                 salt,
-                mfa: MfaMethod::Totp,
                 totp_secret: Some(secret.clone()),
                 hw_key: None,
                 active: true,
@@ -233,7 +222,6 @@ impl ManagedIdp {
                 username: username.to_string(),
                 password_hash: Self::hash_password(&salt, password),
                 salt,
-                mfa: MfaMethod::HardwareKey,
                 totp_secret: None,
                 hw_key: Some(hw_public),
                 active: true,
@@ -350,11 +338,6 @@ impl ManagedIdp {
             return Err(ManagedIdpError::BadPassword);
         }
         Ok(())
-    }
-
-    /// The MFA method a user enrolled with.
-    pub fn mfa_method(&self, username: &str) -> Option<MfaMethod> {
-        self.users.with(username, |u| u.mfa)
     }
 
     /// The TOTP code currently expected for a user (test/client helper —

@@ -142,16 +142,8 @@ impl TokenCache {
 
     /// Seed the cache with a token the issuer just signed: the claims
     /// are trusted by construction, so the verifier's first validation
-    /// of these bytes is a hit.
-    pub fn seed(&self, kid: &str, token: &str, claims: &Claims) {
-        if self.enabled() {
-            self.seed_shared(kid, token, Arc::new(claims.clone()));
-        }
-    }
-
-    /// [`TokenCache::seed`] with claims the issuer already holds in an
-    /// `Arc`: the entry shares them instead of copying.
-    pub fn seed_shared(&self, kid: &str, token: &str, claims: Arc<Claims>) {
+    /// of these bytes is a hit. The entry shares the issuer's claims.
+    pub fn seed(&self, kid: &str, token: &str, claims: Arc<Claims>) {
         if !self.enabled() {
             return;
         }
@@ -170,20 +162,8 @@ impl TokenCache {
     /// Agreement contract: for any input, the result — `Ok` claims or
     /// `Err` kind — is identical to
     /// `jwt::verify(token, &Verifier::Ed25519Prepared(key), validation)`.
+    /// The claims are shared with the cache entry, not copied.
     pub fn validate(
-        &self,
-        kid: &str,
-        key: &PreparedVerifyingKey,
-        token: &str,
-        validation: &Validation,
-    ) -> Result<Claims, JwtError> {
-        self.validate_shared(kid, key, token, validation)
-            .map(Arc::unwrap_or_clone)
-    }
-
-    /// [`TokenCache::validate`], returning the claims shared with the
-    /// cache entry instead of a copy of them.
-    pub fn validate_shared(
         &self,
         kid: &str,
         key: &PreparedVerifyingKey,
@@ -284,9 +264,9 @@ mod tests {
         let cache = TokenCache::new(4);
         let (token, claims) = signed(&sk, "k1", 1000, 600);
         let v = validation(1000);
-        assert_eq!(cache.validate("k1", &pk, &token, &v).unwrap(), claims);
+        assert_eq!(*cache.validate("k1", &pk, &token, &v).unwrap(), claims);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        assert_eq!(cache.validate("k1", &pk, &token, &v).unwrap(), claims);
+        assert_eq!(*cache.validate("k1", &pk, &token, &v).unwrap(), claims);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
@@ -327,9 +307,9 @@ mod tests {
         let pk = PreparedVerifyingKey::new(&sk.verifying_key());
         let cache = TokenCache::new(4);
         let (token, claims) = signed(&sk, "k1", 1000, 600);
-        cache.seed("k1", &token, &claims);
+        cache.seed("k1", &token, Arc::new(claims.clone()));
         assert_eq!(
-            cache
+            *cache
                 .validate("k1", &pk, &token, &validation(1000))
                 .unwrap(),
             claims
@@ -344,10 +324,10 @@ mod tests {
         let cache = TokenCache::new(4);
         cache.set_enabled(false);
         let (token, claims) = signed(&sk, "k1", 1000, 600);
-        cache.seed("k1", &token, &claims);
+        cache.seed("k1", &token, Arc::new(claims.clone()));
         assert!(cache.is_empty());
         assert_eq!(
-            cache
+            *cache
                 .validate("k1", &pk, &token, &validation(1000))
                 .unwrap(),
             claims

@@ -117,12 +117,6 @@ impl SimRng {
         }
     }
 
-    /// Uniform value in `[lo, hi)`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(hi > lo);
-        lo + self.next_below(hi - lo)
-    }
-
     /// Uniform f64 in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64

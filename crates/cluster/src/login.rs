@@ -126,7 +126,7 @@ impl LoginNode {
             rng: Mutex::new(rng),
             ids: IdGen::new("shell"),
             draining: AtomicBool::new(false),
-            faults: dri_fault::FaultHook::new(),
+            faults: dri_fault::FaultHook::default(),
         }
     }
 
@@ -135,9 +135,10 @@ impl LoginNode {
         self.ca_key.store(PreparedVerifyingKey::new(&key));
     }
 
-    /// Attach the shared fault-injection plane (chaos drills).
-    pub fn install_fault_plane(&self, plane: std::sync::Arc<dri_fault::FaultPlane>) {
-        self.faults.install(plane);
+    /// Attach the infrastructure's shared fault hook (chaos drills).
+    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> LoginNode {
+        self.faults = hook;
+        self
     }
 
     /// Start or stop draining the node. Draining refuses *new* sessions
@@ -421,7 +422,9 @@ mod tests {
 
     #[test]
     fn fault_plane_outage_fails_new_sessions_closed() {
-        let f = fixture();
+        let hook = dri_fault::FaultHook::default();
+        let mut f = fixture();
+        f.node = f.node.with_fault_hook(hook.clone());
         let c = cert(&f);
         let session = f
             .node
@@ -429,7 +432,7 @@ mod tests {
             .unwrap();
         let plan = dri_fault::FaultPlan::new(5).outage("login", 0, u64::MAX);
         let plane = std::sync::Arc::new(dri_fault::FaultPlane::new(plan, f.clock.clone()));
-        f.node.install_fault_plane(plane.clone());
+        hook.install(plane.clone());
         assert_eq!(
             f.node.open_session(&c, "u123", |ch| f.user_key.sign(ch)),
             Err(LoginError::Unavailable)

@@ -141,13 +141,14 @@ impl Scheduler {
             clock,
             state: RwLock::new(SchedState::default()),
             ids: IdGen::new("job"),
-            faults: dri_fault::FaultHook::new(),
+            faults: dri_fault::FaultHook::default(),
         }
     }
 
-    /// Attach the shared fault-injection plane (chaos drills).
-    pub fn install_fault_plane(&self, plane: std::sync::Arc<dri_fault::FaultPlane>) {
-        self.faults.install(plane);
+    /// Attach the infrastructure's shared fault hook (chaos drills).
+    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> Scheduler {
+        self.faults = hook;
+        self
     }
 
     /// Add a partition.
@@ -486,9 +487,11 @@ mod tests {
         let running = s.submit("u123", "climate-llm", "gh", 2, 3600).unwrap();
         s.tick();
         assert_eq!(s.job(&running).unwrap().state, JobState::Running);
+        let hook = dri_fault::FaultHook::default();
+        let s = s.with_fault_hook(hook.clone());
         let plan = dri_fault::FaultPlan::new(5).outage("slurm", 0, u64::MAX);
         let plane = std::sync::Arc::new(dri_fault::FaultPlane::new(plan, clock.clone()));
-        s.install_fault_plane(plane.clone());
+        hook.install(plane.clone());
         assert_eq!(
             s.submit("u123", "climate-llm", "gh", 1, 60),
             Err(SubmitError::SchedulerUnavailable)

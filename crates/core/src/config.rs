@@ -13,14 +13,6 @@ pub enum ConfigError {
     /// routing is a mask, and so `shard_count()` reports exactly what
     /// was requested (the shard maps round up otherwise).
     ShardsNotPowerOfTwo(usize),
-    /// The edge window must be long enough to score rates at all.
-    WindowTooShort(u64),
-    /// The error-budget window must be long enough to accumulate
-    /// outcomes at all.
-    BudgetWindowTooShort(u64),
-    /// The error-budget SLO is expressed in per-mille of calls and
-    /// cannot exceed 1000.
-    SloOutOfRange(u16),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -32,15 +24,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ShardsNotPowerOfTwo(n) => {
                 write!(f, "broker_shards {n} is not a power of two")
-            }
-            ConfigError::WindowTooShort(ms) => {
-                write!(f, "edge_window_ms {ms} too short (minimum 10ms)")
-            }
-            ConfigError::BudgetWindowTooShort(ms) => {
-                write!(f, "budget_window_ms {ms} too short (minimum 1000ms)")
-            }
-            ConfigError::SloOutOfRange(pm) => {
-                write!(f, "budget_slo_per_mille {pm} outside 0..=1000")
             }
         }
     }
@@ -75,8 +58,6 @@ pub struct InfraConfig {
     pub compute_nodes: u32,
     /// Interactive partition size (nodes).
     pub interactive_nodes: u32,
-    /// Edge DDoS window (ms).
-    pub edge_window_ms: u64,
     /// Edge requests-per-window threshold per source.
     pub edge_threshold: usize,
     /// Shards for the broker's session/token maps (rounded to a power of
@@ -97,17 +78,6 @@ pub struct InfraConfig {
     /// Enable the in-progress HPC-fabric / parallel-FS encryption the
     /// paper lists as future work (§V). Off in the paper's deployment.
     pub hpc_fabric_encryption: bool,
-    /// Optional deterministic fault plan, installed across every
-    /// instrumented hop at assembly time (chaos days and the resilience
-    /// experiments). `None` leaves the fault plane uninstalled — the
-    /// hooks cost one relaxed load per hop.
-    pub fault_plan: Option<dri_fault::FaultPlan>,
-    /// Error-budget accounting window (simulated ms). Budgets divide
-    /// sim time into windows of this width per dependency.
-    pub budget_window_ms: u64,
-    /// Error-budget SLO: required success rate in per-mille of calls
-    /// (900 = 90.0%, leaving a 100‰ error budget per window).
-    pub budget_slo_per_mille: u16,
 }
 
 impl Default for InfraConfig {
@@ -124,16 +94,12 @@ impl Default for InfraConfig {
             jupyter_capacity: 256,
             compute_nodes: 168, // Isambard-AI phase 1: 168 GH200 nodes
             interactive_nodes: 64,
-            edge_window_ms: 1_000,
             edge_threshold: 50,
             broker_shards: 16,
             detection: DetectionConfig::default(),
             tracing: true,
             verification_cache: true,
             hpc_fabric_encryption: false,
-            fault_plan: None,
-            budget_window_ms: 60_000,
-            budget_slo_per_mille: 900,
         }
     }
 }
@@ -181,12 +147,6 @@ impl InfraConfigBuilder {
         self
     }
 
-    /// Set the edge DDoS scoring window (ms).
-    pub fn edge_window_ms(mut self, window_ms: u64) -> Self {
-        self.cfg.edge_window_ms = window_ms;
-        self
-    }
-
     /// Set the broker shard count (1 = coarse-lock baseline).
     pub fn broker_shards(mut self, shards: usize) -> Self {
         self.cfg.broker_shards = shards;
@@ -212,24 +172,6 @@ impl InfraConfigBuilder {
         self
     }
 
-    /// Install a deterministic fault plan at assembly time (chaos days).
-    pub fn fault_plan(mut self, plan: dri_fault::FaultPlan) -> Self {
-        self.cfg.fault_plan = Some(plan);
-        self
-    }
-
-    /// Set the error-budget accounting window (simulated ms).
-    pub fn budget_window_ms(mut self, window_ms: u64) -> Self {
-        self.cfg.budget_window_ms = window_ms;
-        self
-    }
-
-    /// Set the error-budget SLO in per-mille of calls (900 = 90.0%).
-    pub fn budget_slo_per_mille(mut self, slo: u16) -> Self {
-        self.cfg.budget_slo_per_mille = slo;
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<InfraConfig, ConfigError> {
         let cfg = self.cfg;
@@ -247,15 +189,6 @@ impl InfraConfigBuilder {
         }
         if !cfg.broker_shards.is_power_of_two() {
             return Err(ConfigError::ShardsNotPowerOfTwo(cfg.broker_shards));
-        }
-        if cfg.edge_window_ms < 10 {
-            return Err(ConfigError::WindowTooShort(cfg.edge_window_ms));
-        }
-        if cfg.budget_window_ms < 1_000 {
-            return Err(ConfigError::BudgetWindowTooShort(cfg.budget_window_ms));
-        }
-        if cfg.budget_slo_per_mille > 1000 {
-            return Err(ConfigError::SloOutOfRange(cfg.budget_slo_per_mille));
         }
         Ok(cfg)
     }
@@ -335,40 +268,5 @@ mod tests {
             InfraConfig::builder().broker_shards(3).build().unwrap_err(),
             ConfigError::ShardsNotPowerOfTwo(3)
         );
-        assert_eq!(
-            InfraConfig::builder()
-                .edge_window_ms(1)
-                .build()
-                .unwrap_err(),
-            ConfigError::WindowTooShort(1)
-        );
-        assert_eq!(
-            InfraConfig::builder()
-                .budget_window_ms(500)
-                .build()
-                .unwrap_err(),
-            ConfigError::BudgetWindowTooShort(500)
-        );
-        assert_eq!(
-            InfraConfig::builder()
-                .budget_slo_per_mille(1001)
-                .build()
-                .unwrap_err(),
-            ConfigError::SloOutOfRange(1001)
-        );
-    }
-
-    #[test]
-    fn budget_fields_default_and_build() {
-        let c = InfraConfig::default();
-        assert_eq!(c.budget_window_ms, 60_000);
-        assert_eq!(c.budget_slo_per_mille, 900);
-        let c = InfraConfig::builder()
-            .budget_window_ms(30_000)
-            .budget_slo_per_mille(950)
-            .build()
-            .unwrap();
-        assert_eq!(c.budget_window_ms, 30_000);
-        assert_eq!(c.budget_slo_per_mille, 950);
     }
 }

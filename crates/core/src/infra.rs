@@ -35,7 +35,7 @@ use dri_sshca::ca::SshCa;
 use dri_trace::{Stage, Tracer};
 use parking_lot::{Mutex, RwLock};
 
-use dri_fault::{BreakerState, BudgetConfig};
+use dri_fault::BreakerState;
 
 use crate::config::InfraConfig;
 use crate::flows::FlowError;
@@ -48,6 +48,9 @@ pub const PROXY_ENTITY: &str = "https://proxy.myaccessid.org";
 pub const BROKER_ENTITY: &str = "https://broker.isambard.ac.uk";
 /// Entity id of the simulated university IdP.
 pub const UNIVERSITY_IDP: &str = "https://idp.bristol.ac.uk";
+
+/// The edge's DDoS scoring window (ms).
+const EDGE_WINDOW_MS: u64 = 1_000;
 
 /// Audiences every project member is authorised for.
 pub(crate) const MEMBER_AUDIENCES: [&str; 4] = ["ssh-ca", "jupyter", "slurm", "portal"];
@@ -112,7 +115,7 @@ pub struct Infrastructure {
     /// The policy decision point, wrapped in the epoch-invalidated
     /// decision memo (the kill switch bumps the memo epoch).
     pub pdp: MemoizedPdp,
-    /// Retry/breaker/degraded-mode state plus the optional fault plane.
+    /// Retry/breaker/degraded-mode state plus the shared fault hook.
     pub resilience: Resilience,
     /// Simulated users (client-side state lives here).
     pub users: RwLock<HashMap<String, SimUser>>,
@@ -141,18 +144,27 @@ impl Infrastructure {
         let wall_epoch = std::time::Instant::now();
         tracer.install_wall_clock(Arc::new(move || wall_epoch.elapsed().as_micros() as u64));
 
+        // Resilience layer. It owns the fault hook every instrumented hop
+        // below takes a clone of, so `install_fault_plan` arms all hops
+        // at once.
+        let resilience = Resilience::new(config.seed);
+        let faults = &resilience.faults;
+
         // --- Federation layer -------------------------------------------------
         let registry = Arc::new(FederationRegistry::new());
         registry.register_federation("edugain", "GEANT");
         registry.register_federation("ukamf", "Jisc");
 
-        let university_idp = Arc::new(IdentityProvider::new(
-            UNIVERSITY_IDP,
-            "bristol.ac.uk",
-            LevelOfAssurance::Medium,
-            rng.seed32(),
-            clock.clone(),
-        ));
+        let university_idp = Arc::new(
+            IdentityProvider::new(
+                UNIVERSITY_IDP,
+                "bristol.ac.uk",
+                LevelOfAssurance::Medium,
+                rng.seed32(),
+                clock.clone(),
+            )
+            .with_fault_hook(faults.clone()),
+        );
         registry
             .register_entity(EntityDescriptor {
                 entity_id: UNIVERSITY_IDP.into(),
@@ -168,12 +180,10 @@ impl Infrastructure {
             })
             .expect("register idp");
 
-        let proxy = Arc::new(IdpProxy::new(
-            PROXY_ENTITY,
-            rng.seed32(),
-            clock.clone(),
-            registry.clone(),
-        ));
+        let proxy = Arc::new(
+            IdpProxy::new(PROXY_ENTITY, rng.seed32(), clock.clone(), registry.clone())
+                .with_fault_hook(faults.clone()),
+        );
         proxy.register_service(BROKER_ENTITY);
         registry
             .register_entity(EntityDescriptor {
@@ -193,15 +203,18 @@ impl Infrastructure {
             MEMBER_AUDIENCES.iter().map(|s| s.to_string()).collect(),
         ));
         let authz: Arc<dyn AuthorizationSource> = portal.clone();
-        let broker = Arc::new(IdentityBroker::with_shards(
-            BROKER_ENTITY,
-            rng.seed32(),
-            config.session_ttl_secs,
-            clock.clone(),
-            registry.clone(),
-            authz,
-            config.broker_shards,
-        ));
+        let broker = Arc::new(
+            IdentityBroker::with_shards(
+                BROKER_ENTITY,
+                rng.seed32(),
+                config.session_ttl_secs,
+                clock.clone(),
+                registry.clone(),
+                authz,
+                config.broker_shards,
+            )
+            .with_fault_hook(faults.clone()),
+        );
         broker.register_service(TokenPolicy::standard("ssh-ca", config.ssh_token_ttl_secs));
         broker.register_service(TokenPolicy::standard(
             "jupyter",
@@ -260,42 +273,48 @@ impl Infrastructure {
                 broker.jwks(),
                 portal.clone(),
             )
-            .with_introspection(Arc::new(move |jti| broker_for_ca.introspect(jti))),
+            .with_introspection(Arc::new(move |jti| broker_for_ca.introspect(jti)))
+            .with_fault_hook(faults.clone()),
         );
 
         // --- Network fabric (Fig. 1) -------------------------------------------
         let network = Arc::new(Network::new(clock.clone()));
         build_fabric(&network);
 
-        let bastion = Arc::new(Bastion::new(
-            "sws/bastion",
-            config.bastion_instances,
-            ssh_ca.public_key(),
-            clock.clone(),
-        ));
+        let bastion = Arc::new(
+            Bastion::new(
+                "sws/bastion",
+                config.bastion_instances,
+                ssh_ca.public_key(),
+                clock.clone(),
+            )
+            .with_fault_hook(faults.clone()),
+        );
 
-        let tailnet = Arc::new(Tailnet::new(
-            broker.jwks(),
-            config.tailnet_lease_secs,
-            clock.clone(),
-        ));
+        let tailnet = Arc::new(
+            Tailnet::new(broker.jwks(), config.tailnet_lease_secs, clock.clone())
+                .with_fault_hook(faults.clone()),
+        );
         let mut tailnet_rng = rng.split();
         let mgmt_node = TailnetNode::generate("mdc-mgmt01", &mut tailnet_rng);
         tailnet.enroll_infrastructure(&mgmt_node);
         tailnet.allow("*", "mdc-mgmt01");
 
         // --- Cluster -----------------------------------------------------------
-        let scheduler = Arc::new(Scheduler::new(clock.clone()));
+        let scheduler = Arc::new(Scheduler::new(clock.clone()).with_fault_hook(faults.clone()));
         scheduler.add_partition("gh", config.compute_nodes, config.compute_nodes);
         scheduler.add_partition("interactive", config.interactive_nodes, 1);
 
-        let login_node = Arc::new(LoginNode::with_shards(
-            "mdc/login01",
-            ssh_ca.public_key(),
-            clock.clone(),
-            rng.split(),
-            config.broker_shards,
-        ));
+        let login_node = Arc::new(
+            LoginNode::with_shards(
+                "mdc/login01",
+                ssh_ca.public_key(),
+                clock.clone(),
+                rng.split(),
+                config.broker_shards,
+            )
+            .with_fault_hook(faults.clone()),
+        );
 
         let broker_for_jupyter = broker.clone();
         let jupyter = Arc::new(
@@ -353,11 +372,10 @@ impl Infrastructure {
             )
             .expect("jupyter tunnel registration");
 
-        let edge = Arc::new(EdgeProxy::new(
-            clock.clone(),
-            config.edge_window_ms,
-            config.edge_threshold,
-        ));
+        let edge = Arc::new(
+            EdgeProxy::new(clock.clone(), EDGE_WINDOW_MS, config.edge_threshold)
+                .with_fault_hook(faults.clone()),
+        );
 
         // --- SEC: SIEM + inventory ----------------------------------------------
         let siem = Arc::new(Siem::new(clock.clone(), config.detection.clone()));
@@ -379,15 +397,8 @@ impl Infrastructure {
             }));
         }
 
-        // Resilience layer: per-(dependency, lane) circuit breakers whose
-        // transitions land in the SIEM and on the active flow's span.
-        let resilience = Resilience::new(
-            config.seed,
-            BudgetConfig {
-                window_ms: config.budget_window_ms,
-                slo_per_mille: config.budget_slo_per_mille,
-            },
-        );
+        // Per-(dependency, lane) circuit breakers whose transitions land
+        // in the SIEM and on the active flow's span.
         {
             let siem = siem.clone();
             resilience.breakers.set_sink(Arc::new(move |t| {
@@ -459,9 +470,6 @@ impl Infrastructure {
             infra.pdp.set_enabled(false);
         }
         infra.bootstrap_operations_admin();
-        if let Some(plan) = infra.config.fault_plan.clone() {
-            infra.install_fault_plan(plan);
-        }
         infra
     }
 
@@ -493,13 +501,16 @@ impl Infrastructure {
         loa: LevelOfAssurance,
     ) -> String {
         let entity_id = format!("https://idp.{scope}");
-        let idp = Arc::new(IdentityProvider::new(
-            entity_id.clone(),
-            scope,
-            loa,
-            self.rng.lock().seed32(),
-            self.clock.clone(),
-        ));
+        let idp = Arc::new(
+            IdentityProvider::new(
+                entity_id.clone(),
+                scope,
+                loa,
+                self.rng.lock().seed32(),
+                self.clock.clone(),
+            )
+            .with_fault_hook(self.resilience.faults.clone()),
+        );
         self.registry
             .register_entity(EntityDescriptor {
                 entity_id: entity_id.clone(),
@@ -511,9 +522,6 @@ impl Infrastructure {
                 signing_key: idp.verifying_key(),
             })
             .expect("partner idp registration");
-        if let Some(plane) = self.resilience.plane() {
-            idp.install_fault_plane(plane);
-        }
         self.partner_idps.write().push(idp);
         entity_id
     }

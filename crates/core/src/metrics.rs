@@ -78,7 +78,8 @@ pub struct MetricsSnapshot {
     /// PDP memo entries discarded on an epoch mismatch.
     pub pdp_memo_epoch_busts: u64,
     // Resilience layer.
-    /// Retries performed across transient hops.
+    /// Retries performed across transient hops: the sum of
+    /// `retries_by_dependency`.
     pub retries: u64,
     /// Circuit-breaker trips (closed → open).
     pub breaker_trips: u64,
@@ -86,15 +87,14 @@ pub struct MetricsSnapshot {
     pub breaker_rejections: u64,
     /// Logins that succeeded in degraded (last-resort failover) mode.
     pub degraded_logins: u64,
-    /// Failures injected by the fault plane (0 when no plan installed).
-    /// Cumulative across plan re-installs: replacing the plane rolls its
-    /// counter into a prior total rather than resetting it.
+    /// Failures injected by the fault plane (0 when no plan installed):
+    /// the sum of `faults_by_dependency`.
     pub faults_injected: u64,
     /// Failures injected per dependency (component category), sorted by
-    /// name. Cumulative across plan re-installs like `faults_injected`:
-    /// a replaced plane's per-component counts are rolled into a prior
-    /// map and merged into every later snapshot, so a chaos campaign
-    /// spanning several plans reads as one continuous series.
+    /// name. Cumulative across plan re-installs: the infrastructure's
+    /// one fault hook keeps the counts and outlives every plan, so a
+    /// chaos campaign spanning several plans reads as one continuous
+    /// series.
     pub faults_by_dependency: Vec<(String, u64)>,
     /// Retries performed per dependency, sorted by name. Lifetime
     /// counters — never reset on plan re-install.

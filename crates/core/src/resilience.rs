@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dri_fault::{
-    stage_of, BreakerConfig, BudgetConfig, CircuitBreakers, ErrorBudgets, FaultPlan, FaultPlane,
+    stage_of, BreakerConfig, CircuitBreakers, ErrorBudgets, FaultHook, FaultPlan, FaultPlane,
     RetryPolicy,
 };
 use dri_federation::idp::AuthnError;
@@ -25,7 +25,8 @@ use crate::flows::FlowError;
 use crate::infra::Infrastructure;
 
 /// Per-infrastructure resilience state: breaker registry, retry policy,
-/// error budgets, counters, and the optional installed fault plane.
+/// error budgets, counters, and the fault hook every instrumented hop
+/// shares.
 pub struct Resilience {
     pub(crate) breakers: CircuitBreakers,
     pub(crate) retry: RetryPolicy,
@@ -35,17 +36,11 @@ pub struct Resilience {
     /// Per-dependency, per-window error budgets fed by every
     /// `with_retry` outcome.
     pub(crate) budgets: ErrorBudgets,
-    pub(crate) plane: RwLock<Option<Arc<FaultPlane>>>,
+    /// The one fault hook: every instrumented component holds a clone,
+    /// and it counts injected failures across every plan installed.
+    pub(crate) faults: FaultHook,
     pub(crate) seed: u64,
-    pub(crate) retries: AtomicU64,
     pub(crate) degraded_logins: AtomicU64,
-    /// Failures injected by fault planes replaced by a later
-    /// [`Infrastructure::install_fault_plan`] — keeps the metrics
-    /// counter cumulative across re-installs.
-    pub(crate) faults_injected_prior: AtomicU64,
-    /// Per-component failure counts rolled over from replaced planes,
-    /// mirroring `faults_injected_prior` at per-dependency granularity.
-    pub(crate) faults_by_dependency_prior: RwLock<HashMap<String, u64>>,
     /// Retries performed per dependency (lifetime of the infrastructure,
     /// not reset on plan re-install).
     pub(crate) retries_by_dependency: RwLock<HashMap<String, u64>>,
@@ -55,26 +50,24 @@ pub struct Resilience {
 }
 
 impl Resilience {
-    pub(crate) fn new(seed: u64, budget: BudgetConfig) -> Resilience {
+    pub(crate) fn new(seed: u64) -> Resilience {
         Resilience {
             breakers: CircuitBreakers::new(BreakerConfig::default()),
             retry: RetryPolicy::default(),
             retry_overrides: RwLock::new(HashMap::new()),
-            budgets: ErrorBudgets::new(budget),
-            plane: RwLock::new(None),
+            budgets: ErrorBudgets::new(),
+            faults: FaultHook::default(),
             seed,
-            retries: AtomicU64::new(0),
             degraded_logins: AtomicU64::new(0),
-            faults_injected_prior: AtomicU64::new(0),
-            faults_by_dependency_prior: RwLock::new(HashMap::new()),
             retries_by_dependency: RwLock::new(HashMap::new()),
             fallback_passwords: RwLock::new(HashMap::new()),
         }
     }
 
-    /// Retries performed across all hops so far.
+    /// Retries performed across all hops so far: the sum of
+    /// [`Resilience::retries_by_dependency`].
     pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+        self.retries_by_dependency.read().values().sum()
     }
 
     /// Logins that succeeded in degraded (last-resort failover) mode.
@@ -131,32 +124,16 @@ impl Resilience {
     }
 
     /// Failures injected per dependency (component category), sorted by
-    /// name. Like [`Resilience::faults_injected`], the counts are
-    /// **cumulative across plan re-installs**: when a new plan replaces
-    /// an old plane, the old plane's per-component counters are rolled
-    /// into a prior map and merged into every later reading.
+    /// name, by every fault plan ever installed on this infrastructure:
+    /// the hook outlives each plan, so the counts are cumulative.
     pub fn faults_by_dependency(&self) -> Vec<(String, u64)> {
-        let mut merged: HashMap<String, u64> = self.faults_by_dependency_prior.read().clone();
-        if let Some(plane) = self.plane() {
-            for (component, n) in plane.failures_by_component() {
-                *merged.entry(component).or_insert(0) += n;
-            }
-        }
-        let mut out: Vec<(String, u64)> = merged.into_iter().collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.faults.failures_by_component()
     }
 
-    /// The installed fault plane, if any.
-    pub fn plane(&self) -> Option<Arc<FaultPlane>> {
-        self.plane.read().clone()
-    }
-
-    /// Total failures injected by every fault plane ever installed on
-    /// this infrastructure (cumulative across re-installs).
+    /// Total failures injected by every fault plan ever installed: the
+    /// sum of [`Resilience::faults_by_dependency`].
     pub fn faults_injected(&self) -> u64 {
-        self.faults_injected_prior.load(Ordering::Relaxed)
-            + self.plane().map_or(0, |p| p.failures_injected())
+        self.faults.failures_injected()
     }
 }
 
@@ -166,7 +143,7 @@ impl std::fmt::Debug for Resilience {
             .field("retries", &self.retries())
             .field("degraded_logins", &self.degraded_logins())
             .field("breaker_trips", &self.breakers.trips())
-            .field("plane", &self.plane.read().is_some())
+            .field("faults", &self.faults)
             .finish()
     }
 }
@@ -253,32 +230,13 @@ impl Infrastructure {
     /// Install a fault plan across every instrumented hop — control
     /// plane (IdPs, proxy, broker, SSH CA, bastion, edge) *and* the
     /// cluster data plane (scheduler, login node, tailnet coordination
-    /// server) — and arm the resilience layer's view of it. Returns the
-    /// bound plane so drills can query [`FaultPlane::active_outage`] or
-    /// disarm it with [`FaultPlane::set_enabled`].
+    /// server). They all share one hook, so this replaces any earlier
+    /// plan everywhere at once. Returns the bound plane so drills can
+    /// query [`FaultPlane::active_outage`] or disarm it with
+    /// [`FaultPlane::set_enabled`].
     pub fn install_fault_plan(&self, plan: FaultPlan) -> Arc<FaultPlane> {
         let plane = Arc::new(FaultPlane::new(plan, self.clock.clone()));
-        self.university_idp.install_fault_plane(plane.clone());
-        for idp in self.partner_idps.read().iter() {
-            idp.install_fault_plane(plane.clone());
-        }
-        self.proxy.install_fault_plane(plane.clone());
-        self.broker.install_fault_plane(plane.clone());
-        self.ssh_ca.install_fault_plane(plane.clone());
-        self.bastion.install_fault_plane(plane.clone());
-        self.edge.install_fault_plane(plane.clone());
-        self.scheduler.install_fault_plane(plane.clone());
-        self.login_node.install_fault_plane(plane.clone());
-        self.tailnet.install_fault_plane(plane.clone());
-        if let Some(old) = self.resilience.plane.write().replace(plane.clone()) {
-            self.resilience
-                .faults_injected_prior
-                .fetch_add(old.failures_injected(), Ordering::Relaxed);
-            let mut prior = self.resilience.faults_by_dependency_prior.write();
-            for (component, n) in old.failures_by_component() {
-                *prior.entry(component).or_insert(0) += n;
-            }
-        }
+        self.resilience.faults.install(plane.clone());
         plane
     }
 
@@ -503,7 +461,6 @@ impl Infrastructure {
                     if transient && policy.retries_left(attempt) > 0 {
                         let backoff =
                             policy.backoff_ms(res.seed, &format!("{dependency}|{lane}"), attempt);
-                        res.retries.fetch_add(1, Ordering::Relaxed);
                         *res.retries_by_dependency
                             .write()
                             .entry(dependency.to_string())
@@ -545,12 +502,7 @@ impl Infrastructure {
     /// fault plane is armed (real outages without a plane are reported
     /// by their own layers).
     fn emit_fault_observed(&self, dependency: &str, lane: &str, error: &impl std::fmt::Display) {
-        let armed = self
-            .resilience
-            .plane
-            .read()
-            .as_ref()
-            .is_some_and(|p| p.enabled());
+        let armed = self.resilience.faults.plane().is_some_and(|p| p.enabled());
         if armed {
             self.emit(
                 source_of(dependency),

@@ -1,12 +1,12 @@
 //! SRE-style error budgets over deterministic sim-time windows.
 //!
-//! Each dependency gets a per-window budget derived from an SLO target:
-//! with an SLO of `slo_per_mille` (e.g. `900` = 99.0%-style "90.0% of
-//! calls succeed"), the window may spend up to `1000 - slo_per_mille`
-//! per-mille of its calls on errors before the budget is **exhausted**.
+//! Each dependency gets a per-window budget derived from a fixed SLO
+//! target: with [`SLO_PER_MILLE`] = 900 ("90.0% of calls succeed"), a
+//! window may spend up to `1000 - SLO_PER_MILLE` per-mille of its calls
+//! on errors before the budget is **exhausted**.
 //!
 //! The accounting is a pure function of the event stream: windows are
-//! indexed by `at_ms / window_ms` (sim time only — no wall clock), and
+//! indexed by `at_ms / WINDOW_MS` (sim time only — no wall clock), and
 //! each window holds two commutative counters `(ok, err)`. Because
 //! addition commutes, a serial run and an 8-worker run that observe the
 //! same multiset of outcomes land on byte-identical budget state; the
@@ -16,7 +16,7 @@
 //!
 //! Burn rate is reported in per-mille of the window's calls:
 //! `burn = err * 1000 / (ok + err)`, and the window is exhausted when
-//! `err * 1000 > (ok + err) * (1000 - slo_per_mille)`.
+//! `err * 1000 > (ok + err) * (1000 - SLO_PER_MILLE)`.
 
 use dri_sync::ShardMap;
 
@@ -24,31 +24,19 @@ use dri_sync::ShardMap;
 /// every resilient call, so contention matters in parallel storms.
 const BUDGET_SHARDS: usize = 16;
 
-/// SLO target and window geometry for the error-budget plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetConfig {
-    /// Width of one accounting window in simulated milliseconds.
-    pub window_ms: u64,
-    /// Required success rate in per-mille of calls (e.g. `900` = 90.0%).
-    /// The error budget of a window is `1000 - slo_per_mille` per-mille.
-    pub slo_per_mille: u16,
-}
+/// Width of one accounting window in simulated milliseconds.
+pub const WINDOW_MS: u64 = 60_000;
 
-impl Default for BudgetConfig {
-    fn default() -> BudgetConfig {
-        BudgetConfig {
-            window_ms: 60_000,
-            slo_per_mille: 900,
-        }
-    }
-}
+/// Required success rate in per-mille of calls (90.0%). The error budget
+/// of a window is `1000 - SLO_PER_MILLE` per-mille.
+pub const SLO_PER_MILLE: u16 = 900;
 
 /// One (dependency, window) row of the budget timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetWindow {
     /// Dependency the counters belong to (`"idp"`, `"slurm"`, …).
     pub dependency: String,
-    /// Window index (`at_ms / window_ms`).
+    /// Window index (`at_ms / WINDOW_MS`).
     pub window: u64,
     /// Window start in simulated milliseconds.
     pub start_ms: u64,
@@ -68,28 +56,21 @@ pub struct BudgetWindow {
 /// counters commute, so recording order (and thread interleaving) does
 /// not affect the final state.
 pub struct ErrorBudgets {
-    config: BudgetConfig,
     /// `"{dependency}|{window}"` → `(ok, err)`.
     windows: ShardMap<(u64, u64)>,
 }
 
 impl ErrorBudgets {
-    /// New budget plane with the given SLO/window geometry.
-    pub fn new(config: BudgetConfig) -> ErrorBudgets {
+    /// New, empty budget plane.
+    pub fn new() -> ErrorBudgets {
         ErrorBudgets {
-            config,
             windows: ShardMap::new(BUDGET_SHARDS),
         }
     }
 
-    /// The configured SLO/window geometry.
-    pub fn config(&self) -> BudgetConfig {
-        self.config
-    }
-
     /// Window index containing the given sim time.
     pub fn window_of(&self, at_ms: u64) -> u64 {
-        at_ms / self.config.window_ms
+        at_ms / WINDOW_MS
     }
 
     /// Record one call outcome for `dependency` at sim time `at_ms`.
@@ -118,9 +99,9 @@ impl ErrorBudgets {
         (err * 1000).checked_div(ok + err).unwrap_or(0)
     }
 
-    fn exhausted_of(&self, ok: u64, err: u64) -> bool {
+    fn exhausted_of(ok: u64, err: u64) -> bool {
         let total = ok + err;
-        total > 0 && err * 1000 > total * u64::from(1000 - self.config.slo_per_mille)
+        total > 0 && err * 1000 > total * u64::from(1000 - SLO_PER_MILLE)
     }
 
     /// Burn rate (per-mille of calls spent on errors) for a window.
@@ -132,7 +113,7 @@ impl ErrorBudgets {
     /// Whether the (dependency, window) pair has spent its error budget.
     pub fn exhausted(&self, dependency: &str, window: u64) -> bool {
         let (ok, err) = self.counts(dependency, window);
-        self.exhausted_of(ok, err)
+        Self::exhausted_of(ok, err)
     }
 
     /// Whether the dependency's *current* window still has budget
@@ -169,11 +150,11 @@ impl ErrorBudgets {
             rows.push(BudgetWindow {
                 dependency: dep.to_string(),
                 window,
-                start_ms: window * self.config.window_ms,
+                start_ms: window * WINDOW_MS,
                 ok,
                 err,
                 burn_per_mille: Self::burn_of(ok, err),
-                exhausted: self.exhausted_of(ok, err),
+                exhausted: Self::exhausted_of(ok, err),
             });
         });
         rows.sort_by(|a, b| (&a.dependency, a.window).cmp(&(&b.dependency, b.window)));
@@ -208,10 +189,15 @@ impl ErrorBudgets {
     }
 }
 
+impl Default for ErrorBudgets {
+    fn default() -> ErrorBudgets {
+        ErrorBudgets::new()
+    }
+}
+
 impl std::fmt::Debug for ErrorBudgets {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ErrorBudgets")
-            .field("config", &self.config)
             .field("windows", &self.windows.len())
             .finish()
     }
@@ -222,7 +208,7 @@ mod tests {
     use super::*;
 
     fn budgets() -> ErrorBudgets {
-        ErrorBudgets::new(BudgetConfig::default())
+        ErrorBudgets::new()
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod retry;
 pub use breaker::{
     BreakerConfig, BreakerOpen, BreakerState, BreakerTransition, CircuitBreakers, TransitionSink,
 };
-pub use budget::{BudgetConfig, BudgetWindow, ErrorBudgets};
+pub use budget::{BudgetWindow, ErrorBudgets};
 pub use hook::FaultHook;
 pub use plan::{stage_of, FaultKind, FaultPlan, FaultPlane, FaultSpec, InjectedFault};
 pub use retry::RetryPolicy;

@@ -149,11 +149,7 @@ pub struct FaultPlane {
     plan: FaultPlan,
     clock: SimClock,
     enabled: AtomicBool,
-    failures_injected: AtomicU64,
     latency_spans_injected: AtomicU64,
-    /// Failures injected per component *category* (`idp`, `slurm`, …) —
-    /// the per-dependency breakdown surfaced through `MetricsSnapshot`.
-    failures_by_component: ShardMap<u64>,
     /// Per `(spec index, component, lane)` attempt counters feeding the
     /// flaky roll. Each lane (= flow) advances its own counter in
     /// program order, so rolls are identical under any worker count.
@@ -167,9 +163,7 @@ impl FaultPlane {
             plan,
             clock,
             enabled: AtomicBool::new(true),
-            failures_injected: AtomicU64::new(0),
             latency_spans_injected: AtomicU64::new(0),
-            failures_by_component: ShardMap::new(LANE_SHARDS),
             flaky_counters: ShardMap::new(LANE_SHARDS),
         }
     }
@@ -190,25 +184,9 @@ impl FaultPlane {
         self.enabled.load(Ordering::Acquire)
     }
 
-    /// Failures injected so far (outages + flaky hits).
-    pub fn failures_injected(&self) -> u64 {
-        self.failures_injected.load(Ordering::Relaxed)
-    }
-
     /// `fault.latency` spans injected so far.
     pub fn latency_spans_injected(&self) -> u64 {
         self.latency_spans_injected.load(Ordering::Relaxed)
-    }
-
-    /// Failures injected so far, broken down by component category and
-    /// sorted by name. The sum over all categories equals
-    /// [`failures_injected`](Self::failures_injected).
-    pub fn failures_by_component(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = Vec::new();
-        self.failures_by_component
-            .for_each(|k, &v| out.push((k.to_string(), v)));
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 
     /// Does `spec` target `component` (exact id or bare category)?
@@ -295,12 +273,6 @@ impl FaultPlane {
 
     fn fail(&self, index: usize, component: &str) -> InjectedFault {
         let fault_id = self.plan.fault_id(index);
-        self.failures_injected.fetch_add(1, Ordering::Relaxed);
-        let category = component.split(':').next().unwrap_or(component);
-        {
-            let mut shard = self.failures_by_component.write_shard(category);
-            *shard.entry(category.to_string()).or_insert(0) += 1;
-        }
         dri_trace::add_attr("fault.injected", &fault_id);
         dri_trace::add_attr("fault.component", component);
         InjectedFault {
@@ -315,7 +287,6 @@ impl std::fmt::Debug for FaultPlane {
         f.debug_struct("FaultPlane")
             .field("specs", &self.plan.specs.len())
             .field("enabled", &self.enabled())
-            .field("failures_injected", &self.failures_injected())
             .finish()
     }
 }
@@ -356,8 +327,6 @@ mod tests {
         assert_eq!(err.fault_id, p.plan().fault_id(0));
         clock.set(3_000);
         assert!(p.apply("broker").is_ok(), "window end is exclusive");
-        assert_eq!(p.failures_injected(), 1);
-        assert_eq!(p.failures_by_component(), vec![("broker".to_string(), 1)]);
     }
 
     #[test]
@@ -368,14 +337,16 @@ mod tests {
                 .outage("slurm", 0, 10_000),
         );
         clock.set(500);
-        assert!(p.apply("idp:https://idp.bristol.ac.uk").is_err());
-        assert!(p.apply("idp:https://idp.cardiff.ac.uk").is_err());
-        assert!(p.apply("slurm").is_err());
+        let hook = crate::FaultHook::default();
+        hook.install(std::sync::Arc::new(p));
+        assert!(hook.check("idp:https://idp.bristol.ac.uk").is_err());
+        assert!(hook.check("idp:https://idp.cardiff.ac.uk").is_err());
+        assert!(hook.check("slurm").is_err());
         assert_eq!(
-            p.failures_by_component(),
+            hook.failures_by_component(),
             vec![("idp".to_string(), 2), ("slurm".to_string(), 1)]
         );
-        assert_eq!(p.failures_injected(), 3);
+        assert_eq!(hook.failures_injected(), 3);
     }
 
     #[test]
@@ -405,7 +376,6 @@ mod tests {
         clock.set(500);
         p.set_enabled(false);
         assert!(p.apply("broker").is_ok());
-        assert_eq!(p.failures_injected(), 0);
         assert_eq!(p.active_outage("broker"), None);
         p.set_enabled(true);
         assert!(p.apply("broker").is_err());

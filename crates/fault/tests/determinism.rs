@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use dri_clock::SimClock;
-use dri_fault::{BreakerConfig, CircuitBreakers, FaultPlan, FaultPlane};
+use dri_fault::{BreakerConfig, CircuitBreakers, FaultHook, FaultPlan, FaultPlane};
 use dri_trace::{flow, Stage, Tracer};
 use proptest::prelude::*;
 
@@ -26,7 +26,8 @@ fn run(seed: u64, fail_per_mille: u16, workers: usize) -> (Vec<&'static str>, u6
     let tracer = Arc::new(Tracer::new(seed, 16, clock.clone()));
     tracer.set_enabled(true);
     let plan = FaultPlan::new(seed).flaky("idp", fail_per_mille, 0, 1_000_000);
-    let plane = FaultPlane::new(plan, clock.clone());
+    let hook = FaultHook::default();
+    hook.install(Arc::new(FaultPlane::new(plan, clock.clone())));
     let breakers = CircuitBreakers::new(BreakerConfig::default());
 
     let work = |lane: usize| {
@@ -37,7 +38,7 @@ fn run(seed: u64, fail_per_mille: u16, workers: usize) -> (Vec<&'static str>, u6
             if breakers.admit("idp", &label, clock.now_ms()).is_err() {
                 continue;
             }
-            let ok = plane.apply("idp:https://idp.example").is_ok();
+            let ok = hook.check("idp:https://idp.example").is_ok();
             breakers.record("idp", &label, clock.now_ms(), ok);
         }
     };
@@ -72,7 +73,7 @@ fn run(seed: u64, fail_per_mille: u16, workers: usize) -> (Vec<&'static str>, u6
         states,
         breakers.trips(),
         breakers.rejections(),
-        plane.failures_injected(),
+        hook.failures_injected(),
     )
 }
 

@@ -98,16 +98,17 @@ impl IdentityProvider {
             clock,
             users: RwLock::new(HashMap::new()),
             assertion_counter: RwLock::new(0),
-            faults: dri_fault::FaultHook::new(),
+            faults: dri_fault::FaultHook::default(),
         }
     }
 
-    /// Attach the shared fault plane; outages of component
+    /// Attach the infrastructure's shared fault hook; outages of component
     /// `idp:{entity_id}` (or the bare `idp` category) make
     /// [`authenticate`](IdentityProvider::authenticate) fail with
     /// [`AuthnError::IdpUnavailable`].
-    pub fn install_fault_plane(&self, plane: std::sync::Arc<dri_fault::FaultPlane>) {
-        self.faults.install(plane);
+    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> IdentityProvider {
+        self.faults = hook;
+        self
     }
 
     /// The public key that belongs in federation metadata.

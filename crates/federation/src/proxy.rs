@@ -130,15 +130,16 @@ impl IdpProxy {
             identity_index: RwLock::new(HashMap::new()),
             consumed_assertions: RwLock::new(std::collections::HashSet::new()),
             ids: IdGen::new("maid"),
-            faults: dri_fault::FaultHook::new(),
+            faults: dri_fault::FaultHook::default(),
         }
     }
 
-    /// Attach the shared fault plane; outages of component `proxy` make
-    /// [`broker_login`](IdpProxy::broker_login) fail with
+    /// Attach the infrastructure's shared fault hook; outages of component
+    /// `proxy` make [`broker_login`](IdpProxy::broker_login) fail with
     /// [`ProxyError::Unavailable`].
-    pub fn install_fault_plane(&self, plane: std::sync::Arc<dri_fault::FaultPlane>) {
-        self.faults.install(plane);
+    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> IdpProxy {
+        self.faults = hook;
+        self
     }
 
     /// The proxy's assertion-signing public key.

@@ -112,16 +112,17 @@ impl Bastion {
                 next_instance: 0,
             }),
             ids: IdGen::new("relay"),
-            faults: dri_fault::FaultHook::new(),
+            faults: dri_fault::FaultHook::default(),
         }
     }
 
-    /// Attach the shared fault plane; outages of component `bastion`
-    /// make [`relay`](Bastion::relay) fail with
+    /// Attach the infrastructure's shared fault hook; outages of component
+    /// `bastion` make [`relay`](Bastion::relay) fail with
     /// [`BastionError::Unavailable`], exactly as if every instance were
     /// drained.
-    pub fn install_fault_plane(&self, plane: std::sync::Arc<dri_fault::FaultPlane>) {
-        self.faults.install(plane);
+    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> Bastion {
+        self.faults = hook;
+        self
     }
 
     /// Update the trusted CA key (CA rotation).

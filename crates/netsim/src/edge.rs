@@ -78,15 +78,16 @@ impl EdgeProxy {
             down: AtomicBool::new(false),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            faults: dri_fault::FaultHook::new(),
+            faults: dri_fault::FaultHook::default(),
         }
     }
 
-    /// Attach the shared fault plane; outages of component `edge` make
-    /// [`handle`](EdgeProxy::handle) fail with [`EdgeError::Down`], as
-    /// if the maintenance kill switch were on.
-    pub fn install_fault_plane(&self, plane: std::sync::Arc<dri_fault::FaultPlane>) {
-        self.faults.install(plane);
+    /// Attach the infrastructure's shared fault hook; outages of component
+    /// `edge` make [`handle`](EdgeProxy::handle) fail with [`EdgeError::Down`],
+    /// as if the maintenance kill switch were on.
+    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> EdgeProxy {
+        self.faults = hook;
+        self
     }
 
     /// Handle a request from `source` (an IP-like identifier), forwarding

@@ -155,7 +155,7 @@ impl Tailnet {
             acl: RwLock::new(Vec::new()),
             down: RwLock::new(false),
             nonce_counter: Mutex::new(0),
-            faults: dri_fault::FaultHook::new(),
+            faults: dri_fault::FaultHook::default(),
         }
     }
 
@@ -164,9 +164,10 @@ impl Tailnet {
         self.jwks.store(jwks);
     }
 
-    /// Attach the shared fault-injection plane (chaos drills).
-    pub fn install_fault_plane(&self, plane: std::sync::Arc<dri_fault::FaultPlane>) {
-        self.faults.install(plane);
+    /// Attach the infrastructure's shared fault hook (chaos drills).
+    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> Tailnet {
+        self.faults = hook;
+        self
     }
 
     /// Force-expire every *user* lease (infrastructure enrolments, whose
@@ -555,7 +556,9 @@ mod tests {
 
     #[test]
     fn fault_plane_outage_fails_enrol_and_send_closed() {
-        let f = fixture();
+        let hook = dri_fault::FaultHook::default();
+        let mut f = fixture();
+        f.tailnet = f.tailnet.with_fault_hook(hook.clone());
         let mut rng = SimRng::seed_from_u64(8);
         let laptop = TailnetNode::generate("dave-laptop", &mut rng);
         let mgmt = TailnetNode::generate("mdc-mgmt01", &mut rng);
@@ -565,7 +568,7 @@ mod tests {
 
         let plan = dri_fault::FaultPlan::new(5).outage("tailnet", 0, u64::MAX);
         let plane = std::sync::Arc::new(dri_fault::FaultPlane::new(plan, f.clock.clone()));
-        f.tailnet.install_fault_plane(plane.clone());
+        hook.install(plane.clone());
         assert_eq!(
             f.tailnet.send(&laptop, "mdc-mgmt01", b"x"),
             Err(TailnetError::Unavailable)

@@ -353,15 +353,6 @@ impl Portal {
         self.state.read().projects.get(project_id).cloned()
     }
 
-    /// All projects a subject belongs to that currently grant access, in
-    /// project-id order (owned copies; see
-    /// [`Portal::for_each_active_membership`] for a borrowed walk).
-    pub fn active_projects_for(&self, subject: &str) -> Vec<Project> {
-        let mut out = Vec::new();
-        self.for_each_active_membership(subject, |p, _| out.push(p.clone()));
-        out
-    }
-
     /// Visit the subject's memberships in projects that currently grant
     /// access, in project-id order, under one read lock. Nothing is
     /// cloned: this is the walk behind every per-flow authorisation

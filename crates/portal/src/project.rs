@@ -153,11 +153,6 @@ impl Project {
     pub fn member(&self, subject: &str) -> Option<&Membership> {
         self.members.iter().find(|m| m.subject == subject)
     }
-
-    /// The PI memberships (usually exactly one).
-    pub fn pis(&self) -> impl Iterator<Item = &Membership> {
-        self.members.iter().filter(|m| m.role == ProjectRole::Pi)
-    }
 }
 
 #[cfg(test)]

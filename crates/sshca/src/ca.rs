@@ -98,16 +98,17 @@ impl SshCa {
             cert_ttl_secs,
             serial: AtomicU64::new(0),
             introspect: None,
-            faults: dri_fault::FaultHook::new(),
+            faults: dri_fault::FaultHook::default(),
         }
     }
 
-    /// Attach the shared fault plane; outages of component `sshca` make
-    /// [`sign_request`](SshCa::sign_request) fail closed with
-    /// [`CaError::Unavailable`] while leaving issued certificates valid
-    /// until TTL (validation is offline against the CA public key).
-    pub fn install_fault_plane(&self, plane: Arc<dri_fault::FaultPlane>) {
-        self.faults.install(plane);
+    /// Attach the infrastructure's shared fault hook; outages of component
+    /// `sshca` make [`sign_request`](SshCa::sign_request) fail closed with
+    /// [`CaError::Unavailable`] while leaving issued certificates valid until
+    /// TTL (validation is offline against the CA public key).
+    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> SshCa {
+        self.faults = hook;
+        self
     }
 
     /// Attach a token-introspection callback (typically

@@ -66,6 +66,9 @@ cargo test -q --offline -p isambard-dri --test crypto_op_counts
 echo "== allocation budget: per-flow allocations pinned exactly =="
 cargo test -q --offline -p isambard-dri --test alloc_counts
 
+echo "== perfbench: the benchmark workspace builds against these crates and its tests pass =="
+cargo test -q --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== login-storm gate (warm >= 2x cold; auto-skipped below 4 cores) =="
 BENCH_LOGIN_STORM_JSON=0 cargo bench --offline -p dri-bench --bench login_storm -- skip_criterion_timing_loop
 

@@ -136,8 +136,7 @@ fn flaky_idp_window_is_ridden_out_by_retries() {
     let infra = onboarded();
     infra.enroll_last_resort_fallback("alice").unwrap();
     let now = infra.clock.now_ms();
-    let plane =
-        infra.install_fault_plan(FaultPlan::new(42).flaky("idp", 300, now, now + 3_600_000));
+    infra.install_fault_plan(FaultPlan::new(42).flaky("idp", 300, now, now + 3_600_000));
     // Fresh logins during the flaky window: transient failures are
     // retried with deterministic backoff, and every login lands — on the
     // primary path when a retry got through, on the last-resort fallback
@@ -145,10 +144,13 @@ fn flaky_idp_window_is_ridden_out_by_retries() {
     for _ in 0..6 {
         infra.federated_login("alice").unwrap();
     }
-    assert!(plane.failures_injected() > 0, "the plan actually fired");
     let m = infra.metrics();
+    assert!(m.faults_injected > 0, "the plan actually fired");
     assert!(m.retries > 0, "transient failures were retried");
-    assert_eq!(m.faults_injected, plane.failures_injected());
+    assert_eq!(
+        m.faults_by_dependency,
+        vec![("idp".to_string(), m.faults_injected)]
+    );
 }
 
 #[test]
@@ -209,13 +211,13 @@ fn broker_outage_trips_the_breaker_and_fails_fast() {
         m.retries
     );
     // …so the fourth call is rejected fast, without touching the broker.
-    let injected_before = infra.resilience.plane().unwrap().failures_injected();
+    let injected_before = infra.resilience.faults_injected();
     assert!(matches!(
         infra.federated_login("alice"),
         Err(FlowError::CircuitOpen(dep)) if dep == "broker"
     ));
     assert_eq!(
-        infra.resilience.plane().unwrap().failures_injected(),
+        infra.resilience.faults_injected(),
         injected_before,
         "open breaker shields the dependency"
     );
@@ -238,6 +240,87 @@ fn idp_outage_without_fallback_enrollment_fails_with_the_idp_error() {
         Err(FlowError::Idp(AuthnError::IdpUnavailable))
     ));
     assert_eq!(infra.metrics().degraded_logins, 0);
+}
+
+#[test]
+fn fault_counts_stay_cumulative_across_plan_reinstalls() {
+    let infra = onboarded();
+    // Plan 1: the home IdP is dark. The login exhausts its three
+    // attempts against it.
+    let now = infra.clock.now_ms();
+    infra.install_fault_plan(FaultPlan::new(1).outage("idp", now, now + 60_000));
+    assert!(infra.federated_login("alice").is_err());
+    let first = infra.metrics();
+    assert_eq!(first.faults_by_dependency, vec![("idp".to_string(), 3)]);
+    assert_eq!(first.faults_injected, 3);
+    // Plan 2 replaces plan 1: now the broker is dark.
+    infra.clock.advance(60_001);
+    let now = infra.clock.now_ms();
+    infra.install_fault_plan(FaultPlan::new(2).outage("broker", now, now + 60_000));
+    assert!(infra.federated_login("alice").is_err());
+    let second = infra.metrics();
+    assert_eq!(
+        second.faults_by_dependency,
+        vec![("broker".to_string(), 3), ("idp".to_string(), 3)],
+        "plan 1's counts survive the re-install"
+    );
+    assert_eq!(second.faults_injected, 6);
+}
+
+#[test]
+fn retries_total_is_the_sum_of_its_per_dependency_breakdown() {
+    let infra = onboarded();
+    infra.enroll_last_resort_fallback("alice").unwrap();
+    let now = infra.clock.now_ms();
+    infra.install_fault_plan(
+        FaultPlan::new(9)
+            .flaky("idp", 400, now, now + 3_600_000)
+            .flaky("edge", 400, now, now + 3_600_000),
+    );
+    for i in 0..6 {
+        let _ = infra.federated_login("alice");
+        let _ = infra.story6_jupyter("alice", "p", &format!("198.51.100.{}", 40 + i));
+    }
+    let m = infra.metrics();
+    let by_dependency: Vec<&str> = m
+        .retries_by_dependency
+        .iter()
+        .map(|(d, _)| d.as_str())
+        .collect();
+    assert_eq!(by_dependency, ["edge", "idp"]);
+    let sum: u64 = m.retries_by_dependency.iter().map(|(_, n)| n).sum();
+    assert!(sum > 0);
+    assert_eq!(m.retries, sum);
+    assert_eq!(infra.resilience.retries(), sum);
+}
+
+#[test]
+fn partner_idp_registered_after_the_plan_obeys_it() {
+    let infra = onboarded();
+    // The plan goes in first; its IdP outage opens a minute later.
+    let start = infra.clock.now_ms() + 60_000;
+    infra.install_fault_plan(FaultPlan::new(42).outage("idp", start, start + 60_000));
+    let idp = infra.register_partner_idp(
+        "Partner Uni",
+        "partner.example",
+        isambard_dri::federation::LevelOfAssurance::Medium,
+    );
+    infra.create_federated_user_at(&idp, "pat", "pw");
+    infra
+        .story1_onboard_pi("partner-proj", "pat", 10.0)
+        .unwrap();
+    infra.clock.advance(60_000);
+    assert!(matches!(
+        infra.federated_login("pat"),
+        Err(FlowError::Idp(AuthnError::IdpUnavailable))
+    ));
+    assert_eq!(
+        infra.resilience.faults_by_dependency(),
+        vec![("idp".to_string(), 3)]
+    );
+    // The window passes: the partner IdP answers again.
+    infra.clock.advance(60_000);
+    assert!(infra.federated_login("pat").is_ok());
 }
 
 #[test]
