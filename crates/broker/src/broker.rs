@@ -13,7 +13,7 @@ use dri_federation::assertion::{Assertion, AssertionError};
 use dri_federation::metadata::{EntityKind, FederationRegistry};
 use dri_federation::types::LevelOfAssurance;
 use dri_sync::{clamp_shards, hash_key, shard_index, ShardMap, ShardSet, Snapshot};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::authz::AuthorizationSource;
 use crate::managed_idp::ManagedLogin;
@@ -260,7 +260,9 @@ pub struct IdentityBroker {
     authz: Arc<dyn AuthorizationSource>,
     signer: Snapshot<SignerRing>,
     jwks_cache: Snapshot<Jwks>,
-    key_epoch: AtomicU64,
+    /// Serialises key-ring changes with their JWKS publish, so
+    /// concurrent rotations and prunes publish in ring order.
+    key_admin: Mutex<()>,
     policies: Snapshot<HashMap<String, TokenPolicy>>,
     sessions: ShardMap<SessionInfo>,
     active_tokens: ShardMap<(String, u64)>, // jti -> (subject, exp)
@@ -338,7 +340,7 @@ impl IdentityBroker {
             authz,
             signer: Snapshot::new(ring),
             jwks_cache: Snapshot::new(jwks),
-            key_epoch: AtomicU64::new(0),
+            key_admin: Mutex::new(()),
             policies: Snapshot::new(HashMap::new()),
             sessions: ShardMap::new(shards),
             active_tokens: ShardMap::new(shards),
@@ -386,25 +388,27 @@ impl IdentityBroker {
         (*self.jwks_cache.load()).clone()
     }
 
-    /// Current key-ring generation (bumped by rotation and prune).
+    /// Current key-ring generation (bumped by rotation and prune): the
+    /// epoch of the published JWKS.
     pub fn jwks_epoch(&self) -> u64 {
-        self.key_epoch.load(Ordering::Acquire)
+        self.jwks_cache.load().epoch
     }
 
-    /// Rebuild and publish the JWKS snapshot from the current ring,
-    /// bumping the epoch.
-    fn republish_jwks(&self) {
+    /// Change the key ring with `f` and publish the JWKS built from the
+    /// result, under one lock: publishes happen in ring order and each
+    /// bumps the epoch by one.
+    fn change_ring(&self, f: impl FnOnce(&SignerRing) -> SignerRing) {
+        let _admin = self.key_admin.lock();
+        self.signer.rcu(f);
         // Invalidation leads caching: the verifier epoch bumps before
         // the new key set becomes visible, so no verification cached
         // under the old ring can be served once the ring changes.
         self.token_cache.bump_epoch();
-        let ring = self.signer.load();
-        let epoch = self.key_epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        let keys = ring.prepared_keys(&self.jwks_cache.load().keys);
+        let previous = self.jwks_cache.load();
         self.jwks_cache.store(Jwks {
             issuer: self.issuer.clone(),
-            epoch,
-            keys,
+            epoch: previous.epoch + 1,
+            keys: self.signer.load().prepared_keys(&previous.keys),
             cache: self.token_cache.clone(),
         });
     }
@@ -413,24 +417,22 @@ impl IdentityBroker {
     /// in-flight tokens until pruned.
     pub fn rotate_keys(&self, seed: [u8; 32]) -> String {
         let kid = self.key_ids.next();
-        self.signer.rcu(|ring| {
+        self.change_ring(|ring| {
             let mut keys = ring.keys.clone();
             keys.push((kid.clone(), SigningKey::from_seed(&seed)));
             SignerRing { keys }
         });
-        self.republish_jwks();
         kid
     }
 
     /// Drop all but the newest `keep` signing keys.
     pub fn prune_keys(&self, keep: usize) {
-        self.signer.rcu(|ring| {
+        self.change_ring(|ring| {
             let start = ring.keys.len().saturating_sub(keep);
             SignerRing {
                 keys: ring.keys[start..].to_vec(),
             }
         });
-        self.republish_jwks();
     }
 
     /// Establish a session from a federated (proxy) assertion. This is
@@ -1096,6 +1098,51 @@ mod tests {
         let jwks2 = f.broker.jwks();
         assert!(jwks2.validate(&old_token, "ssh-ca", now).is_err());
         assert!(jwks2.validate(&new_token, "ssh-ca", now).is_ok());
+    }
+
+    #[test]
+    fn concurrent_rotation_and_prune_publish_in_order() {
+        for trial in 0..10u8 {
+            let f = fixture();
+            f.authz.grant("u", "ssh-ca", &["researcher"]);
+            let session = f
+                .broker
+                .login_federated(PROXY, &proxy_assertion(&f, "u"))
+                .unwrap();
+            // Writers and reader start together; the reader polls the
+            // published epoch until both writers are done.
+            let start = std::sync::Barrier::new(3);
+            let writers_done = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for writer in 0..2u8 {
+                    let (broker, start, writers_done) = (&f.broker, &start, &writers_done);
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..8u8 {
+                            // A distinct key seed per rotation.
+                            broker.rotate_keys([64 + 16 * trial + 8 * writer + i; 32]);
+                            broker.prune_keys(1);
+                        }
+                        writers_done.fetch_add(1, Ordering::Release);
+                    });
+                }
+                let (broker, start, writers_done) = (&f.broker, &start, &writers_done);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut seen = 0;
+                    while writers_done.load(Ordering::Acquire) < 2 {
+                        let epoch = broker.jwks().epoch;
+                        assert!(epoch >= seen, "published epoch went {seen} -> {epoch}");
+                        seen = epoch;
+                    }
+                });
+            });
+            let jwks = f.broker.jwks();
+            assert_eq!(jwks.epoch, f.broker.jwks_epoch());
+            assert_eq!(jwks.key_count(), 1);
+            let (token, _) = f.broker.issue_token(&session.session_id, "ssh-ca").unwrap();
+            assert!(jwks.validate(&token, "ssh-ca", f.clock.now_secs()).is_ok());
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use dri_siem::events::{EventKind, SecurityEvent, Severity};
 
 use crate::flows::FlowError;
 use crate::infra::Infrastructure;
+use crate::resilience::breaker_config;
 
 /// Outcome of one chaos drill.
 #[derive(Debug, Clone)]
@@ -221,8 +222,8 @@ impl Infrastructure {
 
         // Outage window passes, breaker cools off, the probe succeeds:
         // primary path restored.
-        self.clock
-            .advance(outage_ms + self.resilience.breakers().config().open_ms + 1);
+        let open_ms = breaker_config(self.resilience.is_tightened("idp")).open_ms;
+        self.clock.advance(outage_ms + open_ms + 1);
         let restored = self
             .federated_login(label)
             .map(|s| s.subject.starts_with("maid-"))

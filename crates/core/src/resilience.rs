@@ -8,7 +8,7 @@
 //! deterministic per flow lane, so serial and 8-worker runs of the same
 //! seed produce byte-identical traces and breaker timelines.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,15 +24,43 @@ use parking_lot::RwLock;
 use crate::flows::FlowError;
 use crate::infra::Infrastructure;
 
-/// Per-infrastructure resilience state: breaker registry, retry policy,
-/// error budgets, counters, and the fault hook every instrumented hop
-/// shares.
+/// The breaker thresholds in force for a dependency: the defaults, or,
+/// once the SIEM feedback loop has tightened it, a breaker that trips
+/// one failure earlier (floor 1) and stays open twice as long.
+pub fn breaker_config(tightened: bool) -> BreakerConfig {
+    let base = BreakerConfig::default();
+    if !tightened {
+        return base;
+    }
+    BreakerConfig {
+        failure_threshold: base.failure_threshold.saturating_sub(1).max(1),
+        open_ms: base.open_ms * 2,
+        ..base
+    }
+}
+
+/// The retry policy in force for a dependency: the default, or one
+/// attempt fewer (floor 1) once the SIEM feedback loop has tightened it.
+pub fn retry_policy(tightened: bool) -> RetryPolicy {
+    let base = RetryPolicy::default();
+    if !tightened {
+        return base;
+    }
+    RetryPolicy {
+        max_attempts: base.max_attempts.saturating_sub(1).max(1),
+        ..base
+    }
+}
+
+/// Per-infrastructure resilience state: breaker registry, the set of
+/// tightened dependencies, error budgets, counters, and the fault hook
+/// every instrumented hop shares.
 pub struct Resilience {
     pub(crate) breakers: CircuitBreakers,
-    pub(crate) retry: RetryPolicy,
-    /// Per-dependency retry overrides installed by the SIEM feedback
-    /// loop; [`Resilience::retry_policy_for`] falls back to `retry`.
-    pub(crate) retry_overrides: RwLock<HashMap<String, RetryPolicy>>,
+    /// Dependencies the SIEM feedback loop has tightened; the policies
+    /// in force follow from membership ([`breaker_config`],
+    /// [`retry_policy`]).
+    pub(crate) tightened: RwLock<BTreeSet<String>>,
     /// Per-dependency, per-window error budgets fed by every
     /// `with_retry` outcome.
     pub(crate) budgets: ErrorBudgets,
@@ -43,7 +71,7 @@ pub struct Resilience {
     pub(crate) degraded_logins: AtomicU64,
     /// Retries performed per dependency (lifetime of the infrastructure,
     /// not reset on plan re-install).
-    pub(crate) retries_by_dependency: RwLock<HashMap<String, u64>>,
+    pub(crate) retries_by_dependency: RwLock<BTreeMap<String, u64>>,
     /// Recovery credentials for federated users enrolled at the IdP of
     /// last resort (label → password), the paper's managed fallback.
     pub(crate) fallback_passwords: RwLock<HashMap<String, String>>,
@@ -52,14 +80,13 @@ pub struct Resilience {
 impl Resilience {
     pub(crate) fn new(seed: u64) -> Resilience {
         Resilience {
-            breakers: CircuitBreakers::new(BreakerConfig::default()),
-            retry: RetryPolicy::default(),
-            retry_overrides: RwLock::new(HashMap::new()),
+            breakers: CircuitBreakers::new(),
+            tightened: RwLock::new(BTreeSet::new()),
             budgets: ErrorBudgets::new(),
             faults: FaultHook::default(),
             seed,
             degraded_logins: AtomicU64::new(0),
-            retries_by_dependency: RwLock::new(HashMap::new()),
+            retries_by_dependency: RwLock::new(BTreeMap::new()),
             fallback_passwords: RwLock::new(HashMap::new()),
         }
     }
@@ -80,27 +107,14 @@ impl Resilience {
         &self.breakers
     }
 
-    /// The effective retry policy for a dependency: the SIEM-feedback
-    /// override when one is installed, the base policy otherwise.
-    pub fn retry_policy_for(&self, dependency: &str) -> RetryPolicy {
-        self.retry_overrides
-            .read()
-            .get(dependency)
-            .cloned()
-            .unwrap_or_else(|| self.retry.clone())
+    /// Whether the SIEM feedback loop has tightened `dependency`.
+    pub(crate) fn is_tightened(&self, dependency: &str) -> bool {
+        self.tightened.read().contains(dependency)
     }
 
-    /// Per-dependency retry-policy overrides currently installed by the
-    /// SIEM feedback loop, sorted by dependency.
-    pub fn retry_overrides(&self) -> Vec<(String, RetryPolicy)> {
-        let mut out: Vec<(String, RetryPolicy)> = self
-            .retry_overrides
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// The dependencies currently tightened, sorted by name.
+    pub fn tightened(&self) -> Vec<String> {
+        self.tightened.read().iter().cloned().collect()
     }
 
     /// The error-budget plane (per-dependency, per-window SLO
@@ -113,14 +127,11 @@ impl Resilience {
     /// Lifetime counters: they keep accumulating across fault-plan
     /// re-installs.
     pub fn retries_by_dependency(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = self
-            .retries_by_dependency
+        self.retries_by_dependency
             .read()
             .iter()
             .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+            .collect()
     }
 
     /// Failures injected per dependency (component category), sorted by
@@ -205,8 +216,8 @@ pub enum FeedbackAction {
     /// Budget exhausted or rate anomaly: breaker threshold tightened,
     /// open window doubled, retry budget reduced.
     Tightened,
-    /// Previous window was healthy: overrides removed, base policy
-    /// restored.
+    /// Previous window was healthy: no longer tightened, default
+    /// policies restored.
     Relaxed,
 }
 
@@ -247,8 +258,11 @@ impl Infrastructure {
     /// * exhausted budget or a rate anomaly at the dependency's source →
     ///   **tighten** (breaker trips one failure earlier, stays open twice
     ///   as long, retry budget shrinks by one attempt);
-    /// * healthy window → **relax** (overrides removed, base policy
-    ///   restored).
+    /// * healthy window → **relax** (the defaults are back in force).
+    ///
+    /// Both adjustments are membership changes of one set; the breaker
+    /// and retry policies in force are derived from it
+    /// ([`breaker_config`], [`retry_policy`]).
     ///
     /// Call this at window boundaries only, from a quiescent point (no
     /// in-flight flows): adjusting thresholds mid-storm would make
@@ -275,21 +289,7 @@ impl Infrastructure {
             let anomalous = anomaly_sources.iter().any(|s| s == source_of(&dependency));
             let burn = res.budgets.burn_per_mille(&dependency, prev);
             if exhausted || anomalous {
-                let base = res.breakers.config().clone();
-                let tightened = BreakerConfig {
-                    failure_threshold: base.failure_threshold.saturating_sub(1).max(1),
-                    open_ms: base.open_ms * 2,
-                    ..base
-                };
-                res.breakers.set_dependency_config(&dependency, tightened);
-                let base_retry = res.retry.clone();
-                let tightened_retry = RetryPolicy {
-                    max_attempts: base_retry.max_attempts.saturating_sub(1).max(1),
-                    ..base_retry
-                };
-                res.retry_overrides
-                    .write()
-                    .insert(dependency.clone(), tightened_retry);
+                res.tightened.write().insert(dependency.clone());
                 if exhausted {
                     self.emit(
                         source_of(&dependency),
@@ -316,35 +316,24 @@ impl Infrastructure {
                     anomalous,
                     action: FeedbackAction::Tightened,
                 });
-            } else {
-                let had_breaker = res
-                    .breakers
-                    .dependency_overrides()
-                    .iter()
-                    .any(|(d, _)| d == &dependency);
-                let had_retry = res.retry_overrides.write().remove(&dependency).is_some();
-                if had_breaker {
-                    res.breakers.clear_dependency_config(&dependency);
-                }
-                if had_breaker || had_retry {
-                    self.emit(
-                        source_of(&dependency),
-                        EventKind::BudgetFeedback,
-                        &dependency,
-                        format!(
-                            "relaxed to baseline for window {current} \
-                             (window {prev} burn {burn}\u{2030})"
-                        ),
-                        Severity::Info,
-                    );
-                    out.push(FeedbackAdjustment {
-                        dependency,
-                        window: prev,
-                        burn_per_mille: burn,
-                        anomalous: false,
-                        action: FeedbackAction::Relaxed,
-                    });
-                }
+            } else if res.tightened.write().remove(&dependency) {
+                self.emit(
+                    source_of(&dependency),
+                    EventKind::BudgetFeedback,
+                    &dependency,
+                    format!(
+                        "relaxed to baseline for window {current} \
+                         (window {prev} burn {burn}\u{2030})"
+                    ),
+                    Severity::Info,
+                );
+                out.push(FeedbackAdjustment {
+                    dependency,
+                    window: prev,
+                    burn_per_mille: burn,
+                    anomalous: false,
+                    action: FeedbackAction::Relaxed,
+                });
             }
         }
         out
@@ -408,8 +397,8 @@ impl Infrastructure {
     ///
     /// * An Open breaker rejects fast with [`FlowError::CircuitOpen`].
     /// * Transient errors (per `is_transient`) retry up to the policy's
-    ///   budget (per-dependency override when the SIEM feedback loop
-    ///   installed one); each retry opens a deterministic `retry.backoff`
+    ///   budget (one attempt fewer when the SIEM feedback loop has
+    ///   tightened the dependency); each retry opens a deterministic `retry.backoff`
     ///   span carrying the computed backoff — no thread ever sleeps.
     /// * The breaker records one outcome per call: success, or failure
     ///   only when the *final* error was transient (a refusal means the
@@ -430,15 +419,17 @@ impl Infrastructure {
         E: std::fmt::Display,
     {
         let res = &self.resilience;
+        let tightened = res.is_tightened(dependency);
+        let breaker = breaker_config(tightened);
         if res
             .breakers
-            .admit(dependency, lane, self.clock.now_ms())
+            .admit(dependency, lane, self.clock.now_ms(), &breaker)
             .is_err()
         {
             dri_trace::add_attr("breaker.rejected", dependency);
             return Err(FlowError::CircuitOpen(dependency.to_string()));
         }
-        let policy = res.retry_policy_for(dependency);
+        let policy = retry_policy(tightened);
         let mut attempt: u32 = 1;
         loop {
             match op() {
@@ -446,7 +437,7 @@ impl Infrastructure {
                     let now = self.clock.now_ms();
                     res.budgets.record(dependency, now, true);
                     self.stamp_budget_attr(dependency, now);
-                    res.breakers.record(dependency, lane, now, true);
+                    res.breakers.record(dependency, lane, now, true, &breaker);
                     return Ok(v);
                 }
                 Err(e) => {
@@ -481,7 +472,8 @@ impl Infrastructure {
                     // against the dependency's health.
                     let now = self.clock.now_ms();
                     self.stamp_budget_attr(dependency, now);
-                    res.breakers.record(dependency, lane, now, !transient);
+                    res.breakers
+                        .record(dependency, lane, now, !transient, &breaker);
                     return Err(FlowError::from(e));
                 }
             }
@@ -512,5 +504,80 @@ impl Infrastructure {
                 dri_siem::events::Severity::Warning,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::InfraConfig;
+    use dri_broker::broker::BrokerError;
+    use dri_fault::budget::WINDOW_MS;
+
+    /// Drive calls that always fail transiently at `dependency` for
+    /// `lane` until its breaker rejects one; returns the attempts each
+    /// admitted call made.
+    fn attempts_until_open(
+        infra: &Infrastructure,
+        dependency: &'static str,
+        lane: &str,
+    ) -> Vec<u32> {
+        let mut per_call = Vec::new();
+        loop {
+            let mut attempts = 0;
+            let outcome: Result<(), FlowError> = infra.with_retry(
+                dependency,
+                lane,
+                |_: &FlowError| true,
+                || {
+                    attempts += 1;
+                    Err(FlowError::Broker(BrokerError::Unavailable))
+                },
+            );
+            if outcome == Err(FlowError::CircuitOpen(dependency.to_string())) {
+                return per_call;
+            }
+            per_call.push(attempts);
+        }
+    }
+
+    #[test]
+    fn tightening_shrinks_breaker_and_retry_for_that_dependency_only() {
+        let infra = Infrastructure::new(InfraConfig::default());
+        let res = &infra.resilience;
+        let now = infra.clock.now_ms();
+        for _ in 0..10 {
+            res.budgets.record("idp", now, false);
+            res.budgets.record("broker", now, true);
+        }
+        infra.clock.advance(WINDOW_MS);
+        let adjusted: Vec<(String, FeedbackAction)> = infra
+            .apply_siem_feedback()
+            .into_iter()
+            .map(|a| (a.dependency, a.action))
+            .collect();
+        assert_eq!(adjusted, [("idp".to_string(), FeedbackAction::Tightened)]);
+        assert_eq!(res.tightened(), ["idp"]);
+
+        // Tightened idp: two attempts per call, open after two calls.
+        // Broker keeps the defaults: three and three.
+        assert_eq!(attempts_until_open(&infra, "idp", "alice"), [2, 2]);
+        assert_eq!(attempts_until_open(&infra, "broker", "alice"), [3, 3, 3]);
+        assert_eq!(
+            breaker_config(true).open_ms,
+            2 * breaker_config(false).open_ms
+        );
+
+        // The failures above burnt this window; the next one is quiet,
+        // so its close relaxes idp and both defaults are back.
+        infra.clock.advance(2 * WINDOW_MS);
+        let relaxed: Vec<(String, FeedbackAction)> = infra
+            .apply_siem_feedback()
+            .into_iter()
+            .map(|a| (a.dependency, a.action))
+            .collect();
+        assert_eq!(relaxed, [("idp".to_string(), FeedbackAction::Relaxed)]);
+        assert!(res.tightened().is_empty());
+        assert_eq!(attempts_until_open(&infra, "idp", "bob"), [3, 3, 3]);
     }
 }

@@ -8,7 +8,6 @@
 //! a lane's admits and records happen in program order on whichever
 //! thread runs that flow, and lanes never share mutable state.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,7 +36,8 @@ impl BreakerState {
     }
 }
 
-/// Breaker thresholds.
+/// Breaker thresholds. The registry holds none: callers pass the
+/// thresholds in force for the dependency to every call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip Closed → Open.
@@ -136,10 +136,6 @@ const BREAKER_SHARDS: usize = 16;
 
 /// The breaker registry: one logical breaker per `(dependency, lane)`.
 pub struct CircuitBreakers {
-    config: BreakerConfig,
-    /// Per-dependency threshold overrides installed by the SIEM
-    /// feedback loop; absent dependencies use the base `config`.
-    overrides: RwLock<HashMap<String, BreakerConfig>>,
     lanes: ShardMap<LaneState>,
     trips: AtomicU64,
     rejections: AtomicU64,
@@ -147,59 +143,14 @@ pub struct CircuitBreakers {
 }
 
 impl CircuitBreakers {
-    /// A registry with the given thresholds.
-    pub fn new(config: BreakerConfig) -> CircuitBreakers {
+    /// An empty registry: every breaker starts Closed on first use.
+    pub fn new() -> CircuitBreakers {
         CircuitBreakers {
-            config,
-            overrides: RwLock::new(HashMap::new()),
             lanes: ShardMap::new(BREAKER_SHARDS),
             trips: AtomicU64::new(0),
             rejections: AtomicU64::new(0),
             sink: RwLock::new(None),
         }
-    }
-
-    /// The base thresholds (ignoring per-dependency overrides).
-    pub fn config(&self) -> &BreakerConfig {
-        &self.config
-    }
-
-    /// The thresholds in effect for one dependency: its override if the
-    /// feedback loop installed one, the base config otherwise.
-    pub fn config_for(&self, dependency: &str) -> BreakerConfig {
-        self.overrides
-            .read()
-            .get(dependency)
-            .cloned()
-            .unwrap_or_else(|| self.config.clone())
-    }
-
-    /// Install (or replace) a per-dependency threshold override. Only
-    /// call this at quiescent points (window boundaries) — changing
-    /// thresholds mid-storm would make breaker timelines depend on
-    /// thread interleaving.
-    pub fn set_dependency_config(&self, dependency: &str, config: BreakerConfig) {
-        self.overrides
-            .write()
-            .insert(dependency.to_string(), config);
-    }
-
-    /// Drop a per-dependency override, reverting to the base config.
-    pub fn clear_dependency_config(&self, dependency: &str) {
-        self.overrides.write().remove(dependency);
-    }
-
-    /// All installed overrides, sorted by dependency (deterministic for
-    /// feedback-loop assertions).
-    pub fn dependency_overrides(&self) -> Vec<(String, BreakerConfig)> {
-        let mut out: Vec<(String, BreakerConfig)> = self
-            .overrides
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 
     /// Install the transition observer.
@@ -246,8 +197,8 @@ impl CircuitBreakers {
         dependency: &str,
         lane: &str,
         now_ms: u64,
+        config: &BreakerConfig,
     ) -> Result<BreakerState, BreakerOpen> {
-        let config = self.config_for(dependency);
         let mut transitions = Vec::new();
         let decision = self.with_lane(dependency, lane, |st| match st.state() {
             BreakerState::Closed => Ok(BreakerState::Closed),
@@ -293,8 +244,14 @@ impl CircuitBreakers {
     }
 
     /// Report the outcome of an admitted call.
-    pub fn record(&self, dependency: &str, lane: &str, now_ms: u64, success: bool) {
-        let config = self.config_for(dependency);
+    pub fn record(
+        &self,
+        dependency: &str,
+        lane: &str,
+        now_ms: u64,
+        success: bool,
+        config: &BreakerConfig,
+    ) {
         let mut transitions = Vec::new();
         self.with_lane(dependency, lane, |st| {
             let from = st.state();
@@ -353,17 +310,28 @@ impl CircuitBreakers {
 
     /// The current state of one breaker, projecting an elapsed Open
     /// window as HalfOpen (read-only; no transition is emitted).
-    pub fn state(&self, dependency: &str, lane: &str, now_ms: u64) -> BreakerState {
-        let open_ms = self.config_for(dependency).open_ms;
+    pub fn state(
+        &self,
+        dependency: &str,
+        lane: &str,
+        now_ms: u64,
+        config: &BreakerConfig,
+    ) -> BreakerState {
         let state = dri_sync::with_key(format_args!("{dependency}|{lane}"), |key| {
             self.lanes.with(key, |st| match st.state() {
-                BreakerState::Open if now_ms >= st.opened_at_ms.saturating_add(open_ms) => {
+                BreakerState::Open if now_ms >= st.opened_at_ms.saturating_add(config.open_ms) => {
                     BreakerState::HalfOpen
                 }
                 s => s,
             })
         });
         state.unwrap_or(BreakerState::Closed)
+    }
+}
+
+impl Default for CircuitBreakers {
+    fn default() -> Self {
+        CircuitBreakers::new()
     }
 }
 
@@ -381,20 +349,26 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
+    const BASE: BreakerConfig = BreakerConfig {
+        failure_threshold: 3,
+        open_ms: 30_000,
+        probe_budget: 1,
+    };
+
     fn breakers() -> CircuitBreakers {
-        CircuitBreakers::new(BreakerConfig::default())
+        CircuitBreakers::new()
     }
 
     #[test]
     fn trips_after_consecutive_failures_and_rejects() {
         let b = breakers();
         for _ in 0..3 {
-            assert!(b.admit("idp", "alice", 0).is_ok());
-            b.record("idp", "alice", 0, false);
+            assert!(b.admit("idp", "alice", 0, &BASE).is_ok());
+            b.record("idp", "alice", 0, false, &BASE);
         }
-        assert_eq!(b.state("idp", "alice", 0), BreakerState::Open);
+        assert_eq!(b.state("idp", "alice", 0, &BASE), BreakerState::Open);
         assert_eq!(b.trips(), 1);
-        let err = b.admit("idp", "alice", 1_000).unwrap_err();
+        let err = b.admit("idp", "alice", 1_000, &BASE).unwrap_err();
         assert_eq!(err.dependency, "idp");
         assert_eq!(b.rejections(), 1);
     }
@@ -403,16 +377,16 @@ mod tests {
     fn success_resets_the_failure_streak() {
         let b = breakers();
         for _ in 0..2 {
-            b.admit("idp", "alice", 0).unwrap();
-            b.record("idp", "alice", 0, false);
+            b.admit("idp", "alice", 0, &BASE).unwrap();
+            b.record("idp", "alice", 0, false, &BASE);
         }
-        b.admit("idp", "alice", 0).unwrap();
-        b.record("idp", "alice", 0, true);
+        b.admit("idp", "alice", 0, &BASE).unwrap();
+        b.record("idp", "alice", 0, true, &BASE);
         for _ in 0..2 {
-            b.admit("idp", "alice", 0).unwrap();
-            b.record("idp", "alice", 0, false);
+            b.admit("idp", "alice", 0, &BASE).unwrap();
+            b.record("idp", "alice", 0, false, &BASE);
         }
-        assert_eq!(b.state("idp", "alice", 0), BreakerState::Closed);
+        assert_eq!(b.state("idp", "alice", 0, &BASE), BreakerState::Closed);
         assert_eq!(b.trips(), 0);
     }
 
@@ -420,37 +394,43 @@ mod tests {
     fn half_open_probe_budget_then_close_or_reopen() {
         let b = breakers();
         for _ in 0..3 {
-            b.admit("ca", "bob", 0).unwrap();
-            b.record("ca", "bob", 0, false);
+            b.admit("ca", "bob", 0, &BASE).unwrap();
+            b.record("ca", "bob", 0, false, &BASE);
         }
         // Before the open window elapses: rejected.
-        assert!(b.admit("ca", "bob", 29_999).is_err());
+        assert!(b.admit("ca", "bob", 29_999, &BASE).is_err());
         // After: one probe passes, the second is rejected.
-        assert_eq!(b.admit("ca", "bob", 30_000), Ok(BreakerState::HalfOpen));
-        assert!(b.admit("ca", "bob", 30_000).is_err());
+        assert_eq!(
+            b.admit("ca", "bob", 30_000, &BASE),
+            Ok(BreakerState::HalfOpen)
+        );
+        assert!(b.admit("ca", "bob", 30_000, &BASE).is_err());
         // Probe failure reopens and the window restarts.
-        b.record("ca", "bob", 30_000, false);
-        assert_eq!(b.state("ca", "bob", 30_001), BreakerState::Open);
+        b.record("ca", "bob", 30_000, false, &BASE);
+        assert_eq!(b.state("ca", "bob", 30_001, &BASE), BreakerState::Open);
         assert_eq!(b.trips(), 2);
         // Next half-open probe succeeds: closed again.
-        assert_eq!(b.admit("ca", "bob", 60_000), Ok(BreakerState::HalfOpen));
-        b.record("ca", "bob", 60_000, true);
-        assert_eq!(b.state("ca", "bob", 60_000), BreakerState::Closed);
-        assert!(b.admit("ca", "bob", 60_000).is_ok());
+        assert_eq!(
+            b.admit("ca", "bob", 60_000, &BASE),
+            Ok(BreakerState::HalfOpen)
+        );
+        b.record("ca", "bob", 60_000, true, &BASE);
+        assert_eq!(b.state("ca", "bob", 60_000, &BASE), BreakerState::Closed);
+        assert!(b.admit("ca", "bob", 60_000, &BASE).is_ok());
     }
 
     #[test]
     fn lanes_are_independent() {
         let b = breakers();
         for _ in 0..3 {
-            b.admit("broker", "alice", 0).unwrap();
-            b.record("broker", "alice", 0, false);
+            b.admit("broker", "alice", 0, &BASE).unwrap();
+            b.record("broker", "alice", 0, false, &BASE);
         }
-        assert_eq!(b.state("broker", "alice", 0), BreakerState::Open);
-        assert_eq!(b.state("broker", "bob", 0), BreakerState::Closed);
-        assert!(b.admit("broker", "bob", 0).is_ok());
+        assert_eq!(b.state("broker", "alice", 0, &BASE), BreakerState::Open);
+        assert_eq!(b.state("broker", "bob", 0, &BASE), BreakerState::Closed);
+        assert!(b.admit("broker", "bob", 0, &BASE).is_ok());
         // And dependencies are independent per lane too.
-        assert!(b.admit("idp", "alice", 0).is_ok());
+        assert!(b.admit("idp", "alice", 0, &BASE).is_ok());
     }
 
     #[test]
@@ -462,11 +442,11 @@ mod tests {
             s2.lock().unwrap().push((t.from, t.to));
         }));
         for _ in 0..3 {
-            b.admit("idp", "alice", 0).unwrap();
-            b.record("idp", "alice", 0, false);
+            b.admit("idp", "alice", 0, &BASE).unwrap();
+            b.record("idp", "alice", 0, false, &BASE);
         }
-        b.admit("idp", "alice", 30_000).unwrap();
-        b.record("idp", "alice", 30_000, true);
+        b.admit("idp", "alice", 30_000, &BASE).unwrap();
+        b.record("idp", "alice", 30_000, true, &BASE);
         assert_eq!(
             *seen.lock().unwrap(),
             vec![
@@ -486,55 +466,27 @@ mod tests {
             s2.lock().unwrap().push(t.seq);
         }));
         for _ in 0..3 {
-            b.admit("idp", "alice", 0).unwrap();
-            b.record("idp", "alice", 0, false);
+            b.admit("idp", "alice", 0, &BASE).unwrap();
+            b.record("idp", "alice", 0, false, &BASE);
         }
-        b.admit("idp", "alice", 30_000).unwrap();
-        b.record("idp", "alice", 30_000, true);
+        b.admit("idp", "alice", 30_000, &BASE).unwrap();
+        b.record("idp", "alice", 30_000, true, &BASE);
         assert_eq!(*seen.lock().unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn dependency_overrides_tighten_and_revert() {
-        let b = breakers();
-        b.set_dependency_config(
-            "idp",
-            BreakerConfig {
-                failure_threshold: 1,
-                open_ms: 60_000,
-                probe_budget: 1,
-            },
-        );
-        // One failure now trips the tightened breaker...
-        b.admit("idp", "alice", 0).unwrap();
-        b.record("idp", "alice", 0, false);
-        assert_eq!(b.state("idp", "alice", 0), BreakerState::Open);
-        // ...and the longer open window applies.
-        assert!(b.admit("idp", "alice", 30_000).is_err());
-        assert_eq!(b.admit("idp", "alice", 60_000), Ok(BreakerState::HalfOpen));
-        // Other dependencies keep the base thresholds.
-        b.admit("broker", "alice", 0).unwrap();
-        b.record("broker", "alice", 0, false);
-        assert_eq!(b.state("broker", "alice", 0), BreakerState::Closed);
-        assert_eq!(b.dependency_overrides().len(), 1);
-        b.clear_dependency_config("idp");
-        assert_eq!(b.config_for("idp"), *b.config());
-        assert!(b.dependency_overrides().is_empty());
     }
 
     #[test]
     fn parallel_lanes_reach_the_same_states_as_serial() {
         let drive = |b: &CircuitBreakers, lane: &str| {
             for _ in 0..3 {
-                let _ = b.admit("idp", lane, 0);
-                b.record("idp", lane, 0, false);
+                let _ = b.admit("idp", lane, 0, &BASE);
+                b.record("idp", lane, 0, false, &BASE);
             }
-            let _ = b.admit("idp", lane, 30_000);
-            b.record("idp", lane, 30_000, true);
+            let _ = b.admit("idp", lane, 30_000, &BASE);
+            b.record("idp", lane, 30_000, true, &BASE);
         };
         let states = |b: &CircuitBreakers| {
             (0..32)
-                .map(|i| b.state("idp", &format!("user-{i}"), 30_000))
+                .map(|i| b.state("idp", &format!("user-{i}"), 30_000, &BASE))
                 .collect::<Vec<_>>()
         };
         let serial = {

@@ -15,9 +15,9 @@
 //!   breakers with probe budgets. State is kept per *(dependency, lane)*
 //!   where the lane is the flow key, so breaker behaviour is identical
 //!   under any worker count; transitions are surfaced through a sink
-//!   (dri-core wires it to the SIEM). Per-dependency config overrides
-//!   let the SIEM feedback loop tighten or relax thresholds at window
-//!   boundaries.
+//!   (dri-core wires it to the SIEM). The registry holds no policy:
+//!   each call carries the thresholds in force, which dri-core derives
+//!   from whether the SIEM feedback loop has tightened the dependency.
 //! * [`ErrorBudgets`] — SRE-style per-dependency, per-window error
 //!   budgets (SLO target + burn-rate accounting over sim-time windows).
 //!   Commutative counters make the budget state a pure function of the

@@ -28,18 +28,22 @@ fn run(seed: u64, fail_per_mille: u16, workers: usize) -> (Vec<&'static str>, u6
     let plan = FaultPlan::new(seed).flaky("idp", fail_per_mille, 0, 1_000_000);
     let hook = FaultHook::default();
     hook.install(Arc::new(FaultPlane::new(plan, clock.clone())));
-    let breakers = CircuitBreakers::new(BreakerConfig::default());
+    let breakers = CircuitBreakers::new();
+    let config = BreakerConfig::default();
 
     let work = |lane: usize| {
         let label = format!("lane-{lane}");
         // One flow per lane: the lane's trace id keys the flaky rolls.
         let _flow = flow(&tracer, &label, "fault.lane", Stage::Flow);
         for _ in 0..CALLS_PER_LANE {
-            if breakers.admit("idp", &label, clock.now_ms()).is_err() {
+            if breakers
+                .admit("idp", &label, clock.now_ms(), &config)
+                .is_err()
+            {
                 continue;
             }
             let ok = hook.check("idp:https://idp.example").is_ok();
-            breakers.record("idp", &label, clock.now_ms(), ok);
+            breakers.record("idp", &label, clock.now_ms(), ok, &config);
         }
     };
 
@@ -65,7 +69,7 @@ fn run(seed: u64, fail_per_mille: u16, workers: usize) -> (Vec<&'static str>, u6
     let states = (0..LANES)
         .map(|lane| {
             breakers
-                .state("idp", &format!("lane-{lane}"), clock.now_ms())
+                .state("idp", &format!("lane-{lane}"), clock.now_ms(), &config)
                 .as_str()
         })
         .collect();

@@ -275,7 +275,7 @@ impl Tailnet {
     /// Send an encrypted message from `from_node` to the node named `to`.
     /// Returns `(wire_frame, nonce)` after policy checks; the caller
     /// delivers the frame to the peer, which opens it with
-    /// [`TailnetNode::open`].
+    /// [`TailnetNode::open_from`].
     pub fn send(
         &self,
         from_node: &TailnetNode,

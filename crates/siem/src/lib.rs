@@ -8,8 +8,8 @@
 //! * [`events`] — the security-event vocabulary every domain forwards;
 //! * [`siem`] — the ingestion pipeline and detection engine (windowed
 //!   rules: credential stuffing, token abuse, lateral movement probes,
-//!   expired-credential replay) plus alert routing to the external 24/7
-//!   monitor (NCC-style) and kill-switch recommendations;
+//!   expired-credential replay) plus alerts and kill-switch
+//!   recommendations;
 //! * [`inventory`] — asset/software inventory matched against a
 //!   vulnerability feed;
 //! * [`cis`] — configuration checks and a compliance score;

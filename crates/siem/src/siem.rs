@@ -10,11 +10,10 @@
 //! exactly the events enqueued before it.
 //!
 //! One drain runs at a time: a private mutex is held from dequeuing a
-//! batch through state update, taps and external monitors. A reader
-//! whose flush finds the queue empty therefore still waits for a batch
-//! another thread dequeued but has not finished processing. Taps and
-//! monitors run under that mutex, so they must not call back into the
-//! SIEM.
+//! batch through state update and taps. A reader whose flush finds the
+//! queue empty therefore still waits for a batch another thread
+//! dequeued but has not finished processing. Taps run under that mutex,
+//! so they must not call back into the SIEM.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -23,11 +22,6 @@ use dri_clock::{IdGen, SimClock};
 use parking_lot::{Mutex, RwLock};
 
 use crate::events::{EventKind, SecurityEvent, Severity};
-
-/// Callback notified for every raised alert (the external 24/7 monitor).
-/// Runs while the SIEM drains a batch; it must not call back into the
-/// SIEM.
-pub type AlertSink = Box<dyn Fn(&Alert) + Send + Sync>;
 
 /// Callback invoked for every drained event (e.g. the rate-anomaly
 /// detector taps the stream at batch-drain time). Runs while the SIEM
@@ -130,15 +124,13 @@ pub struct Siem {
     /// Detection thresholds.
     pub config: DetectionConfig,
     state: RwLock<SiemState>,
-    /// External 24/7 monitor (NCC-style) notification hook.
-    external_monitor: RwLock<Vec<AlertSink>>,
     /// Per-event observers run at batch-drain time.
     taps: RwLock<Vec<IngestTap>>,
     ingest_tx: channel::Sender<SecurityEvent>,
     ingest_rx: channel::Receiver<SecurityEvent>,
-    /// Held from dequeuing a batch until its taps and monitors have
-    /// run, so a flush that finds the queue empty cannot overtake a
-    /// batch still in flight on another thread.
+    /// Held from dequeuing a batch until its taps have run, so a flush
+    /// that finds the queue empty cannot overtake a batch still in
+    /// flight on another thread.
     drain: Mutex<()>,
     ids: IdGen,
 }
@@ -151,18 +143,12 @@ impl Siem {
             clock,
             config,
             state: RwLock::new(SiemState::default()),
-            external_monitor: RwLock::new(Vec::new()),
             taps: RwLock::new(Vec::new()),
             ingest_tx,
             ingest_rx,
             drain: Mutex::new(()),
             ids: IdGen::new("alert"),
         }
-    }
-
-    /// Register the external monitoring service callback.
-    pub fn register_external_monitor(&self, callback: AlertSink) {
-        self.external_monitor.write().push(callback);
     }
 
     /// Register a per-event observer invoked at batch-drain time (e.g.
@@ -249,14 +235,6 @@ impl Siem {
                     for tap in taps.iter() {
                         tap(event);
                     }
-                }
-            }
-        }
-        if !new_alerts.is_empty() {
-            let monitors = self.external_monitor.read();
-            for alert in &new_alerts {
-                for m in monitors.iter() {
-                    m(alert);
                 }
             }
         }
@@ -520,21 +498,6 @@ mod tests {
             )]);
         }
         assert!(siem.alerts().is_empty());
-    }
-
-    #[test]
-    fn external_monitor_notified() {
-        let (siem, clock) = siem();
-        let notified = Arc::new(AtomicUsize::new(0));
-        let n2 = notified.clone();
-        siem.register_external_monitor(Box::new(move |_alert| {
-            n2.fetch_add(1, Ordering::Relaxed);
-        }));
-        for _ in 0..5 {
-            clock.advance(10);
-            siem.ingest(vec![failure(clock.now_ms(), "maid-1")]);
-        }
-        assert_eq!(notified.load(Ordering::Relaxed), 1);
     }
 
     #[test]

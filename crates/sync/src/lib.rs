@@ -91,19 +91,17 @@ pub fn clamp_shards(requested: usize) -> usize {
 /// `load` takes a read lock only long enough to clone the `Arc` — no
 /// lock is held while the caller uses the snapshot, so validation-heavy
 /// readers never contend with each other. `store` swaps in a whole new
-/// snapshot and bumps a monotonic epoch, letting cache holders detect
-/// staleness cheaply.
+/// snapshot; values that need a generation carry it themselves (the
+/// broker's JWKS does).
 pub struct Snapshot<T> {
     cell: RwLock<Arc<T>>,
-    epoch: std::sync::atomic::AtomicU64,
 }
 
 impl<T> Snapshot<T> {
-    /// Publish an initial value (epoch 0).
+    /// Publish an initial value.
     pub fn new(value: T) -> Snapshot<T> {
         Snapshot {
             cell: RwLock::new(Arc::new(value)),
-            epoch: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -112,25 +110,15 @@ impl<T> Snapshot<T> {
         self.cell.read().clone()
     }
 
-    /// Publish a new snapshot, bumping the epoch.
+    /// Publish a new snapshot.
     pub fn store(&self, value: T) {
-        let mut cell = self.cell.write();
-        *cell = Arc::new(value);
-        self.epoch
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
+        *self.cell.write() = Arc::new(value);
     }
 
-    /// Rebuild the snapshot from the current one, bumping the epoch.
+    /// Rebuild the snapshot from the current one.
     pub fn rcu<F: FnOnce(&T) -> T>(&self, f: F) {
         let mut cell = self.cell.write();
         *cell = Arc::new(f(cell.as_ref()));
-        self.epoch
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Monotonic publish count; bumps on every `store`/`rcu`.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(std::sync::atomic::Ordering::Acquire)
     }
 }
 
@@ -138,7 +126,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Snapshot<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("value", &self.load())
-            .field("epoch", &self.epoch())
             .finish()
     }
 }
@@ -417,18 +404,15 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_load_store_epoch() {
+    fn snapshot_load_store_rcu() {
         let snap = Snapshot::new(vec![1, 2, 3]);
-        assert_eq!(snap.epoch(), 0);
         let held = snap.load();
         snap.store(vec![4]);
-        assert_eq!(snap.epoch(), 1);
         // The old handle still sees its snapshot; new loads see the new.
         assert_eq!(*held, vec![1, 2, 3]);
         assert_eq!(*snap.load(), vec![4]);
         snap.rcu(|v| v.iter().map(|x| x * 10).collect());
         assert_eq!(*snap.load(), vec![40]);
-        assert_eq!(snap.epoch(), 2);
     }
 
     #[test]

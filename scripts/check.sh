@@ -27,6 +27,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc (workspace, deny warnings: no dangling doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
 

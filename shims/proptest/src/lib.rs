@@ -364,7 +364,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Size bound for [`vec`]: a fixed length or a half-open range.
+    /// Size bound for [`vec()`]: a fixed length or a half-open range.
     pub trait SizeRange {
         /// Draw a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;

@@ -4,6 +4,7 @@
 //! feedback decisions — whether the storm runs serially or fanned out
 //! over eight workers. Chaos is replayable end to end.
 
+use isambard_dri::core::resilience::{breaker_config, retry_policy};
 use isambard_dri::core::{InfraConfig, Infrastructure, MetricsSnapshot};
 use isambard_dri::fault::{BreakerTransition, FaultPlan};
 use isambard_dri::trace::{chrome_trace, well_formed, SpanRecord};
@@ -33,10 +34,9 @@ struct ChaosLedger {
     /// SIEM feedback adjustments applied at the first window boundary
     /// after the storm, formatted one per line.
     feedback: Vec<String>,
-    /// Breaker config overrides installed by the feedback pass.
-    breaker_overrides: Vec<String>,
-    /// Retry policy overrides installed by the feedback pass.
-    retry_overrides: Vec<String>,
+    /// Dependencies tightened by the feedback pass, each with the
+    /// breaker and retry policy derived for it.
+    tightened: Vec<String>,
 }
 
 /// Build the population, arm the chaos plan, run the storm in `mode`,
@@ -88,26 +88,22 @@ fn chaos_ledger(seed: u64, projects: usize, researchers: usize, mode: StormMode)
             )
         })
         .collect();
-    let breaker_overrides: Vec<String> = infra
+    let (c, p) = (breaker_config(true), retry_policy(true));
+    let tightened: Vec<String> = infra
         .resilience
-        .breakers()
-        .dependency_overrides()
+        .tightened()
         .iter()
-        .map(|(d, c)| {
+        .map(|d| {
             format!(
-                "{d} failure_threshold={} open_ms={} probe_budget={}",
-                c.failure_threshold, c.open_ms, c.probe_budget
-            )
-        })
-        .collect();
-    let retry_overrides: Vec<String> = infra
-        .resilience
-        .retry_overrides()
-        .iter()
-        .map(|(d, p)| {
-            format!(
-                "{d} max_attempts={} base_ms={} max_ms={} jitter_ms={}",
-                p.max_attempts, p.base_ms, p.max_ms, p.jitter_ms
+                "{d} failure_threshold={} open_ms={} probe_budget={} \
+                 max_attempts={} base_ms={} max_ms={} jitter_ms={}",
+                c.failure_threshold,
+                c.open_ms,
+                c.probe_budget,
+                p.max_attempts,
+                p.base_ms,
+                p.max_ms,
+                p.jitter_ms
             )
         })
         .collect();
@@ -136,8 +132,7 @@ fn chaos_ledger(seed: u64, projects: usize, researchers: usize, mode: StormMode)
         spans,
         breaker_timeline,
         feedback,
-        breaker_overrides,
-        retry_overrides,
+        tightened,
     }
 }
 
@@ -213,10 +208,9 @@ fn siem_feedback_is_deterministic_and_tightens_burned_dependencies() {
     let p = chaos_ledger(11, 9, 4, StormMode::Parallel(8));
 
     // The feedback pass saw identical budget state, so it made
-    // identical decisions and installed identical overrides.
+    // identical decisions and tightened the same dependencies.
     assert_eq!(s.feedback, p.feedback);
-    assert_eq!(s.breaker_overrides, p.breaker_overrides);
-    assert_eq!(s.retry_overrides, p.retry_overrides);
+    assert_eq!(s.tightened, p.tightened);
 
     // The storm reuses broker sessions, so the flaky IdP spec never
     // fires on this workload — but the 150‰ flaky edge burns far past
@@ -230,12 +224,9 @@ fn siem_feedback_is_deterministic_and_tightens_burned_dependencies() {
         s.feedback
     );
     assert!(
-        s.breaker_overrides.iter().any(|l| l.starts_with("edge ")),
-        "tightened breaker config installed for edge"
-    );
-    assert!(
-        s.retry_overrides.iter().any(|l| l.starts_with("edge ")),
-        "tightened retry policy installed for edge"
+        s.tightened.iter().any(|l| l.starts_with("edge ")),
+        "edge is tightened, got {:?}",
+        s.tightened
     );
 }
 
@@ -288,7 +279,6 @@ proptest! {
         prop_assert_eq!(s.budget_export, p.budget_export);
         prop_assert_eq!(s.breaker_timeline, p.breaker_timeline);
         prop_assert_eq!(s.feedback, p.feedback);
-        prop_assert_eq!(s.breaker_overrides, p.breaker_overrides);
-        prop_assert_eq!(s.retry_overrides, p.retry_overrides);
+        prop_assert_eq!(s.tightened, p.tightened);
     }
 }
