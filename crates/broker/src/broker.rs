@@ -88,9 +88,9 @@ pub struct SessionInfo {
     pub established_at: u64,
     /// Hard expiry (seconds) — re-authentication required after this.
     pub expires_at: u64,
-    /// Trace id (hex) of the login flow that established this session,
-    /// when it ran traced — provenance for later incident response.
-    pub trace_id: Option<String>,
+    /// Trace id of the login flow that established this session, when
+    /// it ran traced — provenance for later incident response.
+    pub trace_id: Option<dri_trace::TraceId>,
 }
 
 /// Broker failures.

@@ -149,12 +149,16 @@ impl JupyterService {
     pub fn spawn(&self, headers: &[(String, String)]) -> Result<NotebookSession, JupyterError> {
         let _span = dri_trace::span("jupyter.spawn", dri_trace::Stage::Cluster);
         // Surface the propagated W3C context, proving the trace survived
-        // the edge -> tunnel -> spawner boundary crossings.
+        // the edge -> tunnel -> spawner boundary crossings. The header is
+        // untrusted: only one that parses is recorded, and a header that
+        // parses is exactly 55 bytes in canonical form.
         if let Some((_, tp)) = headers
             .iter()
             .find(|(k, _)| k.eq_ignore_ascii_case("traceparent"))
         {
-            dri_trace::add_attr("traceparent", tp);
+            if dri_trace::TraceCtx::parse(tp).is_some() {
+                dri_trace::add_attr("traceparent", tp);
+            }
         }
         let token = headers
             .iter()
@@ -402,6 +406,42 @@ mod tests {
             Err(JupyterError::AtCapacity)
         );
         assert_eq!(f.service.session_count(), 2);
+    }
+
+    /// Spawn inside a traced flow with `traceparent` set to `header`,
+    /// and return the `traceparent` attributes the spawn span recorded.
+    fn recorded_traceparents(header: &str) -> Vec<String> {
+        let f = fixture(10);
+        let tracer = Arc::new(dri_trace::Tracer::new(1, 4, f.clock.clone()));
+        tracer.set_enabled(true);
+        let mut hs = headers(&token(&f));
+        hs.push(("traceparent".into(), header.into()));
+        {
+            let _flow = dri_trace::flow(&tracer, "alice", "story6", dri_trace::Stage::Flow);
+            f.service.spawn(&hs).unwrap();
+        }
+        let spans = tracer.all_spans();
+        let spawn = spans.iter().find(|s| s.name == "jupyter.spawn").unwrap();
+        spawn
+            .attrs
+            .iter()
+            .filter(|(k, _)| k == "traceparent")
+            .map(|(_, v)| v.clone())
+            .collect()
+    }
+
+    #[test]
+    fn oversized_or_malformed_traceparent_is_not_recorded() {
+        let huge = format!("00-{}", "a".repeat(64 * 1024));
+        assert!(recorded_traceparents(&huge).is_empty());
+        assert!(recorded_traceparents("00-not-a-header-01").is_empty());
+        let valid = dri_trace::TraceCtx {
+            trace_id: dri_trace::TraceId([7; 16]),
+            span_id: dri_trace::SpanId([9; 8]),
+        }
+        .traceparent();
+        assert_eq!(recorded_traceparents(&valid), vec![valid.clone()]);
+        assert_eq!(valid.len(), 55);
     }
 
     #[test]

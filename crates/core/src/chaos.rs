@@ -289,7 +289,7 @@ impl Infrastructure {
                 ),
                 Severity::High,
             )
-            .with_trace_id(origin_trace.clone()),
+            .with_trace_id(origin_trace),
         );
         drill.note(format!(
             "kill chain: bastion={} shells={} notebooks={} jobs={}",
@@ -307,7 +307,6 @@ impl Infrastructure {
         // The SOC can join the drill events back to the originating
         // login's full trace through the SIEM's trace index.
         let correlated = origin_trace
-            .as_ref()
             .map(|t| {
                 self.siem
                     .events_for_trace(t)

@@ -173,15 +173,41 @@ impl Sha256 {
     /// Finish the hash and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
+        // Padding: 0x80, zeros, 64-bit big-endian length, written into
+        // the buffer directly (one extra block when the length does not
+        // fit after the 0x80).
+        let mut end = self.buf_len;
+        self.buf[end] = 0x80;
+        end += 1;
+        if end > 56 {
+            self.buf[end..].fill(0);
+            let block = self.buf;
+            self.compress(&block);
+            end = 0;
+        }
+        self.buf[end..56].fill(0);
+        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
+        self.digest()
+    }
+
+    /// The byte-at-a-time padding [`finalize`](Sha256::finalize)
+    /// replaced, kept as the differential reference.
+    #[cfg(test)]
+    fn finalize_reference(mut self) -> [u8; 32] {
+        let bit_len = self.total_len.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buf_len != 56 {
             self.update(&[0]);
         }
-        // Manual final block write to avoid counting the length bytes.
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
+        self.digest()
+    }
+
+    fn digest(&self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -290,6 +316,28 @@ impl Sha512 {
     /// Finish the hash and return the 64-byte digest.
     pub fn finalize(mut self) -> [u8; 64] {
         let bit_len = self.total_len.wrapping_mul(8);
+        // As for SHA-256, with a 128-bit length in a 128-byte block.
+        let mut end = self.buf_len;
+        self.buf[end] = 0x80;
+        end += 1;
+        if end > 112 {
+            self.buf[end..].fill(0);
+            let block = self.buf;
+            self.compress(&block);
+            end = 0;
+        }
+        self.buf[end..112].fill(0);
+        self.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
+        self.digest()
+    }
+
+    /// The byte-at-a-time padding [`finalize`](Sha512::finalize)
+    /// replaced, kept as the differential reference.
+    #[cfg(test)]
+    fn finalize_reference(mut self) -> [u8; 64] {
+        let bit_len = self.total_len.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buf_len != 112 {
             self.update(&[0]);
@@ -297,6 +345,10 @@ impl Sha512 {
         self.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
+        self.digest()
+    }
+
+    fn digest(&self) -> [u8; 64] {
         let mut out = [0u8; 64];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 8..i * 8 + 8].copy_from_slice(&word.to_be_bytes());
@@ -369,6 +421,27 @@ pub fn sha512(data: &[u8]) -> [u8; 64] {
 mod tests {
     use super::*;
     use crate::hex;
+
+    #[test]
+    fn one_step_padding_matches_the_byte_loop() {
+        let data: Vec<u8> = (0..=600u32).map(|i| (i * 31 + 7) as u8).collect();
+        for len in 0..=600 {
+            let mut a = Sha256::new();
+            a.update(&data[..len]);
+            assert_eq!(
+                a.clone().finalize(),
+                a.finalize_reference(),
+                "sha256 len {len}"
+            );
+            let mut b = Sha512::new();
+            b.update(&data[..len]);
+            assert_eq!(
+                b.clone().finalize(),
+                b.finalize_reference(),
+                "sha512 len {len}"
+            );
+        }
+    }
 
     #[test]
     fn sha256_empty() {

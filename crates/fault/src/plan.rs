@@ -259,8 +259,12 @@ impl FaultPlane {
     /// the calling flow's trace id (empty outside a traced flow), so
     /// the K-th attempt of a given flow always rolls the same value.
     fn flaky_roll(&self, index: usize, component: &str, fail_per_mille: u16) -> bool {
-        let lane = dri_trace::current_trace_id().unwrap_or_default();
-        let key = format!("{index}|{component}|{lane}");
+        // The lane is the trace id in lowercase hex: the key text feeds
+        // the roll, so it is part of every fault timeline.
+        let key = match dri_trace::current_trace_id() {
+            Some(lane) => format!("{index}|{component}|{lane}"),
+            None => format!("{index}|{component}|"),
+        };
         let attempt = {
             let mut shard = self.flaky_counters.write_shard(&key);
             let n = shard.entry(key.clone()).or_insert(0);

@@ -1,5 +1,7 @@
 //! The security-event vocabulary forwarded from every domain.
 
+use dri_trace::TraceId;
+
 /// Event severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -73,10 +75,10 @@ pub struct SecurityEvent {
     pub detail: String,
     /// Severity assigned by the emitter.
     pub severity: Severity,
-    /// Trace id (hex) of the flow that caused this event, when the
-    /// emitter ran inside a traced flow — the SOC's join key back to
-    /// the full span tree of the originating login.
-    pub trace_id: Option<String>,
+    /// Trace id of the flow that caused this event, when the emitter
+    /// ran inside a traced flow — the SOC's join key back to the full
+    /// span tree of the originating login.
+    pub trace_id: Option<TraceId>,
 }
 
 impl SecurityEvent {
@@ -105,7 +107,7 @@ impl SecurityEvent {
     /// Override the trace correlation, for emitters that act *after*
     /// the causing flow finished (e.g. a kill switch severing a session
     /// established by an earlier login carries that login's trace id).
-    pub fn with_trace_id(mut self, trace_id: Option<String>) -> SecurityEvent {
+    pub fn with_trace_id(mut self, trace_id: Option<TraceId>) -> SecurityEvent {
         self.trace_id = trace_id;
         self
     }
@@ -147,7 +149,7 @@ mod tests {
             "severed",
             Severity::Critical,
         )
-        .with_trace_id(Some("deadbeef".into()));
-        assert_eq!(e.trace_id.as_deref(), Some("deadbeef"));
+        .with_trace_id(Some(TraceId([0xde; 16])));
+        assert_eq!(e.trace_id, Some(TraceId([0xde; 16])));
     }
 }

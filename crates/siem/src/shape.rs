@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use dri_trace::{SpanRecord, Stage};
+use dri_trace::{SpanRecord, Stage, TraceId};
 
 use crate::events::{EventKind, SecurityEvent, Severity};
 
@@ -19,8 +19,8 @@ use crate::events::{EventKind, SecurityEvent, Severity};
 /// prior policy evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PdpBypassFinding {
-    /// Hex trace id of the offending flow.
-    pub trace_id: String,
+    /// Trace id of the offending flow.
+    pub trace_id: TraceId,
     /// Name of the first `sshca`-stage span with no preceding `policy`
     /// span (e.g. `sshca.sign`).
     pub span_name: String,
@@ -36,9 +36,9 @@ pub struct PdpBypassFinding {
 /// same spans are byte-stable.
 pub fn find_pdp_bypasses(spans: &[SpanRecord]) -> Vec<PdpBypassFinding> {
     // Per trace: earliest sshca span and earliest policy start step.
-    let mut by_trace: BTreeMap<String, (Option<&SpanRecord>, Option<u64>)> = BTreeMap::new();
+    let mut by_trace: BTreeMap<TraceId, (Option<&SpanRecord>, Option<u64>)> = BTreeMap::new();
     for span in spans {
-        let entry = by_trace.entry(span.trace_id.to_hex()).or_default();
+        let entry = by_trace.entry(span.trace_id).or_default();
         match span.stage {
             Stage::SshCa if entry.0.is_none_or(|s| span.start_step < s.start_step) => {
                 entry.0 = Some(span);
@@ -75,14 +75,14 @@ pub fn pdp_bypass_events(findings: &[PdpBypassFinding], source: &str) -> Vec<Sec
                 f.at_ms,
                 source,
                 EventKind::PdpBypass,
-                f.trace_id.clone(),
+                f.trace_id.to_hex(),
                 format!(
                     "{} at step {} with no preceding policy evaluation (trace {})",
                     f.span_name, f.start_step, f.trace_id
                 ),
                 Severity::Critical,
             )
-            .with_trace_id(Some(f.trace_id.clone()))
+            .with_trace_id(Some(f.trace_id))
         })
         .collect()
 }
@@ -94,7 +94,7 @@ mod tests {
     use std::sync::Arc;
 
     /// Record one flow with the given (name, stage) hops, in order.
-    fn record_flow(tracer: &Arc<Tracer>, key: &str, hops: &[(&'static str, Stage)]) -> String {
+    fn record_flow(tracer: &Arc<Tracer>, key: &str, hops: &[(&'static str, Stage)]) -> TraceId {
         let flow = dri_trace::flow(tracer, key, "login", Stage::Flow);
         let trace_id = dri_trace::current_trace_id().expect("flow active");
         for (name, stage) in hops {
@@ -177,8 +177,9 @@ mod tests {
         let events = pdp_bypass_events(&findings, "sec/siem");
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::PdpBypass);
-        assert_eq!(events[0].trace_id.as_deref(), Some(bad.as_str()));
-        assert!(events[0].detail.contains(&bad));
+        assert_eq!(events[0].trace_id, Some(bad));
+        assert_eq!(events[0].subject, bad.to_hex());
+        assert!(events[0].detail.contains(&bad.to_hex()));
 
         let siem = crate::Siem::new(dri_clock::SimClock::new(), Default::default());
         let alerts = siem.ingest(events);
@@ -186,6 +187,6 @@ mod tests {
         assert_eq!(alerts[0].rule, "pdp-bypass");
         assert_eq!(alerts[0].severity, Severity::Critical);
         // The SOC can join back to the offending flow via the index.
-        assert_eq!(siem.events_for_trace(&bad).len(), 1);
+        assert_eq!(siem.events_for_trace(bad).len(), 1);
     }
 }

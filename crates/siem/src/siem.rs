@@ -19,6 +19,7 @@ use std::collections::{HashMap, VecDeque};
 
 use crossbeam::channel::{self, TrySendError};
 use dri_clock::{IdGen, SimClock};
+use dri_trace::TraceId;
 use parking_lot::{Mutex, RwLock};
 
 use crate::events::{EventKind, SecurityEvent, Severity};
@@ -99,21 +100,21 @@ struct SiemState {
     /// Per (rule, subject): suppress duplicate alerts until window rolls.
     alerted: HashMap<(&'static str, String), u64>,
     events_ingested: u64,
-    /// Trace-id (hex) -> indices into `events`, maintained at drain
-    /// time so pulling a flow's events is a lookup, not a scan.
-    trace_index: HashMap<String, Vec<usize>>,
+    /// Trace id -> indices into `events`, maintained at drain time so
+    /// pulling a flow's events is a lookup, not a scan.
+    trace_index: HashMap<TraceId, Vec<usize>>,
 }
 
 impl SiemState {
     /// Store an event, keeping the trace-correlation index in step.
-    fn store(&mut self, event: &SecurityEvent) {
-        if let Some(tid) = &event.trace_id {
+    fn store(&mut self, event: SecurityEvent) {
+        if let Some(tid) = event.trace_id {
             self.trace_index
-                .entry(tid.clone())
+                .entry(tid)
                 .or_default()
                 .push(self.events.len());
         }
-        self.events.push(event.clone());
+        self.events.push(event);
         self.events_ingested += 1;
     }
 }
@@ -219,29 +220,33 @@ impl Siem {
             return Vec::new();
         }
         let mut new_alerts = Vec::new();
-        {
-            // One lock acquisition for the whole batch.
+        let first = {
+            // One lock acquisition for the whole batch; events move into
+            // the store.
             let mut state = self.state.write();
-            for event in &events {
+            let first = state.events.len();
+            for event in events {
                 if let Some(alert) = self.process(&mut state, event) {
                     new_alerts.push(alert);
                 }
             }
-        }
-        {
-            let taps = self.taps.read();
-            if !taps.is_empty() {
-                for event in &events {
-                    for tap in taps.iter() {
-                        tap(event);
-                    }
+            first
+        };
+        let taps = self.taps.read();
+        if !taps.is_empty() {
+            // Every event is stored, in batch order, and the caller holds
+            // `drain`, so the batch is exactly the store's tail.
+            let state = self.state.read();
+            for event in &state.events[first..] {
+                for tap in taps.iter() {
+                    tap(event);
                 }
             }
         }
         new_alerts
     }
 
-    fn process(&self, state: &mut SiemState, event: &SecurityEvent) -> Option<Alert> {
+    fn process(&self, state: &mut SiemState, event: SecurityEvent) -> Option<Alert> {
         let (rule, key, threshold, window_ms, severity, recommendation): (
             &'static str,
             String,
@@ -298,27 +303,28 @@ impl Siem {
             }
         };
 
+        let at_ms = event.at_ms;
         state.store(event);
 
         let win = state.windows.entry((rule, key.clone())).or_default();
         while win
             .front()
-            .is_some_and(|t| event.at_ms.saturating_sub(*t) > window_ms)
+            .is_some_and(|t| at_ms.saturating_sub(*t) > window_ms)
         {
             win.pop_front();
         }
-        win.push_back(event.at_ms);
+        win.push_back(at_ms);
         let evidence = win.len();
         if evidence < threshold {
             return None;
         }
         // Deduplicate: one alert per (rule, subject) per window.
         if let Some(last) = state.alerted.get(&(rule, key.clone())) {
-            if event.at_ms.saturating_sub(*last) <= window_ms {
+            if at_ms.saturating_sub(*last) <= window_ms {
                 return None;
             }
         }
-        state.alerted.insert((rule, key.clone()), event.at_ms);
+        state.alerted.insert((rule, key.clone()), at_ms);
         let alert = Alert {
             id: self.ids.next(),
             at_ms: self.clock.now_ms(),
@@ -367,10 +373,10 @@ impl Siem {
     /// an index lookup (O(events-of-this-trace)), not a scan of the
     /// whole store. This is how `respond_to_alert` pulls the full
     /// originating flow. Drains the queue first.
-    pub fn events_for_trace(&self, trace_id: &str) -> Vec<SecurityEvent> {
+    pub fn events_for_trace(&self, trace_id: TraceId) -> Vec<SecurityEvent> {
         self.flush();
         let state = self.state.read();
-        match state.trace_index.get(trace_id) {
+        match state.trace_index.get(&trace_id) {
             Some(indices) => indices.iter().map(|&i| state.events[i].clone()).collect(),
             None => Vec::new(),
         }
@@ -607,18 +613,19 @@ mod tests {
         let (siem, clock) = siem();
         clock.advance(10);
         let at = clock.now_ms();
+        let (a, b) = (TraceId([0xaa; 16]), TraceId([0xbb; 16]));
         // Two flows interleaved, plus an uncorrelated event.
         for i in 0..3u64 {
-            siem.enqueue(failure(at + i, "maid-1").with_trace_id(Some("aaaa0001".into())));
-            siem.enqueue(failure(at + i, "maid-2").with_trace_id(Some("bbbb0002".into())));
+            siem.enqueue(failure(at + i, "maid-1").with_trace_id(Some(a)));
+            siem.enqueue(failure(at + i, "maid-2").with_trace_id(Some(b)));
         }
         siem.enqueue(failure(at + 9, "maid-3"));
-        let flow_a = siem.events_for_trace("aaaa0001");
+        let flow_a = siem.events_for_trace(a);
         assert_eq!(flow_a.len(), 3);
         assert!(flow_a.iter().all(|e| e.subject == "maid-1"));
         assert!(flow_a.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
-        assert_eq!(siem.events_for_trace("bbbb0002").len(), 3);
-        assert!(siem.events_for_trace("none").is_empty());
+        assert_eq!(siem.events_for_trace(b).len(), 3);
+        assert!(siem.events_for_trace(TraceId([0xcc; 16])).is_empty());
         assert_eq!(siem.indexed_trace_count(), 2);
     }
 
@@ -636,6 +643,37 @@ mod tests {
         }
         siem.ingest(vec![failure(clock.now_ms(), "maid-2")]);
         assert_eq!(seen.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn taps_see_the_stored_events_in_store_order() {
+        let (siem, clock) = siem();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        {
+            let seen = seen.clone();
+            siem.register_tap(Box::new(move |event| {
+                seen.lock().push((event.at_ms, event.subject.clone()));
+            }));
+        }
+        // Enqueued out of timeline order; the drain sorts, then stores by
+        // move, and the taps read the stored batch.
+        clock.advance(100);
+        let at = clock.now_ms();
+        for (dt, subject) in [(3, "maid-3"), (1, "maid-1"), (2, "maid-2")] {
+            siem.enqueue(failure(at + dt, subject));
+        }
+        siem.ingest(vec![failure(at + 9, "maid-9")]);
+        let stored: Vec<(u64, String)> = siem
+            .events_of_kind(EventKind::AuthnFailure)
+            .into_iter()
+            .map(|e| (e.at_ms, e.subject))
+            .collect();
+        assert_eq!(*seen.lock(), stored);
+        assert_eq!(
+            stored.iter().map(|(_, s)| s.as_str()).collect::<Vec<_>>(),
+            ["maid-1", "maid-2", "maid-3", "maid-9"]
+        );
+        assert_eq!(siem.events_ingested(), 4);
     }
 
     #[test]

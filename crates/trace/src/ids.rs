@@ -8,7 +8,7 @@
 //! what lets the chrome-trace export be compared bit-for-bit across
 //! runs.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Finalizer-style 64-bit mixer (splitmix64 finalizer). Good avalanche
 /// so adjacent sequences yield unrelated-looking ids.
@@ -19,22 +19,33 @@ pub(crate) fn mix64(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn hex_byte(out: &mut String, b: u8) {
+/// Write `bytes` (at most 16) as lowercase hex without allocating.
+fn write_hex(f: &mut fmt::Formatter<'_>, bytes: &[u8]) -> fmt::Result {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push(HEX[(b >> 4) as usize] as char);
-    out.push(HEX[(b & 0xf) as usize] as char);
+    let mut buf = [0u8; 32];
+    for (pair, b) in buf.chunks_exact_mut(2).zip(bytes) {
+        pair[0] = HEX[(b >> 4) as usize];
+        pair[1] = HEX[(b & 0xf) as usize];
+    }
+    f.write_str(std::str::from_utf8(&buf[..bytes.len() * 2]).expect("hex digits are ASCII"))
+}
+
+/// One lowercase hex digit (W3C Trace Context allows no uppercase).
+fn hex_digit(c: u8) -> Option<u8> {
+    match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        _ => None,
+    }
 }
 
 fn parse_hex(s: &str, out: &mut [u8]) -> bool {
-    if s.len() != out.len() * 2 || !s.is_ascii() {
+    if s.len() != out.len() * 2 {
         return false;
     }
-    let bytes = s.as_bytes();
-    for (i, slot) in out.iter_mut().enumerate() {
-        let hi = (bytes[2 * i] as char).to_digit(16);
-        let lo = (bytes[2 * i + 1] as char).to_digit(16);
-        match (hi, lo) {
-            (Some(h), Some(l)) => *slot = ((h << 4) | l) as u8,
+    for (slot, pair) in out.iter_mut().zip(s.as_bytes().chunks_exact(2)) {
+        match (hex_digit(pair[0]), hex_digit(pair[1])) {
+            (Some(h), Some(l)) => *slot = (h << 4) | l,
             _ => return false,
         }
     }
@@ -72,14 +83,10 @@ impl TraceId {
 
     /// 32-char lowercase hex form.
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(32);
-        for b in self.0 {
-            hex_byte(&mut s, b);
-        }
-        s
+        self.to_string()
     }
 
-    /// Parse the 32-char hex form.
+    /// Parse the 32-char lowercase hex form.
     pub fn from_hex(s: &str) -> Option<TraceId> {
         let mut bytes = [0u8; 16];
         parse_hex(s, &mut bytes).then_some(TraceId(bytes))
@@ -88,13 +95,13 @@ impl TraceId {
 
 impl fmt::Display for TraceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
+        write_hex(f, &self.0)
     }
 }
 
 impl fmt::Debug for TraceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TraceId({})", self.to_hex())
+        write!(f, "TraceId({self})")
     }
 }
 
@@ -117,14 +124,10 @@ impl SpanId {
 
     /// 16-char lowercase hex form.
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(16);
-        for b in self.0 {
-            hex_byte(&mut s, b);
-        }
-        s
+        self.to_string()
     }
 
-    /// Parse the 16-char hex form.
+    /// Parse the 16-char lowercase hex form.
     pub fn from_hex(s: &str) -> Option<SpanId> {
         let mut bytes = [0u8; 8];
         parse_hex(s, &mut bytes).then_some(SpanId(bytes))
@@ -133,13 +136,13 @@ impl SpanId {
 
 impl fmt::Display for SpanId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
+        write_hex(f, &self.0)
     }
 }
 
 impl fmt::Debug for SpanId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SpanId({})", self.to_hex())
+        write!(f, "SpanId({self})")
     }
 }
 
@@ -158,22 +161,15 @@ impl TraceCtx {
     /// (`00-<trace-id>-<parent-id>-01`; the `01` flag marks "sampled").
     pub fn traceparent(&self) -> String {
         let mut s = String::with_capacity(55);
-        s.push_str("00-");
-        for b in self.trace_id.0 {
-            hex_byte(&mut s, b);
-        }
-        s.push('-');
-        for b in self.span_id.0 {
-            hex_byte(&mut s, b);
-        }
-        s.push_str("-01");
+        write!(s, "00-{}-{}-01", self.trace_id, self.span_id)
+            .expect("writing to a String cannot fail");
         s
     }
 
-    /// Parse a `traceparent` header value produced by [`traceparent`]
-    /// (version `00` only, flags ignored).
-    ///
-    /// [`traceparent`]: TraceCtx::traceparent
+    /// Parse a `traceparent` header value as W3C Trace Context version
+    /// `00` defines it: `00-<32 hex>-<16 hex>-<2 hex>`, lowercase only,
+    /// with neither id all zeros. Flags must be hex but are otherwise
+    /// ignored. A header that parses is therefore exactly 55 bytes long.
     pub fn parse(header: &str) -> Option<TraceCtx> {
         let mut parts = header.split('-');
         let version = parts.next()?;
@@ -182,8 +178,11 @@ impl TraceCtx {
         }
         let trace_id = TraceId::from_hex(parts.next()?)?;
         let span_id = SpanId::from_hex(parts.next()?)?;
-        let flags = parts.next()?;
-        if flags.len() != 2 || parts.next().is_some() {
+        let mut flags = [0u8; 1];
+        if !parse_hex(parts.next()?, &mut flags) || parts.next().is_some() {
+            return None;
+        }
+        if trace_id.0 == [0; 16] || span_id.0 == [0; 8] {
             return None;
         }
         Some(TraceCtx { trace_id, span_id })
@@ -235,5 +234,60 @@ mod tests {
         assert_eq!(TraceCtx::parse(&header), Some(ctx));
         assert!(TraceCtx::parse("01-00-00-00").is_none());
         assert!(TraceCtx::parse("garbage").is_none());
+    }
+
+    #[test]
+    fn traceparent_parse_follows_w3c() {
+        let ctx = TraceCtx {
+            trace_id: TraceId::mint(9, 9, 9),
+            span_id: SpanId::mint(1, 1),
+        };
+        let good = ctx.traceparent();
+        let trace = ctx.trace_id.to_hex();
+        let span = ctx.span_id.to_hex();
+        let zero_trace = "0".repeat(32);
+        let zero_span = "0".repeat(16);
+        for bad in [
+            good.to_uppercase(),
+            format!("00-{}-{span}-01", trace.to_uppercase()),
+            format!("00-{trace}-{}-01", span.to_uppercase()),
+            format!("00-{trace}-{span}-0A"),
+            format!("00-{trace}-{span}-zz"),
+            format!("00-{trace}-{span}-1"),
+            format!("00-{zero_trace}-{span}-01"),
+            format!("00-{trace}-{zero_span}-01"),
+            format!("00-{trace}-{span}-01-"),
+            format!("00-{trace}-{span}-01-extra"),
+            format!("ff-{trace}-{span}-01"),
+            format!("00-+{}-{span}-01", &trace[1..]),
+        ] {
+            assert_eq!(TraceCtx::parse(&bad), None, "accepted {bad:?}");
+        }
+        assert_eq!(TraceCtx::parse(&format!("00-{trace}-{span}-00")), Some(ctx));
+        assert_eq!(TraceId::from_hex(&trace.to_uppercase()), None);
+    }
+
+    #[test]
+    fn ids_render_as_lowercase_hex() {
+        let mut bytes = [0u8; 16];
+        bytes[0] = 0x01;
+        bytes[7] = 0xab;
+        bytes[15] = 0xf0;
+        let t = TraceId(bytes);
+        assert_eq!(t.to_hex(), "01000000000000ab00000000000000f0");
+        assert_eq!(
+            format!("{t:?}"),
+            "TraceId(01000000000000ab00000000000000f0)"
+        );
+        let s = SpanId([0xde, 0xad, 0xbe, 0xef, 0, 1, 2, 3]);
+        assert_eq!(s.to_hex(), "deadbeef00010203");
+        let ctx = TraceCtx {
+            trace_id: t,
+            span_id: s,
+        };
+        assert_eq!(
+            ctx.traceparent(),
+            "00-01000000000000ab00000000000000f0-deadbeef00010203-01"
+        );
     }
 }

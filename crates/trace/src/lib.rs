@@ -18,9 +18,12 @@
 //!   sprinkle [`span`]/[`span_with`] at hop points, and nothing changes
 //!   its function signatures. Outside a flow (unit tests, disabled
 //!   tracing) every call is a cheap no-op.
-//! * **Allocation-light.** Spans buffer in the flow frame and flush
-//!   into a [`dri_sync::ShardMap`]-backed collector once per flow;
-//!   stage latency lands in lock-free log2 histograms.
+//! * **Allocation-free per flow.** Spans buffer in a thread-local flow
+//!   frame whose buffers the thread reuses, and flush once per flow into
+//!   an append-only per-shard log (rows, an attribute table and one text
+//!   arena); stage latency lands in lock-free log2 histograms. Trace ids
+//!   travel as the 16-byte `Copy` [`TraceId`] and become hex only when
+//!   exported or displayed.
 //!
 //! Exports ([`chrome_trace`], [`flamegraph`]) consume only
 //! deterministic fields and serialize through `dri_crypto::json`

@@ -9,8 +9,10 @@
 //!   parameter threads through ten crates.
 //! * **Each flow runs on one thread**, so the whole span tree for a
 //!   trace is buffered in a thread-local frame and flushed into the
-//!   sharded collector once, when the flow root closes — one shard
-//!   lock per flow, not per span.
+//!   collector once, when the flow root closes — one shard lock per
+//!   flow, not per span. The frame's buffers are reused by the thread's
+//!   next flow, and a shard stores finished flows as append-only rows
+//!   (see [`Tracer`]), so a flow costs no heap allocation of its own.
 //! * **No `std::time` in this crate.** Simulated time comes from the
 //!   shared [`SimClock`]; wall-clock micros come from a closure the
 //!   embedder installs ([`Tracer::install_wall_clock`]). Wall readings
@@ -19,12 +21,13 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dri_clock::SimClock;
 use dri_sync::{hash_key, shard_index, ShardMap};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::hist::{HistSnapshot, LogHistogram};
 use crate::ids::{SpanId, TraceCtx, TraceId};
@@ -32,7 +35,7 @@ use crate::ids::{SpanId, TraceCtx, TraceId};
 /// Which pipeline stage a span belongs to. One histogram pair is kept
 /// per stage, so stage attribution is O(1) at record time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum Stage {
     /// A whole end-to-end flow (the root span of every trace).
     Flow = 0,
@@ -103,7 +106,8 @@ impl Stage {
     }
 }
 
-/// A finished span, as stored in the collector.
+/// A finished span, as [`Tracer::all_spans`] exports it. The collector
+/// stores spans more compactly; this is the view every exporter reads.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// Trace this span belongs to.
@@ -161,12 +165,135 @@ struct StagePair {
     wall_us: LogHistogram,
 }
 
+/// A finished span as a shard log stores it, in 56 bytes. The trace id
+/// is kept once per flow and the attributes in the attribute table. The
+/// span ids are not kept at all: a span's id is minted from its trace id
+/// and its sequence number (its position in the flow, from 1), so the row
+/// needs only its parent's sequence number.
+#[derive(Clone, Copy)]
+struct SpanRow {
+    name: &'static str,
+    start_ms: u64,
+    end_ms: u64,
+    wall_us: u64,
+    start_step: u32,
+    end_step: u32,
+    /// Sequence number of the parent span; `None` for the flow root.
+    parent: Option<NonZeroU32>,
+    stage: Stage,
+}
+
+const _: () = assert!(std::mem::size_of::<SpanRow>() <= 56);
+
+/// The sequence number of the span at `index` in its flow. Every span
+/// costs its frame a 56-byte row and two steps, so a flow reaches 2^31
+/// spans (where steps would overflow `u32`) only after 120 GB of rows.
+fn seq(index: usize) -> NonZeroU32 {
+    u32::try_from(index + 1)
+        .ok()
+        .and_then(NonZeroU32::new)
+        .expect("a flow holds fewer than 2^32 spans")
+}
+
+fn span_id(trace_id: TraceId, seq: NonZeroU32) -> SpanId {
+    SpanId::mint(trace_id.low64(), seq.get().into())
+}
+
+impl SpanRow {
+    /// The export view of this row, the `seq`-th span of `trace_id`.
+    fn record(&self, trace_id: TraceId, seq: NonZeroU32) -> SpanRecord {
+        SpanRecord {
+            trace_id,
+            span_id: span_id(trace_id, seq),
+            parent_id: self.parent.map(|p| span_id(trace_id, p)),
+            name: self.name,
+            stage: self.stage,
+            start_step: self.start_step.into(),
+            end_step: self.end_step.into(),
+            start_ms: self.start_ms,
+            end_ms: self.end_ms,
+            wall_us: self.wall_us,
+            attrs: Vec::new(),
+        }
+    }
+}
+
+/// One attribute: its key, the span it belongs to, and where its value
+/// ends in the text arena. Values are appended in table order, so a
+/// value starts where the previous row's ends.
+#[derive(Clone, Copy)]
+struct AttrRow {
+    key: &'static str,
+    /// Index of the span's row (within the flow in a frame, within the
+    /// shard in a log).
+    span: usize,
+    end: usize,
+}
+
+/// A flushed flow: its trace id and the end of its rows in `spans`.
+struct FlowRow {
+    trace_id: TraceId,
+    spans_end: usize,
+}
+
+/// One shard's append-only store of finished flows. A flush appends the
+/// flow's rows, attributes and attribute text; nothing is allocated per
+/// flow beyond the amortized growth of four buffers.
+#[derive(Default)]
+struct ShardLog {
+    flows: Vec<FlowRow>,
+    spans: Vec<SpanRow>,
+    attrs: Vec<AttrRow>,
+    /// Every attribute value of the shard, back to back.
+    text: String,
+}
+
+impl ShardLog {
+    fn append(&mut self, trace_id: TraceId, frame: &FrameBuf) {
+        let (span_base, text_base) = (self.spans.len(), self.text.len());
+        self.spans.extend_from_slice(&frame.spans);
+        self.attrs.extend(frame.attrs.iter().map(|a| AttrRow {
+            key: a.key,
+            span: span_base + a.span,
+            end: text_base + a.end,
+        }));
+        self.text.push_str(&frame.text);
+        self.flows.push(FlowRow {
+            trace_id,
+            spans_end: self.spans.len(),
+        });
+    }
+
+    /// Append this shard's spans to `out` as records, in storage order.
+    fn export(&self, out: &mut Vec<SpanRecord>) {
+        let base = out.len();
+        let mut start = 0;
+        for flow in &self.flows {
+            out.extend(
+                self.spans[start..flow.spans_end]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| row.record(flow.trace_id, seq(i))),
+            );
+            start = flow.spans_end;
+        }
+        let mut from = 0;
+        for attr in &self.attrs {
+            out[base + attr.span].attrs.push((
+                Cow::Borrowed(attr.key),
+                self.text[from..attr.end].to_string(),
+            ));
+            from = attr.end;
+        }
+    }
+}
+
 /// The per-infrastructure span collector.
 ///
 /// Cheap to share (`Arc`), safe to hammer from a parallel storm: trace
 /// ids are minted from per-key sequences behind sharded locks, finished
-/// flows land in a [`ShardMap`] keyed by trace id, and stage histograms
-/// are plain atomics.
+/// flows are appended to one of several append-only shard logs (picked
+/// by the trace id's low half), and stage histograms are plain atomics.
 pub struct Tracer {
     enabled: AtomicBool,
     seed: u64,
@@ -176,8 +303,8 @@ pub struct Tracer {
     /// Per-shard mint counters: cheap stats plus the uniqueness
     /// sequence for key-less flows.
     minted: Vec<AtomicU64>,
-    /// Finished spans, keyed by trace-id hex; one entry per flow.
-    spans: ShardMap<Vec<SpanRecord>>,
+    /// Finished flows, one append-only log per shard.
+    logs: Vec<Mutex<ShardLog>>,
     stages: Vec<StagePair>,
     clock: SimClock,
     wall: RwLock<Option<Arc<WallClockFn>>>,
@@ -195,7 +322,7 @@ impl Tracer {
             seed,
             seqs: ShardMap::new(n),
             minted: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            spans: ShardMap::new(n),
+            logs: (0..n).map(|_| Mutex::default()).collect(),
             stages: (0..STAGE_COUNT)
                 .map(|_| StagePair {
                     steps: LogHistogram::new(),
@@ -240,11 +367,13 @@ impl Tracer {
     /// Flush one finished flow into the collector and the stage
     /// histograms. Called once per flow, from the root guard's drop.
     /// Every flow is kept until [`clear_spans`](Tracer::clear_spans).
-    fn flush(&self, trace_id: TraceId, done: Vec<SpanRecord>) {
-        for span in &done {
-            self.record_stage(span.stage, span.steps(), span.wall_us);
+    fn flush(&self, trace_id: TraceId, frame: &FrameBuf) {
+        for span in &frame.spans {
+            let steps = span.end_step - span.start_step;
+            self.record_stage(span.stage, steps.into(), span.wall_us);
         }
-        self.spans.insert(trace_id.to_hex(), done);
+        let shard = shard_index(trace_id.low64(), self.logs.len());
+        self.logs[shard].lock().append(trace_id, frame);
     }
 
     /// Record one latency sample for `stage`.
@@ -256,7 +385,7 @@ impl Tracer {
 
     /// Number of flows collected.
     pub fn trace_count(&self) -> usize {
-        self.spans.len()
+        self.logs.iter().map(|log| log.lock().flows.len()).sum()
     }
 
     /// Number of trace ids minted (≥ `trace_count` while flows are in
@@ -267,9 +396,7 @@ impl Tracer {
 
     /// Total spans across all collected flows.
     pub fn span_count(&self) -> usize {
-        let mut n = 0;
-        self.spans.for_each(|_, v| n += v.len());
-        n
+        self.logs.iter().map(|log| log.lock().spans.len()).sum()
     }
 
     /// Every collected span, in canonical order: sorted by
@@ -278,7 +405,9 @@ impl Tracer {
     /// the same seed.
     pub fn all_spans(&self) -> Vec<SpanRecord> {
         let mut out = Vec::with_capacity(self.span_count());
-        self.spans.for_each(|_, v| out.extend(v.iter().cloned()));
+        for log in &self.logs {
+            log.lock().export(&mut out);
+        }
         out.sort_by(|a, b| {
             (a.trace_id, a.start_step, a.span_id).cmp(&(b.trace_id, b.start_step, b.span_id))
         });
@@ -305,10 +434,12 @@ impl Tracer {
             .collect()
     }
 
-    /// Drop all collected spans (histograms and sequences are kept, so
-    /// ids minted after a clear do not repeat).
+    /// Drop all collected spans and free their storage (histograms and
+    /// sequences are kept, so ids minted after a clear do not repeat).
     pub fn clear_spans(&self) {
-        self.spans.clear();
+        for log in &self.logs {
+            *log.lock() = ShardLog::default();
+        }
     }
 }
 
@@ -326,28 +457,47 @@ impl std::fmt::Debug for Tracer {
 // Thread-local propagation
 // ---------------------------------------------------------------------
 
-struct OpenSpan {
-    span_id: SpanId,
-    parent_id: Option<SpanId>,
-    name: &'static str,
-    stage: Stage,
-    start_step: u64,
-    start_ms: u64,
-    wall_start: u64,
-    attrs: Vec<(Cow<'static, str>, String)>,
+/// A flow's buffers. A root flow takes them from its thread's spare
+/// list and returns them cleared, so a thread allocates them once and
+/// then only when a flow outgrows them.
+#[derive(Default)]
+struct FrameBuf {
+    /// Spans in open order (a span's index is its sequence number minus
+    /// one); the end fields are filled in when the span closes.
+    spans: Vec<SpanRow>,
+    /// Open spans, innermost last, as (index into `spans`, wall-clock
+    /// reading at open). The root is index 0 for the frame's whole life.
+    stack: Vec<(usize, u64)>,
+    attrs: Vec<AttrRow>,
+    /// The attribute values, back to back.
+    text: String,
+}
+
+impl FrameBuf {
+    fn clear(&mut self) {
+        self.spans.clear();
+        self.stack.clear();
+        self.attrs.clear();
+        self.text.clear();
+    }
+
+    fn add_attr(&mut self, span: usize, key: &'static str, value: &str) {
+        self.text.push_str(value);
+        self.attrs.push(AttrRow {
+            key,
+            span,
+            end: self.text.len(),
+        });
+    }
 }
 
 struct FlowFrame {
     tracer: Arc<Tracer>,
     trace_id: TraceId,
-    /// Open spans, innermost last (the root is index 0 for the whole
-    /// life of the frame).
-    stack: Vec<OpenSpan>,
-    done: Vec<SpanRecord>,
+    buf: FrameBuf,
     /// Per-trace logical step counter: bumped at every open and close,
     /// so intervals nest strictly and deterministically.
-    step: u64,
-    span_seq: u64,
+    step: u32,
     wall: Option<Arc<WallClockFn>>,
 }
 
@@ -357,49 +507,57 @@ impl FlowFrame {
     }
 
     fn open(&mut self, name: &'static str, stage: Stage, attrs: &[(&'static str, &str)]) {
-        self.span_seq += 1;
-        let span_id = SpanId::mint(self.trace_id.low64(), self.span_seq);
-        let parent_id = self.stack.last().map(|s| s.span_id);
+        let index = self.buf.spans.len();
+        let parent = self.buf.stack.last().map(|&(i, _)| seq(i));
         let start_step = self.step;
         self.step += 1;
-        self.stack.push(OpenSpan {
-            span_id,
-            parent_id,
+        let start_ms = self.tracer.clock.now_ms();
+        let wall_start = self.wall_now();
+        self.buf.spans.push(SpanRow {
             name,
-            stage,
+            start_ms,
+            end_ms: start_ms,
+            wall_us: 0,
             start_step,
-            start_ms: self.tracer.clock.now_ms(),
-            wall_start: self.wall_now(),
-            attrs: attrs
-                .iter()
-                .map(|&(k, v)| (Cow::Borrowed(k), v.to_string()))
-                .collect(),
+            end_step: start_step,
+            parent,
+            stage,
         });
+        self.buf.stack.push((index, wall_start));
+        for &(key, value) in attrs {
+            self.buf.add_attr(index, key, value);
+        }
     }
 
     fn close(&mut self) {
-        let Some(open) = self.stack.pop() else { return };
+        let Some((index, wall_start)) = self.buf.stack.pop() else {
+            return;
+        };
         let end_step = self.step;
         self.step += 1;
         let wall_end = self.wall_now();
-        self.done.push(SpanRecord {
-            trace_id: self.trace_id,
-            span_id: open.span_id,
-            parent_id: open.parent_id,
-            name: open.name,
-            stage: open.stage,
-            start_step: open.start_step,
-            end_step,
-            start_ms: open.start_ms,
-            end_ms: self.tracer.clock.now_ms(),
-            wall_us: wall_end.saturating_sub(open.wall_start),
-            attrs: open.attrs,
-        });
+        let end_ms = self.tracer.clock.now_ms();
+        let row = &mut self.buf.spans[index];
+        row.end_step = end_step;
+        row.end_ms = end_ms;
+        row.wall_us = wall_end.saturating_sub(wall_start);
     }
 }
 
+/// The calling thread's flows: the active frames (innermost last) and
+/// the buffers finished root flows handed back for reuse.
+struct Flows {
+    active: Vec<FlowFrame>,
+    spare: Vec<FrameBuf>,
+}
+
 thread_local! {
-    static ACTIVE: RefCell<Vec<FlowFrame>> = const { RefCell::new(Vec::new()) };
+    static FLOWS: RefCell<Flows> = const {
+        RefCell::new(Flows {
+            active: Vec::new(),
+            spare: Vec::new(),
+        })
+    };
 }
 
 /// Start a flow (trace root) keyed by `key` on the calling thread.
@@ -415,9 +573,9 @@ pub fn flow(tracer: &Arc<Tracer>, key: &str, name: &'static str, stage: Stage) -
             mode: FlowMode::Noop,
         };
     }
-    ACTIVE.with(|cell| {
-        let mut frames = cell.borrow_mut();
-        if let Some(top) = frames.last_mut() {
+    FLOWS.with(|cell| {
+        let flows = &mut *cell.borrow_mut();
+        if let Some(top) = flows.active.last_mut() {
             if Arc::ptr_eq(&top.tracer, tracer) {
                 top.open(name, stage, &[]);
                 return FlowGuard {
@@ -430,14 +588,12 @@ pub fn flow(tracer: &Arc<Tracer>, key: &str, name: &'static str, stage: Stage) -
         let mut frame = FlowFrame {
             tracer: tracer.clone(),
             trace_id,
-            stack: Vec::with_capacity(8),
-            done: Vec::with_capacity(16),
+            buf: flows.spare.pop().unwrap_or_default(),
             step: 0,
-            span_seq: 0,
             wall,
         };
         frame.open(name, stage, &[("flow.key", key)]);
-        frames.push(frame);
+        flows.active.push(frame);
         FlowGuard {
             mode: FlowMode::Root,
         }
@@ -452,9 +608,9 @@ pub fn span(name: &'static str, stage: Stage) -> SpanGuard {
 
 /// [`span`] with initial attributes.
 pub fn span_with(name: &'static str, stage: Stage, attrs: &[(&'static str, &str)]) -> SpanGuard {
-    ACTIVE.with(|cell| {
-        let mut frames = cell.borrow_mut();
-        match frames.last_mut() {
+    FLOWS.with(|cell| {
+        let mut flows = cell.borrow_mut();
+        match flows.active.last_mut() {
             Some(frame) => {
                 frame.open(name, stage, attrs);
                 SpanGuard { armed: true }
@@ -466,37 +622,39 @@ pub fn span_with(name: &'static str, stage: Stage, attrs: &[(&'static str, &str)
 
 /// Attach an attribute to the innermost open span, if any.
 pub fn add_attr(key: &'static str, value: &str) {
-    ACTIVE.with(|cell| {
-        let mut frames = cell.borrow_mut();
-        if let Some(open) = frames.last_mut().and_then(|f| f.stack.last_mut()) {
-            open.attrs.push((Cow::Borrowed(key), value.to_string()));
+    FLOWS.with(|cell| {
+        let mut flows = cell.borrow_mut();
+        if let Some(frame) = flows.active.last_mut() {
+            if let Some(&(span, _)) = frame.buf.stack.last() {
+                frame.buf.add_attr(span, key, value);
+            }
         }
     });
 }
 
-/// The active flow's trace id (hex), if a flow is open on this thread.
-/// This is what `SecurityEvent` stamps onto every emission.
-pub fn current_trace_id() -> Option<String> {
-    ACTIVE.with(|cell| cell.borrow().last().map(|f| f.trace_id.to_hex()))
+/// The active flow's trace id, if a flow is open on this thread. This
+/// is what `SecurityEvent` stamps onto every emission.
+pub fn current_trace_id() -> Option<TraceId> {
+    FLOWS.with(|cell| cell.borrow().active.last().map(|f| f.trace_id))
 }
 
 /// The active propagation context (trace id + innermost span id), ready
 /// to serialize as a `traceparent` header.
 pub fn current_ctx() -> Option<TraceCtx> {
-    ACTIVE.with(|cell| {
-        let frames = cell.borrow();
-        let frame = frames.last()?;
-        let open = frame.stack.last()?;
+    FLOWS.with(|cell| {
+        let flows = cell.borrow();
+        let frame = flows.active.last()?;
+        let &(open, _) = frame.buf.stack.last()?;
         Some(TraceCtx {
             trace_id: frame.trace_id,
-            span_id: open.span_id,
+            span_id: span_id(frame.trace_id, seq(open)),
         })
     })
 }
 
 /// Whether a flow is active on the calling thread.
 pub fn active() -> bool {
-    ACTIVE.with(|cell| !cell.borrow().is_empty())
+    FLOWS.with(|cell| !cell.borrow().active.is_empty())
 }
 
 enum FlowMode {
@@ -518,17 +676,18 @@ impl Drop for FlowGuard {
             FlowMode::Noop => {}
             FlowMode::Child => close_innermost(),
             FlowMode::Root => {
-                ACTIVE.with(|cell| {
-                    let mut frames = cell.borrow_mut();
-                    let Some(mut frame) = frames.pop() else {
+                FLOWS.with(|cell| {
+                    let flows = &mut *cell.borrow_mut();
+                    let Some(mut frame) = flows.active.pop() else {
                         return;
                     };
                     // Close anything a panic unwound past, then the root.
-                    while !frame.stack.is_empty() {
+                    while !frame.buf.stack.is_empty() {
                         frame.close();
                     }
-                    let tracer = frame.tracer.clone();
-                    tracer.flush(frame.trace_id, std::mem::take(&mut frame.done));
+                    frame.tracer.flush(frame.trace_id, &frame.buf);
+                    frame.buf.clear();
+                    flows.spare.push(frame.buf);
                 });
             }
         }
@@ -550,12 +709,12 @@ impl Drop for SpanGuard {
 }
 
 fn close_innermost() {
-    ACTIVE.with(|cell| {
-        let mut frames = cell.borrow_mut();
-        if let Some(frame) = frames.last_mut() {
+    FLOWS.with(|cell| {
+        let mut flows = cell.borrow_mut();
+        if let Some(frame) = flows.active.last_mut() {
             // Never close the root from a child guard: the root closes
             // only when the FlowGuard drops.
-            if frame.stack.len() > 1 {
+            if frame.buf.stack.len() > 1 {
                 frame.close();
             }
         }
@@ -621,6 +780,78 @@ mod tests {
         assert!(net.start_step > establish.start_step);
         assert!(net.end_step < establish.end_step);
         assert!(establish.end_step < root.end_step);
+    }
+
+    #[test]
+    fn attrs_follow_their_span_across_flows_and_shards() {
+        let t = test_tracer();
+        for user in ["alice", "bob", "carol", "dave", "erin"] {
+            let _f = flow(&t, user, "login", Stage::Flow);
+            let _outer = span_with("broker.establish", Stage::Broker, &[("who", user)]);
+            {
+                let _inner = span_with("net.connect", Stage::Network, &[("zone", "dmz")]);
+                add_attr("outcome", "allowed");
+            }
+            // Added to the outer span after its child closed.
+            add_attr("loa", "high");
+        }
+        assert_eq!(t.trace_count(), 5);
+        assert_eq!(t.span_count(), 15);
+        let spans = t.all_spans();
+        for s in &spans {
+            let attrs: Vec<(&str, &str)> = s
+                .attrs
+                .iter()
+                .map(|(k, v)| (k.as_ref(), v.as_str()))
+                .collect();
+            match s.name {
+                "login" => assert_eq!(attrs.len(), 1),
+                "broker.establish" => {
+                    assert_eq!(attrs[0].0, "who");
+                    assert_eq!(attrs[1], ("loa", "high"));
+                    let root = spans
+                        .iter()
+                        .find(|r| r.trace_id == s.trace_id && r.parent_id.is_none())
+                        .unwrap();
+                    assert_eq!(root.attrs[0], ("flow.key".into(), attrs[0].1.to_string()));
+                }
+                "net.connect" => assert_eq!(attrs, [("zone", "dmz"), ("outcome", "allowed")]),
+                other => panic!("unexpected span {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn frames_are_reused_and_clear_frees_the_store() {
+        let t = test_tracer();
+        let run = |t: &Arc<Tracer>| {
+            for i in 0..3 {
+                let _f = flow(t, "alice", "login", Stage::Flow);
+                let _s = span_with("broker.establish", Stage::Broker, &[("i", &i.to_string())]);
+            }
+        };
+        run(&t);
+        let first = t.all_spans();
+        // The thread's frame buffers went back to its spare list.
+        FLOWS.with(|cell| {
+            let flows = cell.borrow();
+            assert!(flows.active.is_empty());
+            assert!(!flows.spare.is_empty());
+            assert!(flows
+                .spare
+                .iter()
+                .all(|b| b.spans.is_empty() && b.text.is_empty()));
+        });
+        t.clear_spans();
+        assert_eq!((t.trace_count(), t.span_count()), (0, 0));
+        assert!(t.logs.iter().all(|log| log.lock().spans.capacity() == 0));
+        run(&t);
+        let second = t.all_spans();
+        assert_eq!(second.len(), first.len());
+        // Sequences survive the clear, so the ids do not repeat.
+        assert!(second
+            .iter()
+            .all(|s| first.iter().all(|f| f.trace_id != s.trace_id)));
     }
 
     #[test]

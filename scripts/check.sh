@@ -42,6 +42,7 @@ cargo test -q --offline
 echo "== trace subsystem tests =="
 cargo test -q --offline -p dri-trace
 cargo test -q --offline -p isambard-dri --test trace_provenance
+cargo test -q --offline -p isambard-dri --test trace_golden
 
 echo "== resilience: fault plane + breaker/budget determinism =="
 cargo test -q --offline -p dri-fault

@@ -72,8 +72,8 @@ fn kill_switch_event_carries_originating_login_trace_id() {
     let events = infra.siem.events_of_kind(EventKind::KillSwitch);
     assert_eq!(events.len(), 1);
     assert_eq!(
-        events[0].trace_id.as_deref(),
-        Some(login_trace.as_str()),
+        events[0].trace_id,
+        Some(login_trace),
         "severed-session event must cite the originating login's trace"
     );
 }

@@ -2,6 +2,7 @@
 
 use isambard_dri::crypto::{base64, ed25519, hex, json, sha2};
 use isambard_dri::sshca::SshCertificate;
+use isambard_dri::trace::{SpanId, TraceCtx, TraceId};
 use proptest::prelude::*;
 
 proptest! {
@@ -120,6 +121,37 @@ proptest! {
         prop_assert!(parsed.verify(&ca.verifying_key(), start + ttl, None).is_err());
         // Unlisted principals always rejected.
         prop_assert!(parsed.verify(&ca.verifying_key(), start, Some("not-a-principal")).is_err());
+    }
+
+    // --- traceparent (untrusted request header) ---------------------------
+
+    #[test]
+    fn traceparent_parsers_never_panic(
+        printable in "\\PC{0,80}",
+        near in "00-[0-9a-f]{31,33}-[0-9a-fA-F]{15,17}-[0-9a-fz]{2}",
+        bytes in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        let lossy = String::from_utf8_lossy(&bytes).into_owned();
+        for input in [&printable, &near, &lossy] {
+            let _ = TraceId::from_hex(input);
+            let _ = TraceId::from_hex(input.get(3..35).unwrap_or(""));
+            if let Some(ctx) = TraceCtx::parse(input) {
+                // Only the canonical form parses: 55 bytes, lowercase, and
+                // identical to the rendering up to the flags.
+                prop_assert_eq!(input.len(), 55);
+                prop_assert_eq!(&input[..53], &ctx.traceparent()[..53]);
+                prop_assert!(!input.bytes().any(|b| b.is_ascii_uppercase()));
+            }
+        }
+    }
+
+    #[test]
+    fn traceparent_round_trips(trace in any::<[u8; 16]>(), span in any::<[u8; 8]>()) {
+        let ctx = TraceCtx { trace_id: TraceId(trace), span_id: SpanId(span) };
+        let valid = trace != [0; 16] && span != [0; 8];
+        prop_assert_eq!(TraceCtx::parse(&ctx.traceparent()), valid.then_some(ctx));
+        prop_assert_eq!(TraceId::from_hex(&ctx.trace_id.to_hex()), Some(ctx.trace_id));
+        prop_assert_eq!(SpanId::from_hex(&ctx.span_id.to_hex()), Some(ctx.span_id));
     }
 }
 

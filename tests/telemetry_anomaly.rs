@@ -77,10 +77,10 @@ fn siem_indexes_events_by_trace_id() {
         .sessions_of_subject(&infra.subject_of("alice").unwrap());
     let trace = session
         .iter()
-        .find_map(|s| s.trace_id.clone())
+        .find_map(|s| s.trace_id)
         .expect("login session carries its origin trace id");
     assert!(
-        !infra.siem.events_for_trace(&trace).is_empty(),
+        !infra.siem.events_for_trace(trace).is_empty(),
         "the login trace joins to at least one SIEM event"
     );
 }
