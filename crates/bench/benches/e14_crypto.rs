@@ -10,7 +10,8 @@ use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use dri_crypto::ed25519::{Point, PreparedVerifyingKey, Scalar, SigningKey};
 use dri_crypto::fe25519::Fe;
 use dri_crypto::jwt::{self, Claims, Signer, Validation, Verifier};
-use dri_crypto::{chacha20, hmac, sha2, x25519};
+use dri_crypto::poly1305::poly1305;
+use dri_crypto::{aead, base64, chacha20, hmac, sha2, x25519};
 
 fn print_report() {
     println!("== E14: crypto substrate (all RFC-test-vector verified) ==");
@@ -119,6 +120,45 @@ fn benches(c: &mut Criterion) {
             b.iter(|| black_box(chacha20::encrypt(&[7u8; 32], &[0u8; 12], 0, d)))
         });
     }
+    group.finish();
+
+    // The one-time authenticator alone, over a frame-sized message.
+    let mut group = c.benchmark_group("e14/poly1305");
+    for size in [64usize, 640] {
+        let data = vec![3u8; size];
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(size), &data, |b, d| {
+            b.iter(|| black_box(poly1305(&[5u8; 32], d)))
+        });
+    }
+    group.finish();
+
+    // A tunnel frame: seal and open 600 bytes under 16 bytes of
+    // associated data, as story 6 does twice each per flow.
+    let mut group = c.benchmark_group("e14/aead_frame");
+    let frame = vec![0x42u8; 600];
+    let (key, nonce, aad) = ([8u8; 32], [1u8; 12], [2u8; 16]);
+    let sealed = aead::seal(&key, &nonce, &aad, &frame);
+    group.throughput(Throughput::Bytes(frame.len() as u64));
+    group.bench_function("seal_600", |b| {
+        b.iter(|| black_box(aead::seal(&key, &nonce, &aad, &frame)))
+    });
+    group.bench_function("open_600", |b| {
+        b.iter(|| black_box(aead::open(&key, &nonce, &aad, &sealed)))
+    });
+    group.finish();
+
+    // base64url at token sizes: a 255-byte payload is 340 characters.
+    let mut group = c.benchmark_group("e14/base64url");
+    let payload = vec![0x5au8; 255];
+    let encoded = base64::encode_url(&payload);
+    group.throughput(Throughput::Bytes(payload.len() as u64));
+    group.bench_function("encode_255", |b| {
+        b.iter(|| black_box(base64::encode_url(&payload)))
+    });
+    group.bench_function("decode_340", |b| {
+        b.iter(|| black_box(base64::decode_url(&encoded)))
+    });
     group.finish();
 
     // JWT end-to-end.

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use dri_clock::{IdGen, SimClock};
 use dri_crypto::ed25519::{PreparedVerifyingKey, SigningKey};
 use dri_crypto::json::Value;
-use dri_crypto::jwt::{self, Claims, Signer, Validation};
+use dri_crypto::jwt::{self, Claims, Validation};
 use dri_federation::assertion::{Assertion, AssertionError};
 use dri_federation::metadata::{EntityKind, FederationRegistry};
 use dri_federation::types::LevelOfAssurance;
@@ -197,7 +197,7 @@ impl Jwks {
             now: now_secs,
             leeway: 0,
         };
-        self.cache.validate(&kid, key, token, &validation)
+        self.cache.validate(key, token, &validation)
     }
 
     /// Number of published keys.
@@ -611,11 +611,12 @@ impl IdentityBroker {
         claims.extra = extra;
         let ring = self.signer.load();
         let (kid, key) = ring.keys.last().expect("at least one key");
-        let token = jwt::sign(&claims, &Signer::Ed25519(key), kid);
+        let (token, challenge) = jwt::sign_ed25519(&claims, key, kid);
         // Issuer and verifiers share a trust domain: seed the verified-
         // token cache at sign time so the first validation is a hit.
         let claims = Arc::new(claims);
-        self.token_cache.seed(kid, &token, Arc::clone(&claims));
+        self.token_cache
+            .seed(&token, &challenge, Arc::clone(&claims));
         Ok((token, claims))
     }
 
@@ -669,9 +670,9 @@ impl IdentityBroker {
         // Re-sign (the actor claim and possibly the expiry changed).
         let ring = self.signer.load();
         let (kid, key) = ring.keys.last().expect("key");
-        let token = jwt::sign(&derived, &Signer::Ed25519(key), kid);
+        let (token, challenge) = jwt::sign_ed25519(&derived, key, kid);
         self.token_cache
-            .seed(kid, &token, Arc::new(derived.clone()));
+            .seed(&token, &challenge, Arc::new(derived.clone()));
         Ok((token, derived))
     }
 

@@ -15,27 +15,44 @@
 //!    caller's clock via [`jwt::validate_claims`] — the exact checks, in
 //!    the exact order, that the uncached [`jwt::verify`] performs.
 //!
-//! Entries are keyed `(kid, SHA-256(token bytes))`, so a hit can only be
-//! served for a byte-identical token whose header, signature and payload
-//! already passed the full parse + verify once. Stale entries are removed
-//! lazily on the epoch mismatch that discovers them (counted as an
-//! *epoch bust*), so the counters make invalidation observable.
+//! Entries are keyed by the token's signature segment and hold the
+//! first 32 bytes of its Ed25519 challenge, SHA-512(R ‖ A ‖
+//! `header.payload`). A lookup that finds an entry recomputes the
+//! challenge from the presented bytes and the published key for the
+//! token's `kid`, and the entry counts only if the two agree: the same
+//! signature segment gives the same R, the same key gives the same A,
+//! and SHA-512's collision resistance then gives the same signing input.
+//! So a hit is still only ever served for a byte-identical token whose
+//! header, signature and payload already passed the full parse + verify
+//! once, while the hit costs one SHA-512 over R, A and the signing input
+//! rather than a hash of the whole token. An entry whose challenge does
+//! not match is treated as absent (no hit, no bust, no eviction), so
+//! the counts are those of keying by a hash of the token bytes. Stale
+//! entries are removed lazily on the epoch mismatch that discovers them
+//! (counted as an *epoch bust*), so the counters make invalidation
+//! observable.
 //!
 //! The issuing broker *seeds* the cache at sign time: issuer and
 //! verifiers share a trust domain (the broker publishes the JWKS the
 //! services hold), so a freshly signed token's first validation is
-//! already a hit.
+//! already a hit. Signing computes the challenge anyway, so seeding
+//! hashes nothing.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dri_crypto::ed25519::PreparedVerifyingKey;
+use dri_crypto::base64::decode_url_array;
+use dri_crypto::ct_eq;
+use dri_crypto::ed25519::{self, PreparedVerifyingKey};
 use dri_crypto::jwt::{self, Claims, JwtError, Validation, Verifier};
-use dri_crypto::sha2::sha256;
 use dri_sync::ShardMap;
 
 /// Default shard count for the cache map (power of two).
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
+
+/// The bytes of an Ed25519 challenge an entry keeps: a 256-bit prefix
+/// of SHA-512 is still collision resistant.
+const CHALLENGE_BYTES: usize = 32;
 
 /// A verified entry. The claims are shared: a hit hands out the `Arc`,
 /// not a deep copy.
@@ -43,6 +60,29 @@ pub const DEFAULT_CACHE_SHARDS: usize = 16;
 struct CachedVerification {
     epoch: u64,
     claims: Arc<Claims>,
+    /// The leading bytes of the verified token's challenge.
+    challenge: [u8; CHALLENGE_BYTES],
+}
+
+/// The leading [`CHALLENGE_BYTES`] of a challenge digest.
+fn prefix(digest: &[u8; 64]) -> [u8; CHALLENGE_BYTES] {
+    digest[..CHALLENGE_BYTES].try_into().expect("a prefix")
+}
+
+/// The challenge prefix of a presented token under `key`, or `None`
+/// when its signature segment is not 64 bytes of canonical base64url.
+fn presented_challenge(
+    key: &PreparedVerifyingKey,
+    signing_input: &str,
+    signature: &str,
+) -> Option<[u8; CHALLENGE_BYTES]> {
+    let sig = decode_url_array::<64>(signature)?;
+    let r = sig[..32].try_into().expect("32 bytes");
+    Some(prefix(&ed25519::challenge(
+        r,
+        key.as_bytes(),
+        signing_input.as_bytes(),
+    )))
 }
 
 /// Sharded verified-token cache with epoch invalidation.
@@ -128,36 +168,30 @@ impl TokenCache {
         self.entries.is_empty()
     }
 
-    fn cache_key(kid: &str, token: &str) -> String {
-        let digest = sha256(token.as_bytes());
-        let mut key = String::with_capacity(kid.len() + 1 + 64);
-        key.push_str(kid);
-        key.push(':');
-        for b in digest {
-            key.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-            key.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
-        }
-        key
-    }
-
-    /// Seed the cache with a token the issuer just signed: the claims
-    /// are trusted by construction, so the verifier's first validation
-    /// of these bytes is a hit. The entry shares the issuer's claims.
-    pub fn seed(&self, kid: &str, token: &str, claims: Arc<Claims>) {
+    /// Seed the cache with a token the issuer just signed, given the
+    /// challenge digest signing returned with it
+    /// ([`jwt::sign_ed25519`]): the claims are trusted by construction,
+    /// so the verifier's first validation of these bytes is a hit. The
+    /// entry shares the issuer's claims.
+    pub fn seed(&self, token: &str, challenge: &[u8; 64], claims: Arc<Claims>) {
         if !self.enabled() {
             return;
         }
+        let Some((_, signature)) = token.rsplit_once('.') else {
+            return;
+        };
         self.entries.insert(
-            TokenCache::cache_key(kid, token),
+            signature.to_string(),
             CachedVerification {
                 epoch: self.epoch(),
                 claims,
+                challenge: prefix(challenge),
             },
         );
     }
 
-    /// Validate `token` (whose header names `kid`, resolved by the
-    /// caller to `key`) against `validation`, consulting the cache.
+    /// Validate `token` (whose header names the key published as `key`)
+    /// against `validation`, consulting the cache.
     ///
     /// Agreement contract: for any input, the result — `Ok` claims or
     /// `Err` kind — is identical to
@@ -165,7 +199,6 @@ impl TokenCache {
     /// The claims are shared with the cache entry, not copied.
     pub fn validate(
         &self,
-        kid: &str,
         key: &PreparedVerifyingKey,
         token: &str,
         validation: &Validation,
@@ -173,25 +206,34 @@ impl TokenCache {
         if !self.enabled() {
             return jwt::verify(token, &Verifier::Ed25519Prepared(key), validation).map(Arc::new);
         }
-        let cache_key = TokenCache::cache_key(kid, token);
         let epoch = self.epoch();
-        if let Some(entry) = self.entries.get_cloned(&cache_key) {
-            if entry.epoch == epoch {
-                // Structure and signature already verified for these
-                // exact bytes; only the claim-time checks can differ.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                dri_trace::add_attr("cache.token", "hit");
-                jwt::validate_claims(&entry.claims, validation)?;
-                return Ok(entry.claims);
-            }
-            // Validations racing on one stale entry: only the one that
-            // removes it counts the bust.
-            if self
-                .entries
-                .remove_if(&cache_key, |e| e.epoch < epoch)
-                .is_some()
-            {
-                self.epoch_busts.fetch_add(1, Ordering::Relaxed);
+        // `header.payload` and the signature segment that keys the entry.
+        let (signing_input, signature) = token.rsplit_once('.').unwrap_or_default();
+        // The presented challenge, computed only when an entry exists.
+        let mut challenge = None;
+        if let Some(entry) = self.entries.get_cloned(signature) {
+            challenge = presented_challenge(key, signing_input, signature);
+            // An entry for other bytes under this signature is absent.
+            if let Some(presented) = challenge.filter(|c| ct_eq(c, &entry.challenge)) {
+                if entry.epoch == epoch {
+                    // Structure and signature already verified for these
+                    // exact bytes; only the claim-time checks can differ.
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    dri_trace::add_attr("cache.token", "hit");
+                    jwt::validate_claims(&entry.claims, validation)?;
+                    return Ok(entry.claims);
+                }
+                // Validations racing on one stale entry: only the one that
+                // removes it counts the bust.
+                if self
+                    .entries
+                    .remove_if(signature, |e| {
+                        e.epoch < epoch && ct_eq(&e.challenge, &presented)
+                    })
+                    .is_some()
+                {
+                    self.epoch_busts.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
         let result = jwt::verify(token, &Verifier::Ed25519Prepared(key), validation).map(Arc::new);
@@ -200,14 +242,21 @@ impl TokenCache {
         // replace its current-epoch entry and count hits.
         let raced = match &result {
             Ok(claims) => {
+                // Verified, so the token is `header.payload.signature`
+                // with a 64-byte signature: this is its challenge.
+                let challenge = challenge
+                    .or_else(|| presented_challenge(key, signing_input, signature))
+                    .expect("a verified token carries a 64-byte signature");
                 let replaced = self.entries.insert(
-                    cache_key,
+                    signature.to_string(),
                     CachedVerification {
                         epoch,
                         claims: Arc::clone(claims),
+                        challenge,
                     },
                 );
-                matches!(replaced, Some(entry) if entry.epoch == epoch)
+                matches!(replaced, Some(entry)
+                    if entry.epoch == epoch && ct_eq(&entry.challenge, &challenge))
             }
             Err(_) => false,
         };
@@ -239,13 +288,22 @@ impl std::fmt::Debug for TokenCache {
 mod tests {
     use super::*;
     use dri_crypto::ed25519::SigningKey;
-    use dri_crypto::jwt::Signer;
 
     fn signed(sk: &SigningKey, kid: &str, now: u64, ttl: u64) -> (String, Claims) {
+        let (token, _, claims) = signed_with_challenge(sk, kid, now, ttl);
+        (token, claims)
+    }
+
+    fn signed_with_challenge(
+        sk: &SigningKey,
+        kid: &str,
+        now: u64,
+        ttl: u64,
+    ) -> (String, [u8; 64], Claims) {
         let mut claims = Claims::new("iss", "sub", "aud", now, ttl);
         claims.token_id = "jti-1".into();
-        let token = jwt::sign(&claims, &Signer::Ed25519(sk), kid);
-        (token, claims)
+        let (token, challenge) = jwt::sign_ed25519(&claims, sk, kid);
+        (token, challenge, claims)
     }
 
     fn validation(now: u64) -> Validation {
@@ -264,9 +322,9 @@ mod tests {
         let cache = TokenCache::new(4);
         let (token, claims) = signed(&sk, "k1", 1000, 600);
         let v = validation(1000);
-        assert_eq!(*cache.validate("k1", &pk, &token, &v).unwrap(), claims);
+        assert_eq!(*cache.validate(&pk, &token, &v).unwrap(), claims);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        assert_eq!(*cache.validate("k1", &pk, &token, &v).unwrap(), claims);
+        assert_eq!(*cache.validate(&pk, &token, &v).unwrap(), claims);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
@@ -276,12 +334,10 @@ mod tests {
         let pk = PreparedVerifyingKey::new(&sk.verifying_key());
         let cache = TokenCache::new(4);
         let (token, _) = signed(&sk, "k1", 1000, 600);
-        cache
-            .validate("k1", &pk, &token, &validation(1000))
-            .unwrap();
+        cache.validate(&pk, &token, &validation(1000)).unwrap();
         // The cached entry must not outlive the token.
         assert_eq!(
-            cache.validate("k1", &pk, &token, &validation(1600)),
+            cache.validate(&pk, &token, &validation(1600)),
             Err(JwtError::Expired)
         );
         assert_eq!(cache.hits(), 1);
@@ -294,9 +350,9 @@ mod tests {
         let cache = TokenCache::new(4);
         let (token, _) = signed(&sk, "k1", 1000, 600);
         let v = validation(1000);
-        cache.validate("k1", &pk, &token, &v).unwrap();
+        cache.validate(&pk, &token, &v).unwrap();
         cache.bump_epoch();
-        cache.validate("k1", &pk, &token, &v).unwrap();
+        cache.validate(&pk, &token, &v).unwrap();
         assert_eq!(cache.epoch_busts(), 1);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
     }
@@ -306,12 +362,10 @@ mod tests {
         let sk = SigningKey::from_seed(&[7u8; 32]);
         let pk = PreparedVerifyingKey::new(&sk.verifying_key());
         let cache = TokenCache::new(4);
-        let (token, claims) = signed(&sk, "k1", 1000, 600);
-        cache.seed("k1", &token, Arc::new(claims.clone()));
+        let (token, challenge, claims) = signed_with_challenge(&sk, "k1", 1000, 600);
+        cache.seed(&token, &challenge, Arc::new(claims.clone()));
         assert_eq!(
-            *cache
-                .validate("k1", &pk, &token, &validation(1000))
-                .unwrap(),
+            *cache.validate(&pk, &token, &validation(1000)).unwrap(),
             claims
         );
         assert_eq!((cache.hits(), cache.misses()), (1, 0));
@@ -323,13 +377,11 @@ mod tests {
         let pk = PreparedVerifyingKey::new(&sk.verifying_key());
         let cache = TokenCache::new(4);
         cache.set_enabled(false);
-        let (token, claims) = signed(&sk, "k1", 1000, 600);
-        cache.seed("k1", &token, Arc::new(claims.clone()));
+        let (token, challenge, claims) = signed_with_challenge(&sk, "k1", 1000, 600);
+        cache.seed(&token, &challenge, Arc::new(claims.clone()));
         assert!(cache.is_empty());
         assert_eq!(
-            *cache
-                .validate("k1", &pk, &token, &validation(1000))
-                .unwrap(),
+            *cache.validate(&pk, &token, &validation(1000)).unwrap(),
             claims
         );
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
@@ -342,12 +394,94 @@ mod tests {
         let cache = TokenCache::new(4);
         let (token, _) = signed(&sk, "k1", 1000, 600);
         let v = validation(1000);
-        cache.validate("k1", &pk, &token, &v).unwrap();
-        // Any byte difference is a different SHA-256 key: full verify.
+        cache.validate(&pk, &token, &v).unwrap();
+        // Dropping a character changes the signature segment, so no
+        // entry is found: full verify.
         let mut tampered = token.clone();
         tampered.pop();
-        assert!(cache.validate("k1", &pk, &tampered, &v).is_err());
+        assert!(cache.validate(&pk, &tampered, &v).is_err());
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
+    }
+
+    /// `token` with its payload segment replaced by that of `other`.
+    fn repointed(token: &str, other: &str) -> String {
+        let parts: Vec<&str> = token.split('.').collect();
+        let payload = other.split('.').nth(1).unwrap();
+        format!("{}.{payload}.{}", parts[0], parts[2])
+    }
+
+    #[test]
+    fn live_signature_over_a_repointed_payload_is_refused() {
+        let sk = SigningKey::from_seed(&[7u8; 32]);
+        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let cache = TokenCache::new(4);
+        let (live, challenge, claims) = signed_with_challenge(&sk, "k1", 1000, 600);
+        cache.seed(&live, &challenge, Arc::new(claims.clone()));
+        // Same signature segment, so the lookup finds the live entry; a
+        // payload re-pointed at another subject must not be served it.
+        let mut other = claims.clone();
+        other.subject = "mallory".into();
+        let forged = repointed(&live, &jwt::sign_ed25519(&other, &sk, "k1").0);
+        assert_ne!(forged, live);
+        let v = validation(1000);
+        assert_eq!(
+            cache.validate(&pk, &forged, &v),
+            Err(JwtError::BadSignature)
+        );
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.epoch_busts()),
+            (0, 1, 0)
+        );
+        // The mismatch neither evicted nor replaced the live entry.
+        assert_eq!(cache.len(), 1);
+        assert_eq!(*cache.validate(&pk, &live, &v).unwrap(), claims);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+
+        // Behind a stale epoch the forged token busts nothing either; the
+        // live token's own validation finds and busts the stale entry.
+        cache.bump_epoch();
+        assert_eq!(
+            cache.validate(&pk, &forged, &v),
+            Err(JwtError::BadSignature)
+        );
+        assert_eq!((cache.epoch_busts(), cache.len()), (0, 1));
+        assert_eq!(*cache.validate(&pk, &live, &v).unwrap(), claims);
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.epoch_busts()),
+            (1, 3, 1)
+        );
+    }
+
+    #[test]
+    fn live_payload_and_r_with_another_canonical_s_is_refused() {
+        use dri_crypto::base64::{decode_url, encode_url};
+        use dri_crypto::ed25519::Scalar;
+        let sk = SigningKey::from_seed(&[7u8; 32]);
+        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let cache = TokenCache::new(4);
+        let (live, challenge, claims) = signed_with_challenge(&sk, "k1", 1000, 600);
+        cache.seed(&live, &challenge, Arc::new(claims));
+        let (input, signature) = live.rsplit_once('.').unwrap();
+        let mut sig = decode_url(signature).unwrap();
+        // S + 1: still a canonical scalar, so the verifier does the full
+        // group check on it rather than rejecting the encoding.
+        let s = Scalar::from_canonical_bytes(sig[32..].try_into().unwrap()).unwrap();
+        let s1 = s.add(Scalar::from_bytes(&{
+            let mut one = [0u8; 32];
+            one[0] = 1;
+            one
+        }));
+        sig[32..].copy_from_slice(&s1.to_bytes());
+        assert!(Scalar::from_canonical_bytes(sig[32..].try_into().unwrap()).is_some());
+        let forged = format!("{input}.{}", encode_url(&sig));
+        let v = validation(1000);
+        assert_eq!(
+            cache.validate(&pk, &forged, &v),
+            Err(JwtError::BadSignature)
+        );
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert!(cache.validate(&pk, &live, &v).is_ok());
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]
@@ -369,7 +503,7 @@ mod tests {
                 scope.spawn(|| {
                     for token in &tokens {
                         barrier.wait();
-                        cache.validate("k1", &pk, token, &v).unwrap();
+                        cache.validate(&pk, token, &v).unwrap();
                     }
                 });
             }

@@ -485,9 +485,23 @@ impl Infrastructure {
     /// feed one window's counters, so the value read here races under
     /// parallel runs even though the *final* budget state does not.
     fn stamp_budget_attr(&self, dependency: &str, now_ms: u64) {
+        // Untraced, `add_attr` drops the value: skip reading and
+        // formatting it.
+        if !dri_trace::active() {
+            return;
+        }
         let budgets = &self.resilience.budgets;
         let burn = budgets.burn_per_mille(dependency, budgets.window_of(now_ms));
-        dri_trace::add_attr("budget.burn_per_mille", &burn.to_string());
+        // Format on the stack: the attribute store copies the text.
+        use std::io::Write as _;
+        let mut digits = [0u8; 20];
+        let unused = {
+            let mut rest = &mut digits[..];
+            write!(rest, "{burn}").expect("a u64 has at most 20 digits");
+            rest.len()
+        };
+        let text = std::str::from_utf8(&digits[..digits.len() - unused]).expect("ASCII digits");
+        dri_trace::add_attr("budget.burn_per_mille", text);
     }
 
     /// Record an injected/observed transient fault in the SIEM, when a

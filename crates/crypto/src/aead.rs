@@ -3,10 +3,11 @@
 //! The authenticated encryption used on tailnet and tunnel frames: the
 //! Poly1305 one-time key is derived from block 0 of the ChaCha20
 //! keystream, the ciphertext starts at block 1, and the tag covers
-//! `aad ‖ pad ‖ ciphertext ‖ pad ‖ len(aad) ‖ len(ct)`.
+//! `aad ‖ pad ‖ ciphertext ‖ pad ‖ len(aad) ‖ len(ct)`, fed to a
+//! streaming Poly1305 piece by piece rather than copied into one buffer.
 
 use crate::chacha20;
-use crate::poly1305::{poly1305, verify_poly1305};
+use crate::poly1305::Poly1305;
 
 /// Encrypt and authenticate: returns `ciphertext ‖ tag(16)`.
 pub fn seal(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
@@ -15,7 +16,7 @@ pub fn seal(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> V
     let mut out = Vec::with_capacity(plaintext.len() + 16);
     out.extend_from_slice(plaintext);
     chacha20::xor_in_place(key, nonce, 1, &mut out);
-    let tag = poly1305(&otk, &mac_data(aad, &out));
+    let tag = tag(&otk, aad, &out);
     out.extend_from_slice(&tag);
     out
 }
@@ -28,9 +29,7 @@ pub fn open(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], sealed: &[u8]) -> Opti
     }
     let (ct, tag) = sealed.split_at(sealed.len() - 16);
     let otk = poly_key(key, nonce);
-    let mut tag16 = [0u8; 16];
-    tag16.copy_from_slice(tag);
-    if !verify_poly1305(&otk, &mac_data(aad, ct), &tag16) {
+    if !crate::ct_eq(&self::tag(&otk, aad, ct), tag) {
         return None;
     }
     Some(chacha20::decrypt(key, nonce, 1, ct))
@@ -45,25 +44,42 @@ fn poly_key(key: &[u8; 32], nonce: &[u8; 12]) -> [u8; 32] {
     otk
 }
 
-fn mac_data(aad: &[u8], ct: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(aad.len() + ct.len() + 32);
-    out.extend_from_slice(aad);
-    out.extend_from_slice(&[0u8; 16][..pad16(aad.len())]);
-    out.extend_from_slice(ct);
-    out.extend_from_slice(&[0u8; 16][..pad16(ct.len())]);
-    out.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(ct.len() as u64).to_le_bytes());
-    out
-}
-
-fn pad16(len: usize) -> usize {
-    (16 - (len % 16)) % 16
+/// The Poly1305 tag of `aad ‖ pad ‖ ct ‖ pad ‖ len(aad) ‖ len(ct)`.
+fn tag(otk: &[u8; 32], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+    let mut mac = Poly1305::new(otk);
+    mac.update(aad);
+    mac.pad16();
+    mac.update(ct);
+    mac.pad16();
+    let mut lengths = [0u8; 16];
+    lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+    lengths[8..].copy_from_slice(&(ct.len() as u64).to_le_bytes());
+    mac.update(&lengths);
+    mac.finalize()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hex;
+    use crate::poly1305::tests::poly1305_reference;
+
+    /// `seal` as it was before the streaming tag: the MAC input copied
+    /// into one buffer, tagged by the five-limb reference Poly1305.
+    fn seal_reference(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let pad16 = |len: usize| (16 - (len % 16)) % 16;
+        let mut out = chacha20::encrypt(key, nonce, 1, plaintext);
+        let mut mac_data = Vec::new();
+        mac_data.extend_from_slice(aad);
+        mac_data.extend_from_slice(&[0u8; 16][..pad16(aad.len())]);
+        mac_data.extend_from_slice(&out);
+        mac_data.extend_from_slice(&[0u8; 16][..pad16(out.len())]);
+        mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+        mac_data.extend_from_slice(&(out.len() as u64).to_le_bytes());
+        let tag = poly1305_reference(&poly_key(key, nonce), &mac_data);
+        out.extend_from_slice(&tag);
+        out
+    }
 
     // RFC 8439 §2.8.2 AEAD test vector.
     #[test]
@@ -126,5 +142,34 @@ mod tests {
         assert_eq!(sealed.len(), 16);
         assert_eq!(open(&key, &nonce, b"aad-only", &sealed).unwrap(), b"");
         assert!(open(&key, &nonce, b"other", &sealed).is_none());
+    }
+
+    #[test]
+    fn seal_and_open_match_the_copying_reference() {
+        let key = [0x42u8; 32];
+        let data: Vec<u8> = (0..1100u32).map(|i| (i * 151 + i / 256) as u8).collect();
+        let check = |nonce: &[u8; 12], aad: &[u8], pt: &[u8]| {
+            let sealed = seal(&key, nonce, aad, pt);
+            assert_eq!(
+                sealed,
+                seal_reference(&key, nonce, aad, pt),
+                "aad {} pt {}",
+                aad.len(),
+                pt.len()
+            );
+            assert_eq!(open(&key, nonce, aad, &sealed).as_deref(), Some(pt));
+        };
+        // Every plaintext length, with associated data of varying length.
+        for n in 0..=1100usize {
+            let nonce = [n as u8; 12];
+            check(&nonce, &data[..n % 41], &data[..n]);
+        }
+        // Every split of a buffer into associated data and plaintext.
+        for total in (0..=96usize).chain([600, 1100]) {
+            let nonce = [total as u8 ^ 0x80; 12];
+            for cut in 0..=total {
+                check(&nonce, &data[..cut], &data[cut..total]);
+            }
+        }
     }
 }

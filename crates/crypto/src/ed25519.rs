@@ -699,6 +699,13 @@ impl SigningKey {
 
     /// Sign `msg`, producing a 64-byte signature (R ‖ s).
     pub fn sign(&self, msg: &[u8]) -> [u8; 64] {
+        self.sign_with_challenge(msg).0
+    }
+
+    /// [`SigningKey::sign`], also returning the challenge digest
+    /// SHA-512(R ‖ A ‖ msg) that signing computes (RFC 8032 §5.1.6
+    /// step 4) and that a verifier recomputes; see [`challenge`].
+    pub fn sign_with_challenge(&self, msg: &[u8]) -> ([u8; 64], [u8; 64]) {
         SIGNS.fetch_add(1, Ordering::Relaxed);
         let mut h = Sha512::new();
         h.update(&self.prefix);
@@ -706,18 +713,26 @@ impl SigningKey {
         let r = Scalar::from_bytes_wide(&h.finalize());
         let r_point = Point::mul_base(&r).compress();
 
-        let mut h2 = Sha512::new();
-        h2.update(&r_point);
-        h2.update(&self.public.bytes);
-        h2.update(msg);
-        let k = Scalar::from_bytes_wide(&h2.finalize());
+        let digest = challenge(&r_point, &self.public.bytes, msg);
+        let k = Scalar::from_bytes_wide(&digest);
         let s = r.add(k.mul(self.a));
 
         let mut sig = [0u8; 64];
         sig[..32].copy_from_slice(&r_point);
         sig[32..].copy_from_slice(&s.to_bytes());
-        sig
+        (sig, digest)
     }
+}
+
+/// The challenge digest SHA-512(R ‖ A ‖ msg) of a signature whose first
+/// half is `r`, under the public key encoded as `a`. Reduced mod L it is
+/// the k of RFC 8032 §5.1.6 step 4 and §5.1.7 step 2.
+pub fn challenge(r: &[u8; 32], a: &[u8; 32], msg: &[u8]) -> [u8; 64] {
+    let mut h = Sha512::new();
+    h.update(r);
+    h.update(a);
+    h.update(msg);
+    h.finalize()
 }
 
 impl std::fmt::Debug for SigningKey {
@@ -745,20 +760,16 @@ fn verify_with(
     sig: &[u8; 64],
     mul_a: impl FnOnce(&Scalar) -> Point,
 ) -> bool {
-    let (r_bytes, s_bytes) = sig.split_at(32);
-    let Some(s) = Scalar::from_canonical_bytes(s_bytes.try_into().expect("32 bytes")) else {
+    let r_bytes: &[u8; 32] = sig[..32].try_into().expect("32 bytes");
+    let Some(s) = Scalar::from_canonical_bytes(sig[32..].try_into().expect("32 bytes")) else {
         return false;
     };
 
-    let mut h = Sha512::new();
-    h.update(r_bytes);
-    h.update(a_bytes);
-    h.update(msg);
-    let k = Scalar::from_bytes_wide(&h.finalize());
+    let k = Scalar::from_bytes_wide(&challenge(r_bytes, a_bytes, msg));
 
     let minus_ka = -mul_a(&k).to_projective_niels();
     let r = Point::mul_base(&s).add_projective_niels(&minus_ka);
-    r.compress() == r_bytes
+    r.compress() == *r_bytes
 }
 
 /// An Ed25519 verifying (public) key.
@@ -1005,6 +1016,21 @@ mod tests {
              18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"
         );
         assert!(sk.verifying_key().verify(&msg, &sig));
+    }
+
+    #[test]
+    fn signing_returns_the_challenge_a_verifier_recomputes() {
+        let sk = SigningKey::from_seed(&[42u8; 32]);
+        let a = *sk.verifying_key().as_bytes();
+        for msg in [&b""[..], b"an RBAC token body", &[0xa5u8; 300]] {
+            let (sig, digest) = sk.sign_with_challenge(msg);
+            assert_eq!(sig, sk.sign(msg));
+            let r: &[u8; 32] = sig[..32].try_into().unwrap();
+            assert_eq!(digest, challenge(r, &a, msg));
+            let mut other = msg.to_vec();
+            other.push(0);
+            assert_ne!(digest, challenge(r, &a, &other));
+        }
     }
 
     #[test]

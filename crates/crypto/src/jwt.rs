@@ -253,10 +253,33 @@ fn b64_len(n: usize) -> usize {
 /// straight into the token, with no `Value` tree; the unit tests keep
 /// the tree-building encoder as the byte-for-byte reference.
 pub fn sign(claims: &Claims, signer: &Signer<'_>, kid: &str) -> String {
-    let alg = match signer {
-        Signer::Ed25519(_) => Algorithm::EdDSA,
-        Signer::Hmac(_) => Algorithm::HS256,
-    };
+    match signer {
+        Signer::Ed25519(sk) => sign_ed25519(claims, sk, kid).0,
+        Signer::Hmac(key) => {
+            let mut token = signing_input(claims, Algorithm::HS256, kid, 32);
+            let sig = hmac_sha256(key, token.as_bytes());
+            token.push('.');
+            encode_into(&sig, Variant::UrlSafeNoPad, &mut token);
+            token
+        }
+    }
+}
+
+/// [`sign`] with an Ed25519 key, also returning the signature's
+/// challenge digest SHA-512(R ‖ A ‖ `header.payload`), which signing
+/// computes anyway (see [`SigningKey::sign_with_challenge`]). The token
+/// is the one [`sign`] returns.
+pub fn sign_ed25519(claims: &Claims, sk: &SigningKey, kid: &str) -> (String, [u8; 64]) {
+    let mut token = signing_input(claims, Algorithm::EdDSA, kid, 64);
+    let (sig, challenge) = sk.sign_with_challenge(token.as_bytes());
+    token.push('.');
+    encode_into(&sig, Variant::UrlSafeNoPad, &mut token);
+    (token, challenge)
+}
+
+/// `header.payload` of a token, with room for a `sig_len`-byte signature
+/// segment after it.
+fn signing_input(claims: &Claims, alg: Algorithm, kid: &str, sig_len: usize) -> String {
     // Header members in byte order: alg, kid, typ.
     let mut json = String::with_capacity(384);
     json.push_str("{\"alg\":");
@@ -268,28 +291,12 @@ pub fn sign(claims: &Claims, signer: &Signer<'_>, kid: &str) -> String {
     claims.write_json(&mut json);
     let (header, payload) = json.as_bytes().split_at(header_len);
 
-    let sig_len = match signer {
-        Signer::Ed25519(_) => 64,
-        Signer::Hmac(_) => 32,
-    };
     let mut token = String::with_capacity(
         b64_len(header.len()) + b64_len(payload.len()) + b64_len(sig_len) + 2,
     );
     encode_into(header, Variant::UrlSafeNoPad, &mut token);
     token.push('.');
     encode_into(payload, Variant::UrlSafeNoPad, &mut token);
-    match signer {
-        Signer::Ed25519(sk) => {
-            let sig = sk.sign(token.as_bytes());
-            token.push('.');
-            encode_into(&sig, Variant::UrlSafeNoPad, &mut token);
-        }
-        Signer::Hmac(key) => {
-            let sig = hmac_sha256(key, token.as_bytes());
-            token.push('.');
-            encode_into(&sig, Variant::UrlSafeNoPad, &mut token);
-        }
-    }
     token
 }
 
@@ -559,6 +566,26 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ed25519_signing_returns_the_token_and_its_challenge() {
+        let sk = SigningKey::from_seed(&[6u8; 32]);
+        for claims in awkward_claims() {
+            let (token, digest) = sign_ed25519(&claims, &sk, "fds-key-1");
+            assert_eq!(
+                token,
+                sign_reference(&claims, &Signer::Ed25519(&sk), "fds-key-1")
+            );
+            let (input, sig) = token.rsplit_once('.').unwrap();
+            let sig = crate::base64::decode_url(sig).unwrap();
+            let r: &[u8; 32] = sig[..32].try_into().unwrap();
+            let a = sk.verifying_key();
+            assert_eq!(
+                digest,
+                crate::ed25519::challenge(r, a.as_bytes(), input.as_bytes())
+            );
         }
     }
 

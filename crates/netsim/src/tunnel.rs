@@ -477,4 +477,67 @@ mod tests {
         let encoded = req.to_bytes();
         assert_eq!(HttpRequest::from_bytes(&encoded), Some(req));
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The frame decoder sees whatever a peer put in an authenticated
+        /// frame: arbitrary, truncated and near-valid bytes must decode or
+        /// be refused, never panic. The inputs derive from the seed alone
+        /// (the vendored proptest does not shrink), so a failure names the
+        /// seed to replay.
+        #[test]
+        fn request_decoder_never_panics(seed in proptest::prelude::any::<u64>()) {
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as usize
+            };
+            // The separators and a few bytes around them are the ones
+            // that matter to the decoder.
+            const POOL: [u8; 8] = [0, 1, 2, b'a', b'/', 0xc3, 0xa9, 0xff];
+            let text = |next: &mut dyn FnMut() -> usize| -> String {
+                (0..next() % 12).map(|_| ['a', '/', 'é', '-', '\u{1}'][next() % 5]).collect()
+            };
+            let req = HttpRequest {
+                path: text(&mut next),
+                headers: (0..next() % 4).map(|_| (text(&mut next), text(&mut next))).collect(),
+                body: (0..next() % 24).map(|_| POOL[next() % POOL.len()]).collect(),
+            };
+            let valid = req.to_bytes();
+            let mut inputs = vec![valid.clone(), Vec::new()];
+            // Every truncation of the valid encoding.
+            inputs.extend((0..valid.len()).map(|n| valid[..n].to_vec()));
+            // Near-valid: a few byte edits drawn from the separator pool.
+            for _ in 0..8 {
+                let mut edited = valid.clone();
+                for _ in 0..1 + next() % 3 {
+                    let at = next() % (edited.len() + 1);
+                    let byte = POOL[next() % POOL.len()];
+                    match next() % 3 {
+                        0 if at < edited.len() => edited[at] = byte,
+                        1 if at < edited.len() => {
+                            edited.remove(at);
+                        }
+                        _ => edited.insert(at, byte),
+                    }
+                }
+                inputs.push(edited);
+            }
+            // Arbitrary bytes.
+            inputs.extend((0..4).map(|_| (0..next() % 48).map(|_| next() as u8).collect()));
+            for input in &inputs {
+                let outcome = std::panic::catch_unwind(|| HttpRequest::from_bytes(input));
+                proptest::prop_assert!(outcome.is_ok(), "seed {seed}: panicked on {input:?}");
+            }
+            // A request whose text has no separator bytes round-trips.
+            let plain = |s: &str| !s.bytes().any(|b| b <= 2);
+            if plain(&req.path) && req.headers.iter().all(|(k, v)| plain(k) && plain(v)) {
+                proptest::prop_assert_eq!(HttpRequest::from_bytes(&valid), Some(req));
+            }
+        }
+    }
 }

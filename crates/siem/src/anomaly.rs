@@ -84,13 +84,19 @@ impl AnomalyDetector {
         let bucket_ms = self.config.bucket_ms;
         let bucket_start = (at_ms / bucket_ms) * bucket_ms;
         let mut state = self.state.write();
-        let hist = state
-            .entry(source.to_string())
-            .or_insert_with(|| SourceHistory {
-                buckets: Vec::new(),
-                current_start_ms: bucket_start,
-                current_count: 0,
-            });
+        // Few sources exist: look the source up, and allocate its key
+        // only the first time it is seen.
+        if !state.contains_key(source) {
+            state.insert(
+                source.to_string(),
+                SourceHistory {
+                    buckets: Vec::new(),
+                    current_start_ms: bucket_start,
+                    current_count: 0,
+                },
+            );
+        }
+        let hist = state.get_mut(source).expect("inserted above");
 
         let mut finding = None;
         if bucket_start > hist.current_start_ms {

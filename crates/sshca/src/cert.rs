@@ -185,19 +185,19 @@ impl SshCertificate {
         public_key.copy_from_slice(pk);
         let serial = r.u64()?;
         let key_id = r.string()?;
-        let n_principals = r.u64_32()?;
+        let n_principals = r.count(4)?;
         let mut principals = Vec::with_capacity(n_principals);
         for _ in 0..n_principals {
             principals.push(r.string()?);
         }
         let valid_after = r.u64()?;
         let valid_before = r.u64()?;
-        let n_opts = r.u64_32()?;
+        let n_opts = r.count(8)?;
         let mut critical_options = Vec::with_capacity(n_opts);
         for _ in 0..n_opts {
             critical_options.push((r.string()?, r.string()?));
         }
-        let n_ext = r.u64_32()?;
+        let n_ext = r.count(4)?;
         let mut extensions = Vec::with_capacity(n_ext);
         for _ in 0..n_ext {
             extensions.push(r.string()?);
@@ -281,14 +281,20 @@ impl SshCertificate {
 }
 
 impl<'a> Reader<'a> {
-    /// Read a u32 count as usize (shared by the list fields).
-    fn u64_32(&mut self) -> Result<usize, CertError> {
+    /// Read the u32 count of a list whose items take at least
+    /// `item_bytes` each. A count the remaining bytes cannot hold is
+    /// malformed, so a hostile count never sizes an allocation.
+    fn count(&mut self, item_bytes: usize) -> Result<usize, CertError> {
         if self.pos + 4 > self.data.len() {
             return Err(CertError::Malformed);
         }
         let v = u32::from_be_bytes(self.data[self.pos..self.pos + 4].try_into().unwrap());
         self.pos += 4;
-        Ok(v as usize)
+        let n = v as usize;
+        if n > (self.data.len() - self.pos) / item_bytes {
+            return Err(CertError::Malformed);
+        }
+        Ok(n)
     }
 }
 
@@ -411,5 +417,32 @@ mod tests {
         raw.extend_from_slice(&cert.signature);
         let wire = format!("ssh-ed25519-cert {}", base64::encode_url(&raw));
         assert_eq!(SshCertificate::from_wire(&wire), Err(CertError::Malformed));
+    }
+
+    #[test]
+    fn hostile_list_counts_are_malformed_without_allocating() {
+        // A count of u32::MAX once sized a `Vec::with_capacity` of about
+        // 100 GB, which aborts the process instead of failing the parse.
+        let ca = SigningKey::from_seed(&[1u8; 32]);
+        let mut cert = sample(&ca);
+        cert.principals.clear();
+        cert.critical_options.clear();
+        cert.extensions.clear();
+        let body = cert.tbs_bytes();
+        let principals_at = 1 + 4 + 32 + 8 + 4 + cert.key_id.len();
+        let options_at = principals_at + 4 + 16;
+        for at in [principals_at, options_at, options_at + 4] {
+            for count in [u32::MAX, 1] {
+                let mut raw = body.clone();
+                raw[at..at + 4].copy_from_slice(&count.to_be_bytes());
+                raw.extend_from_slice(&cert.signature);
+                let wire = format!("ssh-ed25519-cert {}", base64::encode_url(&raw));
+                assert_eq!(
+                    SshCertificate::from_wire(&wire),
+                    Err(CertError::Malformed),
+                    "count {count} at {at}"
+                );
+            }
+        }
     }
 }

@@ -74,19 +74,20 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> String {
 /// self-time in logical steps and sorted lexicographically.
 pub fn flamegraph(spans: &[SpanRecord]) -> String {
     let mut weights: BTreeMap<String, u64> = BTreeMap::new();
-    // Index spans per trace for parent-chain walks.
+    // Index spans per trace for parent-chain walks, and sum each span's
+    // direct children's steps in the same pass.
     let mut by_id: BTreeMap<(TraceId, SpanId), &SpanRecord> = BTreeMap::new();
+    let mut child_steps: BTreeMap<(TraceId, SpanId), u64> = BTreeMap::new();
     for s in spans {
         by_id.insert((s.trace_id, s.span_id), s);
+        if let Some(parent) = s.parent_id {
+            *child_steps.entry((s.trace_id, parent)).or_insert(0) += s.steps();
+        }
     }
     for s in spans {
         // Self time: own steps minus direct children's steps.
-        let child_steps: u64 = spans
-            .iter()
-            .filter(|c| c.trace_id == s.trace_id && c.parent_id == Some(s.span_id))
-            .map(|c| c.steps())
-            .sum();
-        let self_steps = s.steps().saturating_sub(child_steps);
+        let children = child_steps.get(&(s.trace_id, s.span_id)).copied();
+        let self_steps = s.steps().saturating_sub(children.unwrap_or(0));
         // Build the path root-first.
         let mut path = vec![s.name];
         let mut cursor = s.parent_id;
@@ -301,6 +302,79 @@ mod tests {
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .sum();
         assert_eq!(total, root_steps);
+    }
+
+    /// The nested-scan rollup [`flamegraph`] replaced: each span's
+    /// children found by scanning every span.
+    fn flamegraph_reference(spans: &[SpanRecord]) -> String {
+        let mut weights: BTreeMap<String, u64> = BTreeMap::new();
+        let mut by_id: BTreeMap<(TraceId, SpanId), &SpanRecord> = BTreeMap::new();
+        for s in spans {
+            by_id.insert((s.trace_id, s.span_id), s);
+        }
+        for s in spans {
+            let child_steps: u64 = spans
+                .iter()
+                .filter(|c| c.trace_id == s.trace_id && c.parent_id == Some(s.span_id))
+                .map(|c| c.steps())
+                .sum();
+            let self_steps = s.steps().saturating_sub(child_steps);
+            let mut path = vec![s.name];
+            let mut cursor = s.parent_id;
+            while let Some(pid) = cursor {
+                match by_id.get(&(s.trace_id, pid)) {
+                    Some(parent) => {
+                        path.push(parent.name);
+                        cursor = parent.parent_id;
+                    }
+                    None => break,
+                }
+            }
+            path.reverse();
+            *weights.entry(path.join(";")).or_insert(0) += self_steps;
+        }
+        let mut out = String::new();
+        for (stack, weight) in weights {
+            out.push_str(&stack);
+            out.push(' ');
+            out.push_str(&weight.to_string());
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_flamegraph_matches_the_nested_scan_on_a_storm() {
+        let t = Arc::new(Tracer::new(7, 4, SimClock::new()));
+        t.set_enabled(true);
+        // 700 flows of 2 to 8 spans in varying shapes: 3 500 spans, with
+        // one subject repeated so several flows share paths.
+        for i in 0..700u32 {
+            let subject = ["alice", "bob", "carol", "dave", "erin"][i as usize % 5];
+            let _f = flow(&t, subject, "login", Stage::Flow);
+            {
+                let _a = span("broker.establish", Stage::Broker);
+                for _ in 0..i % 3 {
+                    let _b = span("net.connect", Stage::Network);
+                }
+            }
+            if i % 2 == 0 {
+                let _c = span("jupyter.spawn", Stage::Cluster);
+                let _d = span("net.connect", Stage::Network);
+            }
+            let _e = span("siem.emit", Stage::Siem);
+        }
+        let spans = t.all_spans();
+        assert!(spans.len() > 3000, "{} spans", spans.len());
+        assert_eq!(flamegraph(&spans), flamegraph_reference(&spans));
+        // Spans whose parent is missing are rolled up from where their
+        // chain breaks, the same way by both.
+        let orphans: Vec<SpanRecord> = spans
+            .iter()
+            .filter(|s| s.name != "broker.establish")
+            .cloned()
+            .collect();
+        assert_eq!(flamegraph(&orphans), flamegraph_reference(&orphans));
     }
 
     #[test]

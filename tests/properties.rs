@@ -169,10 +169,10 @@ mod token_codec {
 
     /// The inputs of a case derive from its seed alone (the vendored
     /// proptest does not shrink), so a failure names the seed to replay.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -180,11 +180,11 @@ mod token_codec {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
 
-        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        pub(crate) fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
             &items[self.below(items.len())]
         }
     }
@@ -372,6 +372,141 @@ mod token_codec {
                 prop_assert_eq!(jwt::peek_kid(&token), Some(kid.clone()));
                 let got = jwt::verify(&token, &verifier, &validation);
                 prop_assert!(got.as_ref() == Ok(&expected), "seed {seed}: {got:?} != {expected:?}");
+            }
+        }
+    }
+}
+
+// --- SSH certificates and federation assertions: no panics ---------------
+
+mod untrusted_parsers {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use isambard_dri::crypto::base64;
+    use isambard_dri::crypto::ed25519::{PreparedVerifyingKey, SigningKey};
+    use isambard_dri::federation::{Assertion, Attribute, LevelOfAssurance};
+    use isambard_dri::sshca::SshCertificate;
+    use proptest::prelude::*;
+
+    use crate::token_codec::Rng;
+
+    /// `bytes` with a few edits (set, insert, delete, truncate). Edits
+    /// favour small values and 0xff, which land in length and count
+    /// fields as "empty" and "huge".
+    fn edited(rng: &mut Rng, bytes: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        for _ in 0..1 + rng.below(3) {
+            let at = rng.below(out.len() + 1);
+            let any = rng.next() as u8;
+            let byte = *rng.pick(&[0u8, 1, 4, 0x7f, 0xff, any]);
+            match rng.below(4) {
+                0 if at < out.len() => out[at] = byte,
+                1 => out.insert(at, byte),
+                2 if at < out.len() => {
+                    out.remove(at);
+                }
+                _ => out.truncate(at),
+            }
+        }
+        out
+    }
+
+    fn junk(rng: &mut Rng, max: usize) -> Vec<u8> {
+        (0..rng.below(max)).map(|_| rng.next() as u8).collect()
+    }
+
+    fn text(rng: &mut Rng) -> String {
+        (0..rng.below(10))
+            .map(|_| *rng.pick(&['a', '-', '.', '"', '\\', 'é', '\u{0}']))
+            .collect()
+    }
+
+    fn check<T>(
+        seed: u64,
+        input: &str,
+        parse: impl FnOnce() -> T,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            parse();
+        }));
+        prop_assert!(
+            outcome.is_ok(),
+            "seed {seed}: a parser panicked on {input:?}"
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cert_wire_parser_never_panics(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            let ca = SigningKey::from_seed(&[9u8; 32]);
+            let cert = SshCertificate {
+                public_key: [7u8; 32],
+                serial: rng.next(),
+                key_id: text(&mut rng),
+                principals: (0..rng.below(4)).map(|_| text(&mut rng)).collect(),
+                valid_after: 100,
+                valid_before: 200,
+                critical_options: (0..rng.below(3)).map(|_| (text(&mut rng), text(&mut rng))).collect(),
+                extensions: (0..rng.below(3)).map(|_| text(&mut rng)).collect(),
+                signature: [0u8; 64],
+            }
+            .signed(&ca);
+            let wire = cert.to_wire();
+            prop_assert_eq!(SshCertificate::from_wire(&wire).as_ref(), Ok(&cert));
+            let raw = base64::decode_url(&wire["ssh-ed25519-cert ".len()..]).unwrap();
+            let encoded = |bytes: &[u8]| format!("ssh-ed25519-cert {}", base64::encode_url(bytes));
+            let mut inputs: Vec<String> = (0..raw.len()).map(|n| encoded(&raw[..n])).collect();
+            inputs.extend((0..16).map(|_| encoded(&edited(&mut rng, &raw))));
+            inputs.extend((0..4).map(|_| encoded(&junk(&mut rng, 160))));
+            inputs.extend((0..4).map(|_| {
+                String::from_utf8_lossy(&edited(&mut rng, wire.as_bytes())).into_owned()
+            }));
+            inputs.push("ssh-ed25519-cert ".into());
+            for input in &inputs {
+                check(seed, input, || SshCertificate::from_wire(input))?;
+            }
+        }
+
+        #[test]
+        fn assertion_verifier_never_panics(seed in any::<u64>()) {
+            let mut rng = Rng(seed);
+            let idp = SigningKey::from_seed(&[10u8; 32]);
+            let key = PreparedVerifyingKey::new(&idp.verifying_key());
+            let assertion = Assertion {
+                issuer: "https://idp.example".into(),
+                subject: text(&mut rng),
+                audience: "https://proxy.example".into(),
+                issued_at: 1000,
+                expires_at: 1300,
+                authn_context: text(&mut rng),
+                loa: *rng.pick(&[LevelOfAssurance::Low, LevelOfAssurance::Medium, LevelOfAssurance::High]),
+                attributes: (0..rng.below(3)).map(|_| Attribute::new(text(&mut rng), text(&mut rng))).collect(),
+                assertion_id: text(&mut rng),
+            };
+            let wire = assertion.sign(&idp);
+            let verify = |input: &str| Assertion::verify(input, &key, "https://proxy.example", 1100);
+            prop_assert_eq!(verify(&wire), Ok(assertion));
+            let (payload_b64, _) = wire.split_once('.').unwrap();
+            let payload = base64::decode_url(payload_b64).unwrap();
+            // Hostile payloads under a good signature reach the JSON and
+            // field decoders behind the signature check.
+            let signed = |payload: &[u8]| {
+                format!("{}.{}", base64::encode_url(payload), base64::encode_url(&idp.sign(payload)))
+            };
+            let mut inputs: Vec<String> = (0..payload.len()).step_by(7).map(|n| signed(&payload[..n])).collect();
+            inputs.extend((0..12).map(|_| signed(&edited(&mut rng, &payload))));
+            inputs.extend((0..4).map(|_| signed(&junk(&mut rng, 96))));
+            inputs.extend((0..8).map(|_| {
+                String::from_utf8_lossy(&edited(&mut rng, wire.as_bytes())).into_owned()
+            }));
+            inputs.extend((0..4).map(|_| String::from_utf8_lossy(&junk(&mut rng, 96)).into_owned()));
+            inputs.extend([String::new(), ".".into(), format!("{payload_b64}.")]);
+            for input in &inputs {
+                check(seed, input, || verify(input))?;
             }
         }
     }

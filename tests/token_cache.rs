@@ -142,11 +142,19 @@ fn memoized_allow_does_not_survive_posture_downgrade_or_killswitch() {
     assert_eq!(after, first);
 }
 
-/// Mangle the last signature character so the token fails verification.
-fn tampered(token: &str) -> String {
+/// Mangle one character so the token fails verification: the last
+/// signature character, or (`in_payload`) the middle payload character,
+/// which keeps the signature segment and so finds the seeded entry.
+fn tampered(token: &str, in_payload: bool) -> String {
     let mut t: Vec<char> = token.chars().collect();
-    let last = t.len() - 1;
-    t[last] = if t[last] == 'A' { 'B' } else { 'A' };
+    let at = if in_payload {
+        let header = token.find('.').unwrap();
+        let payload = token[header + 1..].find('.').unwrap();
+        header + 1 + payload / 2
+    } else {
+        t.len() - 1
+    };
+    t[at] = if t[at] == 'A' { 'B' } else { 'A' };
     t.into_iter().collect()
 }
 
@@ -155,13 +163,14 @@ proptest! {
 
     /// Cached and uncached validation agree on everything: same `Ok`
     /// claims, same `Err` kind, across audiences, clock advances past
-    /// token expiry, and tampered tokens. Same seed, so the two
+    /// token expiry, and tokens tampered in the signature or the payload.
+    /// Same seed, so the two
     /// infrastructures issue byte-identical tokens.
     #[test]
     fn cached_and_uncached_validation_agree(
         aud_idx in 0usize..3,
         advance_secs in 0u64..5000,
-        tamper in any::<bool>(),
+        tamper in 0u8..3,
     ) {
         let warm = Infrastructure::new(InfraConfig::default());
         let cold = Infrastructure::new(
@@ -179,7 +188,10 @@ proptest! {
         // Same seed must yield byte-identical tokens from both infras.
         prop_assert_eq!(&warm_token, &cold_token);
 
-        let token = if tamper { tampered(&warm_token) } else { warm_token };
+        let token = match tamper {
+            0 => warm_token,
+            n => tampered(&warm_token, n == 2),
+        };
         let audience = ["jupyter", "slurm", "portal"][aud_idx];
         warm.clock.advance_secs(advance_secs);
         cold.clock.advance_secs(advance_secs);
