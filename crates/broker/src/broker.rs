@@ -601,8 +601,7 @@ impl IdentityBroker {
         self.tokens_issued[shard].fetch_add(1, Ordering::Relaxed);
         let token_id = self.jti_ids.next();
         let expires_at = now + policy.ttl_secs;
-        self.active_tokens
-            .insert(token_id.clone(), (subject.clone(), expires_at));
+        self.record_active(token_id.clone(), subject.clone(), expires_at, now);
         let mut claims = Claims::new(self.issuer.clone(), subject, audience, now, policy.ttl_secs);
         claims.token_id = token_id;
         claims.session_id = session_id.to_string();
@@ -662,9 +661,11 @@ impl IdentityBroker {
         if derived.expires_at > claims.expires_at {
             derived.expires_at = claims.expires_at;
             // Correct the active-token record to the capped expiry.
-            self.active_tokens.insert(
+            self.record_active(
                 derived.token_id.clone(),
-                (derived.subject.clone(), derived.expires_at),
+                derived.subject.clone(),
+                derived.expires_at,
+                now,
             );
         }
         // Re-sign (the actor claim and possibly the expiry changed).
@@ -699,6 +700,14 @@ impl IdentityBroker {
                 Ok(session.clone())
             })
             .unwrap_or(Err(BrokerError::InvalidSession))
+    }
+
+    /// Record `jti` as active until `exp`. A full shard first drops its
+    /// records expired at `now`: [`IdentityBroker::introspect`] refuses
+    /// an expired jti and an unknown one alike.
+    fn record_active(&self, jti: String, subject: String, exp: u64, now: u64) {
+        self.active_tokens
+            .insert_sweeping(jti, (subject, exp), |(_, exp)| *exp <= now);
     }
 
     /// Introspection: is the token id still active (unexpired session-side
@@ -928,6 +937,38 @@ mod tests {
             .validate(&token, "jupyter", f.clock.now_secs())
             .is_err());
         assert!(f.broker.introspect(&claims.token_id));
+    }
+
+    #[test]
+    fn expired_token_state_is_dropped_as_tokens_are_issued() {
+        let f = fixture();
+        f.authz.grant("u", "ssh-ca", &["researcher"]);
+        let session = f
+            .broker
+            .login_federated(PROXY, &proxy_assertion(&f, "u"))
+            .unwrap();
+        let issue = |n| {
+            (0..n)
+                .map(|_| f.broker.issue_token(&session.session_id, "ssh-ca").unwrap())
+                .collect::<Vec<_>>()
+        };
+        let old = issue(1_000);
+        f.clock.advance_secs(901);
+        let new = issue(1_000);
+        // Both maps held 2 000 entries when nothing ever left them.
+        assert!(f.broker.active_tokens.len() < 2_000);
+        assert!(f.broker.token_cache().len() < 2_000);
+        // Outcomes are unchanged: expired tokens are refused, live ones
+        // pass, whether or not their entries were dropped.
+        let (jwks, now) = (f.broker.jwks(), f.clock.now_secs());
+        for (token, claims) in &old {
+            assert!(!f.broker.introspect(&claims.token_id));
+            assert!(jwks.validate(token, "ssh-ca", now).is_err());
+        }
+        for (token, claims) in &new {
+            assert!(f.broker.introspect(&claims.token_id));
+            assert!(jwks.validate(token, "ssh-ca", now).is_ok());
+        }
     }
 
     #[test]

@@ -30,7 +30,11 @@
 //! the counts are those of keying by a hash of the token bytes. Stale
 //! entries are removed lazily on the epoch mismatch that discovers them
 //! (counted as an *epoch bust*), so the counters make invalidation
-//! observable.
+//! observable. An expired token is rarely presented again, so an insert
+//! that finds its shard full first drops the shard's entries for tokens
+//! expired at the inserting time ([`ShardMap::insert_sweeping`]); a
+//! dropped entry only turns a later hit into a full verify that refuses
+//! the token just the same.
 //!
 //! The issuing broker *seeds* the cache at sign time: issuer and
 //! verifiers share a trust domain (the broker publishes the JWKS the
@@ -180,14 +184,29 @@ impl TokenCache {
         let Some((_, signature)) = token.rsplit_once('.') else {
             return;
         };
-        self.entries.insert(
-            signature.to_string(),
+        // A token is signed at its issue time.
+        let now = claims.issued_at;
+        self.insert(
+            signature,
             CachedVerification {
                 epoch: self.epoch(),
                 claims,
                 challenge: prefix(challenge),
             },
+            now,
         );
+    }
+
+    /// Insert an entry; a full shard first drops its entries for tokens
+    /// expired at `now`.
+    fn insert(
+        &self,
+        signature: &str,
+        entry: CachedVerification,
+        now: u64,
+    ) -> Option<CachedVerification> {
+        self.entries
+            .insert_sweeping(signature.to_string(), entry, |e| e.claims.expires_at <= now)
     }
 
     /// Validate `token` (whose header names the key published as `key`)
@@ -247,13 +266,14 @@ impl TokenCache {
                 let challenge = challenge
                     .or_else(|| presented_challenge(key, signing_input, signature))
                     .expect("a verified token carries a 64-byte signature");
-                let replaced = self.entries.insert(
-                    signature.to_string(),
+                let replaced = self.insert(
+                    signature,
                     CachedVerification {
                         epoch,
                         claims: Arc::clone(claims),
                         challenge,
                     },
+                    validation.now,
                 );
                 matches!(replaced, Some(entry)
                     if entry.epoch == epoch && ct_eq(&entry.challenge, &challenge))

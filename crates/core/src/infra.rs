@@ -109,9 +109,8 @@ pub struct Infrastructure {
     /// Asset inventory.
     pub inventory: Arc<Inventory>,
     /// Per-source event-rate anomaly detector (tenet 7's feedback loop).
-    /// Fed from a SIEM ingest tap at batch-drain time.
+    /// Fed from a SIEM ingest tap at flush time; keeps its own findings.
     pub anomaly: Arc<AnomalyDetector>,
-    rate_anomalies: Arc<RwLock<Vec<RateAnomaly>>>,
     /// The policy decision point, wrapped in the epoch-invalidated
     /// decision memo (the kill switch bumps the memo epoch).
     pub pdp: MemoizedPdp,
@@ -382,18 +381,13 @@ impl Infrastructure {
         let inventory = Arc::new(Inventory::new());
         seed_inventory(&inventory, config.bastion_instances);
 
-        // The rate-anomaly detector taps the SIEM's ingest queue: every
-        // drained event is observed at batch-drain time, off the
-        // emitters' hot path.
+        // The rate-anomaly detector taps the SIEM: every stored event is
+        // observed at flush time, off the emitters' hot path.
         let anomaly = Arc::new(AnomalyDetector::new(AnomalyConfig::default()));
-        let rate_anomalies: Arc<RwLock<Vec<RateAnomaly>>> = Arc::new(RwLock::new(Vec::new()));
         {
             let anomaly = anomaly.clone();
-            let rate_anomalies = rate_anomalies.clone();
             siem.register_tap(Box::new(move |event| {
-                if let Some(found) = anomaly.observe(&event.source, event.at_ms) {
-                    rate_anomalies.write().push(found);
-                }
+                anomaly.observe(&event.source, event.at_ms);
             }));
         }
 
@@ -455,7 +449,6 @@ impl Infrastructure {
             tracer,
             inventory,
             anomaly,
-            rate_anomalies,
             pdp: MemoizedPdp::new(PolicyDecisionPoint::default(), pdp_shards),
             resilience,
             users: RwLock::new(HashMap::new()),
@@ -939,9 +932,9 @@ impl Infrastructure {
     // --- Telemetry --------------------------------------------------------------
 
     /// Emit a security event into the SIEM (the log-forwarder path):
-    /// fire-and-forget onto the SIEM's bounded ingest queue. Detection
-    /// rules and the per-source rate-anomaly detector run when the queue
-    /// is batch-drained (any SIEM accessor, or [`dri_siem::siem::Siem::flush`]).
+    /// fire-and-forget onto the SIEM's pending buffer. Detection rules
+    /// and the per-source rate-anomaly detector run when the buffer is
+    /// flushed (any SIEM accessor, or [`dri_siem::siem::Siem::flush`]).
     pub fn emit(
         &self,
         source: &str,
@@ -957,11 +950,11 @@ impl Infrastructure {
     }
 
     /// Rate anomalies flagged so far (statistical detections, distinct
-    /// from the SIEM's signature rules). Drains the SIEM queue first so
-    /// the answer reflects every event emitted before the call.
+    /// from the SIEM's signature rules). Flushes the SIEM first so the
+    /// answer reflects every event emitted before the call.
     pub fn rate_anomalies(&self) -> Vec<RateAnomaly> {
         self.siem.flush();
-        self.rate_anomalies.read().clone()
+        self.anomaly.findings()
     }
 
     /// Forward the network fabric's connection log into the SIEM (the

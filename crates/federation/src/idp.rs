@@ -6,6 +6,7 @@
 //! no longer affiliated with the organisational IdP"* (user story 3).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dri_clock::SimClock;
 use dri_crypto::ed25519::{SigningKey, VerifyingKey};
@@ -77,7 +78,7 @@ pub struct IdentityProvider {
     signing_key: SigningKey,
     clock: SimClock,
     users: RwLock<HashMap<String, UserRecord>>,
-    assertion_counter: RwLock<u64>,
+    assertion_counter: AtomicU64,
     faults: dri_fault::FaultHook,
 }
 
@@ -97,7 +98,7 @@ impl IdentityProvider {
             signing_key: SigningKey::from_seed(&seed),
             clock,
             users: RwLock::new(HashMap::new()),
-            assertion_counter: RwLock::new(0),
+            assertion_counter: AtomicU64::new(0),
             faults: dri_fault::FaultHook::default(),
         }
     }
@@ -210,8 +211,7 @@ impl IdentityProvider {
             None => "pwd",
         };
         let now = self.clock.now_secs();
-        let mut counter = self.assertion_counter.write();
-        *counter += 1;
+        let serial = self.assertion_counter.fetch_add(1, Ordering::Relaxed) + 1;
         let assertion = Assertion {
             issuer: self.entity_id.clone(),
             subject: user.attributes.eppn.clone(),
@@ -221,7 +221,7 @@ impl IdentityProvider {
             authn_context: authn_context.to_string(),
             loa: self.max_loa,
             attributes: user.attributes.to_attributes(),
-            assertion_id: format!("{}#{}", self.entity_id, *counter),
+            assertion_id: format!("{}#{serial}", self.entity_id),
         };
         Ok(assertion.sign(&self.signing_key))
     }

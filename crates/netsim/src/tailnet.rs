@@ -16,6 +16,7 @@
 //!   tailnet instantly.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use dri_broker::broker::Jwks;
 use dri_clock::{SimClock, SimRng};
@@ -24,7 +25,7 @@ use dri_crypto::hkdf;
 use dri_crypto::jwt::JwtError;
 use dri_crypto::x25519;
 use dri_sync::Snapshot;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 /// A device participating in the tailnet (lives with its owner; the
 /// private key never reaches the coordination server).
@@ -136,8 +137,8 @@ pub struct Tailnet {
     jwks: Snapshot<Jwks>,
     nodes: RwLock<HashMap<String, Enrollment>>,
     acl: RwLock<Vec<(String, String)>>, // (from, to) node-name pairs; "*" wildcard
-    down: RwLock<bool>,
-    nonce_counter: Mutex<u64>,
+    down: AtomicBool,
+    nonce_counter: AtomicU64,
     /// Fault-plane hook consulted on enrol/send (component `tailnet`).
     faults: dri_fault::FaultHook,
 }
@@ -153,8 +154,8 @@ impl Tailnet {
             jwks: Snapshot::new(jwks),
             nodes: RwLock::new(HashMap::new()),
             acl: RwLock::new(Vec::new()),
-            down: RwLock::new(false),
-            nonce_counter: Mutex::new(0),
+            down: AtomicBool::new(false),
+            nonce_counter: AtomicU64::new(0),
             faults: dri_fault::FaultHook::default(),
         }
     }
@@ -238,7 +239,7 @@ impl Tailnet {
     }
 
     fn check_path(&self, from: &str, to: &str) -> Result<([u8; 32], [u8; 32]), TailnetError> {
-        if *self.down.read() {
+        if self.down.load(Ordering::Acquire) {
             return Err(TailnetError::TailnetDown);
         }
         let now = self.clock.now_secs();
@@ -292,8 +293,7 @@ impl Tailnet {
             .map_err(|_| TailnetError::Unavailable)?;
         let (_from_pub, to_pub) = self.check_path(&from_node.name, to)?;
         let mut nonce = [0u8; 12];
-        let mut counter = self.nonce_counter.lock();
-        *counter += 1;
+        let counter = self.nonce_counter.fetch_add(1, Ordering::Relaxed) + 1;
         nonce[..8].copy_from_slice(&counter.to_le_bytes());
         Ok((from_node.seal(&to_pub, &nonce, plaintext), nonce))
     }
@@ -324,12 +324,12 @@ impl Tailnet {
 
     /// Kill switch: take the whole tailnet down.
     pub fn kill(&self) {
-        *self.down.write() = true;
+        self.down.store(true, Ordering::Release);
     }
 
     /// Restore the tailnet.
     pub fn restore(&self) {
-        *self.down.write() = false;
+        self.down.store(false, Ordering::Release);
     }
 
     /// Enrolled node count.

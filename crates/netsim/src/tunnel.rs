@@ -7,13 +7,14 @@
 //! frames are ChaCha20-Poly1305 AEAD protected in both directions.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dri_clock::{SimClock, SimRng};
 use dri_crypto::aead;
 use dri_crypto::hkdf;
 use dri_crypto::x25519;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::topology::{NetError, Network};
 
@@ -140,7 +141,7 @@ pub struct TunnelServer {
     /// The server's X25519 public key (clients use it in the handshake).
     pub server_public: [u8; 32],
     routes: RwLock<HashMap<String, Route>>,
-    nonce_counter: Mutex<u64>,
+    nonce_counter: AtomicU64,
 }
 
 impl TunnelServer {
@@ -154,7 +155,7 @@ impl TunnelServer {
             server_private,
             server_public,
             routes: RwLock::new(HashMap::new()),
-            nonce_counter: Mutex::new(0),
+            nonce_counter: AtomicU64::new(0),
         }
     }
 
@@ -214,11 +215,8 @@ impl TunnelServer {
             (route.session_key, route.backend.clone())
         };
         let mut nonce = [0u8; 12];
-        {
-            let mut counter = self.nonce_counter.lock();
-            *counter += 1;
-            nonce[..8].copy_from_slice(&counter.to_le_bytes());
-        }
+        let counter = self.nonce_counter.fetch_add(1, Ordering::Relaxed) + 1;
+        nonce[..8].copy_from_slice(&counter.to_le_bytes());
         // Server -> client frame: ChaCha20-Poly1305 with the route path
         // bound as associated data.
         let frame = aead::seal(&key, &nonce, b"zenith-req", &request.to_bytes());

@@ -61,11 +61,27 @@ struct SourceHistory {
     current_count: u64,
 }
 
+#[derive(Default)]
+struct DetectorState {
+    sources: HashMap<String, SourceHistory>,
+    /// Every finding so far, in observation order.
+    findings: Vec<RateAnomaly>,
+}
+
+/// Reads see the per-source histories.
+impl std::ops::Deref for DetectorState {
+    type Target = HashMap<String, SourceHistory>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.sources
+    }
+}
+
 /// Per-source event-rate anomaly detector.
 pub struct AnomalyDetector {
     /// Configuration.
     pub config: AnomalyConfig,
-    state: RwLock<HashMap<String, SourceHistory>>,
+    state: RwLock<DetectorState>,
 }
 
 impl AnomalyDetector {
@@ -73,21 +89,23 @@ impl AnomalyDetector {
     pub fn new(config: AnomalyConfig) -> AnomalyDetector {
         AnomalyDetector {
             config,
-            state: RwLock::new(HashMap::new()),
+            state: RwLock::new(DetectorState::default()),
         }
     }
 
     /// Record one event from `source` at `at_ms`; returns an anomaly if
     /// the *completed* bucket (when the event rolls time forward) was
-    /// anomalous against the source's baseline.
+    /// anomalous against the source's baseline. The finding is also kept
+    /// for [`AnomalyDetector::findings`].
     pub fn observe(&self, source: &str, at_ms: u64) -> Option<RateAnomaly> {
         let bucket_ms = self.config.bucket_ms;
         let bucket_start = (at_ms / bucket_ms) * bucket_ms;
-        let mut state = self.state.write();
+        let mut guard = self.state.write();
+        let state = &mut *guard;
         // Few sources exist: look the source up, and allocate its key
         // only the first time it is seen.
-        if !state.contains_key(source) {
-            state.insert(
+        if !state.sources.contains_key(source) {
+            state.sources.insert(
                 source.to_string(),
                 SourceHistory {
                     buckets: Vec::new(),
@@ -96,7 +114,7 @@ impl AnomalyDetector {
                 },
             );
         }
-        let hist = state.get_mut(source).expect("inserted above");
+        let hist = state.sources.get_mut(source).expect("inserted above");
 
         let mut finding = None;
         if bucket_start > hist.current_start_ms {
@@ -143,7 +161,15 @@ impl AnomalyDetector {
             hist.current_count = 0;
         }
         hist.current_count += 1;
+        if let Some(found) = &finding {
+            state.findings.push(found.clone());
+        }
         finding
+    }
+
+    /// Every anomaly flagged so far, in observation order.
+    pub fn findings(&self) -> Vec<RateAnomaly> {
+        self.state.read().findings.clone()
     }
 
     /// Number of sources being tracked.

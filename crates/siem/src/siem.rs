@@ -1,37 +1,39 @@
 //! The SIEM: ingestion, windowed detection rules, alerting and
 //! kill-switch recommendations.
 //!
-//! Ingestion is a bounded MPSC channel: producers on the login hot path
-//! call [`Siem::enqueue`], which is fire-and-forget (a `try_send`, no
-//! detection work, no state lock). Queued events are drained in batches
-//! — one state-lock acquisition per batch instead of per event — either
-//! lazily by any accessor ([`Siem::alerts`], [`Siem::event_count`], …)
-//! or explicitly via [`Siem::flush`], so every read still observes
-//! exactly the events enqueued before it.
+//! Producers on the login hot path call [`Siem::enqueue`], which only
+//! pushes the event onto a pending buffer under its own short lock: no
+//! detection work, no state lock. Pending events are stored in batches
+//! under the state lock, either lazily by any accessor
+//! ([`Siem::alerts`], [`Siem::event_count`], …) or explicitly via
+//! [`Siem::flush`].
 //!
-//! One drain runs at a time: a private mutex is held from dequeuing a
-//! batch through state update and taps. A reader whose flush finds the
-//! queue empty therefore still waits for a batch another thread
-//! dequeued but has not finished processing. Taps run under that mutex,
-//! so they must not call back into the SIEM.
+//! Everything past the pending buffer lives behind one state lock. A
+//! flush takes it, then takes the pending batch, sorts it into timeline
+//! order, stores it, runs detection and runs the taps over the stored
+//! tail, all under the same guard; readers flush and read through that
+//! guard too. The lock order is state → pending, and producers only
+//! ever take pending. So a read observes exactly the events enqueued
+//! before it, including a batch another thread took but has not
+//! finished storing. Taps run under the state lock, so they must not
+//! call back into the SIEM.
 
 use std::collections::{HashMap, VecDeque};
 
-use crossbeam::channel::{self, TrySendError};
 use dri_clock::{IdGen, SimClock};
 use dri_trace::TraceId;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::events::{EventKind, SecurityEvent, Severity};
 
-/// Callback invoked for every drained event (e.g. the rate-anomaly
-/// detector taps the stream at batch-drain time). Runs while the SIEM
-/// drains a batch; it must not call back into the SIEM.
+/// Callback invoked for every stored event (e.g. the rate-anomaly
+/// detector taps the stream at flush time). Runs under the SIEM's state
+/// lock; it must not call back into the SIEM.
 pub type IngestTap = Box<dyn Fn(&SecurityEvent) + Send + Sync>;
 
-/// Capacity of the bounded ingest queue. A full queue makes the
-/// enqueuing thread drain a batch itself (backpressure by work
-/// stealing), so events are never dropped.
+/// How many events the pending buffer holds. A producer that finds it
+/// full flushes a batch itself (backpressure by work stealing), so
+/// events are never dropped.
 const INGEST_QUEUE_CAP: usize = 4096;
 
 /// Detection thresholds (all sliding windows in milliseconds).
@@ -99,10 +101,14 @@ struct SiemState {
     windows: HashMap<(&'static str, String), VecDeque<u64>>,
     /// Per (rule, subject): suppress duplicate alerts until window rolls.
     alerted: HashMap<(&'static str, String), u64>,
-    events_ingested: u64,
-    /// Trace id -> indices into `events`, maintained at drain time so
+    /// Trace id -> indices into `events`, maintained at store time so
     /// pulling a flow's events is a lookup, not a scan.
     trace_index: HashMap<TraceId, Vec<usize>>,
+    /// Per-event observers, run over each stored batch.
+    taps: Vec<IngestTap>,
+    /// An empty buffer swapped in for the pending one at each flush, so
+    /// neither side reallocates once both have grown.
+    spare: Vec<SecurityEvent>,
 }
 
 impl SiemState {
@@ -115,7 +121,6 @@ impl SiemState {
                 .push(self.events.len());
         }
         self.events.push(event);
-        self.events_ingested += 1;
     }
 }
 
@@ -124,137 +129,106 @@ pub struct Siem {
     clock: SimClock,
     /// Detection thresholds.
     pub config: DetectionConfig,
-    state: RwLock<SiemState>,
-    /// Per-event observers run at batch-drain time.
-    taps: RwLock<Vec<IngestTap>>,
-    ingest_tx: channel::Sender<SecurityEvent>,
-    ingest_rx: channel::Receiver<SecurityEvent>,
-    /// Held from dequeuing a batch until its taps have run, so a flush
-    /// that finds the queue empty cannot overtake a batch still in
-    /// flight on another thread.
-    drain: Mutex<()>,
+    /// Stored events, detection state and taps; taken before `pending`.
+    state: Mutex<SiemState>,
+    /// Events enqueued but not yet stored.
+    pending: Mutex<Vec<SecurityEvent>>,
     ids: IdGen,
 }
 
 impl Siem {
     /// Create a SIEM with the given detection thresholds.
     pub fn new(clock: SimClock, config: DetectionConfig) -> Siem {
-        let (ingest_tx, ingest_rx) = channel::bounded(INGEST_QUEUE_CAP);
         Siem {
             clock,
             config,
-            state: RwLock::new(SiemState::default()),
-            taps: RwLock::new(Vec::new()),
-            ingest_tx,
-            ingest_rx,
-            drain: Mutex::new(()),
+            state: Mutex::new(SiemState::default()),
+            pending: Mutex::new(Vec::new()),
             ids: IdGen::new("alert"),
         }
     }
 
-    /// Register a per-event observer invoked at batch-drain time (e.g.
-    /// the rate-anomaly detector).
+    /// Register a per-event observer invoked at flush time (e.g. the
+    /// rate-anomaly detector).
     pub fn register_tap(&self, tap: IngestTap) {
-        self.taps.write().push(tap);
+        self.state.lock().taps.push(tap);
     }
 
-    /// Fire-and-forget ingestion: queue the event on the bounded channel
-    /// and return immediately — no detection work, no state lock. If the
-    /// queue is full, the caller drains a batch itself (backpressure by
-    /// work stealing) and retries; events are never dropped.
+    /// Fire-and-forget ingestion: push the event onto the pending buffer
+    /// and return — no detection work, no state lock. If the buffer is
+    /// full, the caller flushes a batch itself (backpressure by work
+    /// stealing) first; events are never dropped.
     pub fn enqueue(&self, event: SecurityEvent) {
-        let mut event = event;
-        loop {
-            match self.ingest_tx.try_send(event) {
-                Ok(()) => return,
-                Err(TrySendError::Full(back)) => {
-                    self.flush();
-                    event = back;
-                }
-                Err(TrySendError::Disconnected(back)) => {
-                    // The receiver lives as long as the SIEM; process
-                    // inline if it is somehow gone.
-                    let _drain = self.drain.lock();
-                    self.process_batch(vec![back]);
-                    return;
-                }
-            }
+        let mut pending = self.pending.lock();
+        while pending.len() >= INGEST_QUEUE_CAP {
+            drop(pending);
+            self.flush();
+            pending = self.pending.lock();
         }
+        pending.push(event);
     }
 
-    /// Drain everything queued and run detection, merging the batch into
-    /// state under a single lock acquisition. Returns alerts raised by
-    /// the drained events. Waits for any batch another thread is still
-    /// draining, so on return every event enqueued before the call has
+    /// Store everything pending and run detection. Returns alerts raised
+    /// by the stored events. Waits for any batch another thread is still
+    /// storing, so on return every event enqueued before the call has
     /// been stored, tapped and alerted on.
     pub fn flush(&self) -> Vec<Alert> {
-        let _drain = self.drain.lock();
-        self.drain_queue()
+        self.drain_pending(&mut self.state.lock())
     }
 
-    /// Dequeue and process one batch; the caller holds `drain`.
-    fn drain_queue(&self) -> Vec<Alert> {
-        let mut batch: Vec<SecurityEvent> = self.ingest_rx.try_iter().collect();
+    /// The state after a flush, still locked, for readers.
+    fn flushed(&self) -> MutexGuard<'_, SiemState> {
+        let mut state = self.state.lock();
+        self.drain_pending(&mut state);
+        state
+    }
+
+    /// Take the pending batch and store it; the caller holds `state`.
+    fn drain_pending(&self, state: &mut SiemState) -> Vec<Alert> {
+        let spare = std::mem::take(&mut state.spare);
+        let mut batch = std::mem::replace(&mut *self.pending.lock(), spare);
         // Merge concurrent producers into timeline order; the sort is
-        // stable, so same-timestamp events keep their queue order.
+        // stable, so same-timestamp events keep their enqueue order.
         batch.sort_by_key(|e| e.at_ms);
-        self.process_batch(batch)
+        let alerts = self.store_batch(state, batch.drain(..));
+        state.spare = batch;
+        alerts
     }
 
-    /// Number of events waiting in the ingest queue.
+    /// Number of events waiting in the pending buffer.
     pub fn pending(&self) -> usize {
-        self.ingest_rx.len()
+        self.pending.lock().len()
     }
 
     /// Ingest a batch of events synchronously, running detection on
-    /// each. Queued events are drained first so the timeline stays in
+    /// each. Pending events are stored first so the timeline stays in
     /// order; the returned alerts are those raised by `events`.
     pub fn ingest(&self, events: Vec<SecurityEvent>) -> Vec<Alert> {
-        let _drain = self.drain.lock();
-        self.drain_queue();
-        self.process_batch(events)
+        self.store_batch(&mut self.flushed(), events)
     }
 
-    fn process_batch(&self, events: Vec<SecurityEvent>) -> Vec<Alert> {
-        if events.is_empty() {
-            return Vec::new();
-        }
-        let mut new_alerts = Vec::new();
-        let first = {
-            // One lock acquisition for the whole batch; events move into
-            // the store.
-            let mut state = self.state.write();
-            let first = state.events.len();
-            for event in events {
-                if let Some(alert) = self.process(&mut state, event) {
-                    new_alerts.push(alert);
-                }
-            }
-            first
-        };
-        let taps = self.taps.read();
-        if !taps.is_empty() {
-            // Every event is stored, in batch order, and the caller holds
-            // `drain`, so the batch is exactly the store's tail.
-            let state = self.state.read();
-            for event in &state.events[first..] {
-                for tap in taps.iter() {
-                    tap(event);
-                }
+    /// Store `events` in order, running detection on each, then run the
+    /// taps over the stored tail.
+    fn store_batch(
+        &self,
+        state: &mut SiemState,
+        events: impl IntoIterator<Item = SecurityEvent>,
+    ) -> Vec<Alert> {
+        let first = state.events.len();
+        let new_alerts = events
+            .into_iter()
+            .filter_map(|event| self.process(state, event))
+            .collect();
+        for event in &state.events[first..] {
+            for tap in &state.taps {
+                tap(event);
             }
         }
         new_alerts
     }
 
     fn process(&self, state: &mut SiemState, event: SecurityEvent) -> Option<Alert> {
-        let (rule, key, threshold, window_ms, severity, recommendation): (
-            &'static str,
-            String,
-            usize,
-            u64,
-            Severity,
-            &'static str,
-        ) = match event.kind {
+        let (rule, key, threshold, window_ms, severity, recommendation) = match event.kind {
             EventKind::AuthnFailure => (
                 "credential-stuffing",
                 event.subject.clone(),
@@ -338,24 +312,20 @@ impl Siem {
         Some(alert)
     }
 
-    /// All alerts so far (drains any queued events first).
+    /// All alerts so far (stores pending events first).
     pub fn alerts(&self) -> Vec<Alert> {
-        self.flush();
-        self.state.read().alerts.clone()
+        self.flushed().alerts.clone()
     }
 
-    /// Total events ingested (drains any queued events first).
+    /// Total events ingested (stores pending events first).
     pub fn events_ingested(&self) -> u64 {
-        self.flush();
-        self.state.read().events_ingested
+        self.flushed().events.len() as u64
     }
 
-    /// Events matching a kind (forensics queries; drains the queue
+    /// Events matching a kind (forensics queries; stores pending events
     /// first).
     pub fn events_of_kind(&self, kind: EventKind) -> Vec<SecurityEvent> {
-        self.flush();
-        self.state
-            .read()
+        self.flushed()
             .events
             .iter()
             .filter(|e| e.kind == kind)
@@ -363,19 +333,17 @@ impl Siem {
             .collect()
     }
 
-    /// Count of stored events (drains the queue first).
+    /// Count of stored events (stores pending events first).
     pub fn event_count(&self) -> usize {
-        self.flush();
-        self.state.read().events.len()
+        self.flushed().events.len()
     }
 
     /// Every stored event correlated to `trace_id`, in ingest order —
     /// an index lookup (O(events-of-this-trace)), not a scan of the
     /// whole store. This is how `respond_to_alert` pulls the full
-    /// originating flow. Drains the queue first.
+    /// originating flow. Stores pending events first.
     pub fn events_for_trace(&self, trace_id: TraceId) -> Vec<SecurityEvent> {
-        self.flush();
-        let state = self.state.read();
+        let state = self.flushed();
         match state.trace_index.get(&trace_id) {
             Some(indices) => indices.iter().map(|&i| state.events[i].clone()).collect(),
             None => Vec::new(),
@@ -384,8 +352,7 @@ impl Siem {
 
     /// Number of distinct trace ids in the correlation index.
     pub fn indexed_trace_count(&self) -> usize {
-        self.flush();
-        self.state.read().trace_index.len()
+        self.flushed().trace_index.len()
     }
 }
 

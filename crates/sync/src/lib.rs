@@ -175,6 +175,29 @@ impl<V> ShardMap<V> {
         self.write_shard(&key).insert(key, value)
     }
 
+    /// Insert like [`ShardMap::insert`], but when the shard's table is
+    /// full (the insert would grow it) first drop that shard's entries
+    /// for which `stale` holds. A table still over half live after the
+    /// sweep doubles, so the next sweep is as many inserts away as it
+    /// has live entries: sweeping costs amortised O(1) per insert, and
+    /// lookups never sweep.
+    pub fn insert_sweeping(
+        &self,
+        key: String,
+        value: V,
+        mut stale: impl FnMut(&V) -> bool,
+    ) -> Option<V> {
+        let mut shard = self.write_shard(&key);
+        if shard.len() == shard.capacity() {
+            shard.retain(|_, v| !stale(v));
+            let live = shard.len();
+            if live < shard.capacity() && 2 * live > shard.capacity() {
+                shard.reserve(live);
+            }
+        }
+        shard.insert(key, value)
+    }
+
     /// Remove `key`, returning its value if present.
     pub fn remove(&self, key: &str) -> Option<V> {
         self.write_shard(key).remove(key)
@@ -430,6 +453,24 @@ mod tests {
         assert_eq!(m.remove_if("b", |&v| v > 3), None);
         assert_eq!(m.remove_if("b", |&v| v == 3), Some(3));
         assert_eq!(m.remove_if("b", |_| true), None);
+    }
+
+    #[test]
+    fn insert_sweeping_drops_stale_entries_only_when_full() {
+        let map: ShardMap<u64> = ShardMap::new(1);
+        for i in 0..1_000u64 {
+            map.insert_sweeping(format!("k{i}"), i, |v| *v < 500);
+        }
+        // Entries below 500 were swept at the fills after they were
+        // inserted; a sweep never drops a live entry.
+        assert!(map.len() < 1_000);
+        assert!((500..1_000).all(|i| map.contains_key(&format!("k{i}"))));
+        // A table that is not full is left alone.
+        let map: ShardMap<u64> = ShardMap::new(1);
+        map.insert("a".into(), 0);
+        map.write_shard("a").reserve(8);
+        map.insert_sweeping("b".into(), 1, |_| true);
+        assert_eq!(map.len(), 2);
     }
 
     #[test]

@@ -44,6 +44,10 @@ cargo test -q --offline -p dri-trace
 cargo test -q --offline -p isambard-dri --test trace_provenance
 cargo test -q --offline -p isambard-dri --test trace_golden
 
+echo "== SIEM ingest: read-your-writes, backpressure, timeline order =="
+cargo test -q --offline -p dri-siem
+cargo test -q --offline -p isambard-dri --test telemetry_anomaly
+
 echo "== resilience: fault plane + breaker/budget determinism =="
 cargo test -q --offline -p dri-fault
 cargo test -q --offline -p isambard-dri --test failure_injection

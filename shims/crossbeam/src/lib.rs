@@ -1,9 +1,8 @@
 //! Offline shim for the subset of `crossbeam` this workspace uses:
-//! `crossbeam::thread::scope` (backed by `std::thread::scope`) and
-//! `crossbeam::channel::bounded` (a Mutex+Condvar MPMC ring).
+//! `crossbeam::thread::scope`, backed by `std::thread::scope`.
 //!
-//! The build container has no registry access, so the workspace vendors
-//! these minimal std-backed implementations.
+//! The workspace builds without registry access, so it vendors this
+//! minimal std-backed implementation.
 
 pub mod thread {
     //! Scoped threads with crossbeam's `Result`-returning API.
@@ -61,226 +60,6 @@ pub mod thread {
     }
 }
 
-pub mod channel {
-    //! Bounded MPMC channel over `Mutex<VecDeque>` + `Condvar`.
-
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct Shared<T> {
-        queue: Mutex<State<T>>,
-        not_full: Condvar,
-        not_empty: Condvar,
-        capacity: usize,
-    }
-
-    struct State<T> {
-        items: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    /// Error from [`Sender::try_send`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is at capacity.
-        Full(T),
-        /// All receivers are gone.
-        Disconnected(T),
-    }
-
-    /// Error from [`Sender::send`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error from [`Receiver::try_recv`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// No message is currently queued.
-        Empty,
-        /// All senders are gone and the queue is drained.
-        Disconnected,
-    }
-
-    /// Error from [`Receiver::recv`].
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl<T> fmt::Display for TrySendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                TrySendError::Full(_) => write!(f, "sending on a full channel"),
-                TrySendError::Disconnected(_) => {
-                    write!(f, "sending on a disconnected channel")
-                }
-            }
-        }
-    }
-
-    /// Sending half of a bounded channel.
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Receiving half of a bounded channel.
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Create a bounded channel with room for `capacity` queued items.
-    pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(State {
-                items: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        });
-        (
-            Sender {
-                shared: shared.clone(),
-            },
-            Receiver { shared },
-        )
-    }
-
-    impl<T> Sender<T> {
-        /// Queue `item` without blocking.
-        pub fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
-            let mut state = self.shared.queue.lock().unwrap();
-            if state.receivers == 0 {
-                return Err(TrySendError::Disconnected(item));
-            }
-            if state.items.len() >= self.shared.capacity {
-                return Err(TrySendError::Full(item));
-            }
-            state.items.push_back(item);
-            drop(state);
-            self.shared.not_empty.notify_one();
-            Ok(())
-        }
-
-        /// Queue `item`, blocking while the channel is full.
-        pub fn send(&self, item: T) -> Result<(), SendError<T>> {
-            let mut state = self.shared.queue.lock().unwrap();
-            loop {
-                if state.receivers == 0 {
-                    return Err(SendError(item));
-                }
-                if state.items.len() < self.shared.capacity {
-                    state.items.push_back(item);
-                    drop(state);
-                    self.shared.not_empty.notify_one();
-                    return Ok(());
-                }
-                state = self.shared.not_full.wait(state).unwrap();
-            }
-        }
-
-        /// Number of items currently queued.
-        pub fn len(&self) -> usize {
-            self.shared.queue.lock().unwrap().items.len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Dequeue one item without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = self.shared.queue.lock().unwrap();
-            match state.items.pop_front() {
-                Some(item) => {
-                    drop(state);
-                    self.shared.not_full.notify_one();
-                    Ok(item)
-                }
-                None if state.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
-        /// Dequeue one item, blocking until one arrives or all senders
-        /// disconnect.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut state = self.shared.queue.lock().unwrap();
-            loop {
-                if let Some(item) = state.items.pop_front() {
-                    drop(state);
-                    self.shared.not_full.notify_one();
-                    return Ok(item);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError);
-                }
-                state = self.shared.not_empty.wait(state).unwrap();
-            }
-        }
-
-        /// Drain everything currently queued without blocking.
-        pub fn try_iter(&self) -> impl Iterator<Item = T> + '_ {
-            std::iter::from_fn(move || self.try_recv().ok())
-        }
-
-        /// Number of items currently queued.
-        pub fn len(&self) -> usize {
-            self.shared.queue.lock().unwrap().items.len()
-        }
-
-        /// Whether the queue is currently empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.shared.queue.lock().unwrap().senders += 1;
-            Sender {
-                shared: self.shared.clone(),
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.shared.queue.lock().unwrap().receivers += 1;
-            Receiver {
-                shared: self.shared.clone(),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut state = self.shared.queue.lock().unwrap();
-            state.senders -= 1;
-            if state.senders == 0 {
-                drop(state);
-                self.shared.not_empty.notify_all();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let mut state = self.shared.queue.lock().unwrap();
-            state.receivers -= 1;
-            if state.receivers == 0 {
-                drop(state);
-                self.shared.not_full.notify_all();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -305,34 +84,5 @@ mod tests {
             scope.spawn(|_| panic!("boom"));
         });
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn bounded_channel_backpressure() {
-        let (tx, rx) = crate::channel::bounded::<u32>(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert!(matches!(
-            tx.try_send(3),
-            Err(crate::channel::TrySendError::Full(3))
-        ));
-        assert_eq!(rx.try_recv().unwrap(), 1);
-        tx.try_send(3).unwrap();
-        let rest: Vec<_> = rx.try_iter().collect();
-        assert_eq!(rest, vec![2, 3]);
-        assert!(matches!(
-            rx.try_recv(),
-            Err(crate::channel::TryRecvError::Empty)
-        ));
-    }
-
-    #[test]
-    fn disconnection_is_observable() {
-        let (tx, rx) = crate::channel::bounded::<u32>(4);
-        drop(tx);
-        assert!(matches!(
-            rx.try_recv(),
-            Err(crate::channel::TryRecvError::Disconnected)
-        ));
     }
 }

@@ -18,6 +18,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use isambard_dri::core::{InfraConfig, Infrastructure};
+use isambard_dri::fault::FaultPlan;
 use isambard_dri::workload::{build_population, run_storm, StormMode};
 
 struct Counting;
@@ -116,9 +117,14 @@ fn storm_infra(verification_cache: bool, tracing: bool) -> (Infrastructure, Vec<
 /// left behind in it.
 fn storm_usage(verification_cache: bool, tracing: bool) -> Usage {
     let (infra, users) = storm_infra(verification_cache, tracing);
+    serial_storm_usage(&infra, &users)
+}
+
+/// Heap usage of one serial storm on a prepared infrastructure.
+fn serial_storm_usage(infra: &Infrastructure, users: &[(String, String)]) -> Usage {
     assert_eq!(users.len() as u64, USERS);
     counted(|| {
-        let result = run_storm(&infra, &users, StormMode::Serial);
+        let result = run_storm(infra, users, StormMode::Serial);
         assert_eq!(result.completed, users.len(), "{:?}", result.failures);
     })
 }
@@ -189,6 +195,28 @@ fn allocations_per_flow_are_pinned() {
         "tracing retains {:.1} bytes per flow, over {TRACING_RETAINED_BYTES_PER_FLOW}",
         retained as f64 / USERS as f64
     );
+
+    // A disarmed fault plane costs a flow nothing: an installed plan
+    // with no windows, and one whose windows cover the storm but is
+    // switched off, each allocate exactly what no plan does. This is the
+    // deterministic side of chaos_day's wall-clock guard (<= 2 %), which
+    // runs only on 4 or more cores. The reference storm runs here, not
+    // first, since the first storm on a thread also grows its reusable
+    // trace buffers.
+    let unplanned = storm_usage(true, true).allocs;
+    let covering = FaultPlan::new(9)
+        .outage("broker", 0, u64::MAX)
+        .flaky("edge", 500, 0, u64::MAX)
+        .latency("slurm", 2, 0, u64::MAX);
+    for (label, plan, armed) in [
+        ("windowless plan", FaultPlan::new(9), true),
+        ("disarmed covering plan", covering, false),
+    ] {
+        let (infra, users) = storm_infra(true, true);
+        infra.install_fault_plan(plan).set_enabled(armed);
+        let usage = serial_storm_usage(&infra, &users);
+        assert_eq!(usage.allocs, unplanned, "warm storm under a {label}");
+    }
 
     // One federated login plus story 4 (SSH through CA and bastion). Its
     // count has moved by about ten between repetitions, so it gets a
