@@ -54,8 +54,8 @@ fn storm_throughput(n: usize, workers: usize, tracing: bool) -> f64 {
 
 /// One storm at `n` users over `workers` threads against a fresh
 /// infrastructure with `shards` broker shards; returns (flows/s, p50,
-/// p99, steps).
-fn storm_run(n: usize, workers: usize, shards: usize) -> (f64, u64, u64, usize) {
+/// p99).
+fn storm_run(n: usize, workers: usize, shards: usize) -> (f64, u64, u64) {
     let infra = Infrastructure::new(big_config(shards));
     let users = storm_users(&infra, n);
     let result = run_storm(&infra, &users, StormMode::Parallel(workers));
@@ -64,7 +64,6 @@ fn storm_run(n: usize, workers: usize, shards: usize) -> (f64, u64, u64, usize) 
         result.throughput(),
         result.latency_quantile(0.50),
         result.latency_quantile(0.99),
-        result.steps_per_flow,
     )
 }
 
@@ -81,16 +80,16 @@ fn print_report() {
     }
     println!();
     println!(
-        "{:>6} {:>6} {:>10} {:>10} {:>12} {:>13} {:>8}",
-        "users", "steps", "p50(µs)", "p99(µs)", "coarse f/s", "sharded f/s", "speedup"
+        "{:>6} {:>10} {:>10} {:>12} {:>13} {:>8}",
+        "users", "p50(µs)", "p99(µs)", "coarse f/s", "sharded f/s", "speedup"
     );
     for n in [8usize, 16, 32, 45, 64, 128, 256, 512] {
-        let (coarse_fps, _, _, _) = storm_run(n, 8, 1);
-        let (sharded_fps, p50, p99, steps) = storm_run(n, 8, 16);
+        let (coarse_fps, _, _) = storm_run(n, 8, 1);
+        let (sharded_fps, p50, p99) = storm_run(n, 8, 16);
         let speedup = sharded_fps / coarse_fps.max(f64::MIN_POSITIVE);
         println!(
-            "{:>6} {:>6} {:>10} {:>10} {:>12.0} {:>13.0} {:>7.2}x",
-            n, steps, p50, p99, coarse_fps, sharded_fps, speedup
+            "{:>6} {:>10} {:>10} {:>12.0} {:>13.0} {:>7.2}x",
+            n, p50, p99, coarse_fps, sharded_fps, speedup
         );
         if n >= 256 && cores >= 4 {
             assert!(
@@ -107,7 +106,7 @@ fn print_report() {
         "workers", "flows/s", "p50(µs)", "p99(µs)"
     );
     for workers in [1usize, 2, 4, 8, 16] {
-        let (fps, p50, p99, _) = storm_run(256, workers, 16);
+        let (fps, p50, p99) = storm_run(256, workers, 16);
         println!("{workers:>8} {fps:>12.0} {p50:>10} {p99:>10}");
     }
 

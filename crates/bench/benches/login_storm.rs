@@ -45,9 +45,9 @@ fn storm_config(warm: bool) -> InfraConfig {
 }
 
 /// One storm against a fresh infrastructure; returns
-/// (flows/s, p50 µs, p99 µs, steps/flow) plus the infra for counter and
-/// trace inspection.
-fn storm_run(n: usize, mode: StormMode, warm: bool) -> (f64, u64, u64, usize, Infrastructure) {
+/// (flows/s, p50 µs, p99 µs) plus the infra for counter and trace
+/// inspection.
+fn storm_run(n: usize, mode: StormMode, warm: bool) -> (f64, u64, u64, Infrastructure) {
     let infra = Infrastructure::new(storm_config(warm));
     let users = storm_users(&infra, n);
     let result = run_storm(&infra, &users, mode);
@@ -56,7 +56,6 @@ fn storm_run(n: usize, mode: StormMode, warm: bool) -> (f64, u64, u64, usize, In
         result.throughput(),
         result.latency_quantile(0.50),
         result.latency_quantile(0.99),
-        result.steps_per_flow,
         infra,
     )
 }
@@ -93,7 +92,7 @@ fn print_report() {
             ("par(8)", StormMode::Parallel(8)),
         ] {
             let cold_fps = best_throughput(3, n, mode, false);
-            let (_, p50, p99, _, _) = storm_run(n, mode, true);
+            let (_, p50, p99, _) = storm_run(n, mode, true);
             let warm_fps = best_throughput(3, n, mode, true);
             let speedup = warm_fps / cold_fps.max(f64::MIN_POSITIVE);
             println!(
@@ -115,7 +114,7 @@ fn print_report() {
 
     // Cache effectiveness: counters from a serial warm run (a parallel
     // run counts the same: racing first misses count one miss per key).
-    let (_, _, _, steps_per_flow, warm_infra) = storm_run(45, StormMode::Serial, true);
+    let (_, _, _, warm_infra) = storm_run(45, StormMode::Serial, true);
     let m = warm_infra.metrics();
     println!("\n-- cache counters, N=45 serial warm storm --");
     println!(
@@ -157,9 +156,9 @@ fn print_report() {
     // serial vs parallel and cache on vs off (cache observations ride in
     // reserved `cache.` attrs that the exporter excludes).
     let serial_warm = chrome_trace(&warm_infra.tracer.all_spans());
-    let (_, _, _, _, par_infra) = storm_run(45, StormMode::Parallel(8), true);
+    let (_, _, _, par_infra) = storm_run(45, StormMode::Parallel(8), true);
     let parallel_warm = chrome_trace(&par_infra.tracer.all_spans());
-    let (_, _, _, _, cold_infra) = storm_run(45, StormMode::Serial, false);
+    let (_, _, _, cold_infra) = storm_run(45, StormMode::Serial, false);
     let serial_cold = chrome_trace(&cold_infra.tracer.all_spans());
     let serial_vs_parallel = serial_warm == parallel_warm;
     let warm_vs_cold = serial_warm == serial_cold;
@@ -190,7 +189,7 @@ fn print_report() {
         })
         .collect();
     let wall = |n: usize, mode: StormMode, warm: bool| {
-        let (fps, p50, p99, _, _) = storm_run(n, mode, warm);
+        let (fps, p50, p99, _) = storm_run(n, mode, warm);
         Value::obj([
             ("flows_per_sec", Value::u(fps.round() as u64)),
             ("p50_us", Value::u(p50)),
@@ -203,7 +202,6 @@ fn print_report() {
             "deterministic",
             Value::obj([
                 ("flows", Value::u(45)),
-                ("steps_per_flow", Value::u(steps_per_flow as u64)),
                 ("stage_steps", Value::Arr(stage_steps)),
                 (
                     "cache_serial_n45",

@@ -19,6 +19,11 @@ use crate::authz::AuthorizationSource;
 use crate::managed_idp::ManagedLogin;
 use crate::token_cache::TokenCache;
 
+/// Token introspection as a relying service holds it: `true` while the
+/// token id is live at the broker ([`IdentityBroker::introspect`]).
+/// Every service that accepts broker tokens takes one at construction.
+pub type IntrospectFn = Arc<dyn Fn(&str) -> bool + Send + Sync>;
+
 /// Where a session's identity came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdentitySource {
@@ -723,6 +728,13 @@ impl IdentityBroker {
                 !self.revoked_subjects.contains(subject) && self.clock.now_secs() < *exp
             })
             .unwrap_or(false)
+    }
+
+    /// This broker's [`introspect`](IdentityBroker::introspect) as an
+    /// [`IntrospectFn`] for a relying service.
+    pub fn introspector(self: &Arc<Self>) -> IntrospectFn {
+        let broker = self.clone();
+        Arc::new(move |jti| broker.introspect(jti))
     }
 
     /// Revoke a single token.

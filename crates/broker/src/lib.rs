@@ -38,7 +38,9 @@ pub mod oidc;
 pub mod token_cache;
 
 pub use authz::{AuthorizationSource, StaticAuthz};
-pub use broker::{BrokerError, IdentityBroker, IdentitySource, Jwks, SessionInfo, TokenPolicy};
+pub use broker::{
+    BrokerError, IdentityBroker, IdentitySource, IntrospectFn, Jwks, SessionInfo, TokenPolicy,
+};
 pub use managed_idp::{HardwareKey, ManagedIdp, ManagedIdpError};
 pub use oidc::{DeviceFlowError, DeviceGrant, OidcClient, OidcError, OidcProvider};
 pub use token_cache::TokenCache;

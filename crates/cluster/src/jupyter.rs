@@ -5,7 +5,7 @@
 //! * the **authenticator** runs on the login node at the MDC end of the
 //!   Zenith tunnel: it extracts the broker token from the `x-auth-token`
 //!   header, validates it against the broker JWKS (issuer, audience
-//!   `jupyter`, expiry, signature) and optionally introspects it;
+//!   `jupyter`, expiry, signature) and introspects it at the broker;
 //! * the **spawner** places a notebook session on a compute node via the
 //!   scheduler's interactive partition, bound to the user's per-project
 //!   UNIX account.
@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use dri_broker::broker::Jwks;
+use dri_broker::broker::{IntrospectFn, Jwks};
 use dri_clock::{IdGen, SimClock};
 use dri_crypto::json::Value;
 use dri_crypto::jwt::JwtError;
@@ -23,9 +23,6 @@ use crate::slurm::{Scheduler, SubmitError};
 
 /// Default shard count for the notebook session map.
 pub const DEFAULT_JUPYTER_SHARDS: usize = 16;
-
-/// Token-introspection callback (typically `IdentityBroker::introspect`).
-pub type IntrospectFn = Arc<dyn Fn(&str) -> bool + Send + Sync>;
 
 /// Jupyter failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,14 +98,16 @@ pub struct JupyterService {
     sessions: ShardMap<NotebookSession>,
     /// Live + in-flight session reservations.
     live: AtomicUsize,
-    introspect: Option<IntrospectFn>,
+    introspect: IntrospectFn,
     ids: IdGen,
 }
 
 impl JupyterService {
-    /// Create the service.
+    /// Create the service. `introspect` is the broker's revocation
+    /// check, consulted on every spawn after the JWKS validation.
     pub fn new(
         jwks: Jwks,
+        introspect: IntrospectFn,
         scheduler: Arc<Scheduler>,
         partition: impl Into<String>,
         capacity: usize,
@@ -123,15 +122,9 @@ impl JupyterService {
             scheduler,
             sessions: ShardMap::new(DEFAULT_JUPYTER_SHARDS),
             live: AtomicUsize::new(0),
-            introspect: None,
+            introspect,
             ids: IdGen::new("nb"),
         }
-    }
-
-    /// Attach a token-introspection callback.
-    pub fn with_introspection(mut self, check: IntrospectFn) -> JupyterService {
-        self.introspect = Some(check);
-        self
     }
 
     /// Refresh the JWKS snapshot (key rotation).
@@ -171,10 +164,8 @@ impl JupyterService {
             .load()
             .validate_shared(token, &self.audience, now)
             .map_err(JupyterError::BadToken)?;
-        if let Some(check) = &self.introspect {
-            if !check(&claims.token_id) {
-                return Err(JupyterError::TokenRevoked);
-            }
+        if !(self.introspect)(&claims.token_id) {
+            return Err(JupyterError::TokenRevoked);
         }
         if !claims.has_role("pi") && !claims.has_role("researcher") {
             return Err(JupyterError::RoleMissing);
@@ -306,15 +297,14 @@ mod tests {
             .unwrap();
         let scheduler = Arc::new(Scheduler::new(clock.clone()));
         scheduler.add_partition("interactive", 64, 1);
-        let broker2 = broker.clone();
         let service = JupyterService::new(
             broker.jwks(),
+            broker.introspector(),
             scheduler.clone(),
             "interactive",
             capacity,
             clock.clone(),
-        )
-        .with_introspection(Arc::new(move |jti| broker2.introspect(jti)));
+        );
         Fixture {
             service,
             broker,

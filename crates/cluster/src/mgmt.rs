@@ -6,8 +6,9 @@
 //! 1. **transport** — requests must arrive via the admin tailnet; a
 //!    request presented over any other path is rejected before the token
 //!    is even looked at;
-//! 2. **token** — a valid broker JWT with audience `mgmt-cluster`, ACR
-//!    `mfa-hw`, and the `sysadmin` role;
+//! 2. **token** — a valid, unrevoked broker JWT (JWKS validation plus
+//!    broker introspection) with audience `mgmt-cluster`, ACR `mfa-hw`,
+//!    and the `sysadmin` role;
 //! 3. **cluster ACL** — the subject must also appear on the cluster-local
 //!    access control list (the paper's "separate access control list on
 //!    the cluster level").
@@ -15,7 +16,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use dri_broker::broker::Jwks;
+use dri_broker::broker::{IntrospectFn, Jwks};
 use dri_clock::SimClock;
 use dri_crypto::jwt::JwtError;
 use dri_sync::Snapshot;
@@ -52,6 +53,8 @@ pub enum MgmtError {
     WrongTransport,
     /// Token validation failed.
     BadToken(JwtError),
+    /// Token revoked per introspection.
+    TokenRevoked,
     /// Token lacks the sysadmin role.
     RoleMissing,
     /// Token ACR is not hardware-key MFA.
@@ -65,6 +68,7 @@ impl std::fmt::Display for MgmtError {
         match self {
             MgmtError::WrongTransport => write!(f, "request must arrive via the admin tailnet"),
             MgmtError::BadToken(e) => write!(f, "token rejected: {e}"),
+            MgmtError::TokenRevoked => write!(f, "token revoked"),
             MgmtError::RoleMissing => write!(f, "sysadmin role required"),
             MgmtError::AcrTooWeak => write!(f, "hardware-key MFA required"),
             MgmtError::NotOnClusterAcl => write!(f, "subject not on cluster ACL"),
@@ -90,18 +94,26 @@ pub struct ManagementPlane {
     pub audience: String,
     clock: SimClock,
     jwks: Snapshot<Jwks>,
+    introspect: IntrospectFn,
     scheduler: Arc<Scheduler>,
     cluster_acl: RwLock<HashSet<String>>,
     ops_executed: RwLock<Vec<(u64, String, MgmtOp)>>,
 }
 
 impl ManagementPlane {
-    /// Create the management plane.
-    pub fn new(jwks: Jwks, scheduler: Arc<Scheduler>, clock: SimClock) -> ManagementPlane {
+    /// Create the management plane. `introspect` is the broker's
+    /// revocation check, part of the token layer.
+    pub fn new(
+        jwks: Jwks,
+        introspect: IntrospectFn,
+        scheduler: Arc<Scheduler>,
+        clock: SimClock,
+    ) -> ManagementPlane {
         ManagementPlane {
             audience: "mgmt-cluster".to_string(),
             clock,
             jwks: Snapshot::new(jwks),
+            introspect,
             scheduler,
             cluster_acl: RwLock::new(HashSet::new()),
             ops_executed: RwLock::new(Vec::new()),
@@ -141,6 +153,9 @@ impl ManagementPlane {
             .load()
             .validate_shared(token, &self.audience, now)
             .map_err(MgmtError::BadToken)?;
+        if !(self.introspect)(&claims.token_id) {
+            return Err(MgmtError::TokenRevoked);
+        }
         if !claims.has_role("sysadmin") {
             return Err(MgmtError::RoleMissing);
         }
@@ -222,7 +237,12 @@ mod tests {
             .unwrap();
         let scheduler = Arc::new(Scheduler::new(clock.clone()));
         scheduler.add_partition("gh", 8, 8);
-        let mgmt = ManagementPlane::new(broker.jwks(), scheduler.clone(), clock);
+        let mgmt = ManagementPlane::new(
+            broker.jwks(),
+            broker.introspector(),
+            scheduler.clone(),
+            clock,
+        );
         mgmt.acl_add("admin:dave");
         Fixture {
             mgmt,

@@ -263,16 +263,15 @@ impl Infrastructure {
         ));
 
         // --- SSH CA ------------------------------------------------------------
-        let broker_for_ca = broker.clone();
         let ssh_ca = Arc::new(
             SshCa::new(
                 rng.seed32(),
                 config.cert_ttl_secs,
                 clock.clone(),
                 broker.jwks(),
+                broker.introspector(),
                 portal.clone(),
             )
-            .with_introspection(Arc::new(move |jti| broker_for_ca.introspect(jti)))
             .with_fault_hook(faults.clone()),
         );
 
@@ -291,8 +290,13 @@ impl Infrastructure {
         );
 
         let tailnet = Arc::new(
-            Tailnet::new(broker.jwks(), config.tailnet_lease_secs, clock.clone())
-                .with_fault_hook(faults.clone()),
+            Tailnet::new(
+                broker.jwks(),
+                broker.introspector(),
+                config.tailnet_lease_secs,
+                clock.clone(),
+            )
+            .with_fault_hook(faults.clone()),
         );
         let mut tailnet_rng = rng.split();
         let mgmt_node = TailnetNode::generate("mdc-mgmt01", &mut tailnet_rng);
@@ -315,20 +319,18 @@ impl Infrastructure {
             .with_fault_hook(faults.clone()),
         );
 
-        let broker_for_jupyter = broker.clone();
-        let jupyter = Arc::new(
-            JupyterService::new(
-                broker.jwks(),
-                scheduler.clone(),
-                "interactive",
-                config.jupyter_capacity,
-                clock.clone(),
-            )
-            .with_introspection(Arc::new(move |jti| broker_for_jupyter.introspect(jti))),
-        );
+        let jupyter = Arc::new(JupyterService::new(
+            broker.jwks(),
+            broker.introspector(),
+            scheduler.clone(),
+            "interactive",
+            config.jupyter_capacity,
+            clock.clone(),
+        ));
 
         let mgmt = Arc::new(ManagementPlane::new(
             broker.jwks(),
+            broker.introspector(),
             scheduler.clone(),
             clock.clone(),
         ));

@@ -3,8 +3,11 @@
 //! The paper places externally managed kill switches at the bastion, the
 //! tailnets, and the tunnels, plus identity-layer revocation. This module
 //! orchestrates them so one call severs *everything* a subject holds:
-//! broker sessions and tokens, proxy account, bastion relays, login-node
-//! shells, notebooks, and batch jobs.
+//! broker sessions and tokens, proxy account, bastion relays, tailnet
+//! nodes, login-node shells, notebooks, and batch jobs. Every service that
+//! accepts broker tokens (the SSH CA, Jupyter, the tailnet and the
+//! management plane) introspects them, so a token minted before the kill
+//! is refused everywhere after it.
 
 use dri_broker::authz::AuthorizationSource;
 use dri_siem::events::{EventKind, SecurityEvent, Severity};
@@ -22,6 +25,8 @@ pub struct KillReport {
     pub proxy_suspended: bool,
     /// Bastion relay sessions severed.
     pub bastion_sessions_cut: usize,
+    /// Tailnet nodes the subject enrolled, now disabled.
+    pub tailnet_nodes_disabled: usize,
     /// Login-node shells severed.
     pub shells_cut: usize,
     /// Notebook sessions severed.
@@ -56,8 +61,10 @@ impl Infrastructure {
         self.broker.revoke_subject(subject);
         // Federation layer: suspend the community account if it is one.
         let proxy_suspended = self.proxy.set_suspended(subject, true).is_ok();
-        // Access layer: cut bastion relays and block re-entry.
+        // Access layer: cut bastion relays and block re-entry; disable
+        // the subject's tailnet nodes.
         let bastion_sessions_cut = self.bastion.block_user(subject);
+        let tailnet_nodes_disabled = self.tailnet.disable_subject(subject);
         // HPC layer: shells, notebooks, and the subject's project jobs.
         let shells_cut = self.login_node.sever_by_key_id(subject);
         let notebooks_cut = self.jupyter.sever_subject(subject);
@@ -88,6 +95,7 @@ impl Infrastructure {
             broker_revoked: true,
             proxy_suspended,
             bastion_sessions_cut,
+            tailnet_nodes_disabled,
             shells_cut,
             notebooks_cut,
             jobs_cancelled,
@@ -95,7 +103,8 @@ impl Infrastructure {
         }
     }
 
-    /// Reverse a user kill (post-incident reinstatement).
+    /// Reverse a user kill (post-incident reinstatement). Disabled
+    /// tailnet nodes stay disabled: the subject enrols them again.
     pub fn reinstate_user(&self, subject: &str) {
         self.broker.reinstate_subject(subject);
         let _ = self.proxy.set_suspended(subject, false);

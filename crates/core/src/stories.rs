@@ -1,9 +1,9 @@
 //! The six user stories of §IV-A, end to end.
 //!
-//! Each story returns an outcome struct carrying a `trace`: the ordered
-//! list of protocol steps that executed. The E2/E9 experiments report
-//! step counts as the deterministic "latency" metric, alongside
-//! wall-clock time from criterion.
+//! Each story runs as one traced flow: its root span (`story1.onboard_pi`
+//! … `story6.jupyter`) and the spans of every hop it crosses share one
+//! trace id, so `infra.tracer.all_spans()` is the record of what the
+//! flow did. The outcome structs carry only what the flow produced.
 
 use dri_broker::authz::AuthorizationSource;
 use dri_cluster::jupyter::NotebookSession;
@@ -34,8 +34,6 @@ pub struct PiOutcome {
     pub session_id: SessionId,
     /// The minted per-project UNIX account.
     pub unix_account: String,
-    /// Executed protocol steps.
-    pub trace: Vec<&'static str>,
 }
 
 /// Outcome of user story 2 (admin registration).
@@ -45,8 +43,6 @@ pub struct AdminOutcome {
     pub subject: Cuid,
     /// The admin's broker session.
     pub session_id: SessionId,
-    /// Executed protocol steps.
-    pub trace: Vec<&'static str>,
 }
 
 /// Outcome of user story 3 (researcher onboarding).
@@ -58,8 +54,6 @@ pub struct ResearcherOutcome {
     pub session_id: SessionId,
     /// The minted per-project UNIX account.
     pub unix_account: String,
-    /// Executed protocol steps.
-    pub trace: Vec<&'static str>,
 }
 
 /// Outcome of user story 4 (SSH connection).
@@ -71,8 +65,6 @@ pub struct SshOutcome {
     pub shell: ShellSession,
     /// Serial of the certificate used.
     pub cert_serial: u64,
-    /// Executed protocol steps.
-    pub trace: Vec<&'static str>,
 }
 
 /// Outcome of user story 5 (privileged operation).
@@ -80,8 +72,6 @@ pub struct SshOutcome {
 pub struct PrivilegedOpOutcome {
     /// The op result detail.
     pub detail: String,
-    /// Executed protocol steps.
-    pub trace: Vec<&'static str>,
 }
 
 /// Outcome of user story 6 (Jupyter).
@@ -89,8 +79,6 @@ pub struct PrivilegedOpOutcome {
 pub struct JupyterOutcome {
     /// The spawned notebook session.
     pub notebook: NotebookSession,
-    /// Executed protocol steps.
-    pub trace: Vec<&'static str>,
 }
 
 impl Infrastructure {
@@ -108,7 +96,6 @@ impl Infrastructure {
         let pi_label: UserLabel = pi_label.into();
         let pi_label = pi_label.as_str();
         let _flow = dri_trace::flow(&self.tracer, pi_label, "story1.onboard_pi", Stage::Flow);
-        let mut trace = Vec::with_capacity(8);
 
         // Allocator creates the project and the PI invitation.
         let now = self.clock.now_secs();
@@ -123,33 +110,28 @@ impl Infrastructure {
                 &format!("{pi_label}@example.org"),
             )
             .map_err(FlowError::Portal)?;
-        trace.push("allocator: create project + PI invitation");
 
         // PI registers at MyAccessID (works even though not yet authorised).
-        let cuid = self.establish_identity(pi_label, &mut trace)?;
+        let cuid = self.establish_identity(pi_label)?;
 
         // PI accepts the invitation (T&C acceptance included).
         let membership = self
             .portal
             .accept_invitation(&invitation.token, &cuid, true)
             .map_err(FlowError::Portal)?;
-        trace.push("portal: accept invitation + T&C");
 
         // Provision the UNIX account on the login node.
         self.login_node
             .provision_account(&membership.unix_account, project_name);
-        trace.push("login node: provision unix account");
 
         // Now the broker session succeeds (authorisation exists).
         let session = self.login_as(pi_label)?;
-        trace.push("broker: establish session");
 
         Ok(PiOutcome {
             project_id: project_id.into(),
             cuid: cuid.into(),
             session_id: session.into(),
             unix_account: membership.unix_account,
-            trace,
         })
     }
 
@@ -163,15 +145,12 @@ impl Infrastructure {
         let label: UserLabel = label.into();
         let label = label.as_str();
         let _flow = dri_trace::flow(&self.tracer, label, "story2.register_admin", Stage::Flow);
-        let mut trace = Vec::with_capacity(6);
         self.create_admin(label, &format!("{label}-initial-password"));
-        trace.push("admin idp: register account + enrol hardware key");
 
         // The human check (user story 2: "at least one human check").
         self.admin_idp
             .vet_user(label)
             .map_err(FlowError::ManagedIdp)?;
-        trace.push("ops: human identity vetting");
 
         let subject = format!("admin:{label}");
         // Per-service grants — explicitly not a global admin bit.
@@ -180,16 +159,12 @@ impl Infrastructure {
         self.portal
             .grant_admin(&subject, "mgmt-cluster", &["sysadmin"]);
         self.mgmt.acl_add(&subject);
-        trace.push("portal: per-service admin grants");
 
         let session = self.admin_login(label)?;
-        trace.push("admin idp: hardware-key login ceremony");
-        trace.push("broker: establish admin session");
 
         Ok(AdminOutcome {
             subject: subject.into(),
             session_id: session.session_id.into(),
-            trace,
         })
     }
 
@@ -214,7 +189,6 @@ impl Infrastructure {
             "story3.onboard_researcher",
             Stage::Flow,
         );
-        let mut trace = Vec::with_capacity(8);
         let pi_subject = self
             .subject_of(pi_label)
             .ok_or_else(|| FlowError::NotLoggedIn(pi_label.to_string()))?;
@@ -227,28 +201,23 @@ impl Infrastructure {
                 &format!("{researcher_label}@example.org"),
             )
             .map_err(FlowError::Portal)?;
-        trace.push("portal: PI invites researcher");
 
-        let cuid = self.establish_identity(researcher_label, &mut trace)?;
+        let cuid = self.establish_identity(researcher_label)?;
 
         let membership = self
             .portal
             .accept_invitation(&invitation.token, &cuid, true)
             .map_err(FlowError::Portal)?;
-        trace.push("portal: accept invitation + T&C");
 
         self.login_node
             .provision_account(&membership.unix_account, project_name);
-        trace.push("login node: provision unix account");
 
         let session = self.login_as(researcher_label)?;
-        trace.push("broker: establish session");
 
         Ok(ResearcherOutcome {
             cuid: cuid.into(),
             session_id: session.into(),
             unix_account: membership.unix_account,
-            trace,
         })
     }
 
@@ -263,7 +232,6 @@ impl Infrastructure {
         let label: UserLabel = label.into();
         let label = label.as_str();
         let _flow = dri_trace::flow(&self.tracer, label, "story4.ssh_connect", Stage::Flow);
-        let mut trace = Vec::with_capacity(10);
         let session_id = self.session_of(label)?;
 
         // PDP gate (tenet 4): dynamic decision before touching the CA.
@@ -271,7 +239,6 @@ impl Infrastructure {
         let subject = self.subject_of(label);
         let sensitivity = self.project_sensitivity(subject.as_deref(), project_name);
         self.consult_pdp_for(label, &session_id, "ssh-ca", sensitivity)?;
-        trace.push("pdp: dynamic access decision");
 
         // Take the user's SSH client out (create on first use).
         let mut client = {
@@ -297,8 +264,6 @@ impl Infrastructure {
                 let _ = self.oidc.approve_device(user_code, &session_id);
             },
         );
-        trace.push("oidc: device flow (user approves in browser)");
-        trace.push("ssh-ca: validate token + sign certificate");
 
         let outcome = match result {
             Ok(()) => {
@@ -314,7 +279,6 @@ impl Infrastructure {
                     .alias_for(project_name)
                     .cloned()
                     .ok_or(FlowError::Ca(dri_sshca::ca::CaError::NoPrincipals))?;
-                trace.push("client: write ProxyJump ssh aliases");
 
                 // Relay via the bastion (network + cert checks inside).
                 let relay = self
@@ -327,20 +291,17 @@ impl Infrastructure {
                         &alias.user,
                     )
                     .map_err(FlowError::Bastion)?;
-                trace.push("bastion: relay with certificate check");
 
                 // Login node: cert + possession proof.
                 let shell = self
                     .login_node
                     .open_session(&cert, &alias.user, |ch| client.sign_auth_challenge(ch))
                     .map_err(FlowError::Login)?;
-                trace.push("login node: certificate + key possession check");
 
                 Ok(SshOutcome {
                     relay,
                     shell,
                     cert_serial: cert.serial,
-                    trace,
                 })
             }
             Err(dri_sshca::client::ClientError::Device(e)) => Err(FlowError::Device(e)),
@@ -368,15 +329,12 @@ impl Infrastructure {
         let label: UserLabel = label.into();
         let label = label.as_str();
         let _flow = dri_trace::flow(&self.tracer, label, "story5.privileged_op", Stage::Flow);
-        let mut trace = Vec::with_capacity(8);
         let session_id = self.session_of(label)?;
 
         self.consult_pdp_for(label, &session_id, "mgmt-cluster", Sensitivity::Critical)?;
-        trace.push("pdp: dynamic access decision (critical)");
 
         // Token for tailnet enrolment.
         let (tailnet_token, _) = self.token_for(label, "mgmt-tailnet", Vec::new())?;
-        trace.push("broker: issue mgmt-tailnet token");
 
         // Enrol the admin's device.
         let node_name = format!("{label}-laptop");
@@ -384,7 +342,6 @@ impl Infrastructure {
         self.tailnet
             .enroll(&node, &tailnet_token)
             .map_err(FlowError::Tailnet)?;
-        trace.push("tailnet: enrol device with RBAC token");
 
         // Encrypted command to the management endpoint.
         let (frame, nonce) = self
@@ -404,16 +361,13 @@ impl Infrastructure {
                 dri_netsim::tailnet::TailnetError::DecryptFailed,
             ));
         }
-        trace.push("tailnet: encrypted command to management plane");
 
         // Cluster-level token + layered management-plane checks.
         let (cluster_token, _) = self.token_for(label, "mgmt-cluster", Vec::new())?;
-        trace.push("broker: issue mgmt-cluster token");
         let result = self
             .mgmt
             .execute(TransportPath::Tailnet, &cluster_token, op)
             .map_err(FlowError::Mgmt)?;
-        trace.push("mgmt: transport + token + cluster-ACL checks");
 
         self.emit(
             "mdc/mgmt01",
@@ -424,7 +378,6 @@ impl Infrastructure {
         );
         Ok(PrivilegedOpOutcome {
             detail: result.detail,
-            trace,
         })
     }
 
@@ -440,13 +393,11 @@ impl Infrastructure {
         let label: UserLabel = label.into();
         let label = label.as_str();
         let _flow = dri_trace::flow(&self.tracer, label, "story6.jupyter", Stage::Flow);
-        let mut trace = Vec::with_capacity(8);
         let session_id = self.session_of(label)?;
 
         let subject = self.subject_of(label);
         let sensitivity = self.project_sensitivity(subject.as_deref(), project_name);
         self.consult_pdp_for(label, &session_id, "jupyter", sensitivity)?;
-        trace.push("pdp: dynamic access decision");
 
         // Find the user's unix account for this project.
         let subject = subject.ok_or_else(|| FlowError::NotLoggedIn(label.to_string()))?;
@@ -469,7 +420,6 @@ impl Infrastructure {
                 ("project".to_string(), Value::s(project_name)),
             ],
         )?;
-        trace.push("broker: issue jupyter token");
 
         // Through the edge and the reverse tunnel. The W3C-style
         // `traceparent` header carries the flow context across the HTTP
@@ -496,8 +446,6 @@ impl Infrastructure {
                 )
             },
         )?;
-        trace.push("edge: DDoS scoring + forward");
-        trace.push("zenith: encrypted reverse tunnel to authenticator");
 
         if response.status != 200 {
             return Err(FlowError::UnexpectedStatus(
@@ -510,7 +458,6 @@ impl Infrastructure {
             .jupyter
             .session(&session_id)
             .expect("spawned session exists");
-        trace.push("jupyter: token validated, notebook spawned");
 
         self.emit(
             "mdc/login01",
@@ -519,35 +466,32 @@ impl Infrastructure {
             format!("notebook {} on job {}", notebook.id, notebook.job_id),
             Severity::Info,
         );
-        Ok(JupyterOutcome { notebook, trace })
+        Ok(JupyterOutcome { notebook })
     }
 
     // --- shared helpers ---------------------------------------------------------
 
+    /// Whether `label` logs in through the federation (otherwise the
+    /// IdP of last resort).
+    fn is_federated(&self, label: &str) -> Result<bool, FlowError> {
+        let users = self.users.read();
+        let user = users
+            .get(label)
+            .ok_or_else(|| FlowError::NoSuchUser(label.to_string()))?;
+        Ok(matches!(
+            user.kind,
+            crate::users::UserKind::Federated { .. }
+        ))
+    }
+
     /// Establish the user's community identity (route-dependent): for
     /// federated users, register at the proxy; last-resort users already
     /// carry their subject.
-    fn establish_identity(
-        &self,
-        label: &str,
-        trace: &mut Vec<&'static str>,
-    ) -> Result<String, FlowError> {
-        let is_federated = {
-            let users = self.users.read();
-            matches!(
-                users
-                    .get(label)
-                    .ok_or_else(|| FlowError::NoSuchUser(label.to_string()))?
-                    .kind,
-                crate::users::UserKind::Federated { .. }
-            )
-        };
-        if is_federated {
+    fn establish_identity(&self, label: &str) -> Result<String, FlowError> {
+        if self.is_federated(label)? {
             let (cuid, _wire) = self.proxy_authenticate(label)?;
-            trace.push("myaccessid: discovery + idp login + account registry");
             Ok(cuid)
         } else {
-            trace.push("last-resort idp: password + totp identity");
             self.subject_of(label)
                 .ok_or_else(|| FlowError::NoSuchUser(label.to_string()))
         }
@@ -555,17 +499,7 @@ impl Infrastructure {
 
     /// Login with whichever route the user has.
     fn login_as(&self, label: &str) -> Result<String, FlowError> {
-        let kind_is_federated = {
-            let users = self.users.read();
-            matches!(
-                users
-                    .get(label)
-                    .ok_or_else(|| FlowError::NoSuchUser(label.to_string()))?
-                    .kind,
-                crate::users::UserKind::Federated { .. }
-            )
-        };
-        let session = if kind_is_federated {
+        let session = if self.is_federated(label)? {
             self.federated_login(label)?
         } else {
             self.last_resort_login(label)?

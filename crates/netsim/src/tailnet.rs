@@ -6,19 +6,20 @@
 //!
 //! * each node holds an X25519 keypair; the coordination server only ever
 //!   sees public keys;
-//! * enrolment requires a valid admin token and yields a **time-limited
-//!   lease** — re-authentication is forced when it lapses;
+//! * enrolment requires a valid, unrevoked admin token (JWKS validation
+//!   plus broker introspection) and yields a **time-limited lease** —
+//!   re-authentication is forced when it lapses;
 //! * node-to-node traffic is end-to-end encrypted: X25519 ECDH → HKDF →
 //!   ChaCha20-Poly1305 AEAD with the sender name as associated data, and tampering is
 //!   detected;
 //! * ACLs restrict which nodes may talk;
-//! * the externally managed kill switch can drop one node or the whole
-//!   tailnet instantly.
+//! * the externally managed kill switch can drop one node, every node a
+//!   subject enrolled, or the whole tailnet instantly.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dri_broker::broker::Jwks;
+use dri_broker::broker::{IntrospectFn, Jwks};
 use dri_clock::{SimClock, SimRng};
 use dri_crypto::aead;
 use dri_crypto::hkdf;
@@ -83,6 +84,8 @@ impl TailnetNode {
 pub enum TailnetError {
     /// Enrolment token invalid.
     BadToken(JwtError),
+    /// Enrolment token revoked per introspection.
+    TokenRevoked,
     /// Token lacks the admin role.
     RoleMissing,
     /// Node not enrolled (or lease expired — re-enrol).
@@ -104,6 +107,7 @@ impl std::fmt::Display for TailnetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TailnetError::BadToken(e) => write!(f, "enrolment token rejected: {e}"),
+            TailnetError::TokenRevoked => write!(f, "enrolment token revoked"),
             TailnetError::RoleMissing => write!(f, "token lacks admin role"),
             TailnetError::NotEnrolled(n) => write!(f, "node {n} not enrolled"),
             TailnetError::AclDenied => write!(f, "ACL denies this path"),
@@ -135,6 +139,7 @@ pub struct Tailnet {
     pub lease_secs: u64,
     clock: SimClock,
     jwks: Snapshot<Jwks>,
+    introspect: IntrospectFn,
     nodes: RwLock<HashMap<String, Enrollment>>,
     acl: RwLock<Vec<(String, String)>>, // (from, to) node-name pairs; "*" wildcard
     down: AtomicBool,
@@ -144,14 +149,16 @@ pub struct Tailnet {
 }
 
 impl Tailnet {
-    /// Create a tailnet validating tokens against `jwks`.
-    pub fn new(jwks: Jwks, lease_secs: u64, clock: SimClock) -> Tailnet {
+    /// Create a tailnet validating enrolment tokens against `jwks` and
+    /// the broker's revocation check `introspect`.
+    pub fn new(jwks: Jwks, introspect: IntrospectFn, lease_secs: u64, clock: SimClock) -> Tailnet {
         Tailnet {
             audience: "mgmt-tailnet".to_string(),
             required_role: "sysadmin".to_string(),
             lease_secs,
             clock,
             jwks: Snapshot::new(jwks),
+            introspect,
             nodes: RwLock::new(HashMap::new()),
             acl: RwLock::new(Vec::new()),
             down: AtomicBool::new(false),
@@ -208,6 +215,9 @@ impl Tailnet {
             .load()
             .validate_shared(token, &self.audience, now)
             .map_err(TailnetError::BadToken)?;
+        if !(self.introspect)(&claims.token_id) {
+            return Err(TailnetError::TokenRevoked);
+        }
         if !claims.has_role(&self.required_role) {
             return Err(TailnetError::RoleMissing);
         }
@@ -315,6 +325,20 @@ impl Tailnet {
         }
     }
 
+    /// Kill switch: disable every node `subject` enrolled, in one sweep.
+    /// Returns how many were disabled. Only a fresh enrolment, which
+    /// needs a live token, brings a node back.
+    pub fn disable_subject(&self, subject: &str) -> usize {
+        let mut disabled = 0;
+        for e in self.nodes.write().values_mut() {
+            if e.subject == subject && !e.disabled {
+                e.disabled = true;
+                disabled += 1;
+            }
+        }
+        disabled
+    }
+
     /// Re-enable a node.
     pub fn enable_node(&self, name: &str) {
         if let Some(e) = self.nodes.write().get_mut(name) {
@@ -381,7 +405,12 @@ mod tests {
                 IdentitySource::AdminIdp,
             )
             .unwrap();
-        let tailnet = Tailnet::new(broker.jwks(), 4 * 3600, clock.clone());
+        let tailnet = Tailnet::new(
+            broker.jwks(),
+            broker.introspector(),
+            4 * 3600,
+            clock.clone(),
+        );
         Fixture {
             tailnet,
             broker,

@@ -2,7 +2,7 @@
 //!
 //! Signing path, per user story 4: the client presents a broker-issued
 //! token with audience `ssh-ca`; the CA validates it against the broker's
-//! JWKS, asks the authorisation source for the subject's per-project UNIX
+//! JWKS, introspects it at the broker, asks the authorisation source for the subject's per-project UNIX
 //! accounts, and signs a certificate whose principals are exactly those
 //! accounts. No accounts → no certificate.
 
@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dri_broker::authz::AuthorizationSource;
-use dri_broker::broker::Jwks;
+use dri_broker::broker::{IntrospectFn, Jwks};
 use dri_clock::SimClock;
 use dri_crypto::ed25519::{SigningKey, VerifyingKey};
 use dri_crypto::jwt::JwtError;
@@ -18,9 +18,6 @@ use dri_sync::Snapshot;
 use parking_lot::RwLock;
 
 use crate::cert::SshCertificate;
-
-/// Token-introspection callback (typically `IdentityBroker::introspect`).
-pub type IntrospectFn = Arc<dyn Fn(&str) -> bool + Send + Sync>;
 
 /// CA failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,18 +72,20 @@ pub struct SshCa {
     /// construction from the deployment config).
     pub cert_ttl_secs: u64,
     serial: AtomicU64,
-    /// Optional revocation check callback into the broker.
-    introspect: Option<IntrospectFn>,
+    /// Revocation check into the broker.
+    introspect: IntrospectFn,
     faults: dri_fault::FaultHook,
 }
 
 impl SshCa {
-    /// Create a CA.
+    /// Create a CA. `introspect` is the broker's revocation check, so a
+    /// revoked token cannot get a certificate signed.
     pub fn new(
         seed: [u8; 32],
         cert_ttl_secs: u64,
         clock: SimClock,
         jwks: Jwks,
+        introspect: IntrospectFn,
         authz: Arc<dyn AuthorizationSource>,
     ) -> SshCa {
         SshCa {
@@ -97,7 +96,7 @@ impl SshCa {
             authz,
             cert_ttl_secs,
             serial: AtomicU64::new(0),
-            introspect: None,
+            introspect,
             faults: dri_fault::FaultHook::default(),
         }
     }
@@ -108,13 +107,6 @@ impl SshCa {
     /// TTL (validation is offline against the CA public key).
     pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> SshCa {
         self.faults = hook;
-        self
-    }
-
-    /// Attach a token-introspection callback (typically
-    /// `IdentityBroker::introspect`) so revoked tokens can't sign.
-    pub fn with_introspection(mut self, check: IntrospectFn) -> SshCa {
-        self.introspect = Some(check);
         self
     }
 
@@ -151,10 +143,8 @@ impl SshCa {
             .load()
             .validate_shared(token, &self.audience, now)
             .map_err(CaError::BadToken)?;
-        if let Some(check) = &self.introspect {
-            if !check(&claims.token_id) {
-                return Err(CaError::TokenRevoked);
-            }
+        if !(self.introspect)(&claims.token_id) {
+            return Err(CaError::TokenRevoked);
         }
         if !claims.has_role("pi") && !claims.has_role("researcher") {
             return Err(CaError::RoleMissing);
@@ -225,15 +215,14 @@ mod tests {
                 IdentitySource::LastResort,
             )
             .unwrap();
-        let broker2 = broker.clone();
         let ca = SshCa::new(
             [32u8; 32],
             8 * 3600,
             clock.clone(),
             broker.jwks(),
+            broker.introspector(),
             authz.clone(),
-        )
-        .with_introspection(Arc::new(move |jti| broker2.introspect(jti)));
+        );
         Fixture {
             ca,
             broker,

@@ -199,7 +199,14 @@ mod tests {
             redirect_uri: "urn:ietf:wg:oauth:2.0:oob".into(),
             audience: "ssh-ca".into(),
         });
-        let ca = SshCa::new([42u8; 32], 4 * 3600, clock.clone(), broker.jwks(), authz);
+        let ca = SshCa::new(
+            [42u8; 32],
+            4 * 3600,
+            clock.clone(),
+            broker.jwks(),
+            broker.introspector(),
+            authz,
+        );
         Fixture {
             oidc,
             ca,

@@ -9,6 +9,21 @@
 use isambard_dri::cluster::MgmtOp;
 use isambard_dri::core::{InfraConfig, Infrastructure};
 
+/// Print the spans of `user`'s `root` flow, in the order they started:
+/// the tracer's record of every hop the story crossed.
+fn print_flow(infra: &Infrastructure, root: &str, user: &str) {
+    let spans = infra.tracer.all_spans();
+    let Some(flow) = spans
+        .iter()
+        .find(|s| s.name == root && s.attrs.iter().any(|(k, v)| k == "flow.key" && v == user))
+    else {
+        return;
+    };
+    for span in spans.iter().filter(|s| s.trace_id == flow.trace_id) {
+        println!("    - {}", span.name);
+    }
+}
+
 fn main() {
     // 1. Stand up the infrastructure of Fig. 1: federation, proxy,
     //    broker, portal, SSH CA, segmented network, bastion, tailnet,
@@ -27,9 +42,7 @@ fn main() {
         .story1_onboard_pi("climate-llm", "alice", 5_000.0)
         .expect("PI onboarding");
     println!("\n[story 1] PI onboarded:");
-    for step in &pi.trace {
-        println!("    - {step}");
-    }
+    print_flow(&infra, "story1.onboard_pi", "alice");
     println!(
         "    project={} cuid={} unix={}",
         pi.project_id, pi.cuid, pi.unix_account
@@ -47,9 +60,7 @@ fn main() {
         .story4_ssh_connect("ravi", "climate-llm")
         .expect("ssh story");
     println!("\n[story 4] ssh session:");
-    for step in &ssh.trace {
-        println!("    - {step}");
-    }
+    print_flow(&infra, "story4.ssh_connect", "ravi");
     println!(
         "    shell as {} on {} (cert serial {})",
         ssh.shell.account, ssh.relay.target, ssh.cert_serial

@@ -36,6 +36,9 @@ cargo build --release --offline
 echo "== examples build =="
 cargo build --release --offline --examples
 
+echo "== quickstart: all six user stories end to end =="
+cargo run --release --offline --example quickstart
+
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
@@ -55,7 +58,7 @@ cargo test -q --offline -p isambard-dri --test failure_injection six_chaos_drill
 cargo test -q --offline -p isambard-dri --test chaos_determinism
 
 echo "== degraded modes: no dropped sessions, no stale allows =="
-cargo test -q --offline -p isambard-dri --test degraded_modes
+cargo test -q --offline -p isambard-dri --test degraded_modes --test e11_killswitch
 
 echo "== chaos day (drills incl. data plane, budget ledger, siem feedback, trace shape, overhead guard) =="
 cargo run --release --offline --example chaos_day

@@ -1,6 +1,8 @@
 //! E11 — kill switches: from SIEM alert to severed sessions.
 
+use isambard_dri::cluster::{MgmtError, MgmtOp, TransportPath};
 use isambard_dri::core::{InfraConfig, Infrastructure};
+use isambard_dri::netsim::tailnet::{TailnetError, TailnetNode};
 use isambard_dri::siem::EventKind;
 
 fn victim_with_footholds() -> (Infrastructure, String) {
@@ -158,4 +160,47 @@ fn detection_to_containment_latency_is_bounded() {
         latency_ms <= infra.config.detection.token_window_ms,
         "latency {latency_ms}ms"
     );
+}
+
+#[test]
+fn kill_is_authoritative_on_the_admin_path() {
+    let infra = Infrastructure::new(InfraConfig::default());
+    let admin = infra.story2_register_admin("dave").unwrap();
+    let (cluster_token, _) = infra.token_for("dave", "mgmt-cluster", vec![]).unwrap();
+    let (tailnet_token, _) = infra.token_for("dave", "mgmt-tailnet", vec![]).unwrap();
+    let node = TailnetNode::generate("dave-node", &mut infra.rng.lock());
+    infra.tailnet.enroll(&node, &tailnet_token).unwrap();
+    assert!(infra.tailnet.send(&node, "mdc-mgmt01", b"ping").is_ok());
+
+    let report = infra.kill_user(&admin.subject);
+    assert_eq!(report.tailnet_nodes_disabled, 1);
+
+    // Tokens minted before the kill are refused by the management plane
+    // and the tailnet coordinator alike, and the enrolled node is cut.
+    assert_eq!(
+        infra.mgmt.execute(
+            TransportPath::Tailnet,
+            &cluster_token,
+            MgmtOp::DrainPartition("gh".into())
+        ),
+        Err(MgmtError::TokenRevoked)
+    );
+    let spare = TailnetNode::generate("dave-spare", &mut infra.rng.lock());
+    assert_eq!(
+        infra.tailnet.enroll(&spare, &tailnet_token),
+        Err(TailnetError::TokenRevoked)
+    );
+    assert_eq!(
+        infra.tailnet.send(&node, "mdc-mgmt01", b"ping"),
+        Err(TailnetError::NodeDisabled("dave-node".into()))
+    );
+
+    // Reinstatement lifts the revocation but not the node cut: the
+    // subject logs in and enrols again with a fresh token.
+    infra.reinstate_user(&admin.subject);
+    assert!(infra.tailnet.send(&node, "mdc-mgmt01", b"ping").is_err());
+    infra.admin_login("dave").unwrap();
+    let (fresh, _) = infra.token_for("dave", "mgmt-tailnet", vec![]).unwrap();
+    infra.tailnet.enroll(&node, &fresh).unwrap();
+    assert!(infra.tailnet.send(&node, "mdc-mgmt01", b"ping").is_ok());
 }

@@ -1,6 +1,8 @@
 //! E2 — Fig. 2: the login page's three identity routes, plus federation
 //! growth (partner IdPs appearing in discovery).
 
+mod common;
+
 use isambard_dri::core::{InfraConfig, Infrastructure};
 use isambard_dri::federation::LevelOfAssurance;
 
@@ -90,15 +92,26 @@ fn three_routes_yield_distinct_acr_classes() {
 
 #[test]
 fn login_steps_are_constant_per_route() {
-    // Protocol step counts don't depend on how many users exist.
+    // The hops of a federated onboarding don't depend on how many users
+    // exist: every user's story-1 flow records the same spans in the
+    // same order.
     let infra = Infrastructure::new(InfraConfig::default());
+    let hops = |label: &str| -> Vec<&'static str> {
+        common::flow_spans(&infra, "story1.onboard_pi", label)
+            .iter()
+            .map(|s| s.name)
+            .collect()
+    };
     infra.create_federated_user("u0", "pw");
-    let first = infra.story1_onboard_pi("p0", "u0", 1.0).unwrap();
+    infra.story1_onboard_pi("p0", "u0", 1.0).unwrap();
+    let first = hops("u0");
+    assert!(first.contains(&"login.proxy_authenticate"), "{first:?}");
     for i in 1..10 {
-        infra.create_federated_user(&format!("u{i}"), "pw");
-        let outcome = infra
-            .story1_onboard_pi(&format!("p{i}"), format!("u{i}"), 1.0)
+        let label = format!("u{i}");
+        infra.create_federated_user(&label, "pw");
+        infra
+            .story1_onboard_pi(&format!("p{i}"), label.as_str(), 1.0)
             .unwrap();
-        assert_eq!(outcome.trace.len(), first.trace.len());
+        assert_eq!(hops(&label), first, "user {label}");
     }
 }

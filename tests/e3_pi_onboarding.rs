@@ -1,5 +1,7 @@
 //! E3 — user story 1: PI onboarding with authorisation-led registration.
 
+mod common;
+
 use isambard_dri::broker::AuthorizationSource;
 use isambard_dri::broker::BrokerError;
 use isambard_dri::core::{FlowError, InfraConfig, Infrastructure};
@@ -25,13 +27,19 @@ fn full_pi_onboarding_pipeline() {
     let (_, claims) = infra.token_for("alice", "ssh-ca", vec![]).unwrap();
     assert!(claims.has_role("pi"));
 
-    // The trace shows the designed step order.
-    assert_eq!(
-        outcome.trace.first().unwrap(),
-        &"allocator: create project + PI invitation"
-    );
-    assert!(outcome.trace.contains(&"portal: accept invitation + T&C"));
-    assert!(outcome.trace.last().unwrap().contains("broker"));
+    // The flow's spans show the designed order: the project exists and
+    // the invitation is accepted before the broker establishes a session.
+    const HOPS: [&str; 3] = [
+        "portal.create_project",
+        "portal.accept_invitation",
+        "broker.establish",
+    ];
+    let hops: Vec<&str> = common::flow_spans(&infra, "story1.onboard_pi", "alice")
+        .iter()
+        .map(|s| s.name)
+        .filter(|name| HOPS.contains(name))
+        .collect();
+    assert_eq!(hops, HOPS);
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! E4 — user story 2: administrators-only accounts with hardware MFA.
 
+mod common;
+
 use isambard_dri::broker::BrokerError;
 use isambard_dri::core::{FlowError, InfraConfig, Infrastructure};
 
@@ -14,7 +16,15 @@ fn admin_registration_and_login() {
     // He can mint admin tokens.
     let (_, claims) = infra.token_for("dave", "mgmt-tailnet", vec![]).unwrap();
     assert!(claims.has_role("sysadmin"));
-    assert!(outcome.trace.contains(&"ops: human identity vetting"));
+    // The hardware-key login ceremony precedes the broker session.
+    let hops: Vec<&str> = common::flow_spans(&infra, "story2.register_admin", "dave")
+        .iter()
+        .map(|s| s.name)
+        .collect();
+    assert_eq!(
+        hops,
+        ["story2.register_admin", "login.admin", "broker.establish"]
+    );
 }
 
 #[test]

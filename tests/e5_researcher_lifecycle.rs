@@ -1,6 +1,8 @@
 //! E5 — user story 3: researcher onboarding, privilege boundaries, and
 //! lifecycle revocation (removal by PI, IdP deprovisioning).
 
+mod common;
+
 use isambard_dri::broker::AuthorizationSource;
 use isambard_dri::broker::BrokerError;
 use isambard_dri::core::{Cuid, FlowError, InfraConfig, Infrastructure, ProjectId};
@@ -36,6 +38,18 @@ fn researcher_gets_researcher_role_not_pi() {
     let (_, claims) = s.infra.token_for("ravi", "ssh-ca", vec![]).unwrap();
     assert!(claims.has_role("researcher"));
     assert!(!claims.has_role("pi"));
+    // The PI's invitation is accepted before the broker session exists.
+    const HOPS: [&str; 3] = [
+        "portal.invite_researcher",
+        "portal.accept_invitation",
+        "broker.establish",
+    ];
+    let hops: Vec<&str> = common::flow_spans(&s.infra, "story3.onboard_researcher", "ravi")
+        .iter()
+        .map(|s| s.name)
+        .filter(|name| HOPS.contains(name))
+        .collect();
+    assert_eq!(hops, HOPS);
 }
 
 #[test]

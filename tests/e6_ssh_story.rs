@@ -1,6 +1,8 @@
 //! E6 — user story 4: SSH to the AI platform with short-lived
 //! certificates and the transparent bastion.
 
+mod common;
+
 use isambard_dri::cluster::LoginError;
 use isambard_dri::core::{FlowError, InfraConfig, Infrastructure};
 use isambard_dri::netsim::BastionError;
@@ -27,10 +29,21 @@ fn ssh_story_end_to_end() {
     assert_eq!(outcome.relay.principal, outcome.shell.account);
     assert!(infra.bastion.session_alive(&outcome.relay.id));
     assert!(infra.login_node.session_alive(&outcome.shell.id));
-    // The trace covers every designed hop.
-    assert!(outcome.trace.iter().any(|s| s.contains("device flow")));
-    assert!(outcome.trace.iter().any(|s| s.contains("bastion")));
-    assert!(outcome.trace.iter().any(|s| s.contains("possession")));
+    // The flow's spans cover every designed hop, in order: an `ssh-ca`
+    // token, the CA signing, the bastion relay, the login node.
+    const HOPS: [&str; 4] = [
+        "broker.issue_token",
+        "sshca.sign_request",
+        "bastion.relay",
+        "login.open_session",
+    ];
+    let spans = common::flow_spans(&infra, "story4.ssh_connect", "alice");
+    let hops: Vec<_> = spans.iter().filter(|s| HOPS.contains(&s.name)).collect();
+    assert_eq!(hops.iter().map(|s| s.name).collect::<Vec<_>>(), HOPS);
+    assert!(hops[0]
+        .attrs
+        .iter()
+        .any(|(k, v)| k == "aud" && v == "ssh-ca"));
 }
 
 #[test]

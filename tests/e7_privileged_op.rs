@@ -1,5 +1,7 @@
 //! E7 — user story 5: privileged operations through layered enforcement.
 
+mod common;
+
 use isambard_dri::cluster::{MgmtError, MgmtOp, TransportPath};
 use isambard_dri::core::{FlowError, InfraConfig, Infrastructure};
 
@@ -18,14 +20,29 @@ fn privileged_op_end_to_end() {
         .story5_privileged_op("dave", MgmtOp::CancelUserJobs("u-rogue".into()))
         .unwrap();
     assert_eq!(outcome.detail, "cancelled 1 jobs of u-rogue");
-    // Every layer appears in the trace.
-    assert!(outcome.trace.iter().any(|s| s.contains("tailnet: enrol")));
-    assert!(outcome
-        .trace
+    // The flow's spans show the device enrolled on the tailnet with a
+    // `mgmt-tailnet` token and the command sent over it, before the
+    // `mgmt-cluster` token the management plane checks.
+    let spans = common::flow_spans(&infra, "story5.privileged_op", "dave");
+    let hops: Vec<(&str, Option<&str>)> = spans
         .iter()
-        .any(|s| s.contains("encrypted command")));
-    assert!(outcome.trace.iter().any(|s| s.contains("cluster-ACL")));
-    // And the op is in the management audit log.
+        .filter(|s| s.name.starts_with("tailnet.") || s.name == "broker.issue_token")
+        .map(|s| {
+            let aud = s.attrs.iter().find(|(k, _)| k == "aud");
+            (s.name, aud.map(|(_, v)| v.as_str()))
+        })
+        .collect();
+    assert_eq!(
+        hops,
+        [
+            ("broker.issue_token", Some("mgmt-tailnet")),
+            ("tailnet.enroll", None),
+            ("tailnet.send", None),
+            ("broker.issue_token", Some("mgmt-cluster")),
+        ]
+    );
+    // The management plane's layers (token, cluster ACL) have no span:
+    // the op in its audit log shows they passed.
     assert_eq!(infra.mgmt.audit_log().len(), 1);
 }
 

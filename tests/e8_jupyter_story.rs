@@ -1,6 +1,8 @@
 //! E8 — user story 6: Jupyter via the edge, the reverse tunnel, and the
 //! token-validating authenticator.
 
+mod common;
+
 use isambard_dri::cluster::JobState;
 use isambard_dri::core::{FlowError, InfraConfig, Infrastructure};
 use isambard_dri::netsim::{EdgeError, HttpRequest, TunnelError};
@@ -27,10 +29,14 @@ fn jupyter_story_end_to_end() {
     assert_eq!(job.partition, "interactive");
     assert_eq!(job.user, outcome.notebook.unix_account);
     assert_eq!(outcome.notebook.project, "climate-llm");
-    // The trace names every hop of Fig. 1's web path.
-    assert!(outcome.trace.iter().any(|s| s.contains("edge")));
-    assert!(outcome.trace.iter().any(|s| s.contains("reverse tunnel")));
-    assert!(outcome.trace.iter().any(|s| s.contains("notebook spawned")));
+    // The flow's spans name every hop of Fig. 1's web path, in order.
+    const HOPS: [&str; 3] = ["edge.handle", "tunnel.handle", "jupyter.spawn"];
+    let hops: Vec<&str> = common::flow_spans(&infra, "story6.jupyter", "alice")
+        .iter()
+        .map(|s| s.name)
+        .filter(|name| HOPS.contains(name))
+        .collect();
+    assert_eq!(hops, HOPS);
 }
 
 #[test]

@@ -228,14 +228,13 @@ fn storm_config(cache: bool) -> InfraConfig {
 
 /// Run a 16-user storm; return the deterministic outcome tuple plus the
 /// exported chrome trace.
-fn storm_outcome(cache: bool, mode: StormMode) -> (usize, Vec<(String, String)>, usize, String) {
+fn storm_outcome(cache: bool, mode: StormMode) -> (usize, Vec<(String, String)>, String) {
     let infra = Infrastructure::new(storm_config(cache));
     let users = build_population(&infra, 2, 7).unwrap().members();
     let r = run_storm(&infra, &users, mode);
     (
         r.completed,
         r.failures.clone(),
-        r.steps_per_flow,
         chrome_trace(&infra.tracer.all_spans()),
     )
 }
