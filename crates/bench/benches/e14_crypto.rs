@@ -72,9 +72,41 @@ fn benches(c: &mut Criterion) {
         b.iter(|| black_box(hmac::hmac_sha256(b"key", &data)))
     });
 
+    // Field operations as latency-bound chains: each result is the next
+    // call's input, as in point arithmetic.
+    let fe = Fe::from_bytes(&[0x5au8; 32]);
+    let other = Fe::from_bytes(&[0xa5u8; 32]);
+    let mut x = fe;
+    c.bench_function("e14/fe25519_mul", |b| {
+        b.iter(|| {
+            x = x.mul(black_box(other));
+            x
+        })
+    });
+    let mut x = fe;
+    c.bench_function("e14/fe25519_square", |b| {
+        b.iter(|| {
+            x = black_box(x).square();
+            x
+        })
+    });
+    let mut x = fe;
+    c.bench_function("e14/fe25519_add", |b| {
+        b.iter(|| {
+            x = x.add(black_box(other));
+            x
+        })
+    });
+    let mut x = fe;
+    c.bench_function("e14/fe25519_sub", |b| {
+        b.iter(|| {
+            x = x.sub(black_box(other));
+            x
+        })
+    });
+
     // The two primitives under sign and verify: a field inversion (one
     // per compression) and a fixed-base multiplication [s]B.
-    let fe = Fe::from_bytes(&[0x5au8; 32]);
     c.bench_function("e14/fe25519_invert", |b| {
         b.iter(|| black_box(black_box(fe).invert()))
     });

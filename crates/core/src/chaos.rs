@@ -285,7 +285,7 @@ impl Infrastructure {
                 &subject,
                 format!(
                     "drill: severed {} footholds under active fault {fault_id}",
-                    report.bastion_sessions_cut + report.shells_cut + report.notebooks_cut
+                    report.footholds()
                 ),
                 Severity::High,
             )

@@ -37,6 +37,17 @@ pub struct KillReport {
     pub at_ms: u64,
 }
 
+impl KillReport {
+    /// Live footholds severed: bastion relays, tailnet nodes, shells
+    /// and notebooks.
+    pub fn footholds(&self) -> usize {
+        self.bastion_sessions_cut
+            + self.tailnet_nodes_disabled
+            + self.shells_cut
+            + self.notebooks_cut
+    }
+}
+
 impl Infrastructure {
     /// Activate the full kill chain for one subject.
     pub fn kill_user(&self, subject: &str) -> KillReport {
@@ -83,8 +94,8 @@ impl Infrastructure {
                 EventKind::KillSwitch,
                 subject,
                 format!(
-                    "kill chain: bastion={bastion_sessions_cut} shells={shells_cut} \
-                     notebooks={notebooks_cut} jobs={jobs_cancelled}"
+                    "kill chain: bastion={bastion_sessions_cut} tailnet={tailnet_nodes_disabled} \
+                     shells={shells_cut} notebooks={notebooks_cut} jobs={jobs_cancelled}"
                 ),
                 Severity::Critical,
             )
@@ -162,7 +173,7 @@ impl Infrastructure {
                 format!(
                     "killed subject {}: {} live footholds severed",
                     alert.subject,
-                    report.bastion_sessions_cut + report.shells_cut + report.notebooks_cut
+                    report.footholds()
                 )
             }
             "isolate-host" => match self.network.isolate(&alert.subject) {

@@ -1,9 +1,15 @@
 //! Arithmetic in GF(2^255 − 19), the base field of Curve25519 / edwards25519.
 //!
-//! Elements are held as four 64-bit little-endian limbs, always reduced to
-//! `[0, p)` after every public operation. Multiplication uses schoolbook
-//! 4×4 limb products accumulated in `u128`, squaring the 10 distinct
-//! products, both followed by the standard `2^256 ≡ 38 (mod p)` fold.
+//! Elements are held as four 64-bit little-endian limbs, reduced lazily:
+//! an `Fe` may hold *any* 256-bit value congruent to its element, not
+//! only the canonical one in `[0, p)`. `add`, `sub` and `neg` are
+//! branch-free carry (borrow) chains that fold a carry-out (borrow-out)
+//! back in as +38 (−38), since `2^256 ≡ 38 (mod p)`. `mul`, `square` and
+//! `mul_small` multiply-accumulate straight-line into eight limbs in
+//! `u128` and fold the top four back with one multiplication by 38;
+//! nothing compares against p. The canonical value is computed only where
+//! an element is observed: `to_bytes`, `==`, `is_zero`, `is_negative`,
+//! and the input to `invert`.
 //! Inversion is Bernstein–Yang safegcd (variable-time divsteps in batches
 //! of 62 on signed 62-bit limbs, after libsecp256k1's `modinv64_var`); the
 //! decompression power keeps the ref10 addition chain. This is
@@ -18,9 +24,65 @@ pub const P: [u64; 4] = [
     0x7fff_ffff_ffff_ffff,
 ];
 
-/// An element of GF(2^255 − 19), kept fully reduced.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// The low 63 bits of a limb: bits 0..255 of the top limb.
+const LOW_63: u64 = u64::MAX >> 1;
+
+/// An element of GF(2^255 − 19): any 256-bit value congruent to it.
+/// Equality compares canonical values.
+#[derive(Clone, Copy, Debug)]
 pub struct Fe(pub [u64; 4]);
+
+impl PartialEq for Fe {
+    fn eq(&self, other: &Fe) -> bool {
+        self.canonical() == other.canonical()
+    }
+}
+
+impl Eq for Fe {}
+
+/// `a + b + carry` as (low limb, carry-out).
+#[inline(always)]
+fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = a as u128 + b as u128 + carry as u128;
+    (t as u64, (t >> 64) as u64)
+}
+
+/// `a − b − borrow` as (low limb, borrow-out).
+#[inline(always)]
+fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+    let (d, b1) = a.overflowing_sub(b);
+    let (d, b2) = d.overflowing_sub(borrow);
+    (d, (b1 | b2) as u64)
+}
+
+/// `acc + a·b + carry` as (low limb, high limb); cannot overflow.
+#[inline(always)]
+fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let t = acc as u128 + (a as u128) * (b as u128) + carry as u128;
+    (t as u64, (t >> 64) as u64)
+}
+
+/// `r + c·2^256` folded to 256 bits as `r + 38·c`, for `c < 2^58`.
+#[inline(always)]
+fn fold_carry(r: [u64; 4], c: u64) -> [u64; 4] {
+    let (r0, c) = adc(r[0], 38 * c, 0);
+    let (r1, c) = adc(r[1], 0, c);
+    let (r2, c) = adc(r[2], 0, c);
+    let (r3, c) = adc(r[3], 0, c);
+    // A second carry-out leaves r below 38·c, so this cannot overflow.
+    [r0 + 38 * c, r1, r2, r3]
+}
+
+/// Reduce an 8-limb (512-bit) product to 256 bits: `lo + 38·hi`, then
+/// the carry-out folded once more.
+#[inline(always)]
+fn reduce_wide(r: [u64; 8]) -> Fe {
+    let (l0, c) = mac(r[0], r[4], 38, 0);
+    let (l1, c) = mac(r[1], r[5], 38, c);
+    let (l2, c) = mac(r[2], r[6], 38, c);
+    let (l3, c) = mac(r[3], r[7], 38, c);
+    Fe(fold_carry([l0, l1, l2, l3], c))
+}
 
 // Explicit arithmetic method names (`add`, `sub`, `mul`, `neg`) are
 // deliberate here: operator overloading would hide the cost and the
@@ -33,55 +95,70 @@ impl Fe {
     pub const ONE: Fe = Fe([1, 0, 0, 0]);
 
     /// Construct from little-endian bytes, ignoring the top bit (RFC 7748
-    /// / 8032 convention) and reducing mod p.
+    /// / 8032 convention); the value need not be below p.
     pub fn from_bytes(b: &[u8; 32]) -> Fe {
         let mut limbs = [0u64; 4];
-        for i in 0..4 {
-            let mut chunk = [0u8; 8];
-            chunk.copy_from_slice(&b[i * 8..i * 8 + 8]);
-            limbs[i] = u64::from_le_bytes(chunk);
+        for (limb, chunk) in limbs.iter_mut().zip(b.chunks_exact(8)) {
+            *limb = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         }
-        limbs[3] &= 0x7fff_ffff_ffff_ffff;
-        let mut fe = Fe(limbs);
-        fe.reduce_once();
-        fe
+        limbs[3] &= LOW_63;
+        Fe(limbs)
     }
 
-    /// Serialize to 32 little-endian bytes (fully reduced, top bit clear).
+    /// Serialize to 32 little-endian bytes (canonical, top bit clear).
     pub fn to_bytes(self) -> [u8; 32] {
         let mut out = [0u8; 32];
-        for i in 0..4 {
-            out[i * 8..i * 8 + 8].copy_from_slice(&self.0[i].to_le_bytes());
+        for (chunk, limb) in out.chunks_exact_mut(8).zip(self.canonical()) {
+            chunk.copy_from_slice(&limb.to_le_bytes());
         }
         out
     }
 
-    /// Subtract p once if the value is ≥ p.
-    fn reduce_once(&mut self) {
-        if geq(&self.0, &P) {
-            self.0 = sub_raw(&self.0, &P);
-        }
+    /// The canonical representative, in `[0, p)`.
+    fn canonical(self) -> [u64; 4] {
+        let [r0, r1, r2, r3] = self.0;
+        // Fold bit 255 back in as 19: the value is now below 2^255 + 19.
+        let (r0, c) = adc(r0, 19 * (r3 >> 63), 0);
+        let (r1, c) = adc(r1, 0, c);
+        let (r2, c) = adc(r2, 0, c);
+        let r3 = (r3 & LOW_63) + c;
+        // It is ≥ p exactly when adding 19 reaches bit 255; then adding
+        // 19 and clearing that bit subtracts p.
+        let (_, c) = adc(r0, 19, 0);
+        let (_, c) = adc(r1, 0, c);
+        let (_, c) = adc(r2, 0, c);
+        let q = (r3 + c) >> 63;
+        let (r0, c) = adc(r0, 19 * q, 0);
+        let (r1, c) = adc(r1, 0, c);
+        let (r2, c) = adc(r2, 0, c);
+        [r0, r1, r2, (r3 + c) & LOW_63]
     }
 
     /// Field addition.
     pub fn add(self, rhs: Fe) -> Fe {
-        let (sum, carry) = add_raw(&self.0, &rhs.0);
-        let mut v = sum;
-        if carry || geq(&v, &P) {
-            v = sub_raw(&v, &P);
-        }
-        Fe(v)
+        let (a, b) = (self.0, rhs.0);
+        let (r0, c) = adc(a[0], b[0], 0);
+        let (r1, c) = adc(a[1], b[1], c);
+        let (r2, c) = adc(a[2], b[2], c);
+        let (r3, c) = adc(a[3], b[3], c);
+        Fe(fold_carry([r0, r1, r2, r3], c))
     }
 
     /// Field subtraction.
     pub fn sub(self, rhs: Fe) -> Fe {
-        if geq(&self.0, &rhs.0) {
-            Fe(sub_raw(&self.0, &rhs.0))
-        } else {
-            // self - rhs + p
-            let (tmp, _carry) = add_raw(&self.0, &P);
-            Fe(sub_raw(&tmp, &rhs.0))
-        }
+        let (a, b) = (self.0, rhs.0);
+        let (r0, c) = sbb(a[0], b[0], 0);
+        let (r1, c) = sbb(a[1], b[1], c);
+        let (r2, c) = sbb(a[2], b[2], c);
+        let (r3, c) = sbb(a[3], b[3], c);
+        // A borrow-out added 2^256 ≡ 38: take 38 off again.
+        let (r0, c) = sbb(r0, 38 * c, 0);
+        let (r1, c) = sbb(r1, 0, c);
+        let (r2, c) = sbb(r2, 0, c);
+        let (r3, c) = sbb(r3, 0, c);
+        // A second borrow-out leaves r ≥ 2^256 − 38, so this cannot
+        // underflow.
+        Fe([r0 - 38 * c, r1, r2, r3])
     }
 
     /// Field negation.
@@ -89,55 +166,61 @@ impl Fe {
         Fe::ZERO.sub(self)
     }
 
-    /// Field multiplication.
+    /// Field multiplication: the 16 limb products row by row into eight
+    /// limbs, then one fold.
     pub fn mul(self, rhs: Fe) -> Fe {
-        // Schoolbook 4x4 -> 8 limbs with per-row carry propagation (a
-        // column-wise u128 accumulator can overflow with 4 summands).
-        let a = &self.0;
-        let b = &rhs.0;
-        let mut r = [0u64; 8];
-        for i in 0..4 {
-            let mut carry: u128 = 0;
-            for j in 0..4 {
-                let v = (a[i] as u128) * (b[j] as u128) + r[i + j] as u128 + carry;
-                r[i + j] = v as u64;
-                carry = v >> 64;
-            }
-            r[i + 4] = carry as u64;
-        }
-        reduce_wide(&r)
+        let ([a0, a1, a2, a3], [b0, b1, b2, b3]) = (self.0, rhs.0);
+        let (r0, c) = mac(0, a0, b0, 0);
+        let (r1, c) = mac(0, a0, b1, c);
+        let (r2, c) = mac(0, a0, b2, c);
+        let (r3, r4) = mac(0, a0, b3, c);
+        let (r1, c) = mac(r1, a1, b0, 0);
+        let (r2, c) = mac(r2, a1, b1, c);
+        let (r3, c) = mac(r3, a1, b2, c);
+        let (r4, r5) = mac(r4, a1, b3, c);
+        let (r2, c) = mac(r2, a2, b0, 0);
+        let (r3, c) = mac(r3, a2, b1, c);
+        let (r4, c) = mac(r4, a2, b2, c);
+        let (r5, r6) = mac(r5, a2, b3, c);
+        let (r3, c) = mac(r3, a3, b0, 0);
+        let (r4, c) = mac(r4, a3, b1, c);
+        let (r5, c) = mac(r5, a3, b2, c);
+        let (r6, r7) = mac(r6, a3, b3, c);
+        reduce_wide([r0, r1, r2, r3, r4, r5, r6, r7])
     }
 
     /// Field squaring: the 6 cross products once, doubled, plus the 4
     /// diagonal squares — 10 limb products instead of `mul`'s 16.
     pub fn square(self) -> Fe {
-        let a = &self.0;
-        let mut r = [0u64; 8];
+        let [a0, a1, a2, a3] = self.0;
         // Cross products a[i]·a[j], i < j, row by row.
-        for i in 0..3 {
-            let mut carry: u128 = 0;
-            for j in i + 1..4 {
-                let v = (a[i] as u128) * (a[j] as u128) + r[i + j] as u128 + carry;
-                r[i + j] = v as u64;
-                carry = v >> 64;
-            }
-            r[i + 4] = carry as u64;
-        }
+        let (r1, c) = mac(0, a0, a1, 0);
+        let (r2, c) = mac(0, a0, a2, c);
+        let (r3, r4) = mac(0, a0, a3, c);
+        let (r3, c) = mac(r3, a1, a2, 0);
+        let (r4, r5) = mac(r4, a1, a3, c);
+        let (r5, r6) = mac(r5, a2, a3, 0);
         // Double them (the sum is below 2^511, so the shift cannot overflow).
-        for i in (1..8).rev() {
-            r[i] = (r[i] << 1) | (r[i - 1] >> 63);
-        }
+        let r7 = r6 >> 63;
+        let r6 = r6 << 1 | r5 >> 63;
+        let r5 = r5 << 1 | r4 >> 63;
+        let r4 = r4 << 1 | r3 >> 63;
+        let r3 = r3 << 1 | r2 >> 63;
+        let r2 = r2 << 1 | r1 >> 63;
+        let r1 = r1 << 1;
         // Add the diagonal squares a[i]^2 at limb 2i.
-        let mut carry: u128 = 0;
-        for i in 0..4 {
-            let sq = (a[i] as u128) * (a[i] as u128);
-            let lo = r[2 * i] as u128 + (sq as u64) as u128 + carry;
-            r[2 * i] = lo as u64;
-            let hi = r[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
-            r[2 * i + 1] = hi as u64;
-            carry = hi >> 64;
-        }
-        reduce_wide(&r)
+        let (r0, h0) = mac(0, a0, a0, 0);
+        let (s1, h1) = mac(0, a1, a1, 0);
+        let (s2, h2) = mac(0, a2, a2, 0);
+        let (s3, h3) = mac(0, a3, a3, 0);
+        let (r1, c) = adc(r1, h0, 0);
+        let (r2, c) = adc(r2, s1, c);
+        let (r3, c) = adc(r3, h1, c);
+        let (r4, c) = adc(r4, s2, c);
+        let (r5, c) = adc(r5, h2, c);
+        let (r6, c) = adc(r6, s3, c);
+        let r7 = r7 + h3 + c;
+        reduce_wide([r0, r1, r2, r3, r4, r5, r6, r7])
     }
 
     /// `self^(2^n)`: `n` successive squarings.
@@ -151,16 +234,12 @@ impl Fe {
 
     /// Multiply by a small constant.
     pub fn mul_small(self, k: u64) -> Fe {
-        let a = &self.0;
-        let mut r = [0u64; 8];
-        let mut carry: u128 = 0;
-        for i in 0..4 {
-            let v = (a[i] as u128) * (k as u128) + carry;
-            r[i] = v as u64;
-            carry = v >> 64;
-        }
-        r[4] = carry as u64;
-        reduce_wide(&r)
+        let [a0, a1, a2, a3] = self.0;
+        let (r0, c) = mac(0, a0, k, 0);
+        let (r1, c) = mac(0, a1, k, c);
+        let (r2, c) = mac(0, a2, k, c);
+        let (r3, r4) = mac(0, a3, k, c);
+        reduce_wide([r0, r1, r2, r3, r4, 0, 0, 0])
     }
 
     /// Raise to the power given as 256-bit little-endian limbs
@@ -216,7 +295,7 @@ impl Fe {
         let mut d = [0i64; 5];
         let mut e = [1i64, 0, 0, 0, 0];
         let mut f = P62;
-        let mut g = to_signed62(&self.0);
+        let mut g = to_signed62(&self.canonical());
         // Limbs of f and g still in use; shrinks as they do.
         let mut len = 5;
         // η = −δ, with δ = 1 at the start.
@@ -250,13 +329,13 @@ impl Fe {
 
     /// True if the element is zero.
     pub fn is_zero(self) -> bool {
-        self.0 == [0, 0, 0, 0]
+        self.canonical() == [0, 0, 0, 0]
     }
 
     /// Least significant bit of the canonical representation (the "sign"
     /// bit used by point compression).
     pub fn is_negative(self) -> bool {
-        self.0[0] & 1 == 1
+        self.canonical()[0] & 1 == 1
     }
 
     /// Conditional swap (variable time — simulation grade).
@@ -298,7 +377,7 @@ const P_INV62: u64 = 0x3943_5e50_d794_35e5;
 /// The low 62 bits.
 const M62: u64 = u64::MAX >> 2;
 
-/// Reduced limbs as signed 62-bit limbs (all nonnegative).
+/// Canonical limbs (a value in `[0, p)`) as signed 62-bit limbs.
 fn to_signed62(a: &[u64; 4]) -> [i64; 5] {
     [
         a[0] & M62,
@@ -489,66 +568,192 @@ pub(crate) fn batch_invert(xs: &mut [Fe]) {
     }
 }
 
-fn geq(a: &[u64; 4], b: &[u64; 4]) -> bool {
-    for i in (0..4).rev() {
-        if a[i] > b[i] {
-            return true;
+/// The fully reduced arithmetic the lazy `Fe` replaced, kept as the
+/// differential reference: every operation leaves its result in `[0, p)`,
+/// with data-dependent comparisons against p.
+#[cfg(test)]
+mod reference {
+    use super::P;
+
+    /// An element kept fully reduced after every operation.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub struct Reduced(pub [u64; 4]);
+
+    impl Reduced {
+        /// Any 256-bit value, reduced mod p.
+        pub fn new(limbs: [u64; 4]) -> Reduced {
+            let [a0, a1, a2, a3] = limbs;
+            reduce_wide(&[a0, a1, a2, a3, 0, 0, 0, 0])
         }
-        if a[i] < b[i] {
-            return false;
+
+        /// 32 little-endian bytes.
+        pub fn to_bytes(self) -> [u8; 32] {
+            let mut out = [0u8; 32];
+            for i in 0..4 {
+                out[i * 8..i * 8 + 8].copy_from_slice(&self.0[i].to_le_bytes());
+            }
+            out
+        }
+
+        fn reduce_once(&mut self) {
+            if geq(&self.0, &P) {
+                self.0 = sub_raw(&self.0, &P);
+            }
+        }
+
+        pub fn add(self, rhs: Reduced) -> Reduced {
+            let (sum, carry) = add_raw(&self.0, &rhs.0);
+            let mut v = sum;
+            if carry || geq(&v, &P) {
+                v = sub_raw(&v, &P);
+            }
+            Reduced(v)
+        }
+
+        pub fn sub(self, rhs: Reduced) -> Reduced {
+            if geq(&self.0, &rhs.0) {
+                Reduced(sub_raw(&self.0, &rhs.0))
+            } else {
+                // self - rhs + p
+                let (tmp, _carry) = add_raw(&self.0, &P);
+                Reduced(sub_raw(&tmp, &rhs.0))
+            }
+        }
+
+        pub fn neg(self) -> Reduced {
+            Reduced([0; 4]).sub(self)
+        }
+
+        pub fn mul(self, rhs: Reduced) -> Reduced {
+            let a = &self.0;
+            let b = &rhs.0;
+            let mut r = [0u64; 8];
+            for i in 0..4 {
+                let mut carry: u128 = 0;
+                for j in 0..4 {
+                    let v = (a[i] as u128) * (b[j] as u128) + r[i + j] as u128 + carry;
+                    r[i + j] = v as u64;
+                    carry = v >> 64;
+                }
+                r[i + 4] = carry as u64;
+            }
+            reduce_wide(&r)
+        }
+
+        pub fn square(self) -> Reduced {
+            let a = &self.0;
+            let mut r = [0u64; 8];
+            for i in 0..3 {
+                let mut carry: u128 = 0;
+                for j in i + 1..4 {
+                    let v = (a[i] as u128) * (a[j] as u128) + r[i + j] as u128 + carry;
+                    r[i + j] = v as u64;
+                    carry = v >> 64;
+                }
+                r[i + 4] = carry as u64;
+            }
+            for i in (1..8).rev() {
+                r[i] = (r[i] << 1) | (r[i - 1] >> 63);
+            }
+            let mut carry: u128 = 0;
+            for i in 0..4 {
+                let sq = (a[i] as u128) * (a[i] as u128);
+                let lo = r[2 * i] as u128 + (sq as u64) as u128 + carry;
+                r[2 * i] = lo as u64;
+                let hi = r[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
+                r[2 * i + 1] = hi as u64;
+                carry = hi >> 64;
+            }
+            reduce_wide(&r)
+        }
+
+        pub fn mul_small(self, k: u64) -> Reduced {
+            let a = &self.0;
+            let mut r = [0u64; 8];
+            let mut carry: u128 = 0;
+            for i in 0..4 {
+                let v = (a[i] as u128) * (k as u128) + carry;
+                r[i] = v as u64;
+                carry = v >> 64;
+            }
+            r[4] = carry as u64;
+            reduce_wide(&r)
+        }
+
+        /// Square-and-multiply over a 256-bit little-endian exponent.
+        pub fn pow(self, exp: &[u64; 4]) -> Reduced {
+            let mut acc = Reduced([1, 0, 0, 0]);
+            for i in (0..256).rev() {
+                acc = acc.square();
+                if (exp[i / 64] >> (i % 64)) & 1 == 1 {
+                    acc = acc.mul(self);
+                }
+            }
+            acc
         }
     }
-    true
-}
 
-fn add_raw(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], bool) {
-    let mut out = [0u64; 4];
-    let mut carry = false;
-    for i in 0..4 {
-        let (s1, c1) = a[i].overflowing_add(b[i]);
-        let (s2, c2) = s1.overflowing_add(carry as u64);
-        out[i] = s2;
-        carry = c1 || c2;
+    fn geq(a: &[u64; 4], b: &[u64; 4]) -> bool {
+        for i in (0..4).rev() {
+            if a[i] > b[i] {
+                return true;
+            }
+            if a[i] < b[i] {
+                return false;
+            }
+        }
+        true
     }
-    (out, carry)
-}
 
-fn sub_raw(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
-    let mut out = [0u64; 4];
-    let mut borrow = false;
-    for i in 0..4 {
-        let (d1, b1) = a[i].overflowing_sub(b[i]);
-        let (d2, b2) = d1.overflowing_sub(borrow as u64);
-        out[i] = d2;
-        borrow = b1 || b2;
+    fn add_raw(a: &[u64; 4], b: &[u64; 4]) -> ([u64; 4], bool) {
+        let mut out = [0u64; 4];
+        let mut carry = false;
+        for i in 0..4 {
+            let (s1, c1) = a[i].overflowing_add(b[i]);
+            let (s2, c2) = s1.overflowing_add(carry as u64);
+            out[i] = s2;
+            carry = c1 || c2;
+        }
+        (out, carry)
     }
-    out
-}
 
-/// Reduce an 8-limb (512-bit) value mod p using 2^256 ≡ 38 and
-/// 2^255 ≡ 19.
-fn reduce_wide(r: &[u64; 8]) -> Fe {
-    // lo + 38·hi: 256 bits plus a carry of at most 38.
-    let mut lo = [0u64; 4];
-    let mut carry: u128 = 0;
-    for i in 0..4 {
-        let v = r[i] as u128 + (r[i + 4] as u128) * 38 + carry;
-        lo[i] = v as u64;
-        carry = v >> 64;
+    fn sub_raw(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+        let mut out = [0u64; 4];
+        let mut borrow = false;
+        for i in 0..4 {
+            let (d1, b1) = a[i].overflowing_sub(b[i]);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            out[i] = d2;
+            borrow = b1 || b2;
+        }
+        out
     }
-    // carry·2^256 + lo = (2·carry + bit 255)·2^255 + (lo mod 2^255).
-    let top = ((carry as u64) << 1) | (lo[3] >> 63);
-    lo[3] &= 0x7fff_ffff_ffff_ffff;
-    let mut c = top * 19;
-    for limb in lo.iter_mut() {
-        let (v, o) = limb.overflowing_add(c);
-        *limb = v;
-        c = o as u64;
+
+    /// Reduce an 8-limb (512-bit) value mod p using 2^256 ≡ 38 and
+    /// 2^255 ≡ 19.
+    fn reduce_wide(r: &[u64; 8]) -> Reduced {
+        // lo + 38·hi: 256 bits plus a carry of at most 38.
+        let mut lo = [0u64; 4];
+        let mut carry: u128 = 0;
+        for i in 0..4 {
+            let v = r[i] as u128 + (r[i + 4] as u128) * 38 + carry;
+            lo[i] = v as u64;
+            carry = v >> 64;
+        }
+        // carry·2^256 + lo = (2·carry + bit 255)·2^255 + (lo mod 2^255).
+        let top = ((carry as u64) << 1) | (lo[3] >> 63);
+        lo[3] &= 0x7fff_ffff_ffff_ffff;
+        let mut c = top * 19;
+        for limb in lo.iter_mut() {
+            let (v, o) = limb.overflowing_add(c);
+            *limb = v;
+            c = o as u64;
+        }
+        // Now below 2^255 + 77·19 < 2p: one conditional subtraction.
+        let mut fe = Reduced(lo);
+        fe.reduce_once();
+        fe
     }
-    // Now below 2^255 + 77·19 < 2p: one conditional subtraction.
-    let mut fe = Fe(lo);
-    fe.reduce_once();
-    fe
 }
 
 #[cfg(test)]
@@ -583,9 +788,8 @@ mod tests {
 
     #[test]
     fn p_is_zero() {
-        let mut p = Fe(P);
-        p.reduce_once();
-        assert_eq!(p, Fe::ZERO);
+        assert_eq!(Fe(P), Fe::ZERO);
+        assert!(Fe(P).is_zero());
         // p - 1 + 2 == 1
         let pm1 = Fe(P).sub(fe(1));
         assert_eq!(pm1.add(fe(2)), fe(1));
@@ -726,6 +930,243 @@ mod tests {
             prop_assert_eq!(a.invert_fermat(), a.pow_limbs(&P_MINUS_2));
             prop_assert_eq!(a.invert(), a.invert_fermat());
             prop_assert_eq!(a.pow_p58(), a.pow_limbs(&P_MINUS_5_OVER_8));
+        }
+    }
+
+    // Differential tests of the lazy field against the fully reduced
+    // reference: every operation and observer, on random and
+    // non-canonical limb patterns, on two representations of one
+    // element, and along long chains that never reduce.
+    use reference::Reduced;
+
+    /// The reference's value of a lazy element.
+    fn reduced(a: Fe) -> Reduced {
+        Reduced::new(a.0)
+    }
+
+    /// Every observer of `got` agrees with the reference's `want`.
+    fn assert_same(got: Fe, want: Reduced, what: &str) {
+        assert_eq!(
+            got.to_bytes(),
+            want.to_bytes(),
+            "{what}: to_bytes of {got:?}"
+        );
+        assert_eq!(got, Fe(want.0), "{what}: == on {got:?}");
+        assert_eq!(
+            got.is_zero(),
+            want.0 == [0; 4],
+            "{what}: is_zero of {got:?}"
+        );
+        assert_eq!(
+            got.is_negative(),
+            want.0[0] & 1 == 1,
+            "{what}: is_negative of {got:?}"
+        );
+    }
+
+    /// The ring operations on `(a, b)` against the reference.
+    fn assert_ops_match(a: Fe, b: Fe) {
+        let (ra, rb) = (reduced(a), reduced(b));
+        let what = format!("{a:?}, {b:?}");
+        assert_same(a.add(b), ra.add(rb), &format!("add {what}"));
+        assert_same(a.sub(b), ra.sub(rb), &format!("sub {what}"));
+        assert_same(a.neg(), ra.neg(), &format!("neg {what}"));
+        assert_same(a.mul(b), ra.mul(rb), &format!("mul {what}"));
+        assert_same(a.square(), ra.square(), &format!("square {what}"));
+        assert_same(
+            a.mul_small(121665),
+            ra.mul_small(121665),
+            &format!("mul_small {what}"),
+        );
+        assert_same(
+            a.mul_small(b.0[0]),
+            ra.mul_small(b.0[0]),
+            &format!("mul_small {what}"),
+        );
+    }
+
+    /// `invert` and `pow_p58` against the reference's square-and-multiply.
+    fn assert_powers_match(a: Fe) {
+        let ra = reduced(a);
+        assert_same(a.invert(), ra.pow(&P_MINUS_2), &format!("invert {a:?}"));
+        assert_same(
+            a.pow_p58(),
+            ra.pow(&P_MINUS_5_OVER_8),
+            &format!("pow_p58 {a:?}"),
+        );
+    }
+
+    /// `a + b` on limbs, as integers (no carry out of the top limb).
+    fn limb_sum(a: [u64; 4], b: [u64; 4]) -> Fe {
+        let mut v = a;
+        let mut c = 0;
+        for (limb, b) in v.iter_mut().zip(b) {
+            (*limb, c) = adc(*limb, b, c);
+        }
+        assert_eq!(c, 0, "a + b overflows 2^256");
+        Fe(v)
+    }
+
+    /// `base + k` on limbs, as integers.
+    fn plus(base: [u64; 4], k: u64) -> Fe {
+        limb_sum(base, [k, 0, 0, 0])
+    }
+
+    /// 2p = 2^256 − 38.
+    const TWO_P: [u64; 4] = [0xffff_ffff_ffff_ffda, u64::MAX, u64::MAX, u64::MAX];
+
+    /// Limb patterns at the edges of the lazy range: k, p + k and 2p + k
+    /// for k in [0, 38) — the last two are [2^255 − 19, 2^255 + 19) and
+    /// [2^256 − 38, 2^256) — plus p − 1 .. p − 38, 2^255 + 19, limb
+    /// boundaries and the curve constants.
+    fn lazy_edges() -> Vec<Fe> {
+        let mut v = Vec::new();
+        for k in 0..38 {
+            v.extend([plus([0; 4], k), plus(P, k), plus(TWO_P, k)]);
+            v.push(plus([P[0] - 38, P[1], P[2], P[3]], k));
+        }
+        v.extend([
+            plus(P, 38),
+            Fe([u64::MAX, 0, 0, 0]),
+            Fe([0, 1, 0, 0]),
+            Fe([u64::MAX, u64::MAX, u64::MAX, 0]),
+            Fe([0, 0, 0, 1 << 63]),
+            SQRT_M1,
+            D,
+            D2,
+        ]);
+        v
+    }
+
+    #[test]
+    fn every_op_matches_the_reference_on_non_canonical_edges() {
+        let edges = lazy_edges();
+        for &a in &edges {
+            for &b in &edges {
+                assert_ops_match(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn invert_and_pow_p58_match_the_reference_on_non_canonical_edges() {
+        for a in lazy_edges() {
+            assert_powers_match(a);
+        }
+    }
+
+    #[test]
+    fn k_p_plus_k_and_2p_plus_k_are_one_element() {
+        for k in 0..38 {
+            let reps = [plus([0; 4], k), plus(P, k), plus(TWO_P, k)];
+            for r in reps {
+                assert_eq!(r, reps[0], "{r:?}");
+                assert_eq!(r.to_bytes(), fe(k).to_bytes(), "{r:?}");
+                assert_eq!(r.is_zero(), k == 0, "{r:?}");
+                assert_eq!(r.is_negative(), k & 1 == 1, "{r:?}");
+            }
+        }
+    }
+
+    /// A chain of `len` operations over four registers, drawn from a
+    /// splitmix64 stream seeded with `seed`: the lazy registers are never
+    /// reduced in between, and each result is checked against the
+    /// reference as it is written.
+    fn assert_chain_matches(seed: u64, len: usize) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut lazy: [Fe; 4] = std::array::from_fn(|_| Fe([next(), next(), next(), next()]));
+        let mut refs = lazy.map(reduced);
+        for step in 0..len {
+            let x = next();
+            let (d, i) = ((x >> 8) as usize % 4, (x >> 10) as usize % 4);
+            let j = (i + 1 + (x >> 12) as usize % 3) % 4;
+            let (a, b, ra, rb) = (lazy[i], lazy[j], refs[i], refs[j]);
+            (lazy[d], refs[d]) = match x % 128 {
+                0 => (a.invert(), ra.pow(&P_MINUS_2)),
+                1 => (a.pow_p58(), ra.pow(&P_MINUS_5_OVER_8)),
+                2..=23 => (a.add(b), ra.add(rb)),
+                24..=45 => (a.sub(b), ra.sub(rb)),
+                46..=55 => (a.neg(), ra.neg()),
+                56..=85 => (a.mul(b), ra.mul(rb)),
+                86..=107 => (a.square(), ra.square()),
+                108..=117 => (a.mul_small(x >> 40), ra.mul_small(x >> 40)),
+                // Fresh entropy, so no register collapses to a constant.
+                _ => {
+                    let r = Fe([x, x.rotate_left(17), !x, x.rotate_left(41)]);
+                    (a.add(r), ra.add(reduced(r)))
+                }
+            };
+            assert_same(lazy[d], refs[d], &format!("seed {seed} step {step}"));
+        }
+    }
+
+    #[test]
+    fn long_lazy_chains_match_the_reference() {
+        for seed in 0..4 {
+            assert_chain_matches(seed, 10_000);
+        }
+    }
+
+    /// The long-chain differential at scale; run in release
+    /// (`cargo test --release -p dri-crypto -- --include-ignored`).
+    #[test]
+    #[ignore = "slow in debug; scripts/check.sh runs it in release"]
+    fn long_lazy_chains_match_the_reference_at_scale() {
+        for seed in 0..64 {
+            assert_chain_matches(1_000 + seed, 100_000);
+        }
+    }
+
+    /// Any 256-bit limb pattern, or one of the lazy edges.
+    fn any_fe() -> impl Strategy<Value = Fe> {
+        let limbs = |b: [u8; 32]| {
+            Fe(std::array::from_fn(|i| {
+                u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().unwrap())
+            }))
+        };
+        let n = lazy_edges().len();
+        prop_oneof![
+            any::<[u8; 32]>().prop_map(limbs),
+            (0..n).prop_map(|i| lazy_edges()[i]),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn every_op_matches_the_reference(a in any_fe(), b in any_fe()) {
+            assert_ops_match(a, b);
+            assert_powers_match(a);
+            prop_assert_eq!(a == b, reduced(a) == reduced(b));
+        }
+
+        #[test]
+        fn two_representations_of_one_element_agree(b in any::<[u8; 32]>(), c in any_fe()) {
+            // x < 2^255, so x + p is below 2^256: a second representation.
+            let x = Fe::from_bytes(&b);
+            let y = limb_sum(x.0, P);
+            prop_assert_eq!(x, y);
+            prop_assert_eq!(x.to_bytes(), y.to_bytes());
+            prop_assert_eq!(x.is_zero(), y.is_zero());
+            prop_assert_eq!(x.is_negative(), y.is_negative());
+            for (u, v) in [
+                (x.add(c), y.add(c)),
+                (c.sub(x), c.sub(y)),
+                (x.neg(), y.neg()),
+                (x.mul(c), y.mul(c)),
+                (x.square(), y.square()),
+                (x.mul_small(121665), y.mul_small(121665)),
+                (x.invert(), y.invert()),
+                (x.pow_p58(), y.pow_p58()),
+            ] {
+                prop_assert_eq!(u.to_bytes(), v.to_bytes());
+            }
         }
     }
 }

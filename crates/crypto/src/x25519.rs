@@ -98,6 +98,20 @@ mod tests {
         );
     }
 
+    // RFC 7748 §5.2 iterated test, 1 000 iterations: k ← X25519(k, u)
+    // and u ← the old k, from k = u = 9.
+    #[test]
+    fn rfc7748_iterated_1000_times() {
+        let (mut k, mut u) = (basepoint(), basepoint());
+        for _ in 0..1000 {
+            (k, u) = (x25519(&k, &u), k);
+        }
+        assert_eq!(
+            hex::encode(&k),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
+        );
+    }
+
     // RFC 7748 §6.1 Diffie–Hellman.
     #[test]
     fn rfc7748_dh() {

@@ -94,6 +94,8 @@ pub enum TailnetError {
     AclDenied,
     /// Node disabled by kill switch.
     NodeDisabled(String),
+    /// Another subject already holds this node name.
+    NameTaken(String),
     /// Whole tailnet disabled by kill switch.
     TailnetDown,
     /// Frame failed authentication (tamper or wrong keys).
@@ -112,6 +114,7 @@ impl std::fmt::Display for TailnetError {
             TailnetError::NotEnrolled(n) => write!(f, "node {n} not enrolled"),
             TailnetError::AclDenied => write!(f, "ACL denies this path"),
             TailnetError::NodeDisabled(n) => write!(f, "node {n} disabled"),
+            TailnetError::NameTaken(n) => write!(f, "node name {n} is held by another subject"),
             TailnetError::TailnetDown => write!(f, "tailnet disabled by kill switch"),
             TailnetError::DecryptFailed => write!(f, "frame authentication failed"),
             TailnetError::Unavailable => write!(f, "coordination server unavailable"),
@@ -126,7 +129,18 @@ struct Enrollment {
     public: [u8; 32],
     subject: String,
     lease_expires_at: u64,
-    disabled: bool,
+    cut: Cut,
+}
+
+/// Whether, and by which kill switch, a node is cut off.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cut {
+    Live,
+    /// Swept with every node of its subject by a kill; the subject
+    /// brings it back by enrolling it again with a live token.
+    Swept,
+    /// Disabled by an operator; only `enable_node` brings it back.
+    Operator,
 }
 
 /// The tailnet coordination server.
@@ -221,14 +235,26 @@ impl Tailnet {
         if !claims.has_role(&self.required_role) {
             return Err(TailnetError::RoleMissing);
         }
+        let mut nodes = self.nodes.write();
+        // Re-enrolment by the holder renews the lease; a name another
+        // subject holds (an infrastructure node included) is refused.
+        match nodes.get(&node.name) {
+            Some(e) if e.subject != claims.subject => {
+                return Err(TailnetError::NameTaken(node.name.clone()));
+            }
+            Some(e) if e.cut == Cut::Operator => {
+                return Err(TailnetError::NodeDisabled(node.name.clone()));
+            }
+            _ => {}
+        }
         let lease_expires_at = now + self.lease_secs;
-        self.nodes.write().insert(
+        nodes.insert(
             node.name.clone(),
             Enrollment {
                 public: node.public,
                 subject: claims.subject.clone(),
                 lease_expires_at,
-                disabled: false,
+                cut: Cut::Live,
             },
         );
         Ok(lease_expires_at)
@@ -243,7 +269,7 @@ impl Tailnet {
                 public: node.public,
                 subject: format!("infra:{}", node.name),
                 lease_expires_at: u64::MAX,
-                disabled: false,
+                cut: Cut::Live,
             },
         );
     }
@@ -260,10 +286,10 @@ impl Tailnet {
         let t = nodes
             .get(to)
             .ok_or_else(|| TailnetError::NotEnrolled(to.to_string()))?;
-        if f.disabled {
+        if f.cut != Cut::Live {
             return Err(TailnetError::NodeDisabled(from.to_string()));
         }
-        if t.disabled {
+        if t.cut != Cut::Live {
             return Err(TailnetError::NodeDisabled(to.to_string()));
         }
         if now >= f.lease_expires_at {
@@ -314,11 +340,12 @@ impl Tailnet {
         self.nodes.read().get(name).map(|e| e.public)
     }
 
-    /// Kill switch: disable one node.
+    /// Kill switch: disable one node until [`Tailnet::enable_node`];
+    /// its owner cannot enrol it again meanwhile.
     pub fn disable_node(&self, name: &str) -> bool {
         match self.nodes.write().get_mut(name) {
             Some(e) => {
-                e.disabled = true;
+                e.cut = Cut::Operator;
                 true
             }
             None => false,
@@ -331,8 +358,8 @@ impl Tailnet {
     pub fn disable_subject(&self, subject: &str) -> usize {
         let mut disabled = 0;
         for e in self.nodes.write().values_mut() {
-            if e.subject == subject && !e.disabled {
-                e.disabled = true;
+            if e.subject == subject && e.cut == Cut::Live {
+                e.cut = Cut::Swept;
                 disabled += 1;
             }
         }
@@ -342,7 +369,7 @@ impl Tailnet {
     /// Re-enable a node.
     pub fn enable_node(&self, name: &str) {
         if let Some(e) = self.nodes.write().get_mut(name) {
-            e.disabled = false;
+            e.cut = Cut::Live;
         }
     }
 

@@ -129,7 +129,8 @@ struct Route {
     session_key: [u8; 32],
     backend: Backend,
     open: bool,
-    requests_served: u64,
+    /// Shared with in-flight requests, so counting one needs no write lock.
+    requests_served: Arc<AtomicU64>,
 }
 
 /// The Zenith server (runs in FDS, Access zone).
@@ -184,7 +185,7 @@ impl TunnelServer {
                 session_key,
                 backend,
                 open: true,
-                requests_served: 0,
+                requests_served: Arc::default(),
             },
         );
         Ok(())
@@ -200,7 +201,7 @@ impl TunnelServer {
             dri_trace::Stage::Tunnel,
             &[("path", &request.path)],
         );
-        let (key, backend) = {
+        let (key, backend, served) = {
             let routes = self.routes.read();
             // Longest-prefix route match.
             let route = routes
@@ -212,7 +213,11 @@ impl TunnelServer {
             if !route.open {
                 return Err(TunnelError::Closed);
             }
-            (route.session_key, route.backend.clone())
+            (
+                route.session_key,
+                route.backend.clone(),
+                route.requests_served.clone(),
+            )
         };
         let mut nonce = [0u8; 12];
         let counter = self.nonce_counter.fetch_add(1, Ordering::Relaxed) + 1;
@@ -234,14 +239,7 @@ impl TunnelServer {
         let resp_plain = aead::open(&key, &resp_nonce, b"zenith-resp", &resp_frame)
             .ok_or(TunnelError::DecryptFailed)?;
 
-        if let Some(route) = self
-            .routes
-            .write()
-            .values_mut()
-            .find(|r| r.session_key == key)
-        {
-            route.requests_served += 1;
-        }
+        served.fetch_add(1, Ordering::Relaxed);
         let _ = self.clock.now_ms();
         Ok(HttpResponse {
             status: response.status,
@@ -282,8 +280,7 @@ impl TunnelServer {
         self.routes
             .read()
             .get(path)
-            .map(|r| r.requests_served)
-            .unwrap_or(0)
+            .map_or(0, |r| r.requests_served.load(Ordering::Relaxed))
     }
 
     /// Which MDC host terminates a path.

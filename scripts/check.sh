@@ -70,6 +70,8 @@ cargo test -q --offline -p isambard-dri --test token_cache
 
 echo "== crypto differential: every fast path against its slow reference, RFC 8032/7748 vectors =="
 cargo test -q --offline -p dri-crypto
+# In release, with the ignored long-chain field differential included.
+cargo test --release -q --offline -p dri-crypto -- --include-ignored
 
 echo "== crypto op-count gate: Ed25519 signs/verifies per flow pinned exactly =="
 cargo test -q --offline -p isambard-dri --test crypto_op_counts

@@ -204,3 +204,84 @@ fn kill_is_authoritative_on_the_admin_path() {
     infra.tailnet.enroll(&node, &fresh).unwrap();
     assert!(infra.tailnet.send(&node, "mdc-mgmt01", b"ping").is_ok());
 }
+
+#[test]
+fn tailnet_enrolment_cannot_take_over_another_subjects_node() {
+    let infra = Infrastructure::new(InfraConfig::default());
+    infra.story2_register_admin("dave").unwrap();
+    let (token, _) = infra.token_for("dave", "mgmt-tailnet", vec![]).unwrap();
+    let mgmt_key = infra.tailnet.public_key_of("mdc-mgmt01").unwrap();
+
+    // An admin token may not re-key the management server's node.
+    let impostor = TailnetNode::generate("mdc-mgmt01", &mut infra.rng.lock());
+    assert_eq!(
+        infra.tailnet.enroll(&impostor, &token),
+        Err(TailnetError::NameTaken("mdc-mgmt01".into()))
+    );
+    assert_eq!(infra.tailnet.public_key_of("mdc-mgmt01"), Some(mgmt_key));
+    assert_eq!(
+        infra.tailnet.node_subject("mdc-mgmt01").as_deref(),
+        Some("infra:mdc-mgmt01")
+    );
+
+    // The holder itself re-enrols its own node (a lease renewal).
+    let laptop = TailnetNode::generate("dave-laptop", &mut infra.rng.lock());
+    infra.tailnet.enroll(&laptop, &token).unwrap();
+    infra.tailnet.enroll(&laptop, &token).unwrap();
+    assert!(infra.tailnet.send(&laptop, "mdc-mgmt01", b"ping").is_ok());
+}
+
+#[test]
+fn operator_node_disable_holds_until_enabled() {
+    let infra = Infrastructure::new(InfraConfig::default());
+    infra.story2_register_admin("dave").unwrap();
+    let (token, _) = infra.token_for("dave", "mgmt-tailnet", vec![]).unwrap();
+    let laptop = TailnetNode::generate("dave-laptop", &mut infra.rng.lock());
+    infra.tailnet.enroll(&laptop, &token).unwrap();
+    assert!(infra.tailnet.disable_node("dave-laptop"));
+
+    // The owner's fresh, unrevoked token does not bring the node back.
+    let (fresh, _) = infra.token_for("dave", "mgmt-tailnet", vec![]).unwrap();
+    assert_eq!(
+        infra.tailnet.enroll(&laptop, &fresh),
+        Err(TailnetError::NodeDisabled("dave-laptop".into()))
+    );
+    assert_eq!(
+        infra.tailnet.send(&laptop, "mdc-mgmt01", b"ping"),
+        Err(TailnetError::NodeDisabled("dave-laptop".into()))
+    );
+
+    // Only the operator does.
+    infra.tailnet.enable_node("dave-laptop");
+    assert!(infra.tailnet.send(&laptop, "mdc-mgmt01", b"ping").is_ok());
+    infra.tailnet.enroll(&laptop, &fresh).unwrap();
+}
+
+#[test]
+fn kill_of_a_tailnet_only_subject_reports_one_foothold() {
+    let infra = Infrastructure::new(InfraConfig::default());
+    let admin = infra.story2_register_admin("dave").unwrap();
+    let (token, _) = infra.token_for("dave", "mgmt-tailnet", vec![]).unwrap();
+    let node = TailnetNode::generate("dave-node", &mut infra.rng.lock());
+    infra.tailnet.enroll(&node, &token).unwrap();
+
+    let alert = isambard_dri::siem::Alert {
+        id: "alert-1".into(),
+        at_ms: infra.clock.now_ms(),
+        rule: "token-abuse",
+        subject: admin.subject.to_string(),
+        severity: isambard_dri::siem::Severity::High,
+        evidence: 1,
+        recommendation: "revoke-subject",
+    };
+    assert_eq!(
+        infra.respond_to_alert(&alert),
+        format!("killed subject {}: 1 live footholds severed", admin.subject)
+    );
+    let kills = infra.siem.events_of_kind(EventKind::KillSwitch);
+    assert_eq!(kills.len(), 1);
+    assert_eq!(
+        kills[0].detail,
+        "kill chain: bastion=0 tailnet=1 shells=0 notebooks=0 jobs=0"
+    );
+}
