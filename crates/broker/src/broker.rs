@@ -21,7 +21,9 @@ use crate::token_cache::TokenCache;
 
 /// Token introspection as a relying service holds it: `true` while the
 /// token id is live at the broker ([`IdentityBroker::introspect`]).
-/// Every service that accepts broker tokens takes one at construction.
+/// Every service that accepts broker tokens takes one at construction
+/// and hands it to its [`TokenGate`](crate::gate::TokenGate), which
+/// consults it on every admission after validating the token.
 pub type IntrospectFn = Arc<dyn Fn(&str) -> bool + Send + Sync>;
 
 /// Where a session's identity came from.

@@ -15,6 +15,9 @@
 //! * [`oidc`] — OpenID-Connect-shaped flows on top of the broker:
 //!   authorization code with PKCE (web apps) and the device authorization
 //!   grant (the SSH certificate client).
+//! * [`gate`] — the [`TokenGate`] through which every relying service
+//!   admits broker tokens: one rule (audience, roles, ACR) per service,
+//!   one admission path for all of them.
 //! * [`authz`] — the `AuthorizationSource` trait: *authorisation leads
 //!   authentication*; the broker refuses to establish a session for a
 //!   subject the portal has no grants for.
@@ -26,13 +29,15 @@
 //! 3. administrator identities come only from the dedicated managed IdP
 //!    with hardware-key MFA (`acr = "mfa-hw"`);
 //! 4. revocation is immediate: a revoked session/subject can hold unexpired
-//!    tokens, but introspection-aware services reject them.
+//!    tokens, but every relying service's [`TokenGate`] introspects them
+//!    and rejects them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod authz;
 pub mod broker;
+pub mod gate;
 pub mod managed_idp;
 pub mod oidc;
 pub mod token_cache;
@@ -41,6 +46,7 @@ pub use authz::{AuthorizationSource, StaticAuthz};
 pub use broker::{
     BrokerError, IdentityBroker, IdentitySource, IntrospectFn, Jwks, SessionInfo, TokenPolicy,
 };
+pub use gate::{GateError, TokenGate};
 pub use managed_idp::{HardwareKey, ManagedIdp, ManagedIdpError};
 pub use oidc::{DeviceFlowError, DeviceGrant, OidcClient, OidcError, OidcProvider};
 pub use token_cache::TokenCache;

@@ -4,8 +4,8 @@
 //!
 //! * the **authenticator** runs on the login node at the MDC end of the
 //!   Zenith tunnel: it extracts the broker token from the `x-auth-token`
-//!   header, validates it against the broker JWKS (issuer, audience
-//!   `jupyter`, expiry, signature) and introspects it at the broker;
+//!   header and admits it through its [`TokenGate`]: audience `jupyter`,
+//!   any of the roles `pi` and `researcher`, no ACR rule;
 //! * the **spawner** places a notebook session on a compute node via the
 //!   scheduler's interactive partition, bound to the user's per-project
 //!   UNIX account.
@@ -14,10 +14,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dri_broker::broker::{IntrospectFn, Jwks};
+use dri_broker::gate::TokenGate;
 use dri_clock::{IdGen, SimClock};
 use dri_crypto::json::Value;
 use dri_crypto::jwt::JwtError;
-use dri_sync::{ShardMap, Snapshot};
+use dri_sync::ShardMap;
 
 use crate::slurm::{Scheduler, SubmitError};
 
@@ -59,6 +60,8 @@ impl std::fmt::Display for JupyterError {
 
 impl std::error::Error for JupyterError {}
 
+dri_broker::gate_errors!(JupyterError, unreachable!("no ACR rule"));
+
 /// A live notebook session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NotebookSession {
@@ -80,31 +83,29 @@ pub struct NotebookSession {
 
 /// The notebook service.
 ///
-/// The JWKS is a read-mostly [`dri_sync::Snapshot`]: every spawn
-/// validates its token against an immutable snapshot with no lock held,
-/// and the snapshot is republished only on broker key rotation. Session
+/// Every spawn admits its token through the service's [`TokenGate`],
+/// which validates against an immutable JWKS snapshot with no lock held;
+/// the snapshot is republished only on broker key rotation. Session
 /// state is sharded; capacity is an atomic reservation counter so
 /// `AtCapacity` is exact even under a parallel storm.
 pub struct JupyterService {
-    /// Audience tokens must be scoped to.
-    pub audience: String,
     /// Interactive partition used for kernels.
     pub partition: String,
     /// Maximum simultaneous sessions.
     pub capacity: usize,
     clock: SimClock,
-    jwks: Snapshot<Jwks>,
+    gate: TokenGate,
     scheduler: Arc<Scheduler>,
     sessions: ShardMap<NotebookSession>,
     /// Live + in-flight session reservations.
     live: AtomicUsize,
-    introspect: IntrospectFn,
     ids: IdGen,
 }
 
 impl JupyterService {
     /// Create the service. `introspect` is the broker's revocation
-    /// check, consulted on every spawn after the JWKS validation.
+    /// check, consulted by the gate on every spawn after the JWKS
+    /// validation.
     pub fn new(
         jwks: Jwks,
         introspect: IntrospectFn,
@@ -114,27 +115,25 @@ impl JupyterService {
         clock: SimClock,
     ) -> JupyterService {
         JupyterService {
-            audience: "jupyter".to_string(),
             partition: partition.into(),
             capacity,
             clock,
-            jwks: Snapshot::new(jwks),
+            gate: TokenGate::new(jwks, introspect, "jupyter", &["pi", "researcher"], None),
             scheduler,
             sessions: ShardMap::new(DEFAULT_JUPYTER_SHARDS),
             live: AtomicUsize::new(0),
-            introspect,
             ids: IdGen::new("nb"),
         }
     }
 
     /// Refresh the JWKS snapshot (key rotation).
     pub fn update_jwks(&self, jwks: Jwks) {
-        self.jwks.store(jwks);
+        self.gate.update_jwks(jwks);
     }
 
     /// Epoch of the currently trusted JWKS snapshot.
     pub fn jwks_epoch(&self) -> u64 {
-        self.jwks.load().epoch
+        self.gate.jwks_epoch()
     }
 
     /// Handle an authenticated spawn request arriving through the tunnel.
@@ -158,18 +157,7 @@ impl JupyterService {
             .find(|(k, _)| k.eq_ignore_ascii_case("x-auth-token"))
             .map(|(_, v)| v.as_str())
             .ok_or(JupyterError::NoToken)?;
-        let now = self.clock.now_secs();
-        let claims = self
-            .jwks
-            .load()
-            .validate_shared(token, &self.audience, now)
-            .map_err(JupyterError::BadToken)?;
-        if !(self.introspect)(&claims.token_id) {
-            return Err(JupyterError::TokenRevoked);
-        }
-        if !claims.has_role("pi") && !claims.has_role("researcher") {
-            return Err(JupyterError::RoleMissing);
-        }
+        let claims = self.gate.admit(token, self.clock.now_secs())?;
         // The broker attaches the target unix account + project as claims.
         let account = claims
             .extra_claim("unix_account")
@@ -268,6 +256,7 @@ mod tests {
     struct Fixture {
         service: JupyterService,
         broker: Arc<IdentityBroker>,
+        authz: Arc<StaticAuthz>,
         scheduler: Arc<Scheduler>,
         session_id: String,
         clock: SimClock,
@@ -283,7 +272,7 @@ mod tests {
             3600,
             clock.clone(),
             Arc::new(FederationRegistry::new()),
-            authz,
+            authz.clone(),
         ));
         broker.register_service(TokenPolicy::standard("jupyter", 900));
         let session = broker
@@ -308,6 +297,7 @@ mod tests {
         Fixture {
             service,
             broker,
+            authz,
             scheduler,
             session_id: session.session_id,
             clock,
@@ -377,6 +367,15 @@ mod tests {
             f.service.spawn(&headers(&t)),
             Err(JupyterError::TokenRevoked)
         );
+    }
+
+    #[test]
+    fn token_without_a_notebook_role_rejected() {
+        let f = fixture(10);
+        f.authz.grant("last-resort:alice", "jupyter", &["sysadmin"]);
+        let err = f.service.spawn(&headers(&token(&f))).unwrap_err();
+        assert_eq!(err, JupyterError::RoleMissing);
+        assert_eq!(err.to_string(), "token carries no usable role");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! 1. **transport** — requests must arrive via the admin tailnet; a
 //!    request presented over any other path is rejected before the token
 //!    is even looked at;
-//! 2. **token** — a valid, unrevoked broker JWT (JWKS validation plus
-//!    broker introspection) with audience `mgmt-cluster`, ACR `mfa-hw`,
-//!    and the `sysadmin` role;
+//! 2. **token** — a valid, unrevoked broker JWT, admitted through the
+//!    plane's [`TokenGate`]: audience `mgmt-cluster`, the `sysadmin` role,
+//!    ACR `mfa-hw`;
 //! 3. **cluster ACL** — the subject must also appear on the cluster-local
 //!    access control list (the paper's "separate access control list on
 //!    the cluster level").
@@ -17,9 +17,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use dri_broker::broker::{IntrospectFn, Jwks};
+use dri_broker::gate::TokenGate;
 use dri_clock::SimClock;
 use dri_crypto::jwt::JwtError;
-use dri_sync::Snapshot;
 use parking_lot::RwLock;
 
 use crate::slurm::Scheduler;
@@ -31,8 +31,6 @@ pub enum MgmtOp {
     DrainPartition(String),
     /// Cancel every job of a UNIX account.
     CancelUserJobs(String),
-    /// Lock a UNIX account on the login nodes.
-    LockAccount(String),
     /// Read-only health query.
     Health,
 }
@@ -78,6 +76,8 @@ impl std::fmt::Display for MgmtError {
 
 impl std::error::Error for MgmtError {}
 
+dri_broker::gate_errors!(MgmtError, MgmtError::AcrTooWeak);
+
 /// Outcome of a privileged operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpResult {
@@ -90,11 +90,8 @@ pub struct OpResult {
 /// The management plane service (runs on admin nodes in the MDC
 /// Management zone).
 pub struct ManagementPlane {
-    /// Audience expected on tokens.
-    pub audience: String,
     clock: SimClock,
-    jwks: Snapshot<Jwks>,
-    introspect: IntrospectFn,
+    gate: TokenGate,
     scheduler: Arc<Scheduler>,
     cluster_acl: RwLock<HashSet<String>>,
     ops_executed: RwLock<Vec<(u64, String, MgmtOp)>>,
@@ -110,10 +107,14 @@ impl ManagementPlane {
         clock: SimClock,
     ) -> ManagementPlane {
         ManagementPlane {
-            audience: "mgmt-cluster".to_string(),
             clock,
-            jwks: Snapshot::new(jwks),
-            introspect,
+            gate: TokenGate::new(
+                jwks,
+                introspect,
+                "mgmt-cluster",
+                &["sysadmin"],
+                Some("mfa-hw"),
+            ),
             scheduler,
             cluster_acl: RwLock::new(HashSet::new()),
             ops_executed: RwLock::new(Vec::new()),
@@ -122,7 +123,7 @@ impl ManagementPlane {
 
     /// Refresh the JWKS snapshot (key rotation).
     pub fn update_jwks(&self, jwks: Jwks) {
-        self.jwks.store(jwks);
+        self.gate.update_jwks(jwks);
     }
 
     /// Add a subject to the cluster-local ACL.
@@ -147,21 +148,7 @@ impl ManagementPlane {
             return Err(MgmtError::WrongTransport);
         }
         // Layer 2: token.
-        let now = self.clock.now_secs();
-        let claims = self
-            .jwks
-            .load()
-            .validate_shared(token, &self.audience, now)
-            .map_err(MgmtError::BadToken)?;
-        if !(self.introspect)(&claims.token_id) {
-            return Err(MgmtError::TokenRevoked);
-        }
-        if !claims.has_role("sysadmin") {
-            return Err(MgmtError::RoleMissing);
-        }
-        if claims.acr != "mfa-hw" {
-            return Err(MgmtError::AcrTooWeak);
-        }
+        let claims = self.gate.admit(token, self.clock.now_secs())?;
         // Layer 3: cluster-local ACL.
         if !self.cluster_acl.read().contains(&claims.subject) {
             return Err(MgmtError::NotOnClusterAcl);
@@ -179,7 +166,6 @@ impl ManagementPlane {
                 let n = self.scheduler.cancel_user_jobs(user);
                 format!("cancelled {n} jobs of {user}")
             }
-            MgmtOp::LockAccount(account) => format!("account {account} locked"),
             MgmtOp::Health => {
                 let (pending, running) = self.scheduler.queue_depth();
                 format!("queue: {pending} pending, {running} running")
@@ -208,6 +194,7 @@ mod tests {
     struct Fixture {
         mgmt: ManagementPlane,
         broker: Arc<IdentityBroker>,
+        authz: Arc<StaticAuthz>,
         scheduler: Arc<Scheduler>,
         admin_session: String,
     }
@@ -223,7 +210,7 @@ mod tests {
             3600,
             clock.clone(),
             Arc::new(FederationRegistry::new()),
-            authz,
+            authz.clone(),
         ));
         broker.register_service(TokenPolicy::admin("mgmt-cluster", 600));
         let session = broker
@@ -247,6 +234,7 @@ mod tests {
         Fixture {
             mgmt,
             broker,
+            authz,
             scheduler,
             admin_session: session.session_id,
         }
@@ -317,6 +305,19 @@ mod tests {
                 .execute(TransportPath::Tailnet, "junk", MgmtOp::Health),
             Err(MgmtError::BadToken(_))
         ));
+    }
+
+    #[test]
+    fn token_without_sysadmin_role_rejected() {
+        let f = fixture();
+        f.authz.grant("admin:dave", "mgmt-cluster", &["auditor"]);
+        let err = f
+            .mgmt
+            .execute(TransportPath::Tailnet, &admin_token(&f), MgmtOp::Health)
+            .unwrap_err();
+        assert_eq!(err, MgmtError::RoleMissing);
+        assert_eq!(err.to_string(), "sysadmin role required");
+        assert!(f.mgmt.audit_log().is_empty());
     }
 
     #[test]

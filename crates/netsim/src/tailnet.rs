@@ -6,8 +6,9 @@
 //!
 //! * each node holds an X25519 keypair; the coordination server only ever
 //!   sees public keys;
-//! * enrolment requires a valid, unrevoked admin token (JWKS validation
-//!   plus broker introspection) and yields a **time-limited lease** —
+//! * enrolment requires a valid, unrevoked admin token, admitted through
+//!   the coordinator's [`TokenGate`] (audience `mgmt-tailnet`, the
+//!   `sysadmin` role, no ACR rule), and yields a **time-limited lease** —
 //!   re-authentication is forced when it lapses;
 //! * node-to-node traffic is end-to-end encrypted: X25519 ECDH → HKDF →
 //!   ChaCha20-Poly1305 AEAD with the sender name as associated data, and tampering is
@@ -20,12 +21,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use dri_broker::broker::{IntrospectFn, Jwks};
+use dri_broker::gate::TokenGate;
 use dri_clock::{SimClock, SimRng};
 use dri_crypto::aead;
 use dri_crypto::hkdf;
 use dri_crypto::jwt::JwtError;
 use dri_crypto::x25519;
-use dri_sync::Snapshot;
 use parking_lot::RwLock;
 
 /// A device participating in the tailnet (lives with its owner; the
@@ -124,6 +125,8 @@ impl std::fmt::Display for TailnetError {
 
 impl std::error::Error for TailnetError {}
 
+dri_broker::gate_errors!(TailnetError, unreachable!("no ACR rule"));
+
 #[derive(Clone)]
 struct Enrollment {
     public: [u8; 32],
@@ -145,15 +148,10 @@ enum Cut {
 
 /// The tailnet coordination server.
 pub struct Tailnet {
-    /// Audience enrolment tokens must carry.
-    pub audience: String,
-    /// Role enrolment tokens must carry.
-    pub required_role: String,
     /// Enrolment lease duration (seconds).
     pub lease_secs: u64,
     clock: SimClock,
-    jwks: Snapshot<Jwks>,
-    introspect: IntrospectFn,
+    gate: TokenGate,
     nodes: RwLock<HashMap<String, Enrollment>>,
     acl: RwLock<Vec<(String, String)>>, // (from, to) node-name pairs; "*" wildcard
     down: AtomicBool,
@@ -163,16 +161,13 @@ pub struct Tailnet {
 }
 
 impl Tailnet {
-    /// Create a tailnet validating enrolment tokens against `jwks` and
-    /// the broker's revocation check `introspect`.
+    /// Create a tailnet admitting enrolment tokens through a gate over
+    /// `jwks` and the broker's revocation check `introspect`.
     pub fn new(jwks: Jwks, introspect: IntrospectFn, lease_secs: u64, clock: SimClock) -> Tailnet {
         Tailnet {
-            audience: "mgmt-tailnet".to_string(),
-            required_role: "sysadmin".to_string(),
             lease_secs,
             clock,
-            jwks: Snapshot::new(jwks),
-            introspect,
+            gate: TokenGate::new(jwks, introspect, "mgmt-tailnet", &["sysadmin"], None),
             nodes: RwLock::new(HashMap::new()),
             acl: RwLock::new(Vec::new()),
             down: AtomicBool::new(false),
@@ -183,7 +178,7 @@ impl Tailnet {
 
     /// Refresh the JWKS snapshot (key rotation).
     pub fn update_jwks(&self, jwks: Jwks) {
-        self.jwks.store(jwks);
+        self.gate.update_jwks(jwks);
     }
 
     /// Attach the infrastructure's shared fault hook (chaos drills).
@@ -224,17 +219,7 @@ impl Tailnet {
             .check("tailnet")
             .map_err(|_| TailnetError::Unavailable)?;
         let now = self.clock.now_secs();
-        let claims = self
-            .jwks
-            .load()
-            .validate_shared(token, &self.audience, now)
-            .map_err(TailnetError::BadToken)?;
-        if !(self.introspect)(&claims.token_id) {
-            return Err(TailnetError::TokenRevoked);
-        }
-        if !claims.has_role(&self.required_role) {
-            return Err(TailnetError::RoleMissing);
-        }
+        let claims = self.gate.admit(token, now)?;
         let mut nodes = self.nodes.write();
         // Re-enrolment by the holder renews the lease; a name another
         // subject holds (an infrastructure node included) is refused.
@@ -406,6 +391,7 @@ mod tests {
     struct Fixture {
         tailnet: Tailnet,
         broker: Arc<IdentityBroker>,
+        authz: Arc<StaticAuthz>,
         clock: SimClock,
         admin_session: String,
     }
@@ -420,7 +406,7 @@ mod tests {
             3600,
             clock.clone(),
             Arc::new(FederationRegistry::new()),
-            authz,
+            authz.clone(),
         ));
         broker.register_service(TokenPolicy::admin("mgmt-tailnet", 600));
         let session = broker
@@ -441,6 +427,7 @@ mod tests {
         Fixture {
             tailnet,
             broker,
+            authz,
             clock,
             admin_session: session.session_id,
         }
@@ -636,6 +623,18 @@ mod tests {
         // Leases were never touched: recovery is instant on disarm.
         plane.set_enabled(false);
         assert!(f.tailnet.send(&laptop, "mdc-mgmt01", b"x").is_ok());
+    }
+
+    #[test]
+    fn token_without_sysadmin_role_cannot_enroll() {
+        let f = fixture();
+        f.authz.grant("admin:dave", "mgmt-tailnet", &["auditor"]);
+        let mut rng = SimRng::seed_from_u64(9);
+        let laptop = TailnetNode::generate("dave-laptop", &mut rng);
+        let err = f.tailnet.enroll(&laptop, &admin_token(&f)).unwrap_err();
+        assert_eq!(err, TailnetError::RoleMissing);
+        assert_eq!(err.to_string(), "token lacks admin role");
+        assert_eq!(f.tailnet.node_count(), 0);
     }
 
     #[test]

@@ -1,20 +1,21 @@
 //! The online SSH certificate authority (runs in FDS).
 //!
 //! Signing path, per user story 4: the client presents a broker-issued
-//! token with audience `ssh-ca`; the CA validates it against the broker's
-//! JWKS, introspects it at the broker, asks the authorisation source for the subject's per-project UNIX
-//! accounts, and signs a certificate whose principals are exactly those
-//! accounts. No accounts → no certificate.
+//! token with audience `ssh-ca`; the CA admits it through its
+//! [`TokenGate`] (audience `ssh-ca`, any of the roles `pi` and
+//! `researcher`, no ACR rule), asks the authorisation source for the
+//! subject's per-project UNIX accounts, and signs a certificate whose
+//! principals are exactly those accounts. No accounts → no certificate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dri_broker::authz::AuthorizationSource;
 use dri_broker::broker::{IntrospectFn, Jwks};
+use dri_broker::gate::TokenGate;
 use dri_clock::SimClock;
 use dri_crypto::ed25519::{SigningKey, VerifyingKey};
 use dri_crypto::jwt::JwtError;
-use dri_sync::Snapshot;
 use parking_lot::RwLock;
 
 use crate::cert::SshCertificate;
@@ -50,6 +51,8 @@ impl std::fmt::Display for CaError {
 
 impl std::error::Error for CaError {}
 
+dri_broker::gate_errors!(CaError, unreachable!("no ACR rule"));
+
 /// Result of a successful signing request.
 #[derive(Debug, Clone)]
 pub struct SignedCertificate {
@@ -62,18 +65,14 @@ pub struct SignedCertificate {
 
 /// The SSH certificate authority.
 pub struct SshCa {
-    /// Audience this CA accepts tokens for.
-    pub audience: String,
     ca_key: RwLock<SigningKey>,
     clock: SimClock,
-    jwks: Snapshot<Jwks>,
+    gate: TokenGate,
     authz: Arc<dyn AuthorizationSource>,
     /// Certificate lifetime in seconds (short-lived by design; fixed at
     /// construction from the deployment config).
     pub cert_ttl_secs: u64,
     serial: AtomicU64,
-    /// Revocation check into the broker.
-    introspect: IntrospectFn,
     faults: dri_fault::FaultHook,
 }
 
@@ -89,14 +88,12 @@ impl SshCa {
         authz: Arc<dyn AuthorizationSource>,
     ) -> SshCa {
         SshCa {
-            audience: "ssh-ca".to_string(),
             ca_key: RwLock::new(SigningKey::from_seed(&seed)),
             clock,
-            jwks: Snapshot::new(jwks),
+            gate: TokenGate::new(jwks, introspect, "ssh-ca", &["pi", "researcher"], None),
             authz,
             cert_ttl_secs,
             serial: AtomicU64::new(0),
-            introspect,
             faults: dri_fault::FaultHook::default(),
         }
     }
@@ -118,7 +115,7 @@ impl SshCa {
 
     /// Refresh the JWKS snapshot (broker key rotation).
     pub fn update_jwks(&self, jwks: Jwks) {
-        self.jwks.store(jwks);
+        self.gate.update_jwks(jwks);
     }
 
     /// Rotate the CA key (old certificates become invalid everywhere the
@@ -138,17 +135,7 @@ impl SshCa {
             .check("sshca")
             .map_err(|_| CaError::Unavailable)?;
         let now = self.clock.now_secs();
-        let claims = self
-            .jwks
-            .load()
-            .validate_shared(token, &self.audience, now)
-            .map_err(CaError::BadToken)?;
-        if !(self.introspect)(&claims.token_id) {
-            return Err(CaError::TokenRevoked);
-        }
-        if !claims.has_role("pi") && !claims.has_role("researcher") {
-            return Err(CaError::RoleMissing);
-        }
+        let claims = self.gate.admit(token, now)?;
         let projects = self.authz.unix_accounts(&claims.subject);
         if projects.is_empty() {
             return Err(CaError::NoPrincipals);
@@ -282,6 +269,15 @@ mod tests {
             f.ca.sign_request(&tok, [0u8; 32]),
             Err(CaError::TokenRevoked)
         ));
+    }
+
+    #[test]
+    fn token_without_a_research_role_rejected() {
+        let f = fixture();
+        f.authz.grant("last-resort:alice", "ssh-ca", &["sysadmin"]);
+        let err = f.ca.sign_request(&token(&f), [0u8; 32]).unwrap_err();
+        assert_eq!(err, CaError::RoleMissing);
+        assert_eq!(err.to_string(), "token carries no usable role");
     }
 
     #[test]

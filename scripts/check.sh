@@ -68,6 +68,13 @@ cargo test -q --offline -p dri-broker token_cache
 cargo test -q --offline -p dri-policy trust
 cargo test -q --offline -p isambard-dri --test token_cache
 
+echo "== one token gate: no relying service validates tokens itself =="
+cargo test -q --offline -p dri-broker gate
+if grep -rnE 'validate_shared|has_role\(' crates/{cluster,sshca,netsim,core,portal}/src; then
+    echo "token checks outside dri_broker::TokenGate (listed above)"
+    exit 1
+fi
+
 echo "== crypto differential: every fast path against its slow reference, RFC 8032/7748 vectors =="
 cargo test -q --offline -p dri-crypto
 # In release, with the ignored long-chain field differential included.
