@@ -110,8 +110,9 @@ fn print_report() {
         println!("{workers:>8} {fps:>12.0} {p50:>10} {p99:>10}");
     }
 
-    // Where does a flow spend its time? The tracer's per-stage log2
-    // histograms answer in both deterministic sim steps and wall-clock.
+    // Where does a flow spend its time? The tracer's stage summaries,
+    // folded from its span log, answer in both deterministic sim steps
+    // and wall-clock.
     println!("\n-- per-stage latency attribution, N=45 storm, tracing on --");
     let infra = Infrastructure::new(big_config(16));
     let users = storm_users(&infra, 45);

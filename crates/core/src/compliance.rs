@@ -1,9 +1,11 @@
 //! Compliance surfaces: the seven-tenet ZTA audit (E15) and the CIS-style
 //! configuration snapshot.
 
+use dri_netsim::bastion::BastionError;
 use dri_policy::caf::{CafAssessment, CafEvidence};
 use dri_policy::tenets::{TenetAudit, TenetEvidence};
 use dri_siem::cis::{CisReport, ConfigSnapshot};
+use dri_sshca::cert::SshCertificate;
 
 use crate::infra::{Infrastructure, MEMBER_AUDIENCES};
 
@@ -132,6 +134,7 @@ impl Infrastructure {
     /// the paper's stated next step, made executable.
     pub fn caf_assessment(&self) -> CafAssessment {
         let tenets = self.tenet_evidence();
+        let (kill_switches_tested, reinstatement_tested) = self.probe_kill_switch();
         CafAssessment::run(&CafEvidence {
             roles_separated: true, // allocator / PI / researcher / admin
             assets_inventoried: self.inventory.asset_count(),
@@ -150,22 +153,77 @@ impl Infrastructure {
             telemetry_sources: tenets.telemetry_sources,
             events_collected: tenets.events_collected,
             detection_rules_active: 4, // the four windowed SIEM rules
-            kill_switches_tested: self.probe_kill_switch(),
-            reinstatement_tested: true, // probe_kill_switch reinstates
-            lessons_loop: true,         // respond_to_alert() closes the loop
+            kill_switches_tested,
+            reinstatement_tested,
+            lessons_loop: true, // respond_to_alert() closes the loop
         })
     }
 
-    /// Live probe: block + unblock a synthetic user at the bastion,
-    /// proving the kill/reinstate path works.
-    fn probe_kill_switch(&self) -> bool {
-        self.bastion.block_user("caf-probe-subject");
-        let blocked = {
-            // A blocked user cannot relay; we only verify the state flip
-            // cheaply here via unblock round-trip.
-            true
+    /// Live probe: block a synthetic key id at the bastion and present a
+    /// certificate carrying it, then unblock it and present it again.
+    /// Returns whether the first relay was refused by the kill switch
+    /// (`UserBlocked`) and whether the second was refused by anything
+    /// else. The certificate is unsigned, so the second relay stops at
+    /// the certificate gate and opens no session.
+    fn probe_kill_switch(&self) -> (bool, bool) {
+        const KEY_ID: &str = "caf-probe-subject";
+        let cert = SshCertificate {
+            public_key: [0; 32],
+            serial: 0,
+            key_id: KEY_ID.into(),
+            principals: Vec::new(),
+            valid_after: 0,
+            valid_before: 0,
+            critical_options: Vec::new(),
+            extensions: Vec::new(),
+            signature: [0; 64],
         };
-        self.bastion.unblock_user("caf-probe-subject");
-        blocked
+        let relay = || {
+            self.bastion
+                .relay(&self.network, "internet/user", "mdc/login01", &cert, KEY_ID)
+        };
+        self.bastion.block_user(KEY_ID);
+        let blocked = matches!(relay(), Err(BastionError::UserBlocked));
+        self.bastion.unblock_user(KEY_ID);
+        let reinstated = !matches!(relay(), Err(BastionError::UserBlocked));
+        (blocked, reinstated)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dri_policy::Achievement;
+
+    use crate::config::InfraConfig;
+    use crate::infra::Infrastructure;
+
+    fn d1(infra: &Infrastructure) -> Achievement {
+        let caf = infra.caf_assessment();
+        caf.principles
+            .iter()
+            .find(|p| p.id == "D1")
+            .unwrap()
+            .achieved
+    }
+
+    #[test]
+    fn kill_switch_probe_observes_the_bastion() {
+        let infra = Infrastructure::new(InfraConfig::default());
+        assert_eq!(infra.probe_kill_switch(), (true, true));
+        assert_eq!(
+            infra.bastion.session_count(),
+            0,
+            "the probe opens no session"
+        );
+
+        // With the bastion down the relay answers `Unavailable`, so the
+        // per-user kill switch cannot be seen to refuse anything.
+        infra.kill_bastion();
+        assert!(!infra.probe_kill_switch().0);
+        assert_eq!(d1(&infra), Achievement::NotAchieved);
+
+        infra.bastion.global_restore();
+        assert_eq!(infra.probe_kill_switch(), (true, true));
+        assert_eq!(d1(&infra), Achievement::Achieved);
     }
 }

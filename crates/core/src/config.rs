@@ -65,9 +65,9 @@ pub struct InfraConfig {
     pub broker_shards: usize,
     /// SIEM detection thresholds.
     pub detection: DetectionConfig,
-    /// Enable flow tracing (trace-id minting, span collection, per-stage
-    /// latency histograms). On in the paper's deployment; E9 toggles it
-    /// off to measure the tracing overhead.
+    /// Enable flow tracing (trace-id minting and span collection, from
+    /// which the per-stage latency summaries are read). On in the paper's
+    /// deployment; E9 toggles it off to measure the tracing overhead.
     pub tracing: bool,
     /// Enable the verification caches (verified-token cache and PDP
     /// decision memo). On in the paper's deployment; the login-storm

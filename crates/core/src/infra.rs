@@ -103,8 +103,8 @@ pub struct Infrastructure {
     pub mgmt: Arc<ManagementPlane>,
     /// The SIEM in SEC.
     pub siem: Arc<Siem>,
-    /// The flow-trace collector: span records plus per-stage latency
-    /// histograms for every cross-crate flow.
+    /// The flow-trace collector: the span records of every cross-crate
+    /// flow, from which the per-stage latency summaries are read.
     pub tracer: Arc<Tracer>,
     /// Asset inventory.
     pub inventory: Arc<Inventory>,
@@ -132,7 +132,7 @@ impl Infrastructure {
         // Flow tracing: trace/span ids derive from the master seed, so a
         // given seed yields byte-identical traces whether flows run
         // serially or fanned out over threads. Wall-clock readings feed
-        // the latency histograms only — they never enter trace ids or
+        // the latency summaries only — they never enter trace ids or
         // exports.
         let tracer = Arc::new(Tracer::new(
             rng.next_u64(),

@@ -68,7 +68,7 @@ pub use flows::FlowError;
 pub use ids::{Cuid, ProjectId, SessionId, UserLabel};
 pub use infra::{Infrastructure, BROKER_ENTITY, PROXY_ENTITY, UNIVERSITY_IDP};
 pub use killswitch::KillReport;
-pub use metrics::{MetricsSnapshot, StageLatency};
+pub use metrics::MetricsSnapshot;
 pub use resilience::{FeedbackAction, FeedbackAdjustment, Resilience};
 pub use stories::{
     AdminOutcome, JupyterOutcome, PiOutcome, PrivilegedOpOutcome, ResearcherOutcome, SshOutcome,

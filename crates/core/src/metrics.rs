@@ -2,25 +2,9 @@
 //! "increased telemetry needed for introducing DevSecOps" the paper's
 //! conclusion calls for.
 
-use crate::infra::Infrastructure;
+use dri_trace::StageSummary;
 
-/// Per-stage latency percentiles derived from the flow tracer's log2
-/// histograms: deterministic sim-step durations alongside wall-clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageLatency {
-    /// Stage name (`discovery`, `broker`, `sshca`, ...).
-    pub stage: &'static str,
-    /// Spans recorded at this stage.
-    pub spans: u64,
-    /// Median span duration in sim steps.
-    pub p50_steps: u64,
-    /// 99th-percentile span duration in sim steps.
-    pub p99_steps: u64,
-    /// Median wall-clock span duration (µs).
-    pub p50_wall_us: u64,
-    /// 99th-percentile wall-clock span duration (µs).
-    pub p99_wall_us: u64,
-}
+use crate::infra::Infrastructure;
 
 /// A point-in-time operational snapshot of the whole co-design.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,8 +89,9 @@ pub struct MetricsSnapshot {
     // Observability layer.
     /// Flow traces recorded.
     pub traces_recorded: usize,
-    /// Per-stage latency percentiles (only stages that recorded spans).
-    pub stage_latencies: Vec<StageLatency>,
+    /// Per-stage latency summaries of the collected spans, in sim steps
+    /// and wall-clock µs (only stages that recorded spans).
+    pub stage_latencies: Vec<StageSummary>,
 }
 
 impl Infrastructure {
@@ -151,19 +136,7 @@ impl Infrastructure {
                 .filter(|w| w.exhausted)
                 .count(),
             traces_recorded: self.tracer.trace_count(),
-            stage_latencies: self
-                .tracer
-                .stage_summaries()
-                .into_iter()
-                .map(|s| StageLatency {
-                    stage: s.stage.as_str(),
-                    spans: s.steps.count,
-                    p50_steps: s.steps.p50,
-                    p99_steps: s.steps.p99,
-                    p50_wall_us: s.wall_us.p50,
-                    p99_wall_us: s.wall_us.p99,
-                })
-                .collect(),
+            stage_latencies: self.tracer.stage_summaries(),
         }
     }
 }
@@ -202,13 +175,17 @@ mod tests {
         );
         assert!(after.siem_events > before.siem_events);
         assert!(after.traces_recorded >= 3, "one trace per story flow");
-        let stages: Vec<&str> = after.stage_latencies.iter().map(|s| s.stage).collect();
+        let stages: Vec<&str> = after
+            .stage_latencies
+            .iter()
+            .map(|s| s.stage.as_str())
+            .collect();
         for expected in ["discovery", "broker", "sshca", "bastion", "cluster"] {
             assert!(stages.contains(&expected), "missing stage {expected}");
         }
         for s in &after.stage_latencies {
-            assert!(s.spans > 0);
-            assert!(s.p50_steps <= s.p99_steps);
+            assert!(s.steps.count > 0);
+            assert!(s.steps.p50 <= s.steps.p99);
         }
     }
 

@@ -17,7 +17,7 @@ pub use crate::flows::FlowError;
 pub use crate::ids::{Cuid, ProjectId, SessionId, UserLabel};
 pub use crate::infra::Infrastructure;
 pub use crate::killswitch::KillReport;
-pub use crate::metrics::{MetricsSnapshot, StageLatency};
+pub use crate::metrics::MetricsSnapshot;
 pub use crate::resilience::Resilience;
 pub use crate::stories::{
     AdminOutcome, JupyterOutcome, PiOutcome, PrivilegedOpOutcome, ResearcherOutcome, SshOutcome,

@@ -1,4 +1,4 @@
-//! JSON Web Tokens with `EdDSA` (Ed25519) and `HS256` algorithms.
+//! JSON Web Tokens signed with `EdDSA` (Ed25519).
 //!
 //! These are the short-lived RBAC tokens at the heart of the paper's
 //! design: every service-to-service and user-to-service access in the
@@ -7,26 +7,10 @@
 
 use crate::base64::{decode_url, encode_into, Variant};
 use crate::ed25519::{PreparedVerifyingKey, SigningKey, VerifyingKey};
-use crate::hmac::{hmac_sha256, verify_hmac_sha256};
 use crate::json::{write_number, write_string, write_value, Value};
 
-/// Supported JWS algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Ed25519 signatures (asymmetric; used for all broker-issued tokens).
-    EdDSA,
-    /// HMAC-SHA-256 (symmetric; used for internal service tokens).
-    HS256,
-}
-
-impl Algorithm {
-    fn as_str(self) -> &'static str {
-        match self {
-            Algorithm::EdDSA => "EdDSA",
-            Algorithm::HS256 => "HS256",
-        }
-    }
-}
+/// The one JWS algorithm signed and accepted: Ed25519 signatures.
+const ALG: &str = "EdDSA";
 
 /// Registered + custom claims carried by a token.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,8 +208,6 @@ impl Claims {
 pub enum Signer<'a> {
     /// Ed25519 (EdDSA).
     Ed25519(&'a SigningKey),
-    /// HMAC-SHA-256 (HS256).
-    Hmac(&'a [u8]),
 }
 
 /// Key material used to verify a token.
@@ -237,8 +219,6 @@ pub enum Verifier<'a> {
     /// decompression (verification caches prepare keys once per JWKS
     /// publish).
     Ed25519Prepared(&'a PreparedVerifyingKey),
-    /// HMAC secret.
-    Hmac(&'a [u8]),
 }
 
 /// Unpadded base64url length of `n` bytes.
@@ -253,16 +233,8 @@ fn b64_len(n: usize) -> usize {
 /// straight into the token, with no `Value` tree; the unit tests keep
 /// the tree-building encoder as the byte-for-byte reference.
 pub fn sign(claims: &Claims, signer: &Signer<'_>, kid: &str) -> String {
-    match signer {
-        Signer::Ed25519(sk) => sign_ed25519(claims, sk, kid).0,
-        Signer::Hmac(key) => {
-            let mut token = signing_input(claims, Algorithm::HS256, kid, 32);
-            let sig = hmac_sha256(key, token.as_bytes());
-            token.push('.');
-            encode_into(&sig, Variant::UrlSafeNoPad, &mut token);
-            token
-        }
-    }
+    let Signer::Ed25519(sk) = signer;
+    sign_ed25519(claims, sk, kid).0
 }
 
 /// [`sign`] with an Ed25519 key, also returning the signature's
@@ -270,20 +242,20 @@ pub fn sign(claims: &Claims, signer: &Signer<'_>, kid: &str) -> String {
 /// computes anyway (see [`SigningKey::sign_with_challenge`]). The token
 /// is the one [`sign`] returns.
 pub fn sign_ed25519(claims: &Claims, sk: &SigningKey, kid: &str) -> (String, [u8; 64]) {
-    let mut token = signing_input(claims, Algorithm::EdDSA, kid, 64);
+    let mut token = signing_input(claims, kid);
     let (sig, challenge) = sk.sign_with_challenge(token.as_bytes());
     token.push('.');
     encode_into(&sig, Variant::UrlSafeNoPad, &mut token);
     (token, challenge)
 }
 
-/// `header.payload` of a token, with room for a `sig_len`-byte signature
-/// segment after it.
-fn signing_input(claims: &Claims, alg: Algorithm, kid: &str, sig_len: usize) -> String {
+/// `header.payload` of a token, with room for the signature segment
+/// after it.
+fn signing_input(claims: &Claims, kid: &str) -> String {
     // Header members in byte order: alg, kid, typ.
     let mut json = String::with_capacity(384);
     json.push_str("{\"alg\":");
-    write_string(alg.as_str(), &mut json);
+    write_string(ALG, &mut json);
     json.push_str(",\"kid\":");
     write_string(kid, &mut json);
     json.push_str(",\"typ\":\"JWT\"}");
@@ -291,9 +263,8 @@ fn signing_input(claims: &Claims, alg: Algorithm, kid: &str, sig_len: usize) -> 
     claims.write_json(&mut json);
     let (header, payload) = json.as_bytes().split_at(header_len);
 
-    let mut token = String::with_capacity(
-        b64_len(header.len()) + b64_len(payload.len()) + b64_len(sig_len) + 2,
-    );
+    let mut token =
+        String::with_capacity(b64_len(header.len()) + b64_len(payload.len()) + b64_len(64) + 2);
     encode_into(header, Variant::UrlSafeNoPad, &mut token);
     token.push('.');
     encode_into(payload, Variant::UrlSafeNoPad, &mut token);
@@ -327,37 +298,19 @@ pub fn verify(
     let header_bytes = decode_url(h).map_err(|_| JwtError::Malformed)?;
     let header_json = std::str::from_utf8(&header_bytes).map_err(|_| JwtError::Malformed)?;
     let header = Value::parse(header_json).map_err(|_| JwtError::Malformed)?;
-    let alg = header.get("alg").and_then(Value::as_str).unwrap_or("");
-    let expected_alg = match verifier {
-        Verifier::Ed25519(_) | Verifier::Ed25519Prepared(_) => Algorithm::EdDSA,
-        Verifier::Hmac(_) => Algorithm::HS256,
-    };
-    // Pinning the algorithm to the key type forecloses alg-confusion attacks.
-    if alg != expected_alg.as_str() {
+    // Pinning the one algorithm forecloses alg-confusion attacks.
+    if header.get("alg").and_then(Value::as_str) != Some(ALG) {
         return Err(JwtError::AlgorithmMismatch);
     }
 
-    let signing_input_len = h.len() + 1 + p.len();
-    let signing_input = &token[..signing_input_len];
-    let sig = decode_url(s).map_err(|_| JwtError::Malformed)?;
+    let signing_input = &token.as_bytes()[..h.len() + 1 + p.len()];
+    let sig: [u8; 64] = decode_url(s)
+        .map_err(|_| JwtError::Malformed)?
+        .try_into()
+        .map_err(|_| JwtError::BadSignature)?;
     let ok = match verifier {
-        Verifier::Ed25519(pk) => {
-            if sig.len() != 64 {
-                return Err(JwtError::BadSignature);
-            }
-            let mut sig64 = [0u8; 64];
-            sig64.copy_from_slice(&sig);
-            pk.verify(signing_input.as_bytes(), &sig64)
-        }
-        Verifier::Ed25519Prepared(pk) => {
-            if sig.len() != 64 {
-                return Err(JwtError::BadSignature);
-            }
-            let mut sig64 = [0u8; 64];
-            sig64.copy_from_slice(&sig);
-            pk.verify(signing_input.as_bytes(), &sig64)
-        }
-        Verifier::Hmac(key) => verify_hmac_sha256(key, signing_input.as_bytes(), &sig),
+        Verifier::Ed25519(pk) => pk.verify(signing_input, &sig),
+        Verifier::Ed25519Prepared(pk) => pk.verify(signing_input, &sig),
     };
     if !ok {
         return Err(JwtError::BadSignature);
@@ -465,12 +418,8 @@ mod tests {
 
     /// The `Value`-tree encoder [`sign`] replaced, kept as its reference.
     pub(super) fn sign_reference(claims: &Claims, signer: &Signer<'_>, kid: &str) -> String {
-        let alg = match signer {
-            Signer::Ed25519(_) => Algorithm::EdDSA,
-            Signer::Hmac(_) => Algorithm::HS256,
-        };
         let header = Value::obj([
-            ("alg", Value::s(alg.as_str())),
+            ("alg", Value::s(ALG)),
             ("typ", Value::s("JWT")),
             ("kid", Value::s(kid)),
         ]);
@@ -479,10 +428,8 @@ mod tests {
             encode_url(header.to_json().as_bytes()),
             encode_url(claims.to_value().to_json().as_bytes())
         );
-        let sig = match signer {
-            Signer::Ed25519(sk) => sk.sign(signing_input.as_bytes()).to_vec(),
-            Signer::Hmac(key) => hmac_sha256(key, signing_input.as_bytes()).to_vec(),
-        };
+        let Signer::Ed25519(sk) = signer;
+        let sig = sk.sign(signing_input.as_bytes());
         format!("{signing_input}.{}", encode_url(&sig))
     }
 
@@ -559,12 +506,11 @@ mod tests {
             claims.write_json(&mut json);
             assert_eq!(json, claims.to_value().to_json());
             for kid in ["fds-key-1", "", "k\"\u{2}"] {
-                for signer in [Signer::Ed25519(&sk), Signer::Hmac(b"secret")] {
-                    assert_eq!(
-                        sign(&claims, &signer, kid),
-                        sign_reference(&claims, &signer, kid)
-                    );
-                }
+                let signer = Signer::Ed25519(&sk);
+                assert_eq!(
+                    sign(&claims, &signer, kid),
+                    sign_reference(&claims, &signer, kid)
+                );
             }
         }
     }
@@ -693,22 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn hs256_roundtrip() {
-        let claims = sample_claims(0);
-        let token = sign(&claims, &Signer::Hmac(b"shared-secret"), "svc-key");
-        let got = verify(
-            &token,
-            &Verifier::Hmac(b"shared-secret"),
-            &Validation {
-                now: 100,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(got.subject, "wlcg-12345");
-    }
-
-    #[test]
     fn expiry_and_nbf_enforced() {
         let sk = SigningKey::from_seed(&[2u8; 32]);
         let claims = sample_claims(1000); // valid [1000, 1900)
@@ -786,25 +716,25 @@ mod tests {
 
     #[test]
     fn algorithm_confusion_rejected() {
-        // An HS256 token must not verify against an Ed25519 verifier and
-        // vice versa, even with "matching" key bytes.
+        // An HS256 token MACed with the public key's bytes (the classic
+        // confusion attack) must not verify against the Ed25519 key.
         let sk = SigningKey::from_seed(&[5u8; 32]);
-        let hs = sign(
-            &sample_claims(0),
-            &Signer::Hmac(sk.verifying_key().as_bytes()),
-            "k",
+        let pk = sk.verifying_key();
+        let signing_input = format!(
+            "{}.{}",
+            encode_url(br#"{"alg":"HS256","kid":"k","typ":"JWT"}"#),
+            encode_url(sample_claims(0).to_value().to_json().as_bytes())
         );
-        assert_eq!(
-            verify(
-                &hs,
-                &Verifier::Ed25519(&sk.verifying_key()),
-                &Validation {
-                    now: 1,
-                    ..Default::default()
-                }
-            ),
-            Err(JwtError::AlgorithmMismatch)
-        );
+        let mac = crate::hmac::hmac_sha256(pk.as_bytes(), signing_input.as_bytes());
+        let hs = format!("{signing_input}.{}", encode_url(&mac));
+        let v = Validation {
+            now: 1,
+            ..Default::default()
+        };
+        let prepared = PreparedVerifyingKey::new(&pk);
+        for verifier in [Verifier::Ed25519(&pk), Verifier::Ed25519Prepared(&prepared)] {
+            assert_eq!(verify(&hs, &verifier, &v), Err(JwtError::AlgorithmMismatch));
+        }
     }
 
     #[test]
@@ -814,7 +744,8 @@ mod tests {
             ..Default::default()
         };
         for bad in ["", "a.b", "a.b.c.d", "!!!.###.$$$", "aGk.aGk.aGk"] {
-            assert!(verify(bad, &Verifier::Hmac(b"k"), &v).is_err(), "{bad}");
+            let pk = SigningKey::from_seed(&[5u8; 32]).verifying_key();
+            assert!(verify(bad, &Verifier::Ed25519(&pk), &v).is_err(), "{bad}");
         }
     }
 }

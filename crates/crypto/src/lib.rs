@@ -3,7 +3,7 @@
 //! From-scratch implementations of the primitives the Isambard federated
 //! SSO / zero-trust co-design depends on: SHA-256/512, HMAC, HKDF, Ed25519
 //! (RFC 8032), X25519 (RFC 7748), ChaCha20 (RFC 8439), base64/base64url,
-//! hex, a minimal deterministic JSON codec, and JWT (EdDSA + HS256).
+//! hex, a minimal deterministic JSON codec, and JWT (EdDSA).
 //!
 //! Everything is verified against the published RFC / FIPS test vectors in
 //! the unit tests, so signatures and tokens flowing through the simulated

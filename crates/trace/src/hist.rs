@@ -1,24 +1,25 @@
 //! Log2-bucketed latency histograms.
 //!
 //! Fixed 64-bucket layout (bucket `b` holds values whose bit length is
-//! `b`, i.e. `[2^(b-1), 2^b)`; bucket 0 holds zero), all-atomic so the
-//! parallel storm records without locks. Quantiles are read as the
+//! `b`, i.e. `[2^(b-1), 2^b)`; bucket 0 holds zero). A histogram is a
+//! plain value, built when a summary is read (see
+//! [`Tracer::stage_summaries`](crate::Tracer::stage_summaries)), so
+//! nothing on a flow's path records into it. Quantiles are read as the
 //! inclusive upper bound of the bucket containing the target rank —
 //! coarse (≤2× error) but monotone, allocation-free, and identical
-//! however the recordings were interleaved.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! whatever order the samples were recorded in.
 
 const BUCKETS: usize = 64;
 
-/// A lock-free log2-bucketed histogram of `u64` samples.
-#[derive(Debug)]
+/// A log2-bucketed histogram of `u64` samples.
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    /// Smallest sample; `u64::MAX` while empty.
+    min: u64,
+    max: u64,
 }
 
 impl Default for LogHistogram {
@@ -35,58 +36,37 @@ impl LogHistogram {
     /// An empty histogram.
     pub fn new() -> LogHistogram {
         LogHistogram {
-            buckets: [0u64; BUCKETS].map(AtomicU64::new),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
         }
     }
 
     /// Record one sample.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_of(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Smallest sample (0 if empty).
-    pub fn min(&self) -> u64 {
-        let v = self.min.load(Ordering::Relaxed);
-        if v == u64::MAX {
+    fn min(&self) -> u64 {
+        if self.count == 0 {
             0
         } else {
-            v
+            self.min
         }
-    }
-
-    /// Largest sample (0 if empty).
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample (0 if empty).
-    pub fn mean(&self) -> u64 {
-        self.sum().checked_div(self.count()).unwrap_or(0)
     }
 
     /// The `q`-quantile (`0.0..=1.0`) as the inclusive upper bound of
     /// the log2 bucket holding that rank, clamped to the observed
     /// min/max. 0 if empty.
     pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
+        let n = self.count;
         if n == 0 {
             return 0;
         }
@@ -94,8 +74,8 @@ impl LogHistogram {
         // Rank of the target sample, 1-based, at least 1.
         let target = ((q * n as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (b, slot) in self.buckets.iter().enumerate() {
-            seen += slot.load(Ordering::Relaxed);
+        for (b, &slot) in self.buckets.iter().enumerate() {
+            seen += slot;
             if seen >= target {
                 let upper = if b == 0 {
                     0
@@ -104,19 +84,19 @@ impl LogHistogram {
                 } else {
                     (1u64 << b) - 1
                 };
-                return upper.clamp(self.min(), self.max());
+                return upper.clamp(self.min(), self.max);
             }
         }
-        self.max()
+        self.max
     }
 
-    /// Immutable copy of the headline statistics.
+    /// The headline statistics.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
-            count: self.count(),
-            sum: self.sum(),
+            count: self.count,
+            sum: self.sum,
             min: self.min(),
-            max: self.max(),
+            max: self.max,
             p50: self.quantile(0.50),
             p90: self.quantile(0.90),
             p99: self.quantile(0.99),
@@ -159,25 +139,24 @@ mod tests {
 
     #[test]
     fn records_and_reads_back() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(h.snapshot(), HistSnapshot::default());
         for v in [1u64, 2, 3, 4, 100, 1000] {
             h.record(v);
         }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1110);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 1000);
-        assert_eq!(h.mean(), 185);
+        let snap = h.snapshot();
+        assert_eq!((snap.count, snap.sum), (6, 1110));
+        assert_eq!((snap.min, snap.max), (1, 1000));
         // p50 lands in the [2,3] bucket; upper bound 3.
-        assert_eq!(h.quantile(0.5), 3);
+        assert_eq!(snap.p50, 3);
         // p99 lands in the last occupied bucket, clamped to max.
-        assert_eq!(h.quantile(0.99), 1000);
+        assert_eq!(snap.p99, 1000);
     }
 
     #[test]
     fn quantiles_are_monotone() {
-        let h = LogHistogram::new();
+        let mut h = LogHistogram::new();
         for v in 0..1000u64 {
             h.record(v * 7 % 513);
         }
@@ -187,23 +166,5 @@ mod tests {
             assert!(v >= last, "quantile({q}) = {v} < {last}");
             last = v;
         }
-    }
-
-    #[test]
-    fn concurrent_records_all_land() {
-        let h = std::sync::Arc::new(LogHistogram::new());
-        crossbeam::thread::scope(|scope| {
-            for t in 0..8 {
-                let h = h.clone();
-                scope.spawn(move |_| {
-                    for i in 0..500u64 {
-                        h.record(t * 1000 + i);
-                    }
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(h.count(), 4000);
-        assert_eq!(h.max(), 7 * 1000 + 499);
     }
 }

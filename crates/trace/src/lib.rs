@@ -12,7 +12,7 @@
 //!   it runs serially or across eight workers. No `std::time`, no OS
 //!   entropy: simulated time comes from [`dri_clock::SimClock`] and
 //!   wall-clock micros from an injected closure that only ever feeds
-//!   histograms.
+//!   the stage summaries.
 //! * **Signature-neutral.** Context propagates through a thread-local
 //!   flow frame: orchestration code opens a [`flow`], substrate crates
 //!   sprinkle [`span`]/[`span_with`] at hop points, and nothing changes
@@ -21,7 +21,8 @@
 //! * **Allocation-free per flow.** Spans buffer in a thread-local flow
 //!   frame whose buffers the thread reuses, and flush once per flow into
 //!   an append-only per-shard log (rows, an attribute table and one text
-//!   arena); stage latency lands in lock-free log2 histograms. Trace ids
+//!   arena). That log is the only record: per-stage latency summaries
+//!   are folded from it into log2 histograms when read. Trace ids
 //!   travel as the 16-byte `Copy` [`TraceId`] and become hex only when
 //!   exported or displayed.
 //!

@@ -16,13 +16,13 @@
 //! * **No `std::time` in this crate.** Simulated time comes from the
 //!   shared [`SimClock`]; wall-clock micros come from a closure the
 //!   embedder installs ([`Tracer::install_wall_clock`]). Wall readings
-//!   feed histograms only — never identifiers or the chrome export —
-//!   so determinism is preserved.
+//!   feed the stage summaries only — never identifiers or the chrome
+//!   export — so determinism is preserved.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::num::NonZeroU32;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use dri_clock::SimClock;
@@ -32,8 +32,8 @@ use parking_lot::{Mutex, RwLock};
 use crate::hist::{HistSnapshot, LogHistogram};
 use crate::ids::{SpanId, TraceCtx, TraceId};
 
-/// Which pipeline stage a span belongs to. One histogram pair is kept
-/// per stage, so stage attribution is O(1) at record time.
+/// Which pipeline stage a span belongs to; the stage summaries group
+/// spans by it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Stage {
@@ -65,7 +65,7 @@ pub enum Stage {
     Siem = 12,
 }
 
-/// Number of [`Stage`] variants (histogram array size).
+/// Number of [`Stage`] variants.
 pub const STAGE_COUNT: usize = 13;
 
 /// All stages, in discriminant order.
@@ -130,7 +130,8 @@ pub struct SpanRecord {
     /// Simulated clock at close (ms).
     pub end_ms: u64,
     /// Wall-clock duration in µs (0 when no wall source is installed).
-    /// Feeds histograms only; excluded from deterministic exports.
+    /// Feeds the stage summaries only; excluded from deterministic
+    /// exports.
     pub wall_us: u64,
     /// Key/value attributes (zone, domain, audience, ...). Keys are
     /// static names, borrowed rather than copied; the `Cow` keeps them
@@ -145,8 +146,8 @@ impl SpanRecord {
     }
 }
 
-/// Per-stage latency summary (steps and wall-clock), as surfaced in
-/// `MetricsSnapshot` and the E9 attribution table.
+/// Per-stage latency summary (steps and wall-clock) of the collected
+/// spans, as surfaced in `MetricsSnapshot` and the E9 attribution table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageSummary {
     /// The stage.
@@ -159,11 +160,6 @@ pub struct StageSummary {
 
 /// Source of wall-clock microseconds, installed by the embedder.
 pub type WallClockFn = dyn Fn() -> u64 + Send + Sync;
-
-struct StagePair {
-    steps: LogHistogram,
-    wall_us: LogHistogram,
-}
 
 /// A finished span as a shard log stores it, in 56 bytes. The trace id
 /// is kept once per flow and the attributes in the attribute table. The
@@ -291,21 +287,18 @@ impl ShardLog {
 /// The per-infrastructure span collector.
 ///
 /// Cheap to share (`Arc`), safe to hammer from a parallel storm: trace
-/// ids are minted from per-key sequences behind sharded locks, finished
-/// flows are appended to one of several append-only shard logs (picked
-/// by the trace id's low half), and stage histograms are plain atomics.
+/// ids are minted from per-key sequences behind sharded locks, and
+/// finished flows are appended to one of several append-only shard logs
+/// (picked by the trace id's low half). The logs are the only record:
+/// the stage summaries are folded from them when read.
 pub struct Tracer {
     enabled: AtomicBool,
     seed: u64,
     /// Per-flow-key mint sequence, so the N-th login of one subject has
     /// a stable trace id regardless of what other subjects are doing.
     seqs: ShardMap<u64>,
-    /// Per-shard mint counters: cheap stats plus the uniqueness
-    /// sequence for key-less flows.
-    minted: Vec<AtomicU64>,
     /// Finished flows, one append-only log per shard.
     logs: Vec<Mutex<ShardLog>>,
-    stages: Vec<StagePair>,
     clock: SimClock,
     wall: RwLock<Option<Arc<WallClockFn>>>,
 }
@@ -321,14 +314,7 @@ impl Tracer {
             enabled: AtomicBool::new(false),
             seed,
             seqs: ShardMap::new(n),
-            minted: (0..n).map(|_| AtomicU64::new(0)).collect(),
             logs: (0..n).map(|_| Mutex::default()).collect(),
-            stages: (0..STAGE_COUNT)
-                .map(|_| StagePair {
-                    steps: LogHistogram::new(),
-                    wall_us: LogHistogram::new(),
-                })
-                .collect(),
             clock,
             wall: RwLock::new(None),
         }
@@ -355,8 +341,6 @@ impl Tracer {
     /// Mint the next trace id for `key` (per-key sequence, sharded).
     fn mint(&self, key: &str) -> TraceId {
         let hash = hash_key(key);
-        let shard = shard_index(hash, self.minted.len());
-        self.minted[shard].fetch_add(1, Ordering::Relaxed);
         let seq = self.seqs.upsert(key, |seq| {
             *seq += 1;
             *seq
@@ -364,34 +348,17 @@ impl Tracer {
         TraceId::mint(self.seed, hash, seq)
     }
 
-    /// Flush one finished flow into the collector and the stage
-    /// histograms. Called once per flow, from the root guard's drop.
-    /// Every flow is kept until [`clear_spans`](Tracer::clear_spans).
+    /// Append one finished flow to its shard's log. Called once per
+    /// flow, from the root guard's drop. Every flow is kept until
+    /// [`clear_spans`](Tracer::clear_spans).
     fn flush(&self, trace_id: TraceId, frame: &FrameBuf) {
-        for span in &frame.spans {
-            let steps = span.end_step - span.start_step;
-            self.record_stage(span.stage, steps.into(), span.wall_us);
-        }
         let shard = shard_index(trace_id.low64(), self.logs.len());
         self.logs[shard].lock().append(trace_id, frame);
-    }
-
-    /// Record one latency sample for `stage`.
-    fn record_stage(&self, stage: Stage, steps: u64, wall_us: u64) {
-        let pair = &self.stages[stage as usize];
-        pair.steps.record(steps);
-        pair.wall_us.record(wall_us);
     }
 
     /// Number of flows collected.
     pub fn trace_count(&self) -> usize {
         self.logs.iter().map(|log| log.lock().flows.len()).sum()
-    }
-
-    /// Number of trace ids minted (≥ `trace_count` while flows are in
-    /// flight), summed over the per-shard counters.
-    pub fn minted_count(&self) -> u64 {
-        self.minted.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     /// Total spans across all collected flows.
@@ -414,28 +381,34 @@ impl Tracer {
         out
     }
 
-    /// Latency summaries for every stage with at least one sample,
-    /// in stage order.
+    /// Latency summaries of the collected spans for every stage with at
+    /// least one span, in stage order. Folded from the shard logs on each
+    /// call, so they cover exactly the spans [`all_spans`](Tracer::all_spans)
+    /// returns.
     pub fn stage_summaries(&self) -> Vec<StageSummary> {
+        let mut hists: [(LogHistogram, LogHistogram); STAGE_COUNT] = Default::default();
+        for log in &self.logs {
+            for row in &log.lock().spans {
+                let (steps, wall_us) = &mut hists[row.stage as usize];
+                steps.record((row.end_step - row.start_step).into());
+                wall_us.record(row.wall_us);
+            }
+        }
         ALL_STAGES
-            .iter()
-            .filter_map(|&stage| {
-                let pair = &self.stages[stage as usize];
-                if pair.steps.count() == 0 {
-                    None
-                } else {
-                    Some(StageSummary {
-                        stage,
-                        steps: pair.steps.snapshot(),
-                        wall_us: pair.wall_us.snapshot(),
-                    })
-                }
+            .into_iter()
+            .zip(hists)
+            .map(|(stage, (steps, wall_us))| StageSummary {
+                stage,
+                steps: steps.snapshot(),
+                wall_us: wall_us.snapshot(),
             })
+            .filter(|s| s.steps.count > 0)
             .collect()
     }
 
-    /// Drop all collected spans and free their storage (histograms and
-    /// sequences are kept, so ids minted after a clear do not repeat).
+    /// Drop all collected spans and free their storage. The stage
+    /// summaries follow the spans, so they restart empty; the mint
+    /// sequences are kept, so ids minted after a clear do not repeat.
     pub fn clear_spans(&self) {
         for log in &self.logs {
             *log.lock() = ShardLog::default();
@@ -731,8 +704,20 @@ mod tests {
         t
     }
 
+    /// The trace ids of `n` consecutive "alice" flows on a fresh tracer.
+    fn alice_ids(n: usize) -> Vec<TraceId> {
+        let t = test_tracer();
+        (0..n)
+            .map(|_| {
+                let _f = flow(&t, "alice", "login", Stage::Flow);
+                current_trace_id().unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn disabled_tracer_collects_nothing() {
+        let first = alice_ids(1)[0];
         let t = Arc::new(Tracer::new(42, 4, SimClock::new()));
         {
             let _f = flow(&t, "alice", "login", Stage::Flow);
@@ -740,7 +725,11 @@ mod tests {
             assert!(current_trace_id().is_none());
         }
         assert_eq!(t.trace_count(), 0);
-        assert_eq!(t.minted_count(), 0);
+        // The disabled flow minted nothing: alice's first traced flow
+        // still gets her first id.
+        t.set_enabled(true);
+        let _f = flow(&t, "alice", "login", Stage::Flow);
+        assert_eq!(current_trace_id(), Some(first));
     }
 
     #[test]
@@ -877,18 +866,32 @@ mod tests {
     #[test]
     fn nested_flow_becomes_child_span() {
         let t = test_tracer();
+        let ids = alice_ids(2);
         {
             let _outer = flow(&t, "alice", "story1", Stage::Flow);
             let _inner = flow(&t, "alice", "login", Stage::Flow);
-            assert_eq!(t.minted_count(), 1, "nested flow mints no new id");
+            assert_eq!(current_trace_id(), Some(ids[0]));
         }
         assert_eq!(t.trace_count(), 1);
+        {
+            let _next = flow(&t, "alice", "login", Stage::Flow);
+            assert_eq!(
+                current_trace_id(),
+                Some(ids[1]),
+                "nested flow mints no new id"
+            );
+        }
         let spans = t.all_spans();
-        assert_eq!(spans.len(), 2);
+        assert_eq!(spans.len(), 3);
+        assert_eq!(
+            spans.iter().filter(|s| s.trace_id == ids[0]).count(),
+            2,
+            "the nested flow is a span of the outer trace"
+        );
         assert_eq!(
             spans.iter().filter(|s| s.parent_id.is_none()).count(),
-            1,
-            "exactly one root"
+            2,
+            "one root per trace"
         );
     }
 
@@ -930,17 +933,29 @@ mod tests {
     #[test]
     fn stage_histograms_accumulate() {
         let t = test_tracer();
-        {
-            let _f = flow(&t, "alice", "login", Stage::Flow);
+        for user in ["alice", "bob", "carol"] {
+            let _f = flow(&t, user, "login", Stage::Flow);
             let _s = span("broker.establish", Stage::Broker);
+            let _n = span("net.connect", Stage::Network);
         }
         let summaries = t.stage_summaries();
-        assert_eq!(summaries.len(), 2);
-        assert_eq!(summaries[0].stage, Stage::Flow);
-        assert_eq!(summaries[1].stage, Stage::Broker);
-        assert_eq!(summaries[1].steps.count, 1);
-        // The span opened and closed with one nested step pair: 2 steps.
-        assert!(summaries[1].steps.p50 >= 1);
+        let stages: Vec<Stage> = summaries.iter().map(|s| s.stage).collect();
+        assert_eq!(stages, [Stage::Flow, Stage::Broker, Stage::Network]);
+        // Each summary counts and sums exactly the exported spans.
+        let spans = t.all_spans();
+        for s in &summaries {
+            let of_stage = spans.iter().filter(|r| r.stage == s.stage);
+            assert_eq!(s.steps.count, of_stage.clone().count() as u64);
+            assert_eq!(s.steps.sum, of_stage.map(SpanRecord::steps).sum::<u64>());
+        }
+        // Steps 0..5 for the root, 1..4 for broker, 2..3 for network.
+        let steps: Vec<(u64, u64)> = summaries
+            .iter()
+            .map(|s| (s.steps.min, s.steps.max))
+            .collect();
+        assert_eq!(steps, [(5, 5), (3, 3), (1, 1)]);
+        t.clear_spans();
+        assert!(t.stage_summaries().is_empty(), "summaries follow the spans");
     }
 
     #[test]

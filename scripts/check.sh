@@ -46,6 +46,10 @@ echo "== trace subsystem tests =="
 cargo test -q --offline -p dri-trace
 cargo test -q --offline -p isambard-dri --test trace_provenance
 cargo test -q --offline -p isambard-dri --test trace_golden
+# Serial vs 8 workers: equal metrics, stage summaries read from the log included.
+cargo test -q --offline -p isambard-dri --test storm_shard_stress
+# The one example that prints the stage summaries.
+cargo run --release --offline --example day_in_the_life
 
 echo "== SIEM ingest: read-your-writes, backpressure, timeline order =="
 cargo test -q --offline -p dri-siem

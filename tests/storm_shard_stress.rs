@@ -7,6 +7,7 @@
 //! session a subject holds no matter which shards they landed on.
 
 use isambard_dri::core::{InfraConfig, Infrastructure};
+use isambard_dri::trace::HistSnapshot;
 use isambard_dri::workload::{build_population, run_storm, StormMode};
 
 const STORM_USERS: usize = 128;
@@ -72,13 +73,12 @@ fn per_shard_counters_match_serial_run_exactly() {
 
     // The cross-shard aggregated metrics snapshot is exact: a parallel
     // run is indistinguishable from a serial run of the same seed. The
-    // only nondeterministic fields are the wall-clock stage percentiles
-    // (real elapsed time differs run to run by design); zero those
+    // only nondeterministic fields are the wall-clock stage summaries
+    // (real elapsed time differs run to run by design); clear those
     // before comparing — every sim-step field must match bit for bit.
     let normalize = |mut m: isambard_dri::core::MetricsSnapshot| {
         for s in &mut m.stage_latencies {
-            s.p50_wall_us = 0;
-            s.p99_wall_us = 0;
+            s.wall_us = HistSnapshot::default();
         }
         m
     };
