@@ -293,7 +293,9 @@ pub struct IdentityBroker {
 
 impl IdentityBroker {
     /// Create a broker with an initial signing key derived from `seed`
-    /// and the default shard count.
+    /// and the default shard count. Outages of component `broker` on
+    /// `faults` make login and token issuance fail with
+    /// [`BrokerError::Unavailable`].
     pub fn new(
         issuer: impl Into<String>,
         seed: [u8; 32],
@@ -301,6 +303,7 @@ impl IdentityBroker {
         clock: SimClock,
         registry: Arc<FederationRegistry>,
         authz: Arc<dyn AuthorizationSource>,
+        faults: dri_fault::FaultHook,
     ) -> IdentityBroker {
         IdentityBroker::with_shards(
             issuer,
@@ -310,6 +313,7 @@ impl IdentityBroker {
             registry,
             authz,
             DEFAULT_BROKER_SHARDS,
+            faults,
         )
     }
 
@@ -325,6 +329,7 @@ impl IdentityBroker {
         registry: Arc<FederationRegistry>,
         authz: Arc<dyn AuthorizationSource>,
         shards: usize,
+        faults: dri_fault::FaultHook,
     ) -> IdentityBroker {
         let issuer = issuer.into();
         let shards = clamp_shards(shards);
@@ -358,18 +363,10 @@ impl IdentityBroker {
             session_ids: IdGen::new("sess"),
             jti_ids: IdGen::new("jti"),
             key_ids,
-            faults: dri_fault::FaultHook::default(),
+            faults,
             token_cache,
             coarse_gate: (shards == 1).then(|| RwLock::new(())),
         }
-    }
-
-    /// Attach the infrastructure's shared fault hook; outages of component
-    /// `broker` make login and token issuance fail with
-    /// [`BrokerError::Unavailable`].
-    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> IdentityBroker {
-        self.faults = hook;
-        self
     }
 
     fn coarse_write(&self) -> Option<parking_lot::RwLockWriteGuard<'_, ()>> {
@@ -889,6 +886,7 @@ mod tests {
             clock.clone(),
             registry,
             authz.clone(),
+            dri_fault::FaultHook::default(),
         );
         broker.register_service(TokenPolicy::standard("ssh-ca", 900));
         broker.register_service(TokenPolicy::admin("mgmt-tailnet", 600));

@@ -143,6 +143,7 @@ mod tests {
             clock.clone(),
             Arc::new(FederationRegistry::new()),
             authz.clone(),
+            dri_fault::FaultHook::default(),
         ));
         broker.register_service(TokenPolicy::standard("jupyter", 900));
         broker.register_service(TokenPolicy::standard("mgmt-cluster", 600));

@@ -17,8 +17,7 @@
 
 use dri_clock::{IdGen, SimClock, SimRng};
 use dri_crypto::ed25519::{SigningKey, VerifyingKey};
-use dri_crypto::sha2::sha256;
-use dri_federation::idp::totp_code;
+use dri_federation::idp::{hash_password, totp_code};
 use dri_sync::ShardMap;
 use parking_lot::Mutex;
 
@@ -160,13 +159,6 @@ impl ManagedIdp {
         }
     }
 
-    fn hash_password(salt: &[u8; 8], password: &str) -> [u8; 32] {
-        let mut input = Vec::with_capacity(8 + password.len());
-        input.extend_from_slice(salt);
-        input.extend_from_slice(password.as_bytes());
-        sha256(&input)
-    }
-
     /// Register a user with a TOTP second factor. Returns the TOTP secret
     /// (would be shown as a QR code).
     pub fn register_totp_user(
@@ -189,7 +181,7 @@ impl ManagedIdp {
             username.to_string(),
             DirectoryUser {
                 username: username.to_string(),
-                password_hash: Self::hash_password(&salt, password),
+                password_hash: hash_password(&salt, password),
                 salt,
                 totp_secret: Some(secret.clone()),
                 hw_key: None,
@@ -220,7 +212,7 @@ impl ManagedIdp {
             username.to_string(),
             DirectoryUser {
                 username: username.to_string(),
-                password_hash: Self::hash_password(&salt, password),
+                password_hash: hash_password(&salt, password),
                 salt,
                 totp_secret: None,
                 hw_key: Some(hw_public),
@@ -333,7 +325,7 @@ impl ManagedIdp {
         if !u.vetted {
             return Err(ManagedIdpError::NotVetted);
         }
-        let supplied = Self::hash_password(&u.salt, password);
+        let supplied = hash_password(&u.salt, password);
         if !dri_crypto::ct_eq(&supplied, &u.password_hash) {
             return Err(ManagedIdpError::BadPassword);
         }

@@ -460,6 +460,7 @@ mod tests {
             clock.clone(),
             registry,
             authz,
+            dri_fault::FaultHook::default(),
         ));
         broker.register_service(TokenPolicy::standard("jupyter", 600));
         broker.register_service(TokenPolicy::standard("ssh-ca", 900));

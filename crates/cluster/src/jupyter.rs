@@ -273,6 +273,7 @@ mod tests {
             clock.clone(),
             Arc::new(FederationRegistry::new()),
             authz.clone(),
+            dri_fault::FaultHook::default(),
         ));
         broker.register_service(TokenPolicy::standard("jupyter", 900));
         let session = broker
@@ -284,7 +285,10 @@ mod tests {
                 IdentitySource::LastResort,
             )
             .unwrap();
-        let scheduler = Arc::new(Scheduler::new(clock.clone()));
+        let scheduler = Arc::new(Scheduler::new(
+            clock.clone(),
+            dri_fault::FaultHook::default(),
+        ));
         scheduler.add_partition("interactive", 64, 1);
         let service = JupyterService::new(
             broker.jwks(),

@@ -98,14 +98,16 @@ pub struct LoginNode {
 }
 
 impl LoginNode {
-    /// Create a login node trusting `ca_key` as the user CA.
+    /// Create a login node trusting `ca_key` as the user CA and consulting
+    /// `faults` on `open_session`.
     pub fn new(
         host_id: impl Into<String>,
         ca_key: VerifyingKey,
         clock: SimClock,
         rng: SimRng,
+        faults: dri_fault::FaultHook,
     ) -> LoginNode {
-        LoginNode::with_shards(host_id, ca_key, clock, rng, DEFAULT_LOGIN_SHARDS)
+        LoginNode::with_shards(host_id, ca_key, clock, rng, DEFAULT_LOGIN_SHARDS, faults)
     }
 
     /// Create a login node with an explicit shard count (1 reproduces a
@@ -116,6 +118,7 @@ impl LoginNode {
         clock: SimClock,
         rng: SimRng,
         shards: usize,
+        faults: dri_fault::FaultHook,
     ) -> LoginNode {
         LoginNode {
             host_id: host_id.into(),
@@ -126,19 +129,13 @@ impl LoginNode {
             rng: Mutex::new(rng),
             ids: IdGen::new("shell"),
             draining: AtomicBool::new(false),
-            faults: dri_fault::FaultHook::default(),
+            faults,
         }
     }
 
     /// Update the trusted user-CA key.
     pub fn trust_ca(&self, key: VerifyingKey) {
         self.ca_key.store(PreparedVerifyingKey::new(&key));
-    }
-
-    /// Attach the infrastructure's shared fault hook (chaos drills).
-    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> LoginNode {
-        self.faults = hook;
-        self
     }
 
     /// Start or stop draining the node. Draining refuses *new* sessions
@@ -280,17 +277,20 @@ mod tests {
         ca: SigningKey,
         user_key: SigningKey,
         clock: SimClock,
+        faults: dri_fault::FaultHook,
     }
 
     fn fixture() -> Fixture {
         let clock = SimClock::starting_at(500_000);
         let ca = SigningKey::from_seed(&[61u8; 32]);
         let user_key = SigningKey::from_seed(&[62u8; 32]);
+        let faults = dri_fault::FaultHook::default();
         let node = LoginNode::new(
             "mdc/login01",
             ca.verifying_key(),
             clock.clone(),
             SimRng::seed_from_u64(7),
+            faults.clone(),
         );
         node.provision_account("u123", "climate-llm");
         Fixture {
@@ -298,6 +298,7 @@ mod tests {
             ca,
             user_key,
             clock,
+            faults,
         }
     }
 
@@ -422,9 +423,7 @@ mod tests {
 
     #[test]
     fn fault_plane_outage_fails_new_sessions_closed() {
-        let hook = dri_fault::FaultHook::default();
-        let mut f = fixture();
-        f.node = f.node.with_fault_hook(hook.clone());
+        let f = fixture();
         let c = cert(&f);
         let session = f
             .node
@@ -432,7 +431,7 @@ mod tests {
             .unwrap();
         let plan = dri_fault::FaultPlan::new(5).outage("login", 0, u64::MAX);
         let plane = std::sync::Arc::new(dri_fault::FaultPlane::new(plan, f.clock.clone()));
-        hook.install(plane.clone());
+        f.faults.install(plane.clone());
         assert_eq!(
             f.node.open_session(&c, "u123", |ch| f.user_key.sign(ch)),
             Err(LoginError::Unavailable)

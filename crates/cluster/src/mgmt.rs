@@ -211,6 +211,7 @@ mod tests {
             clock.clone(),
             Arc::new(FederationRegistry::new()),
             authz.clone(),
+            dri_fault::FaultHook::default(),
         ));
         broker.register_service(TokenPolicy::admin("mgmt-cluster", 600));
         let session = broker
@@ -222,7 +223,10 @@ mod tests {
                 IdentitySource::AdminIdp,
             )
             .unwrap();
-        let scheduler = Arc::new(Scheduler::new(clock.clone()));
+        let scheduler = Arc::new(Scheduler::new(
+            clock.clone(),
+            dri_fault::FaultHook::default(),
+        ));
         scheduler.add_partition("gh", 8, 8);
         let mgmt = ManagementPlane::new(
             broker.jwks(),

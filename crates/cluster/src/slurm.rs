@@ -94,11 +94,8 @@ struct SchedState {
     queue: Vec<String>,
     /// (project, node-seconds) accumulated since last drain.
     usage: HashMap<String, u64>,
-    /// Lifetime (project, node-seconds) for fairshare and reporting.
+    /// Lifetime (project, node-seconds) for reporting.
     lifetime_usage: HashMap<String, u64>,
-    /// When true, the pending queue is ordered by fairshare (projects
-    /// with less accumulated usage first) instead of submission order.
-    fairshare: bool,
     /// Walltime expiry min-heap of `(deadline_secs, job_id)` for running
     /// jobs, so `tick` completes jobs in O(expired log n) instead of
     /// scanning every job. Entries for cancelled jobs go stale and are
@@ -135,20 +132,14 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Create a scheduler.
-    pub fn new(clock: SimClock) -> Scheduler {
+    /// Create a scheduler consulting `faults` on submission.
+    pub fn new(clock: SimClock, faults: dri_fault::FaultHook) -> Scheduler {
         Scheduler {
             clock,
             state: RwLock::new(SchedState::default()),
             ids: IdGen::new("job"),
-            faults: dri_fault::FaultHook::default(),
+            faults,
         }
-    }
-
-    /// Attach the infrastructure's shared fault hook (chaos drills).
-    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> Scheduler {
-        self.faults = hook;
-        self
     }
 
     /// Add a partition.
@@ -251,20 +242,8 @@ impl Scheduler {
             *state.lifetime_usage.entry(project).or_insert(0) += node_secs;
         }
 
-        // Starts: FIFO with backfill; under fairshare, pending jobs of
-        // lightly-used projects go first (stable within a project).
-        let mut queue = state.queue.clone();
-        if state.fairshare {
-            let usage_of = |job_id: &String| -> u64 {
-                state
-                    .jobs
-                    .get(job_id)
-                    .and_then(|j| state.lifetime_usage.get(&j.project))
-                    .copied()
-                    .unwrap_or(0)
-            };
-            queue.sort_by_key(usage_of);
-        }
+        // Starts: FIFO with backfill.
+        let queue = state.queue.clone();
         let mut still_queued = Vec::with_capacity(queue.len());
         for job_id in queue {
             let (partition, nodes, cancelled) = match state.jobs.get(&job_id) {
@@ -386,11 +365,6 @@ impl Scheduler {
         out
     }
 
-    /// Enable / disable fairshare queue ordering.
-    pub fn set_fairshare(&self, enabled: bool) {
-        self.state.write().fairshare = enabled;
-    }
-
     /// An sreport-style accounting summary: per project, lifetime
     /// node-hours plus (completed, cancelled, running, pending) job
     /// counts, sorted by project name.
@@ -457,7 +431,7 @@ mod tests {
 
     fn sched() -> (Scheduler, SimClock) {
         let clock = SimClock::starting_at(0);
-        let s = Scheduler::new(clock.clone());
+        let s = Scheduler::new(clock.clone(), dri_fault::FaultHook::default());
         s.add_partition("gh", 8, 4);
         (s, clock)
     }
@@ -483,12 +457,13 @@ mod tests {
 
     #[test]
     fn scheduler_outage_fails_submission_closed_while_running_jobs_survive() {
-        let (s, clock) = sched();
+        let clock = SimClock::starting_at(0);
+        let hook = dri_fault::FaultHook::default();
+        let s = Scheduler::new(clock.clone(), hook.clone());
+        s.add_partition("gh", 8, 4);
         let running = s.submit("u123", "climate-llm", "gh", 2, 3600).unwrap();
         s.tick();
         assert_eq!(s.job(&running).unwrap().state, JobState::Running);
-        let hook = dri_fault::FaultHook::default();
-        let s = s.with_fault_hook(hook.clone());
         let plan = dri_fault::FaultPlan::new(5).outage("slurm", 0, u64::MAX);
         let plane = std::sync::Arc::new(dri_fault::FaultPlane::new(plan, clock.clone()));
         hook.install(plane.clone());
@@ -600,32 +575,6 @@ mod tests {
         assert_eq!(s.job(&queued).unwrap().state, JobState::Running);
         assert!(!s.set_drained("nope", true));
         let _ = clock;
-    }
-
-    #[test]
-    fn fairshare_prefers_light_projects() {
-        let (s, clock) = sched();
-        s.set_fairshare(true);
-        // Heavy project burns hours first.
-        let h = s.submit("u1", "heavy", "gh", 4, 3600).unwrap();
-        s.tick();
-        clock.advance_secs(3600);
-        s.tick();
-        assert_eq!(s.job(&h).unwrap().state, JobState::Completed);
-        // Fill most of the machine, then queue one job from each project;
-        // only 4 nodes free and both want 4: light goes first.
-        let filler = s.submit("u0", "other", "gh", 4, 10_000).unwrap();
-        s.tick();
-        assert_eq!(s.job(&filler).unwrap().state, JobState::Running);
-        let heavy_again = s.submit("u1", "heavy", "gh", 4, 100).unwrap();
-        let light = s.submit("u2", "light", "gh", 4, 100).unwrap();
-        s.tick();
-        assert_eq!(
-            s.job(&light).unwrap().state,
-            JobState::Running,
-            "light project jumps the queue"
-        );
-        assert_eq!(s.job(&heavy_again).unwrap().state, JobState::Pending);
     }
 
     #[test]

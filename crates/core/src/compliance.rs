@@ -7,6 +7,9 @@ use dri_policy::tenets::{TenetAudit, TenetEvidence};
 use dri_siem::cis::{CisReport, ConfigSnapshot};
 use dri_sshca::cert::SshCertificate;
 
+use crate::config::{
+    ADMIN_TOKEN_TTL_SECS, JUPYTER_TOKEN_TTL_SECS, SSH_TOKEN_TTL_SECS, TAILNET_LEASE_SECS,
+};
 use crate::infra::{Infrastructure, MEMBER_AUDIENCES};
 
 impl Infrastructure {
@@ -39,10 +42,10 @@ impl Infrastructure {
             .config
             .cert_ttl_secs
             .max(self.config.session_ttl_secs)
-            .max(self.config.ssh_token_ttl_secs)
-            .max(self.config.jupyter_token_ttl_secs)
-            .max(self.config.admin_token_ttl_secs)
-            .max(self.config.tailnet_lease_secs);
+            .max(SSH_TOKEN_TTL_SECS)
+            .max(JUPYTER_TOKEN_TTL_SECS)
+            .max(ADMIN_TOKEN_TTL_SECS)
+            .max(TAILNET_LEASE_SECS);
 
         // Tenet 6: live revocation probe with a throwaway subject.
         let revocation_effective = self.probe_revocation();
@@ -105,23 +108,13 @@ impl Infrastructure {
         sources.len()
     }
 
-    /// The CIS-style configuration snapshot of this deployment.
+    /// The CIS-style configuration snapshot of this deployment: the
+    /// paper's deployment (HPC-fabric encryption, the outstanding
+    /// shortcoming, off) with this config's longest credential TTL.
     pub fn cis_snapshot(&self) -> ConfigSnapshot {
         ConfigSnapshot {
-            admin_mfa_hardware: true,
-            user_mfa: true,
-            default_deny_fabric: true,
-            mgmt_only_via_tailnet: true,
-            credentials_time_limited: true,
             max_token_ttl_secs: self.config.session_ttl_secs.max(self.config.cert_ttl_secs),
-            logs_shipped_to_sec: true,
-            kill_switches_present: true,
-            separate_admin_idp: true,
-            iam_encrypted: true,
-            no_global_admin: true,
-            // The paper names this as the outstanding shortcoming; the
-            // config toggle models the in-progress future work.
-            hpc_fabric_encrypted: self.config.hpc_fabric_encryption,
+            ..ConfigSnapshot::paper_deployment()
         }
     }
 

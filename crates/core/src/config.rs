@@ -2,6 +2,17 @@
 
 use dri_siem::DetectionConfig;
 
+/// TTL of `ssh-ca` tokens (seconds).
+pub const SSH_TOKEN_TTL_SECS: u64 = 900;
+/// TTL of `jupyter` and `slurm` tokens (seconds).
+pub const JUPYTER_TOKEN_TTL_SECS: u64 = 900;
+/// TTL of admin tokens (`mgmt-tailnet`, `mgmt-cluster`) (seconds).
+pub const ADMIN_TOKEN_TTL_SECS: u64 = 600;
+/// Tailnet enrolment lease (seconds).
+pub const TAILNET_LEASE_SECS: u64 = 4 * 3600;
+/// Compute partition size (nodes): Isambard-AI phase 1, 168 GH200 nodes.
+pub const COMPUTE_NODES: u32 = 168;
+
 /// Validation failures from [`InfraConfigBuilder::build`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -33,29 +44,20 @@ impl std::error::Error for ConfigError {}
 
 /// Tunable parameters of the co-design. `Default` matches the deployment
 /// the paper describes; experiments vary individual fields, either
-/// directly or through the validating [`InfraConfig::builder`].
+/// directly or through the validating [`InfraConfig::builder`]. Values
+/// no experiment varies are the constants of this module.
 #[derive(Debug, Clone)]
 pub struct InfraConfig {
     /// Master determinism seed.
     pub seed: u64,
     /// Interactive broker-session lifetime (seconds).
     pub session_ttl_secs: u64,
-    /// TTL of `ssh-ca` tokens (seconds).
-    pub ssh_token_ttl_secs: u64,
-    /// TTL of `jupyter` tokens (seconds).
-    pub jupyter_token_ttl_secs: u64,
-    /// TTL of admin tokens (seconds).
-    pub admin_token_ttl_secs: u64,
     /// SSH certificate lifetime (seconds).
     pub cert_ttl_secs: u64,
-    /// Tailnet enrolment lease (seconds).
-    pub tailnet_lease_secs: u64,
     /// Bastion HA instances.
     pub bastion_instances: usize,
     /// Jupyter concurrent-session capacity.
     pub jupyter_capacity: usize,
-    /// Compute partition size (nodes).
-    pub compute_nodes: u32,
     /// Interactive partition size (nodes).
     pub interactive_nodes: u32,
     /// Edge requests-per-window threshold per source.
@@ -75,9 +77,6 @@ pub struct InfraConfig {
     /// token validation pays the full Ed25519 verify and every PDP
     /// consultation re-runs the trust algorithm.
     pub verification_cache: bool,
-    /// Enable the in-progress HPC-fabric / parallel-FS encryption the
-    /// paper lists as future work (§V). Off in the paper's deployment.
-    pub hpc_fabric_encryption: bool,
 }
 
 impl Default for InfraConfig {
@@ -85,21 +84,15 @@ impl Default for InfraConfig {
         InfraConfig {
             seed: 42,
             session_ttl_secs: 8 * 3600,
-            ssh_token_ttl_secs: 900,
-            jupyter_token_ttl_secs: 900,
-            admin_token_ttl_secs: 600,
             cert_ttl_secs: 8 * 3600,
-            tailnet_lease_secs: 4 * 3600,
             bastion_instances: 3,
             jupyter_capacity: 256,
-            compute_nodes: 168, // Isambard-AI phase 1: 168 GH200 nodes
             interactive_nodes: 64,
             edge_threshold: 50,
             broker_shards: 16,
             detection: DetectionConfig::default(),
             tracing: true,
             verification_cache: true,
-            hpc_fabric_encryption: false,
         }
     }
 }
@@ -166,12 +159,6 @@ impl InfraConfigBuilder {
         self
     }
 
-    /// Toggle the future-work HPC-fabric encryption.
-    pub fn hpc_fabric_encryption(mut self, enabled: bool) -> Self {
-        self.cfg.hpc_fabric_encryption = enabled;
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<InfraConfig, ConfigError> {
         let cfg = self.cfg;
@@ -201,9 +188,9 @@ mod tests {
     #[test]
     fn defaults_match_paper_deployment() {
         let c = InfraConfig::default();
-        assert_eq!(c.compute_nodes, 168);
+        assert_eq!(COMPUTE_NODES, 168);
         assert_eq!(c.bastion_instances, 3);
-        assert!(c.ssh_token_ttl_secs <= 3600, "tokens are short-lived");
+        const { assert!(SSH_TOKEN_TTL_SECS <= 3600, "tokens are short-lived") };
         assert!(c.cert_ttl_secs <= 24 * 3600, "certs are short-lived");
     }
 
@@ -223,7 +210,6 @@ mod tests {
             .edge_threshold(usize::MAX / 2)
             .broker_shards(1)
             .tracing(false)
-            .hpc_fabric_encryption(true)
             .build()
             .unwrap();
         assert_eq!(c.seed, 7);
@@ -231,7 +217,6 @@ mod tests {
         assert_eq!(c.interactive_nodes, 4096);
         assert_eq!(c.broker_shards, 1);
         assert!(!c.tracing);
-        assert!(c.hpc_fabric_encryption);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use dri_netsim::topology::{Domain, Network, Selector, Zone};
 use dri_netsim::tunnel::{HttpResponse, TunnelServer};
 use dri_policy::trust::{MemoizedPdp, PolicyDecisionPoint};
 use dri_portal::portal::Portal;
-use dri_siem::anomaly::{AnomalyConfig, AnomalyDetector, RateAnomaly};
+use dri_siem::anomaly::{AnomalyDetector, RateAnomaly};
 use dri_siem::events::{EventKind, SecurityEvent, Severity};
 use dri_siem::inventory::{Inventory, Version, Vulnerability};
 use dri_siem::siem::Siem;
@@ -37,7 +37,10 @@ use parking_lot::{Mutex, RwLock};
 
 use dri_fault::BreakerState;
 
-use crate::config::InfraConfig;
+use crate::config::{
+    InfraConfig, ADMIN_TOKEN_TTL_SECS, COMPUTE_NODES, JUPYTER_TOKEN_TTL_SECS, SSH_TOKEN_TTL_SECS,
+    TAILNET_LEASE_SECS,
+};
 use crate::flows::FlowError;
 use crate::resilience::{IdpHop, Resilience};
 use crate::users::{SimUser, UserKind};
@@ -154,16 +157,14 @@ impl Infrastructure {
         registry.register_federation("edugain", "GEANT");
         registry.register_federation("ukamf", "Jisc");
 
-        let university_idp = Arc::new(
-            IdentityProvider::new(
-                UNIVERSITY_IDP,
-                "bristol.ac.uk",
-                LevelOfAssurance::Medium,
-                rng.seed32(),
-                clock.clone(),
-            )
-            .with_fault_hook(faults.clone()),
-        );
+        let university_idp = Arc::new(IdentityProvider::new(
+            UNIVERSITY_IDP,
+            "bristol.ac.uk",
+            LevelOfAssurance::Medium,
+            rng.seed32(),
+            clock.clone(),
+            faults.clone(),
+        ));
         registry
             .register_entity(EntityDescriptor {
                 entity_id: UNIVERSITY_IDP.into(),
@@ -179,10 +180,13 @@ impl Infrastructure {
             })
             .expect("register idp");
 
-        let proxy = Arc::new(
-            IdpProxy::new(PROXY_ENTITY, rng.seed32(), clock.clone(), registry.clone())
-                .with_fault_hook(faults.clone()),
-        );
+        let proxy = Arc::new(IdpProxy::new(
+            PROXY_ENTITY,
+            rng.seed32(),
+            clock.clone(),
+            registry.clone(),
+            faults.clone(),
+        ));
         proxy.register_service(BROKER_ENTITY);
         registry
             .register_entity(EntityDescriptor {
@@ -202,36 +206,22 @@ impl Infrastructure {
             MEMBER_AUDIENCES.iter().map(|s| s.to_string()).collect(),
         ));
         let authz: Arc<dyn AuthorizationSource> = portal.clone();
-        let broker = Arc::new(
-            IdentityBroker::with_shards(
-                BROKER_ENTITY,
-                rng.seed32(),
-                config.session_ttl_secs,
-                clock.clone(),
-                registry.clone(),
-                authz,
-                config.broker_shards,
-            )
-            .with_fault_hook(faults.clone()),
-        );
-        broker.register_service(TokenPolicy::standard("ssh-ca", config.ssh_token_ttl_secs));
-        broker.register_service(TokenPolicy::standard(
-            "jupyter",
-            config.jupyter_token_ttl_secs,
+        let broker = Arc::new(IdentityBroker::with_shards(
+            BROKER_ENTITY,
+            rng.seed32(),
+            config.session_ttl_secs,
+            clock.clone(),
+            registry.clone(),
+            authz,
+            config.broker_shards,
+            faults.clone(),
         ));
-        broker.register_service(TokenPolicy::standard(
-            "slurm",
-            config.jupyter_token_ttl_secs,
-        ));
+        broker.register_service(TokenPolicy::standard("ssh-ca", SSH_TOKEN_TTL_SECS));
+        broker.register_service(TokenPolicy::standard("jupyter", JUPYTER_TOKEN_TTL_SECS));
+        broker.register_service(TokenPolicy::standard("slurm", JUPYTER_TOKEN_TTL_SECS));
         broker.register_service(TokenPolicy::standard("portal", 3600));
-        broker.register_service(TokenPolicy::admin(
-            "mgmt-tailnet",
-            config.admin_token_ttl_secs,
-        ));
-        broker.register_service(TokenPolicy::admin(
-            "mgmt-cluster",
-            config.admin_token_ttl_secs,
-        ));
+        broker.register_service(TokenPolicy::admin("mgmt-tailnet", ADMIN_TOKEN_TTL_SECS));
+        broker.register_service(TokenPolicy::admin("mgmt-cluster", ADMIN_TOKEN_TTL_SECS));
 
         let oidc = Arc::new(OidcProvider::new(
             broker.clone(),
@@ -263,61 +253,53 @@ impl Infrastructure {
         ));
 
         // --- SSH CA ------------------------------------------------------------
-        let ssh_ca = Arc::new(
-            SshCa::new(
-                rng.seed32(),
-                config.cert_ttl_secs,
-                clock.clone(),
-                broker.jwks(),
-                broker.introspector(),
-                portal.clone(),
-            )
-            .with_fault_hook(faults.clone()),
-        );
+        let ssh_ca = Arc::new(SshCa::new(
+            rng.seed32(),
+            config.cert_ttl_secs,
+            clock.clone(),
+            broker.jwks(),
+            broker.introspector(),
+            portal.clone(),
+            faults.clone(),
+        ));
 
         // --- Network fabric (Fig. 1) -------------------------------------------
         let network = Arc::new(Network::new(clock.clone()));
         build_fabric(&network);
 
-        let bastion = Arc::new(
-            Bastion::new(
-                "sws/bastion",
-                config.bastion_instances,
-                ssh_ca.public_key(),
-                clock.clone(),
-            )
-            .with_fault_hook(faults.clone()),
-        );
+        let bastion = Arc::new(Bastion::new(
+            "sws/bastion",
+            config.bastion_instances,
+            ssh_ca.public_key(),
+            clock.clone(),
+            faults.clone(),
+        ));
 
-        let tailnet = Arc::new(
-            Tailnet::new(
-                broker.jwks(),
-                broker.introspector(),
-                config.tailnet_lease_secs,
-                clock.clone(),
-            )
-            .with_fault_hook(faults.clone()),
-        );
+        let tailnet = Arc::new(Tailnet::new(
+            broker.jwks(),
+            broker.introspector(),
+            TAILNET_LEASE_SECS,
+            clock.clone(),
+            faults.clone(),
+        ));
         let mut tailnet_rng = rng.split();
         let mgmt_node = TailnetNode::generate("mdc-mgmt01", &mut tailnet_rng);
         tailnet.enroll_infrastructure(&mgmt_node);
         tailnet.allow("*", "mdc-mgmt01");
 
         // --- Cluster -----------------------------------------------------------
-        let scheduler = Arc::new(Scheduler::new(clock.clone()).with_fault_hook(faults.clone()));
-        scheduler.add_partition("gh", config.compute_nodes, config.compute_nodes);
+        let scheduler = Arc::new(Scheduler::new(clock.clone(), faults.clone()));
+        scheduler.add_partition("gh", COMPUTE_NODES, COMPUTE_NODES);
         scheduler.add_partition("interactive", config.interactive_nodes, 1);
 
-        let login_node = Arc::new(
-            LoginNode::with_shards(
-                "mdc/login01",
-                ssh_ca.public_key(),
-                clock.clone(),
-                rng.split(),
-                config.broker_shards,
-            )
-            .with_fault_hook(faults.clone()),
-        );
+        let login_node = Arc::new(LoginNode::with_shards(
+            "mdc/login01",
+            ssh_ca.public_key(),
+            clock.clone(),
+            rng.split(),
+            config.broker_shards,
+            faults.clone(),
+        ));
 
         let jupyter = Arc::new(JupyterService::new(
             broker.jwks(),
@@ -373,10 +355,12 @@ impl Infrastructure {
             )
             .expect("jupyter tunnel registration");
 
-        let edge = Arc::new(
-            EdgeProxy::new(clock.clone(), EDGE_WINDOW_MS, config.edge_threshold)
-                .with_fault_hook(faults.clone()),
-        );
+        let edge = Arc::new(EdgeProxy::new(
+            clock.clone(),
+            EDGE_WINDOW_MS,
+            config.edge_threshold,
+            faults.clone(),
+        ));
 
         // --- SEC: SIEM + inventory ----------------------------------------------
         let siem = Arc::new(Siem::new(clock.clone(), config.detection.clone()));
@@ -385,7 +369,7 @@ impl Infrastructure {
 
         // The rate-anomaly detector taps the SIEM: every stored event is
         // observed at flush time, off the emitters' hot path.
-        let anomaly = Arc::new(AnomalyDetector::new(AnomalyConfig::default()));
+        let anomaly = Arc::new(AnomalyDetector::new());
         {
             let anomaly = anomaly.clone();
             siem.register_tap(Box::new(move |event| {
@@ -451,7 +435,7 @@ impl Infrastructure {
             tracer,
             inventory,
             anomaly,
-            pdp: MemoizedPdp::new(PolicyDecisionPoint::default(), pdp_shards),
+            pdp: MemoizedPdp::new(PolicyDecisionPoint, pdp_shards),
             resilience,
             users: RwLock::new(HashMap::new()),
             mgmt_node,
@@ -496,16 +480,14 @@ impl Infrastructure {
         loa: LevelOfAssurance,
     ) -> String {
         let entity_id = format!("https://idp.{scope}");
-        let idp = Arc::new(
-            IdentityProvider::new(
-                entity_id.clone(),
-                scope,
-                loa,
-                self.rng.lock().seed32(),
-                self.clock.clone(),
-            )
-            .with_fault_hook(self.resilience.faults.clone()),
-        );
+        let idp = Arc::new(IdentityProvider::new(
+            entity_id.clone(),
+            scope,
+            loa,
+            self.rng.lock().seed32(),
+            self.clock.clone(),
+            self.resilience.faults.clone(),
+        ));
         self.registry
             .register_entity(EntityDescriptor {
                 entity_id: entity_id.clone(),

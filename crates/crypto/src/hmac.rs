@@ -1,6 +1,6 @@
-//! HMAC (RFC 2104) over SHA-256 and SHA-512, verified against RFC 4231.
+//! HMAC (RFC 2104) over SHA-256, verified against RFC 4231.
 
-use crate::sha2::{sha256, sha512, Sha256, Sha512};
+use crate::sha2::{sha256, Sha256};
 
 /// HMAC-SHA-256 of `msg` under `key`.
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
@@ -23,32 +23,6 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
     outer.finalize()
 }
 
-/// HMAC-SHA-512 of `msg` under `key`.
-pub fn hmac_sha512(key: &[u8], msg: &[u8]) -> [u8; 64] {
-    let mut k = [0u8; 128];
-    if key.len() > 128 {
-        k[..64].copy_from_slice(&sha512(key));
-    } else {
-        k[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha512::new();
-    let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha512::new();
-    let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
-}
-
-/// Verify an HMAC-SHA-256 tag in (best-effort) constant time.
-pub fn verify_hmac_sha256(key: &[u8], msg: &[u8], tag: &[u8]) -> bool {
-    crate::ct_eq(&hmac_sha256(key, msg), tag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,11 +36,6 @@ mod tests {
         assert_eq!(
             hex::encode(&hmac_sha256(&key, msg)),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        assert_eq!(
-            hex::encode(&hmac_sha512(&key, msg)),
-            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde\
-             daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854"
         );
     }
 
@@ -99,16 +68,5 @@ mod tests {
             hex::encode(&hmac_sha256(&key, msg)),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
-    }
-
-    #[test]
-    fn verify_rejects_tampered_tag() {
-        let tag = hmac_sha256(b"key", b"message");
-        assert!(verify_hmac_sha256(b"key", b"message", &tag));
-        let mut bad = tag;
-        bad[0] ^= 1;
-        assert!(!verify_hmac_sha256(b"key", b"message", &bad));
-        assert!(!verify_hmac_sha256(b"key2", b"message", &tag));
-        assert!(!verify_hmac_sha256(b"key", b"message ", &tag));
     }
 }

@@ -84,12 +84,17 @@ pub struct IdentityProvider {
 
 impl IdentityProvider {
     /// Create an IdP with a deterministic signing key derived from `seed`.
+    /// Outages of component `idp:{entity_id}` (or the bare `idp`
+    /// category) on `faults` make
+    /// [`authenticate`](IdentityProvider::authenticate) fail with
+    /// [`AuthnError::IdpUnavailable`].
     pub fn new(
         entity_id: impl Into<String>,
         scope: impl Into<String>,
         max_loa: LevelOfAssurance,
         seed: [u8; 32],
         clock: SimClock,
+        faults: dri_fault::FaultHook,
     ) -> IdentityProvider {
         IdentityProvider {
             entity_id: entity_id.into(),
@@ -99,29 +104,13 @@ impl IdentityProvider {
             clock,
             users: RwLock::new(HashMap::new()),
             assertion_counter: AtomicU64::new(0),
-            faults: dri_fault::FaultHook::default(),
+            faults,
         }
-    }
-
-    /// Attach the infrastructure's shared fault hook; outages of component
-    /// `idp:{entity_id}` (or the bare `idp` category) make
-    /// [`authenticate`](IdentityProvider::authenticate) fail with
-    /// [`AuthnError::IdpUnavailable`].
-    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> IdentityProvider {
-        self.faults = hook;
-        self
     }
 
     /// The public key that belongs in federation metadata.
     pub fn verifying_key(&self) -> VerifyingKey {
         self.signing_key.verifying_key()
-    }
-
-    fn hash_password(salt: &[u8; 8], password: &str) -> [u8; 32] {
-        let mut input = Vec::with_capacity(8 + password.len());
-        input.extend_from_slice(salt);
-        input.extend_from_slice(password.as_bytes());
-        sha256(&input)
     }
 
     /// Provision a user. The salt is derived deterministically from the
@@ -146,7 +135,7 @@ impl IdentityProvider {
                 affiliation: format!("{}@{}", affiliation, self.scope),
                 organisation: self.scope.clone(),
             },
-            password_hash: Self::hash_password(&salt, password),
+            password_hash: hash_password(&salt, password),
             salt,
             totp_secret,
             active: true,
@@ -196,7 +185,7 @@ impl IdentityProvider {
         if !user.active {
             return Err(AuthnError::Deprovisioned);
         }
-        let supplied = Self::hash_password(&user.salt, password);
+        let supplied = hash_password(&user.salt, password);
         if !dri_crypto::ct_eq(&supplied, &user.password_hash) {
             return Err(AuthnError::BadPassword);
         }
@@ -241,6 +230,14 @@ impl IdentityProvider {
     }
 }
 
+/// Salted password hash: SHA-256 over the salt then the password.
+pub fn hash_password(salt: &[u8; 8], password: &str) -> [u8; 32] {
+    let mut input = Vec::with_capacity(8 + password.len());
+    input.extend_from_slice(salt);
+    input.extend_from_slice(password.as_bytes());
+    sha256(&input)
+}
+
 /// RFC 6238-style TOTP over HMAC-SHA-256, 6 digits.
 pub fn totp_code(secret: &[u8], time_step: u64) -> u32 {
     let mac = hmac_sha256(secret, &time_step.to_be_bytes());
@@ -264,6 +261,7 @@ mod tests {
             LevelOfAssurance::Medium,
             [9u8; 32],
             clock,
+            dri_fault::FaultHook::default(),
         );
         idp.provision_user("alice", "hunter2", "Alice A", "staff", None);
         idp.provision_user(

@@ -113,12 +113,16 @@ pub struct IdpProxy {
 }
 
 impl IdpProxy {
-    /// Create a proxy bound to a federation registry.
+    /// Create a proxy bound to a federation registry. Outages of
+    /// component `proxy` on `faults` make
+    /// [`broker_login`](IdpProxy::broker_login) fail with
+    /// [`ProxyError::Unavailable`].
     pub fn new(
         entity_id: impl Into<String>,
         seed: [u8; 32],
         clock: SimClock,
         registry: std::sync::Arc<FederationRegistry>,
+        faults: dri_fault::FaultHook,
     ) -> IdpProxy {
         IdpProxy {
             entity_id: entity_id.into(),
@@ -130,16 +134,8 @@ impl IdpProxy {
             identity_index: RwLock::new(HashMap::new()),
             consumed_assertions: RwLock::new(std::collections::HashSet::new()),
             ids: IdGen::new("maid"),
-            faults: dri_fault::FaultHook::default(),
+            faults,
         }
-    }
-
-    /// Attach the infrastructure's shared fault hook; outages of component
-    /// `proxy` make [`broker_login`](IdpProxy::broker_login) fail with
-    /// [`ProxyError::Unavailable`].
-    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> IdpProxy {
-        self.faults = hook;
-        self
     }
 
     /// The proxy's assertion-signing public key.
@@ -335,6 +331,7 @@ mod tests {
             LevelOfAssurance::Medium,
             seed,
             clock.clone(),
+            dri_fault::FaultHook::default(),
         );
         idp.provision_user("alice", "pw", "Alice", "staff", None);
         idp
@@ -365,6 +362,7 @@ mod tests {
             [2u8; 32],
             clock.clone(),
             registry.clone(),
+            dri_fault::FaultHook::default(),
         );
         proxy.register_service("https://broker.isambard.ac.uk");
         Fixture {

@@ -92,12 +92,15 @@ pub struct Bastion {
 
 impl Bastion {
     /// Create a bastion with `instances` load-balanced VMs trusting the
-    /// given user-CA key.
+    /// given user-CA key. Outages of component `bastion` on `faults` make
+    /// [`relay`](Bastion::relay) fail with [`BastionError::Unavailable`],
+    /// exactly as if every instance were drained.
     pub fn new(
         host_id: impl Into<String>,
         instances: usize,
         ca_key: VerifyingKey,
         clock: SimClock,
+        faults: dri_fault::FaultHook,
     ) -> Bastion {
         assert!(instances > 0);
         Bastion {
@@ -112,17 +115,8 @@ impl Bastion {
                 next_instance: 0,
             }),
             ids: IdGen::new("relay"),
-            faults: dri_fault::FaultHook::default(),
+            faults,
         }
-    }
-
-    /// Attach the infrastructure's shared fault hook; outages of component
-    /// `bastion` make [`relay`](Bastion::relay) fail with
-    /// [`BastionError::Unavailable`], exactly as if every instance were
-    /// drained.
-    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> Bastion {
-        self.faults = hook;
-        self
     }
 
     /// Update the trusted CA key (CA rotation).
@@ -149,29 +143,18 @@ impl Bastion {
         self.faults
             .check("bastion")
             .map_err(|_| BastionError::Unavailable)?;
-        // Pick an instance (round-robin over healthy ones).
-        let instance = {
-            let mut state = self.state.write();
+        {
+            let state = self.state.read();
             if state.global_kill {
                 return Err(BastionError::Unavailable);
             }
             if state.blocked_users.contains(&cert.key_id) {
                 return Err(BastionError::UserBlocked);
             }
-            let healthy: Vec<usize> = state
-                .instance_healthy
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| **h)
-                .map(|(i, _)| i)
-                .collect();
-            if healthy.is_empty() {
+            if !state.instance_healthy.contains(&true) {
                 return Err(BastionError::Unavailable);
             }
-            let pick = healthy[state.next_instance % healthy.len()];
-            state.next_instance = state.next_instance.wrapping_add(1);
-            pick
-        };
+        }
 
         // Hop 1: src -> bastion over ssh.
         network
@@ -185,6 +168,23 @@ impl Bastion {
             .connect(&self.host_id, target, "ssh")
             .map_err(BastionError::Network)?;
 
+        // Pick an instance (round-robin over healthy ones). Only a session
+        // that is established takes a turn, so a refused relay shifts no
+        // later session.
+        let mut state = self.state.write();
+        let healthy: Vec<usize> = state
+            .instance_healthy
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| **h)
+            .map(|(i, _)| i)
+            .collect();
+        if healthy.is_empty() {
+            // Every instance was drained while the hops were checked.
+            return Err(BastionError::Unavailable);
+        }
+        let instance = healthy[state.next_instance % healthy.len()];
+        state.next_instance = state.next_instance.wrapping_add(1);
         let session = RelaySession {
             id: self.ids.next(),
             key_id: cert.key_id.clone(),
@@ -193,10 +193,7 @@ impl Bastion {
             instance,
             established_at_ms: self.clock.now_ms(),
         };
-        self.state
-            .write()
-            .sessions
-            .insert(session.id.clone(), session.clone());
+        state.sessions.insert(session.id.clone(), session.clone());
         Ok(session)
     }
 
@@ -314,7 +311,13 @@ mod tests {
             "ssh",
         );
         let ca = SigningKey::from_seed(&[3u8; 32]);
-        let bastion = Bastion::new("sws/bastion", 3, ca.verifying_key(), clock.clone());
+        let bastion = Bastion::new(
+            "sws/bastion",
+            3,
+            ca.verifying_key(),
+            clock.clone(),
+            dri_fault::FaultHook::default(),
+        );
         Fixture {
             net,
             bastion,
@@ -367,6 +370,27 @@ mod tests {
                 .relay(&f.net, "internet/laptop", "mdc/login01", &c, "u123"),
             Err(BastionError::Cert(CertError::Expired))
         );
+    }
+
+    #[test]
+    fn refused_relays_take_no_round_robin_turn() {
+        let f = fixture();
+        let ok = cert(&f, "maid-1", "u123");
+        let blocked = cert(&f, "maid-2", "u456");
+        let relay = |c: &SshCertificate, principal: &str| {
+            f.bastion
+                .relay(&f.net, "internet/laptop", "mdc/login01", c, principal)
+        };
+        assert_eq!(relay(&ok, "u123").unwrap().instance, 0);
+        f.bastion.block_user("maid-2");
+        assert_eq!(relay(&blocked, "u456"), Err(BastionError::UserBlocked));
+        assert_eq!(
+            relay(&ok, "root"),
+            Err(BastionError::Cert(CertError::PrincipalNotAllowed))
+        );
+        // The next session lands where it would have without the refusals.
+        assert_eq!(relay(&ok, "u123").unwrap().instance, 1);
+        assert_eq!(relay(&ok, "u123").unwrap().instance, 2);
     }
 
     #[test]

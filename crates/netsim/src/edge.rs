@@ -66,8 +66,15 @@ pub struct EdgeProxy {
 
 impl EdgeProxy {
     /// Create an edge with a rate threshold of `threshold` requests per
-    /// `window_ms` per source.
-    pub fn new(clock: SimClock, window_ms: u64, threshold: usize) -> EdgeProxy {
+    /// `window_ms` per source. Outages of component `edge` on `faults` make
+    /// [`handle`](EdgeProxy::handle) fail with [`EdgeError::Down`], as if
+    /// the maintenance kill switch were on.
+    pub fn new(
+        clock: SimClock,
+        window_ms: u64,
+        threshold: usize,
+        faults: dri_fault::FaultHook,
+    ) -> EdgeProxy {
         EdgeProxy {
             clock,
             window_ms,
@@ -78,16 +85,8 @@ impl EdgeProxy {
             down: AtomicBool::new(false),
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            faults: dri_fault::FaultHook::default(),
+            faults,
         }
-    }
-
-    /// Attach the infrastructure's shared fault hook; outages of component
-    /// `edge` make [`handle`](EdgeProxy::handle) fail with [`EdgeError::Down`],
-    /// as if the maintenance kill switch were on.
-    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> EdgeProxy {
-        self.faults = hook;
-        self
     }
 
     /// Handle a request from `source` (an IP-like identifier), forwarding
@@ -197,7 +196,7 @@ mod tests {
                 }),
             )
             .unwrap();
-        let edge = EdgeProxy::new(clock.clone(), 1000, 10);
+        let edge = EdgeProxy::new(clock.clone(), 1000, 10, dri_fault::FaultHook::default());
         (clock, edge, server)
     }
 

@@ -162,8 +162,16 @@ pub struct Tailnet {
 
 impl Tailnet {
     /// Create a tailnet admitting enrolment tokens through a gate over
-    /// `jwks` and the broker's revocation check `introspect`.
-    pub fn new(jwks: Jwks, introspect: IntrospectFn, lease_secs: u64, clock: SimClock) -> Tailnet {
+    /// `jwks` and the broker's revocation check `introspect`. Outages of
+    /// component `tailnet` on `faults` make enrolment and sends fail with
+    /// [`TailnetError::Unavailable`].
+    pub fn new(
+        jwks: Jwks,
+        introspect: IntrospectFn,
+        lease_secs: u64,
+        clock: SimClock,
+        faults: dri_fault::FaultHook,
+    ) -> Tailnet {
         Tailnet {
             lease_secs,
             clock,
@@ -172,19 +180,13 @@ impl Tailnet {
             acl: RwLock::new(Vec::new()),
             down: AtomicBool::new(false),
             nonce_counter: AtomicU64::new(0),
-            faults: dri_fault::FaultHook::default(),
+            faults,
         }
     }
 
     /// Refresh the JWKS snapshot (key rotation).
     pub fn update_jwks(&self, jwks: Jwks) {
         self.gate.update_jwks(jwks);
-    }
-
-    /// Attach the infrastructure's shared fault hook (chaos drills).
-    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> Tailnet {
-        self.faults = hook;
-        self
     }
 
     /// Force-expire every *user* lease (infrastructure enrolments, whose
@@ -394,6 +396,7 @@ mod tests {
         authz: Arc<StaticAuthz>,
         clock: SimClock,
         admin_session: String,
+        faults: dri_fault::FaultHook,
     }
 
     fn fixture() -> Fixture {
@@ -407,6 +410,7 @@ mod tests {
             clock.clone(),
             Arc::new(FederationRegistry::new()),
             authz.clone(),
+            dri_fault::FaultHook::default(),
         ));
         broker.register_service(TokenPolicy::admin("mgmt-tailnet", 600));
         let session = broker
@@ -418,11 +422,13 @@ mod tests {
                 IdentitySource::AdminIdp,
             )
             .unwrap();
+        let faults = dri_fault::FaultHook::default();
         let tailnet = Tailnet::new(
             broker.jwks(),
             broker.introspector(),
             4 * 3600,
             clock.clone(),
+            faults.clone(),
         );
         Fixture {
             tailnet,
@@ -430,6 +436,7 @@ mod tests {
             authz,
             clock,
             admin_session: session.session_id,
+            faults,
         }
     }
 
@@ -599,9 +606,7 @@ mod tests {
 
     #[test]
     fn fault_plane_outage_fails_enrol_and_send_closed() {
-        let hook = dri_fault::FaultHook::default();
-        let mut f = fixture();
-        f.tailnet = f.tailnet.with_fault_hook(hook.clone());
+        let f = fixture();
         let mut rng = SimRng::seed_from_u64(8);
         let laptop = TailnetNode::generate("dave-laptop", &mut rng);
         let mgmt = TailnetNode::generate("mdc-mgmt01", &mut rng);
@@ -611,7 +616,7 @@ mod tests {
 
         let plan = dri_fault::FaultPlan::new(5).outage("tailnet", 0, u64::MAX);
         let plane = std::sync::Arc::new(dri_fault::FaultPlane::new(plan, f.clock.clone()));
-        hook.install(plane.clone());
+        f.faults.install(plane.clone());
         assert_eq!(
             f.tailnet.send(&laptop, "mdc-mgmt01", b"x"),
             Err(TailnetError::Unavailable)

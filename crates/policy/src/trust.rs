@@ -5,7 +5,10 @@
 //! and the requesting asset — and may include other behavioural and
 //! environmental attributes." The PDP below scores those inputs
 //! explicitly, so experiments can ablate individual signals and watch
-//! decisions change.
+//! decisions change. The session-age gate and the per-sensitivity
+//! thresholds are fixed constants ([`MAX_SESSION_AGE_SECS`],
+//! [`THRESHOLD_STANDARD`], [`THRESHOLD_ELEVATED`],
+//! [`THRESHOLD_CRITICAL`]).
 
 use std::sync::Arc;
 
@@ -103,29 +106,18 @@ pub struct AccessDecision {
     pub reasons: Arc<[String]>,
 }
 
-/// The policy decision point.
-#[derive(Debug, Clone)]
-pub struct PolicyDecisionPoint {
-    /// Maximum session age before re-authentication is forced (seconds).
-    pub max_session_age_secs: u64,
-    /// Score thresholds per sensitivity.
-    pub threshold_standard: f64,
-    /// Threshold for [`Sensitivity::Elevated`].
-    pub threshold_elevated: f64,
-    /// Threshold for [`Sensitivity::Critical`].
-    pub threshold_critical: f64,
-}
+/// Maximum session age before re-authentication is forced (seconds).
+pub const MAX_SESSION_AGE_SECS: u64 = 8 * 3600;
+/// Score threshold for [`Sensitivity::Standard`].
+pub const THRESHOLD_STANDARD: f64 = 0.55;
+/// Score threshold for [`Sensitivity::Elevated`].
+pub const THRESHOLD_ELEVATED: f64 = 0.70;
+/// Score threshold for [`Sensitivity::Critical`].
+pub const THRESHOLD_CRITICAL: f64 = 0.85;
 
-impl Default for PolicyDecisionPoint {
-    fn default() -> Self {
-        PolicyDecisionPoint {
-            max_session_age_secs: 8 * 3600,
-            threshold_standard: 0.55,
-            threshold_elevated: 0.70,
-            threshold_critical: 0.85,
-        }
-    }
-}
+/// The policy decision point.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyDecisionPoint;
 
 impl PolicyDecisionPoint {
     /// Score and decide an access request. Hard failures (no role,
@@ -140,7 +132,7 @@ impl PolicyDecisionPoint {
             return AccessDecision {
                 allow: false,
                 score: 0.0,
-                threshold: self.threshold(req.sensitivity),
+                threshold: threshold(req.sensitivity),
                 reasons: Arc::new(["no role on resource (authorisation-led)".to_string()]),
             };
         }
@@ -148,15 +140,15 @@ impl PolicyDecisionPoint {
             return AccessDecision {
                 allow: false,
                 score: 0.0,
-                threshold: self.threshold(req.sensitivity),
+                threshold: threshold(req.sensitivity),
                 reasons: Arc::new(["device flagged compromised".to_string()]),
             };
         }
-        if req.session_age_secs >= self.max_session_age_secs {
+        if req.session_age_secs >= MAX_SESSION_AGE_SECS {
             return AccessDecision {
                 allow: false,
                 score: 0.0,
-                threshold: self.threshold(req.sensitivity),
+                threshold: threshold(req.sensitivity),
                 reasons: Arc::new(["session stale; re-authentication required".to_string()]),
             };
         }
@@ -196,8 +188,7 @@ impl PolicyDecisionPoint {
         reasons.push(format!("source {:?} -> {source:.2}", req.source));
 
         // Freshness decays linearly over the session lifetime.
-        let freshness =
-            1.0 - (req.session_age_secs as f64 / self.max_session_age_secs as f64) * 0.5;
+        let freshness = 1.0 - (req.session_age_secs as f64 / MAX_SESSION_AGE_SECS as f64) * 0.5;
         reasons.push(format!(
             "session age {}s -> freshness {freshness:.2}",
             req.session_age_secs
@@ -205,7 +196,7 @@ impl PolicyDecisionPoint {
 
         let score =
             0.30 * identity + 0.25 * authn + 0.15 * device + 0.15 * source + 0.15 * freshness;
-        let threshold = self.threshold(req.sensitivity);
+        let threshold = threshold(req.sensitivity);
         AccessDecision {
             allow: score >= threshold,
             score,
@@ -213,18 +204,18 @@ impl PolicyDecisionPoint {
             reasons: reasons.into(),
         }
     }
+}
 
-    fn threshold(&self, sensitivity: Sensitivity) -> f64 {
-        match sensitivity {
-            Sensitivity::Standard => self.threshold_standard,
-            Sensitivity::Elevated => self.threshold_elevated,
-            Sensitivity::Critical => self.threshold_critical,
-        }
+fn threshold(sensitivity: Sensitivity) -> f64 {
+    match sensitivity {
+        Sensitivity::Standard => THRESHOLD_STANDARD,
+        Sensitivity::Elevated => THRESHOLD_ELEVATED,
+        Sensitivity::Critical => THRESHOLD_CRITICAL,
     }
 }
 
 /// Width of the session-age buckets the memoizing PDP quantizes to, in
-/// seconds. Divides the default `max_session_age_secs` (8h) exactly, so
+/// seconds. Divides [`MAX_SESSION_AGE_SECS`] (8h) exactly, so
 /// the stale-session gate fires at precisely the same age with and
 /// without quantization.
 pub const SESSION_AGE_BUCKET_SECS: u64 = 60;
@@ -245,7 +236,7 @@ pub const SESSION_AGE_BUCKET_SECS: u64 = 60;
 /// (wired to the kill switch and posture-feed updates) invalidates every
 /// cached decision at once — invalidation leads caching.
 pub struct MemoizedPdp {
-    /// The wrapped decision point (public: experiments tune thresholds).
+    /// The wrapped decision point.
     pub pdp: PolicyDecisionPoint,
     enabled: std::sync::atomic::AtomicBool,
     epoch: std::sync::atomic::AtomicU64,
@@ -444,14 +435,14 @@ mod tests {
 
     #[test]
     fn typical_researcher_allowed_on_standard() {
-        let pdp = PolicyDecisionPoint::default();
+        let pdp = PolicyDecisionPoint;
         let d = pdp.decide(&base_request());
         assert!(d.allow, "score {} vs {}", d.score, d.threshold);
     }
 
     #[test]
     fn no_role_is_a_hard_gate() {
-        let pdp = PolicyDecisionPoint::default();
+        let pdp = PolicyDecisionPoint;
         let mut req = base_request();
         req.has_role = false;
         // Even a perfect identity fails without authorisation.
@@ -465,7 +456,7 @@ mod tests {
 
     #[test]
     fn compromised_device_is_a_hard_gate() {
-        let pdp = PolicyDecisionPoint::default();
+        let pdp = PolicyDecisionPoint;
         let mut req = base_request();
         req.device.compromised = true;
         assert!(!pdp.decide(&req).allow);
@@ -473,7 +464,7 @@ mod tests {
 
     #[test]
     fn stale_session_forces_reauth() {
-        let pdp = PolicyDecisionPoint::default();
+        let pdp = PolicyDecisionPoint;
         let mut req = base_request();
         req.session_age_secs = 8 * 3600;
         let d = pdp.decide(&req);
@@ -483,7 +474,7 @@ mod tests {
 
     #[test]
     fn critical_resources_need_strong_everything() {
-        let pdp = PolicyDecisionPoint::default();
+        let pdp = PolicyDecisionPoint;
         // The researcher request, pointed at a critical resource: denied.
         let mut req = base_request();
         req.sensitivity = Sensitivity::Critical;
@@ -500,7 +491,7 @@ mod tests {
 
     #[test]
     fn password_only_fails_even_standard_from_internet() {
-        let pdp = PolicyDecisionPoint::default();
+        let pdp = PolicyDecisionPoint;
         let mut req = base_request();
         req.acr = "pwd".into();
         req.loa = LevelOfAssurance::Low;
@@ -510,7 +501,7 @@ mod tests {
 
     #[test]
     fn score_monotone_in_session_age() {
-        let pdp = PolicyDecisionPoint::default();
+        let pdp = PolicyDecisionPoint;
         let mut prev = f64::INFINITY;
         for age in [0u64, 3600, 2 * 3600, 4 * 3600, 7 * 3600] {
             let mut req = base_request();
@@ -523,7 +514,7 @@ mod tests {
 
     #[test]
     fn decisions_carry_audit_reasons() {
-        let pdp = PolicyDecisionPoint::default();
+        let pdp = PolicyDecisionPoint;
         let d = pdp.decide(&base_request());
         assert!(d.reasons.len() >= 5);
         assert!(d.reasons.iter().any(|r| r.contains("identity")));
@@ -532,8 +523,8 @@ mod tests {
 
     #[test]
     fn memoized_and_plain_agree_on_and_off() {
-        let memo = MemoizedPdp::new(PolicyDecisionPoint::default(), 16);
-        let plain = PolicyDecisionPoint::default();
+        let memo = MemoizedPdp::new(PolicyDecisionPoint, 16);
+        let plain = PolicyDecisionPoint;
         let mut requests = Vec::new();
         for age in [0u64, 59, 60, 61, 3599, 7 * 3600, 8 * 3600, 9 * 3600] {
             for sens in [
@@ -572,7 +563,7 @@ mod tests {
 
     #[test]
     fn memo_shares_entries_across_subjects_not_features() {
-        let memo = MemoizedPdp::new(PolicyDecisionPoint::default(), 16);
+        let memo = MemoizedPdp::new(PolicyDecisionPoint, 16);
         let mut a = base_request();
         a.subject = "maid-1".into();
         let mut b = base_request();
@@ -590,7 +581,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_invalidates_memoized_decisions() {
-        let memo = MemoizedPdp::new(PolicyDecisionPoint::default(), 16);
+        let memo = MemoizedPdp::new(PolicyDecisionPoint, 16);
         let req = base_request();
         assert!(memo.decide(&req).allow);
         memo.decide(&req);
@@ -609,7 +600,7 @@ mod tests {
         // lookup; only the first insert may count as a miss.
         const WORKERS: usize = 8;
         const KEYS: u64 = 64;
-        let memo = MemoizedPdp::new(PolicyDecisionPoint::default(), 16);
+        let memo = MemoizedPdp::new(PolicyDecisionPoint, 16);
         let barrier = std::sync::Barrier::new(WORKERS);
         std::thread::scope(|scope| {
             for _ in 0..WORKERS {
@@ -632,7 +623,7 @@ mod tests {
     fn stale_gate_exact_under_quantization() {
         // 8h divides into 60s buckets exactly: the stale-session gate
         // must fire at >= 8h and not a bucket earlier.
-        let memo = MemoizedPdp::new(PolicyDecisionPoint::default(), 4);
+        let memo = MemoizedPdp::new(PolicyDecisionPoint, 4);
         let mut req = base_request();
         req.session_age_secs = 8 * 3600 - 1;
         assert!(memo.decide(&req).allow);

@@ -2,40 +2,25 @@
 //!
 //! Complements the windowed signature rules in [`crate::siem`]: instead
 //! of matching known-bad patterns, it learns per-source event-rate
-//! baselines over fixed buckets and flags buckets whose rate deviates by
-//! more than `z_threshold` standard deviations — the "collect as much
-//! information as possible … and use it to improve its security posture"
-//! loop of tenet 7.
+//! baselines over fixed [`BUCKET_MS`] buckets and flags buckets whose
+//! rate deviates by more than [`Z_THRESHOLD`] standard deviations — the
+//! "collect as much information as possible … and use it to improve its
+//! security posture" loop of tenet 7.
 
 use std::collections::HashMap;
 
 use parking_lot::RwLock;
 
-/// Configuration for the rate-anomaly detector.
-#[derive(Debug, Clone)]
-pub struct AnomalyConfig {
-    /// Bucket width (ms) the event stream is aggregated into.
-    pub bucket_ms: u64,
-    /// Number of history buckets forming the baseline.
-    pub history: usize,
-    /// Flag a bucket whose rate is more than this many standard
-    /// deviations above the baseline mean.
-    pub z_threshold: f64,
-    /// Don't flag anything until at least this many buckets of history
-    /// exist (cold start).
-    pub min_history: usize,
-}
-
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        AnomalyConfig {
-            bucket_ms: 60_000,
-            history: 30,
-            z_threshold: 4.0,
-            min_history: 5,
-        }
-    }
-}
+/// Bucket width (ms) the event stream is aggregated into.
+pub const BUCKET_MS: u64 = 60_000;
+/// Number of history buckets forming the baseline.
+pub const HISTORY_BUCKETS: usize = 30;
+/// Flag a bucket whose rate is more than this many standard deviations
+/// above the baseline mean.
+pub const Z_THRESHOLD: f64 = 4.0;
+/// Don't flag anything until at least this many buckets of history exist
+/// (cold start).
+pub const MIN_HISTORY_BUCKETS: usize = 5;
 
 /// An anomalous rate finding.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,19 +63,15 @@ impl std::ops::Deref for DetectorState {
 }
 
 /// Per-source event-rate anomaly detector.
+#[derive(Default)]
 pub struct AnomalyDetector {
-    /// Configuration.
-    pub config: AnomalyConfig,
     state: RwLock<DetectorState>,
 }
 
 impl AnomalyDetector {
     /// Create a detector.
-    pub fn new(config: AnomalyConfig) -> AnomalyDetector {
-        AnomalyDetector {
-            config,
-            state: RwLock::new(DetectorState::default()),
-        }
+    pub fn new() -> AnomalyDetector {
+        AnomalyDetector::default()
     }
 
     /// Record one event from `source` at `at_ms`; returns an anomaly if
@@ -98,8 +79,7 @@ impl AnomalyDetector {
     /// anomalous against the source's baseline. The finding is also kept
     /// for [`AnomalyDetector::findings`].
     pub fn observe(&self, source: &str, at_ms: u64) -> Option<RateAnomaly> {
-        let bucket_ms = self.config.bucket_ms;
-        let bucket_start = (at_ms / bucket_ms) * bucket_ms;
+        let bucket_start = (at_ms / BUCKET_MS) * BUCKET_MS;
         let mut guard = self.state.write();
         let state = &mut *guard;
         // Few sources exist: look the source up, and allocate its key
@@ -120,7 +100,7 @@ impl AnomalyDetector {
         if bucket_start > hist.current_start_ms {
             // The previous bucket is complete: score it, then roll.
             let observed = hist.current_count;
-            if hist.buckets.len() >= self.config.min_history {
+            if hist.buckets.len() >= MIN_HISTORY_BUCKETS {
                 let n = hist.buckets.len() as f64;
                 let mean = hist.buckets.iter().sum::<u64>() as f64 / n;
                 let var = hist
@@ -136,7 +116,7 @@ impl AnomalyDetector {
                 // be exceeded meaningfully.
                 let sd = var.sqrt().max(1.0);
                 let z = (observed as f64 - mean) / sd;
-                if z > self.config.z_threshold {
+                if z > Z_THRESHOLD {
                     finding = Some(RateAnomaly {
                         source: source.to_string(),
                         bucket_start_ms: hist.current_start_ms,
@@ -147,15 +127,15 @@ impl AnomalyDetector {
                 }
             }
             hist.buckets.push(observed);
-            let overflow = hist.buckets.len().saturating_sub(self.config.history);
+            let overflow = hist.buckets.len().saturating_sub(HISTORY_BUCKETS);
             if overflow > 0 {
                 hist.buckets.drain(..overflow);
             }
             // Any fully-empty buckets between count as zeros in history.
-            let mut gap = hist.current_start_ms + bucket_ms;
-            while gap < bucket_start && hist.buckets.len() < self.config.history {
+            let mut gap = hist.current_start_ms + BUCKET_MS;
+            while gap < bucket_start && hist.buckets.len() < HISTORY_BUCKETS {
                 hist.buckets.push(0);
-                gap += bucket_ms;
+                gap += BUCKET_MS;
             }
             hist.current_start_ms = bucket_start;
             hist.current_count = 0;
@@ -182,23 +162,21 @@ impl AnomalyDetector {
 mod tests {
     use super::*;
 
-    fn detector() -> AnomalyDetector {
-        AnomalyDetector::new(AnomalyConfig {
-            bucket_ms: 1_000,
-            history: 10,
-            z_threshold: 4.0,
-            min_history: 3,
-        })
+    /// Start of bucket `n` (ms).
+    fn bucket(n: u64) -> u64 {
+        n * BUCKET_MS
     }
 
     #[test]
     fn steady_rate_never_flags() {
-        let d = detector();
+        let d = AnomalyDetector::new();
         let mut anomalies = 0;
-        // 5 events/second for 20 seconds.
-        for sec in 0..20u64 {
+        // 5 events per bucket for 20 buckets.
+        for b in 0..20u64 {
             for e in 0..5u64 {
-                if d.observe("fds/broker", sec * 1000 + e * 100).is_some() {
+                if d.observe("fds/broker", bucket(b) + e * BUCKET_MS / 10)
+                    .is_some()
+                {
                     anomalies += 1;
                 }
             }
@@ -208,54 +186,54 @@ mod tests {
 
     #[test]
     fn burst_is_flagged_with_context() {
-        let d = detector();
-        // Baseline: 5/s for 10 seconds.
-        for sec in 0..10u64 {
+        let d = AnomalyDetector::new();
+        // Baseline: 5 per bucket for 10 buckets (past the warm-up).
+        for b in 0..10u64 {
             for e in 0..5u64 {
-                d.observe("fds/broker", sec * 1000 + e * 100);
+                d.observe("fds/broker", bucket(b) + e * BUCKET_MS / 10);
             }
         }
-        // Burst: 200 events in second 10.
+        // Burst: 200 events in bucket 10.
         let mut finding = None;
         for e in 0..200u64 {
-            if let Some(f) = d.observe("fds/broker", 10_000 + e * 4) {
+            if let Some(f) = d.observe("fds/broker", bucket(10) + e * BUCKET_MS / 250) {
                 finding = Some(f);
             }
         }
-        // The burst bucket is scored when time rolls into second 11.
+        // The burst bucket is scored when time rolls into bucket 11.
         if finding.is_none() {
-            finding = d.observe("fds/broker", 11_000);
+            finding = d.observe("fds/broker", bucket(11));
         }
         let f = finding.expect("burst flagged");
         assert_eq!(f.source, "fds/broker");
         assert_eq!(f.observed, 200);
-        assert!(f.z_score > 4.0, "z = {}", f.z_score);
+        assert!(f.z_score > Z_THRESHOLD, "z = {}", f.z_score);
         assert!((f.mean - 5.0).abs() < 1.0);
     }
 
     #[test]
     fn cold_start_is_silent() {
-        let d = detector();
-        // A massive burst in the very first buckets: not enough history.
+        let d = AnomalyDetector::new();
+        // A massive burst in the very first bucket: not enough history.
         for e in 0..500u64 {
-            assert!(d.observe("new-host", e * 2).is_none());
+            assert!(d.observe("new-host", e * BUCKET_MS / 500).is_none());
         }
-        assert!(d.observe("new-host", 1_000).is_none());
+        assert!(d.observe("new-host", bucket(1)).is_none());
     }
 
     #[test]
     fn sources_are_independent() {
-        let d = detector();
-        for sec in 0..10u64 {
-            d.observe("a", sec * 1000);
-            d.observe("b", sec * 1000);
+        let d = AnomalyDetector::new();
+        for b in 0..10u64 {
+            d.observe("a", bucket(b));
+            d.observe("b", bucket(b));
         }
         // Burst only on "a".
         for e in 0..100u64 {
-            d.observe("a", 10_000 + e);
+            d.observe("a", bucket(10) + e * BUCKET_MS / 100);
         }
-        let a_flag = d.observe("a", 11_000);
-        let b_flag = d.observe("b", 11_000);
+        let a_flag = d.observe("a", bucket(11));
+        let b_flag = d.observe("b", bucket(11));
         assert!(a_flag.is_some());
         assert!(b_flag.is_none());
         assert_eq!(d.tracked_sources(), 2);
@@ -263,11 +241,11 @@ mod tests {
 
     #[test]
     fn history_is_bounded() {
-        let d = detector();
-        for sec in 0..1_000u64 {
-            d.observe("x", sec * 1000);
+        let d = AnomalyDetector::new();
+        for b in 0..1_000u64 {
+            d.observe("x", bucket(b));
         }
         let state = d.state.read();
-        assert!(state.get("x").unwrap().buckets.len() <= d.config.history);
+        assert!(state.get("x").unwrap().buckets.len() <= HISTORY_BUCKETS);
     }
 }

@@ -27,7 +27,7 @@ pub mod inventory;
 pub mod shape;
 pub mod siem;
 
-pub use anomaly::{AnomalyConfig, AnomalyDetector, RateAnomaly};
+pub use anomaly::{AnomalyDetector, RateAnomaly};
 pub use cis::{CisCheck, CisReport, ConfigSnapshot};
 pub use events::{EventKind, SecurityEvent, Severity};
 pub use inventory::{Inventory, VulnFinding, Vulnerability};

@@ -78,7 +78,11 @@ pub struct SshCa {
 
 impl SshCa {
     /// Create a CA. `introspect` is the broker's revocation check, so a
-    /// revoked token cannot get a certificate signed.
+    /// revoked token cannot get a certificate signed. Outages of component
+    /// `sshca` on `faults` make [`sign_request`](SshCa::sign_request) fail
+    /// closed with [`CaError::Unavailable`] while leaving issued
+    /// certificates valid until TTL (validation is offline against the CA
+    /// public key).
     pub fn new(
         seed: [u8; 32],
         cert_ttl_secs: u64,
@@ -86,6 +90,7 @@ impl SshCa {
         jwks: Jwks,
         introspect: IntrospectFn,
         authz: Arc<dyn AuthorizationSource>,
+        faults: dri_fault::FaultHook,
     ) -> SshCa {
         SshCa {
             ca_key: RwLock::new(SigningKey::from_seed(&seed)),
@@ -94,17 +99,8 @@ impl SshCa {
             authz,
             cert_ttl_secs,
             serial: AtomicU64::new(0),
-            faults: dri_fault::FaultHook::default(),
+            faults,
         }
-    }
-
-    /// Attach the infrastructure's shared fault hook; outages of component
-    /// `sshca` make [`sign_request`](SshCa::sign_request) fail closed with
-    /// [`CaError::Unavailable`] while leaving issued certificates valid until
-    /// TTL (validation is offline against the CA public key).
-    pub fn with_fault_hook(mut self, hook: dri_fault::FaultHook) -> SshCa {
-        self.faults = hook;
-        self
     }
 
     /// The CA public key — distributed to every login node / bastion as
@@ -191,6 +187,7 @@ mod tests {
             clock.clone(),
             Arc::new(FederationRegistry::new()),
             authz.clone(),
+            dri_fault::FaultHook::default(),
         ));
         broker.register_service(TokenPolicy::standard("ssh-ca", 900));
         let session = broker
@@ -209,6 +206,7 @@ mod tests {
             broker.jwks(),
             broker.introspector(),
             authz.clone(),
+            dri_fault::FaultHook::default(),
         );
         Fixture {
             ca,

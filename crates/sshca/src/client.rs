@@ -182,6 +182,7 @@ mod tests {
             clock.clone(),
             Arc::new(FederationRegistry::new()),
             authz.clone(),
+            dri_fault::FaultHook::default(),
         ));
         broker.register_service(TokenPolicy::standard("ssh-ca", 900));
         let session = broker
@@ -206,6 +207,7 @@ mod tests {
             broker.jwks(),
             broker.introspector(),
             authz,
+            dri_fault::FaultHook::default(),
         );
         Fixture {
             oidc,

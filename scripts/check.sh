@@ -51,6 +51,10 @@ cargo test -q --offline -p isambard-dri --test storm_shard_stress
 # The one example that prints the stage summaries.
 cargo run --release --offline --example day_in_the_life
 
+echo "== compliance: tenet and CIS evidence read the deployment constants =="
+cargo test -q --offline -p isambard-dri --test e15_tenets --test e16_caf_baseline
+cargo run --release --offline --example compliance_audit
+
 echo "== SIEM ingest: read-your-writes, backpressure, timeline order =="
 cargo test -q --offline -p dri-siem
 cargo test -q --offline -p isambard-dri --test telemetry_anomaly

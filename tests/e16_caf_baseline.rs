@@ -72,17 +72,3 @@ fn single_bastion_deployment_still_meets_baseline() {
     assert_eq!(b5.achieved, Achievement::PartiallyAchieved);
     assert!(assessment.baseline_compliant());
 }
-
-#[test]
-fn future_work_toggle_closes_the_cis_gap() {
-    // Enabling the in-progress HPC-fabric encryption (paper §V) brings
-    // the CIS-style score to 12/12.
-    let cfg = InfraConfig::builder()
-        .hpc_fabric_encryption(true)
-        .build()
-        .unwrap();
-    let infra = Infrastructure::new(cfg);
-    let report = infra.cis_report();
-    assert_eq!(report.score(), (12, 12));
-    assert!(report.failures().is_empty());
-}

@@ -3,6 +3,7 @@
 mod common;
 
 use isambard_dri::cluster::{MgmtError, MgmtOp, TransportPath};
+use isambard_dri::core::config::ADMIN_TOKEN_TTL_SECS;
 use isambard_dri::core::{FlowError, InfraConfig, Infrastructure};
 
 #[test]
@@ -106,9 +107,7 @@ fn admin_token_expiry_forces_fresh_issuance() {
     let infra = Infrastructure::new(InfraConfig::default());
     infra.story2_register_admin("dave").unwrap();
     let (token, _) = infra.token_for("dave", "mgmt-cluster", vec![]).unwrap();
-    infra
-        .clock
-        .advance_secs(infra.config.admin_token_ttl_secs + 1);
+    infra.clock.advance_secs(ADMIN_TOKEN_TTL_SECS + 1);
     assert!(matches!(
         infra
             .mgmt

@@ -4,6 +4,7 @@
 mod common;
 
 use isambard_dri::cluster::JobState;
+use isambard_dri::core::config::JUPYTER_TOKEN_TTL_SECS;
 use isambard_dri::core::{FlowError, InfraConfig, Infrastructure};
 use isambard_dri::netsim::{EdgeError, HttpRequest, TunnelError};
 
@@ -71,9 +72,7 @@ fn expired_token_rejected_by_authenticator() {
             )],
         )
         .unwrap();
-    infra
-        .clock
-        .advance_secs(infra.config.jupyter_token_ttl_secs + 1);
+    infra.clock.advance_secs(JUPYTER_TOKEN_TTL_SECS + 1);
     let response = infra
         .edge
         .handle(

@@ -2,10 +2,12 @@
 //! the availability half of the paper's "balancing security,
 //! availability, usability, and cost-efficiency".
 
+use isambard_dri::broker::BrokerError;
+use isambard_dri::cluster::{JupyterError, LoginError, MgmtOp, SubmitError};
 use isambard_dri::core::{ChaosOutcome, FlowError, InfraConfig, Infrastructure};
 use isambard_dri::fault::FaultPlan;
-use isambard_dri::federation::AuthnError;
-use isambard_dri::netsim::BastionError;
+use isambard_dri::federation::{AuthnError, ProxyError};
+use isambard_dri::netsim::{BastionError, EdgeError, TailnetError};
 use isambard_dri::sshca::CaError;
 
 fn onboarded() -> Infrastructure {
@@ -292,6 +294,55 @@ fn retries_total_is_the_sum_of_its_per_dependency_breakdown() {
     assert!(sum > 0);
     assert_eq!(m.retries, sum);
     assert_eq!(infra.resilience.retries(), sum);
+}
+
+/// One row per fault-plane category: an outage of that category makes
+/// the story crossing its hop fail closed with the layer's own error,
+/// and the one shared hook counts the injected failures under it.
+#[test]
+fn every_hop_obeys_the_one_hook() {
+    type Story = fn(&Infrastructure) -> Result<(), FlowError>;
+    let login: Story = |i| i.federated_login("alice").map(drop);
+    let ssh: Story = |i| i.story4_ssh_connect("alice", "p").map(drop);
+    let jupyter: Story = |i| i.story6_jupyter("alice", "p", "198.51.100.90").map(drop);
+    let admin: Story = |i| i.story5_privileged_op("dave", MgmtOp::Health).map(drop);
+    // The scheduler sits behind the notebook tunnel, which answers 503.
+    let spawn_refused = JupyterError::Spawn(SubmitError::SchedulerUnavailable).to_string();
+    let rows: [(&str, Story, FlowError); 9] = [
+        ("idp", login, FlowError::Idp(AuthnError::IdpUnavailable)),
+        ("proxy", login, FlowError::Proxy(ProxyError::Unavailable)),
+        ("broker", login, FlowError::Broker(BrokerError::Unavailable)),
+        ("sshca", ssh, FlowError::Ca(CaError::Unavailable)),
+        (
+            "bastion",
+            ssh,
+            FlowError::Bastion(BastionError::Unavailable),
+        ),
+        ("login", ssh, FlowError::Login(LoginError::Unavailable)),
+        ("edge", jupyter, FlowError::Edge(EdgeError::Down)),
+        (
+            "slurm",
+            jupyter,
+            FlowError::UnexpectedStatus(503, spawn_refused),
+        ),
+        (
+            "tailnet",
+            admin,
+            FlowError::Tailnet(TailnetError::Unavailable),
+        ),
+    ];
+    for (category, story, want) in rows {
+        let infra = onboarded();
+        infra.story2_register_admin("dave").unwrap();
+        let now = infra.clock.now_ms();
+        infra.install_fault_plan(FaultPlan::new(42).outage(category, now, now + 60_000));
+        assert_eq!(story(&infra), Err(want), "{category}");
+        let counted = infra.resilience.faults_by_dependency();
+        assert!(
+            matches!(counted.as_slice(), [(c, n)] if c == category && *n > 0),
+            "{category}: {counted:?}"
+        );
+    }
 }
 
 #[test]

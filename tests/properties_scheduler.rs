@@ -3,6 +3,7 @@
 
 use isambard_dri::clock::SimClock;
 use isambard_dri::cluster::{JobState, Scheduler};
+use isambard_dri::fault::FaultHook;
 use proptest::prelude::*;
 
 /// A random scheduler operation.
@@ -32,7 +33,7 @@ proptest! {
     #[test]
     fn scheduler_never_overcommits(ops in proptest::collection::vec(op_strategy(), 1..80)) {
         let clock = SimClock::new();
-        let sched = Scheduler::new(clock.clone());
+        let sched = Scheduler::new(clock.clone(), FaultHook::default());
         sched.add_partition("gh", 8, 8);
         let mut job_ids: Vec<String> = Vec::new();
 
@@ -79,7 +80,7 @@ proptest! {
         walltimes in proptest::collection::vec(1u64..1000, 1..20),
     ) {
         let clock = SimClock::new();
-        let sched = Scheduler::new(clock.clone());
+        let sched = Scheduler::new(clock.clone(), FaultHook::default());
         sched.add_partition("gh", 4, 4);
         let mut max_possible_node_secs = 0u64;
         for w in &walltimes {
