@@ -4,8 +4,8 @@
 //! resource action rather than a stub:
 //!
 //! * [`slurm`] — a miniature batch scheduler: partitions, FIFO + backfill
-//!   scheduling, walltime enforcement, per-project usage accounting (fed
-//!   back to the portal's allocations);
+//!   scheduling, walltime enforcement, per-project usage accounting (an
+//!   sreport-style summary);
 //! * [`login`] — login nodes: provisioned per-project UNIX accounts, SSH
 //!   sessions authenticated by CA-signed certificates *and* a live
 //!   challenge against the user's key (possession proof);

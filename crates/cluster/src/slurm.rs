@@ -92,10 +92,9 @@ struct SchedState {
     partitions: HashMap<String, Partition>,
     jobs: HashMap<String, Job>,
     queue: Vec<String>,
-    /// (project, node-seconds) accumulated since last drain.
+    /// (project, node-seconds) consumed over the scheduler's life, read
+    /// by `accounting_report`.
     usage: HashMap<String, u64>,
-    /// Lifetime (project, node-seconds) for reporting.
-    lifetime_usage: HashMap<String, u64>,
     /// Walltime expiry min-heap of `(deadline_secs, job_id)` for running
     /// jobs, so `tick` completes jobs in O(expired log n) instead of
     /// scanning every job. Entries for cancelled jobs go stale and are
@@ -238,12 +237,11 @@ impl Scheduler {
             if let Some(p) = state.partitions.get_mut(&partition) {
                 p.allocated_nodes -= nodes;
             }
-            *state.usage.entry(project.clone()).or_insert(0) += node_secs;
-            *state.lifetime_usage.entry(project).or_insert(0) += node_secs;
+            *state.usage.entry(project).or_insert(0) += node_secs;
         }
 
         // Starts: FIFO with backfill.
-        let queue = state.queue.clone();
+        let queue = std::mem::take(&mut state.queue);
         let mut still_queued = Vec::with_capacity(queue.len());
         for job_id in queue {
             let (partition, nodes, cancelled) = match state.jobs.get(&job_id) {
@@ -300,8 +298,7 @@ impl Scheduler {
             if let Some(p) = state.partitions.get_mut(&partition) {
                 p.allocated_nodes -= nodes;
             }
-            *state.usage.entry(project.clone()).or_insert(0) += elapsed * nodes as u64;
-            *state.lifetime_usage.entry(project).or_insert(0) += elapsed * nodes as u64;
+            *state.usage.entry(project).or_insert(0) += elapsed * nodes as u64;
         }
         state.queue.retain(|id| id != job_id);
         true
@@ -352,19 +349,6 @@ impl Scheduler {
         }
     }
 
-    /// Drain accumulated usage as `(project, node_hours)` pairs (the core
-    /// pushes these into the portal's allocations).
-    pub fn drain_usage(&self) -> Vec<(String, f64)> {
-        let mut state = self.state.write();
-        let mut out: Vec<(String, f64)> = state
-            .usage
-            .drain()
-            .map(|(p, secs)| (p, secs as f64 / 3600.0))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
     /// An sreport-style accounting summary: per project, lifetime
     /// node-hours plus (completed, cancelled, running, pending) job
     /// counts, sorted by project name.
@@ -390,7 +374,7 @@ impl Scheduler {
                 JobState::Pending => entry.pending += 1,
             }
         }
-        for (project, secs) in &state.lifetime_usage {
+        for (project, secs) in &state.usage {
             by_project
                 .entry(project.clone())
                 .or_insert_with(|| ProjectAccounting {
@@ -450,9 +434,10 @@ mod tests {
         assert_eq!(job.state, JobState::Completed);
         assert_eq!(s.partition("gh").unwrap().allocated_nodes, 0);
         // Usage: 2 nodes * 1 hour.
-        assert_eq!(s.drain_usage(), vec![("climate-llm".to_string(), 2.0)]);
-        // Draining twice yields nothing.
-        assert!(s.drain_usage().is_empty());
+        let report = s.accounting_report();
+        assert_eq!(report.len(), 1);
+        assert_eq!(report[0].project, "climate-llm");
+        assert_eq!(report[0].node_hours, 2.0);
     }
 
     #[test]
@@ -535,9 +520,9 @@ mod tests {
         assert_eq!(s.job(&c).unwrap().state, JobState::Cancelled);
         // Double cancel fails.
         assert!(!s.cancel(&a));
-        let usage = s.drain_usage();
-        assert_eq!(usage.len(), 1);
-        let (_, hours) = &usage[0];
+        let report = s.accounting_report();
+        assert_eq!(report.len(), 1);
+        let hours = report[0].node_hours;
         assert!(
             (hours - 2.0 * 600.0 / 3600.0).abs() < 1e-9,
             "pro-rata usage, got {hours}"

@@ -25,7 +25,7 @@ use dri_netsim::edge::EdgeProxy;
 use dri_netsim::tailnet::{Tailnet, TailnetNode};
 use dri_netsim::topology::{Domain, Network, Selector, Zone};
 use dri_netsim::tunnel::{HttpResponse, TunnelServer};
-use dri_policy::trust::{MemoizedPdp, PolicyDecisionPoint};
+use dri_policy::trust::MemoizedPdp;
 use dri_portal::portal::Portal;
 use dri_siem::anomaly::{AnomalyDetector, RateAnomaly};
 use dri_siem::events::{EventKind, SecurityEvent, Severity};
@@ -319,11 +319,7 @@ impl Infrastructure {
 
         // --- Zenith tunnel + edge ----------------------------------------------
         let mut tunnel_rng = rng.split();
-        let tunnel = Arc::new(TunnelServer::new(
-            "fds/zenith",
-            &mut tunnel_rng,
-            clock.clone(),
-        ));
+        let tunnel = Arc::new(TunnelServer::new("fds/zenith", &mut tunnel_rng));
         let jupyter_for_tunnel = jupyter.clone();
         let client_private = dri_crypto::x25519::clamp(tunnel_rng.seed32());
         tunnel
@@ -435,7 +431,7 @@ impl Infrastructure {
             tracer,
             inventory,
             anomaly,
-            pdp: MemoizedPdp::new(PolicyDecisionPoint, pdp_shards),
+            pdp: MemoizedPdp::new(pdp_shards),
             resilience,
             users: RwLock::new(HashMap::new()),
             mgmt_node,

@@ -42,7 +42,9 @@
 //!   the typed handles in [`ids`];
 //! * [`Infrastructure::kill_user`] — the coordinated kill switch;
 //! * [`Infrastructure::reachability_matrix`] — the E1 segmentation map;
-//! * [`Infrastructure::tenet_audit`] — the E15 seven-tenet audit;
+//! * [`Infrastructure::evidence`] — the one live compliance record that
+//!   [`Infrastructure::tenet_audit`] (E15), [`Infrastructure::cis_report`]
+//!   and [`Infrastructure::caf_assessment`] (E16) assess;
 //! * [`dri_core::ablation`](ablation) — the perimeter-model baseline for E10.
 
 #![forbid(unsafe_code)]

@@ -15,9 +15,10 @@ use dri_sync::ShardMap;
 use parking_lot::RwLock;
 
 /// Breaker states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BreakerState {
     /// Healthy: calls flow through.
+    #[default]
     Closed,
     /// Tripped: calls are rejected without touching the dependency.
     Open,
@@ -106,7 +107,7 @@ impl std::error::Error for BreakerOpen {}
 
 #[derive(Debug, Clone, Default)]
 struct LaneState {
-    state: u8, // 0 = Closed, 1 = Open, 2 = HalfOpen
+    state: BreakerState,
     consecutive_failures: u32,
     opened_at_ms: u64,
     probes_used: u32,
@@ -115,18 +116,24 @@ struct LaneState {
 }
 
 impl LaneState {
-    fn next_seq(&mut self) -> u64 {
+    /// Move the `(dependency, lane)` breaker to `to` at `at_ms`,
+    /// returning the transition with the lane's next sequence number.
+    fn move_to(
+        &mut self,
+        to: BreakerState,
+        dependency: &str,
+        lane: &str,
+        at_ms: u64,
+    ) -> BreakerTransition {
+        let from = std::mem::replace(&mut self.state, to);
         self.transitions += 1;
-        self.transitions
-    }
-}
-
-impl LaneState {
-    fn state(&self) -> BreakerState {
-        match self.state {
-            1 => BreakerState::Open,
-            2 => BreakerState::HalfOpen,
-            _ => BreakerState::Closed,
+        BreakerTransition {
+            dependency: dependency.to_string(),
+            lane: lane.to_string(),
+            from,
+            to,
+            at_ms,
+            seq: self.transitions,
         }
     }
 }
@@ -200,20 +207,12 @@ impl CircuitBreakers {
         config: &BreakerConfig,
     ) -> Result<BreakerState, BreakerOpen> {
         let mut transitions = Vec::new();
-        let decision = self.with_lane(dependency, lane, |st| match st.state() {
+        let decision = self.with_lane(dependency, lane, |st| match st.state {
             BreakerState::Closed => Ok(BreakerState::Closed),
             BreakerState::Open => {
                 if now_ms >= st.opened_at_ms.saturating_add(config.open_ms) {
-                    st.state = 2;
                     st.probes_used = 0;
-                    transitions.push(BreakerTransition {
-                        dependency: dependency.to_string(),
-                        lane: lane.to_string(),
-                        from: BreakerState::Open,
-                        to: BreakerState::HalfOpen,
-                        at_ms: now_ms,
-                        seq: st.next_seq(),
-                    });
+                    transitions.push(st.move_to(BreakerState::HalfOpen, dependency, lane, now_ms));
                     if st.probes_used < config.probe_budget {
                         st.probes_used += 1;
                         Ok(BreakerState::HalfOpen)
@@ -254,51 +253,26 @@ impl CircuitBreakers {
     ) {
         let mut transitions = Vec::new();
         self.with_lane(dependency, lane, |st| {
-            let from = st.state();
-            match (from, success) {
+            match (st.state, success) {
                 (BreakerState::Closed, true) => st.consecutive_failures = 0,
                 (BreakerState::Closed, false) => {
                     st.consecutive_failures += 1;
                     if st.consecutive_failures >= config.failure_threshold {
-                        st.state = 1;
                         st.opened_at_ms = now_ms;
                         self.trips.fetch_add(1, Ordering::Relaxed);
-                        transitions.push(BreakerTransition {
-                            dependency: dependency.to_string(),
-                            lane: lane.to_string(),
-                            from,
-                            to: BreakerState::Open,
-                            at_ms: now_ms,
-                            seq: st.next_seq(),
-                        });
+                        transitions.push(st.move_to(BreakerState::Open, dependency, lane, now_ms));
                     }
                 }
                 (BreakerState::HalfOpen, true) => {
-                    st.state = 0;
                     st.consecutive_failures = 0;
                     st.probes_used = 0;
-                    transitions.push(BreakerTransition {
-                        dependency: dependency.to_string(),
-                        lane: lane.to_string(),
-                        from,
-                        to: BreakerState::Closed,
-                        at_ms: now_ms,
-                        seq: st.next_seq(),
-                    });
+                    transitions.push(st.move_to(BreakerState::Closed, dependency, lane, now_ms));
                 }
                 (BreakerState::HalfOpen, false) => {
-                    st.state = 1;
                     st.opened_at_ms = now_ms;
                     st.probes_used = 0;
                     self.trips.fetch_add(1, Ordering::Relaxed);
-                    transitions.push(BreakerTransition {
-                        dependency: dependency.to_string(),
-                        lane: lane.to_string(),
-                        from,
-                        to: BreakerState::Open,
-                        at_ms: now_ms,
-                        seq: st.next_seq(),
-                    });
+                    transitions.push(st.move_to(BreakerState::Open, dependency, lane, now_ms));
                 }
                 // A late record against an Open breaker (shouldn't
                 // happen when callers admit first) changes nothing.
@@ -318,7 +292,7 @@ impl CircuitBreakers {
         config: &BreakerConfig,
     ) -> BreakerState {
         let state = dri_sync::with_key(format_args!("{dependency}|{lane}"), |key| {
-            self.lanes.with(key, |st| match st.state() {
+            self.lanes.with(key, |st| match st.state {
                 BreakerState::Open if now_ms >= st.opened_at_ms.saturating_add(config.open_ms) => {
                     BreakerState::HalfOpen
                 }

@@ -182,7 +182,7 @@ mod tests {
             "zenith",
         );
         let mut rng = SimRng::seed_from_u64(1);
-        let server = TunnelServer::new("fds/zenith", &mut rng, clock.clone());
+        let server = TunnelServer::new("fds/zenith", &mut rng);
         let pk = x25519::clamp(rng.seed32());
         server
             .register_tunnel(

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dri_clock::{SimClock, SimRng};
+use dri_clock::SimRng;
 use dri_crypto::aead;
 use dri_crypto::hkdf;
 use dri_crypto::x25519;
@@ -137,7 +137,6 @@ struct Route {
 pub struct TunnelServer {
     /// Fabric host id of the server.
     pub host_id: String,
-    clock: SimClock,
     server_private: [u8; 32],
     /// The server's X25519 public key (clients use it in the handshake).
     pub server_public: [u8; 32],
@@ -147,12 +146,11 @@ pub struct TunnelServer {
 
 impl TunnelServer {
     /// Create a server with a deterministic key.
-    pub fn new(host_id: impl Into<String>, rng: &mut SimRng, clock: SimClock) -> TunnelServer {
+    pub fn new(host_id: impl Into<String>, rng: &mut SimRng) -> TunnelServer {
         let server_private = x25519::clamp(rng.seed32());
         let server_public = x25519::public_key(&server_private);
         TunnelServer {
             host_id: host_id.into(),
-            clock,
             server_private,
             server_public,
             routes: RwLock::new(HashMap::new()),
@@ -240,7 +238,6 @@ impl TunnelServer {
             .ok_or(TunnelError::DecryptFailed)?;
 
         served.fetch_add(1, Ordering::Relaxed);
-        let _ = self.clock.now_ms();
         Ok(HttpResponse {
             status: response.status,
             body: resp_plain,
@@ -293,6 +290,7 @@ impl TunnelServer {
 mod tests {
     use super::*;
     use crate::topology::{Domain, Selector, Zone};
+    use dri_clock::SimClock;
 
     fn fabric(clock: &SimClock) -> Network {
         let net = Network::new(clock.clone());
@@ -324,7 +322,7 @@ mod tests {
         let clock = SimClock::new();
         let net = fabric(&clock);
         let mut rng = SimRng::seed_from_u64(1);
-        let server = TunnelServer::new("fds/zenith", &mut rng, clock.clone());
+        let server = TunnelServer::new("fds/zenith", &mut rng);
         let client_private = x25519::clamp(rng.seed32());
         server
             .register_tunnel(
@@ -359,7 +357,7 @@ mod tests {
         // A host with no outbound allow rule.
         net.add_host("mdc/mgmt01", Domain::Mdc, Zone::Management, &[]);
         let mut rng = SimRng::seed_from_u64(2);
-        let server = TunnelServer::new("fds/zenith", &mut rng, clock);
+        let server = TunnelServer::new("fds/zenith", &mut rng);
         let pk = x25519::clamp(rng.seed32());
         assert_eq!(
             server.register_tunnel(&net, "mdc/mgmt01", &pk, "/x", backend_echo()),
@@ -369,9 +367,8 @@ mod tests {
 
     #[test]
     fn unrouted_path_404s() {
-        let clock = SimClock::new();
         let mut rng = SimRng::seed_from_u64(3);
-        let server = TunnelServer::new("fds/zenith", &mut rng, clock.clone());
+        let server = TunnelServer::new("fds/zenith", &mut rng);
         assert_eq!(
             server.handle(HttpRequest {
                 path: "/nope".into(),
@@ -387,7 +384,7 @@ mod tests {
         let clock = SimClock::new();
         let net = fabric(&clock);
         let mut rng = SimRng::seed_from_u64(4);
-        let server = TunnelServer::new("fds/zenith", &mut rng, clock);
+        let server = TunnelServer::new("fds/zenith", &mut rng);
         let pk = x25519::clamp(rng.seed32());
         server
             .register_tunnel(&net, "mdc/login01", &pk, "/jupyter", backend_echo())
@@ -418,7 +415,7 @@ mod tests {
         let clock = SimClock::new();
         let net = fabric(&clock);
         let mut rng = SimRng::seed_from_u64(5);
-        let server = TunnelServer::new("fds/zenith", &mut rng, clock);
+        let server = TunnelServer::new("fds/zenith", &mut rng);
         let pk1 = x25519::clamp(rng.seed32());
         let pk2 = x25519::clamp(rng.seed32());
         let backend_a: Backend = Arc::new(|_| HttpResponse {

@@ -1,347 +1,218 @@
-//! NCSC Cyber Assessment Framework (CAF) baseline-profile assessment.
+//! The NCSC Cyber Assessment Framework (CAF) baseline profile as a rule
+//! table.
 //!
 //! §V: *"Our next steps is to achieve CAF compliance for the baseline
-//! profile."* This module implements that next step as an executable
-//! assessment: the 14 CAF principles (objectives A–D) scored from
-//! evidence the infrastructure produces, with the baseline profile's
-//! expectation per principle.
+//! profile."* This is that next step made executable: the 14 CAF
+//! principles (objectives A–D), each with the level the baseline profile
+//! expects.
 
-/// Achievement level for one principle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Achievement {
-    /// Not achieved.
-    NotAchieved,
-    /// Partially achieved.
-    PartiallyAchieved,
-    /// Achieved.
-    Achieved,
-}
+use crate::compliance::{
+    flag, level,
+    Achievement::{Achieved, PartiallyAchieved},
+    Rule,
+};
 
-impl Achievement {
-    /// Stable display name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Achievement::NotAchieved => "not-achieved",
-            Achievement::PartiallyAchieved => "partially-achieved",
-            Achievement::Achieved => "achieved",
-        }
-    }
-}
-
-/// Evidence bundle for the CAF assessment (gathered live by `dri-core`).
-#[derive(Debug, Clone, Default)]
-pub struct CafEvidence {
-    // Objective A — managing security risk.
-    /// Governance: are roles (allocator/PI/researcher/admin) separated?
-    pub roles_separated: bool,
-    /// Risk: is there a documented asset inventory?
-    pub assets_inventoried: usize,
-    /// Asset management: configuration checks run?
-    pub config_checks_run: usize,
-    /// Supply chain: are external IdPs trust-anchored via metadata?
-    pub federation_metadata_verified: bool,
-
-    // Objective B — protecting against cyber attack.
-    /// Service protection policies: per-service token policies.
-    pub services_with_policy: usize,
-    /// Total services.
-    pub services_total: usize,
-    /// Identity & access: MFA enforced, no global admin.
-    pub mfa_enforced: bool,
-    /// No global admin exists.
-    pub no_global_admin: bool,
-    /// Data security: encryption on IAM flows.
-    pub iam_encrypted: bool,
-    /// System security: default-deny segmentation.
-    pub default_deny: bool,
-    /// Resilient networks: HA bastion instances.
-    pub bastion_instances: usize,
-    /// Staff awareness (modelled: DevSecOps culture flag; the paper says
-    /// this is still being grown — expect partial).
-    pub devsecops_established: bool,
-
-    // Objective C — detecting cyber security events.
-    /// Monitoring coverage: distinct telemetry sources.
-    pub telemetry_sources: usize,
-    /// Events collected.
-    pub events_collected: u64,
-    /// Proactive discovery: detection rules active.
-    pub detection_rules_active: usize,
-
-    // Objective D — minimising impact.
-    /// Response: kill switches present and tested.
-    pub kill_switches_tested: bool,
-    /// Recovery: reinstatement paths exist.
-    pub reinstatement_tested: bool,
-    /// Lessons learned: alerts feed configuration (modelled flag).
-    pub lessons_loop: bool,
-}
-
-/// One assessed CAF principle.
-#[derive(Debug, Clone)]
-pub struct CafPrinciple {
-    /// Principle id (`A1`…`D2`).
-    pub id: &'static str,
-    /// Title.
-    pub title: &'static str,
-    /// Level achieved.
-    pub achieved: Achievement,
-    /// Level the baseline profile expects.
-    pub baseline_expectation: Achievement,
-    /// Evidence summary.
-    pub evidence: String,
-}
-
-impl CafPrinciple {
-    /// Does this principle meet the baseline profile?
-    pub fn meets_baseline(&self) -> bool {
-        self.achieved >= self.baseline_expectation
-    }
-}
-
-/// The full assessment.
-#[derive(Debug, Clone)]
-pub struct CafAssessment {
-    /// All 14 principles.
-    pub principles: Vec<CafPrinciple>,
-}
-
-impl CafAssessment {
-    /// Run the assessment over evidence.
-    pub fn run(ev: &CafEvidence) -> CafAssessment {
-        use Achievement::*;
-        let tri = |ok: bool, partial: bool| {
-            if ok {
-                Achieved
-            } else if partial {
-                PartiallyAchieved
-            } else {
-                NotAchieved
-            }
-        };
-        let principles = vec![
-            CafPrinciple {
-                id: "A1",
-                title: "Governance",
-                achieved: tri(ev.roles_separated, false),
-                baseline_expectation: PartiallyAchieved,
-                evidence: format!("role separation = {}", ev.roles_separated),
-            },
-            CafPrinciple {
-                id: "A2",
-                title: "Risk management",
-                achieved: tri(
-                    ev.assets_inventoried > 0 && ev.config_checks_run > 0,
-                    ev.assets_inventoried > 0,
+/// The 14 CAF principles, `A1`–`D2`.
+pub const CAF: &[Rule] = &[
+    Rule {
+        id: "A1",
+        title: "Governance",
+        expected: PartiallyAchieved,
+        judge: |e| flag("role separation", e.roles_separated),
+    },
+    Rule {
+        id: "A2",
+        title: "Risk management",
+        expected: PartiallyAchieved,
+        judge: |e| {
+            (
+                level(
+                    e.assets_inventoried > 0 && e.config_checks_run > 0,
+                    e.assets_inventoried > 0,
                 ),
-                baseline_expectation: PartiallyAchieved,
-                evidence: format!(
+                format!(
                     "{} assets, {} config checks",
-                    ev.assets_inventoried, ev.config_checks_run
+                    e.assets_inventoried, e.config_checks_run
                 ),
-            },
-            CafPrinciple {
-                id: "A3",
-                title: "Asset management",
-                achieved: tri(ev.assets_inventoried >= 5, ev.assets_inventoried > 0),
-                baseline_expectation: PartiallyAchieved,
-                evidence: format!("{} assets inventoried", ev.assets_inventoried),
-            },
-            CafPrinciple {
-                id: "A4",
-                title: "Supply chain",
-                achieved: tri(ev.federation_metadata_verified, false),
-                baseline_expectation: PartiallyAchieved,
-                evidence: format!(
-                    "federation metadata verified = {}",
-                    ev.federation_metadata_verified
+            )
+        },
+    },
+    Rule {
+        id: "A3",
+        title: "Asset management",
+        expected: PartiallyAchieved,
+        judge: |e| {
+            (
+                level(e.assets_inventoried >= 5, e.assets_inventoried > 0),
+                format!("{} assets inventoried", e.assets_inventoried),
+            )
+        },
+    },
+    Rule {
+        id: "A4",
+        title: "Supply chain",
+        expected: PartiallyAchieved,
+        judge: |e| {
+            flag(
+                "federation metadata verified",
+                e.federation_metadata_verified,
+            )
+        },
+    },
+    Rule {
+        id: "B1",
+        title: "Service protection policies and processes",
+        expected: Achieved,
+        judge: |e| {
+            (
+                level(
+                    e.services_total > 0 && e.services_with_policy == e.services_total,
+                    e.services_with_policy > 0,
                 ),
-            },
-            CafPrinciple {
-                id: "B1",
-                title: "Service protection policies and processes",
-                achieved: tri(
-                    ev.services_total > 0 && ev.services_with_policy == ev.services_total,
-                    ev.services_with_policy > 0,
-                ),
-                baseline_expectation: Achieved,
-                evidence: format!(
+                format!(
                     "{}/{} services under policy",
-                    ev.services_with_policy, ev.services_total
+                    e.services_with_policy, e.services_total
                 ),
-            },
-            CafPrinciple {
-                id: "B2",
-                title: "Identity and access control",
-                achieved: tri(ev.mfa_enforced && ev.no_global_admin, ev.mfa_enforced),
-                baseline_expectation: Achieved,
-                evidence: format!(
+            )
+        },
+    },
+    Rule {
+        id: "B2",
+        title: "Identity and access control",
+        expected: Achieved,
+        judge: |e| {
+            (
+                level(e.mfa_enforced && e.no_global_admin, e.mfa_enforced),
+                format!(
                     "mfa = {}, no global admin = {}",
-                    ev.mfa_enforced, ev.no_global_admin
+                    e.mfa_enforced, e.no_global_admin
                 ),
-            },
-            CafPrinciple {
-                id: "B3",
-                title: "Data security",
-                achieved: tri(ev.iam_encrypted, false),
-                baseline_expectation: Achieved,
-                evidence: format!("IAM encryption = {}", ev.iam_encrypted),
-            },
-            CafPrinciple {
-                id: "B4",
-                title: "System security",
-                achieved: tri(ev.default_deny, false),
-                baseline_expectation: Achieved,
-                evidence: format!("default-deny fabric = {}", ev.default_deny),
-            },
-            CafPrinciple {
-                id: "B5",
-                title: "Resilient networks and systems",
-                achieved: tri(ev.bastion_instances >= 2, ev.bastion_instances >= 1),
-                baseline_expectation: PartiallyAchieved,
-                evidence: format!("{} HA bastion instances", ev.bastion_instances),
-            },
-            CafPrinciple {
-                id: "B6",
-                title: "Staff awareness and training",
-                achieved: tri(ev.devsecops_established, true),
-                baseline_expectation: PartiallyAchieved,
-                evidence: format!(
+            )
+        },
+    },
+    Rule {
+        id: "B3",
+        title: "Data security",
+        expected: Achieved,
+        judge: |e| flag("IAM encryption", e.iam_encrypted),
+    },
+    Rule {
+        id: "B4",
+        title: "System security",
+        expected: Achieved,
+        judge: |e| flag("default-deny fabric", e.default_deny),
+    },
+    Rule {
+        id: "B5",
+        title: "Resilient networks and systems",
+        expected: PartiallyAchieved,
+        judge: |e| {
+            (
+                level(e.bastion_instances >= 2, e.bastion_instances >= 1),
+                format!("{} HA bastion instances", e.bastion_instances),
+            )
+        },
+    },
+    Rule {
+        id: "B6",
+        title: "Staff awareness and training",
+        expected: PartiallyAchieved,
+        judge: |e| {
+            (
+                level(e.devsecops_established, true),
+                format!(
                     "DevSecOps culture established = {} (paper: in progress)",
-                    ev.devsecops_established
+                    e.devsecops_established
                 ),
-            },
-            CafPrinciple {
-                id: "C1",
-                title: "Security monitoring",
-                achieved: tri(
-                    ev.telemetry_sources >= 3 && ev.events_collected > 0,
-                    ev.events_collected > 0,
+            )
+        },
+    },
+    Rule {
+        id: "C1",
+        title: "Security monitoring",
+        expected: Achieved,
+        judge: |e| {
+            (
+                level(
+                    e.telemetry_sources >= 3 && e.events_collected > 0,
+                    e.events_collected > 0,
                 ),
-                baseline_expectation: Achieved,
-                evidence: format!(
+                format!(
                     "{} sources, {} events",
-                    ev.telemetry_sources, ev.events_collected
+                    e.telemetry_sources, e.events_collected
                 ),
-            },
-            CafPrinciple {
-                id: "C2",
-                title: "Proactive security event discovery",
-                achieved: tri(
-                    ev.detection_rules_active >= 3,
-                    ev.detection_rules_active > 0,
+            )
+        },
+    },
+    Rule {
+        id: "C2",
+        title: "Proactive security event discovery",
+        expected: PartiallyAchieved,
+        judge: |e| {
+            (
+                level(e.detection_rules_active >= 3, e.detection_rules_active > 0),
+                format!("{} detection rules", e.detection_rules_active),
+            )
+        },
+    },
+    Rule {
+        id: "D1",
+        title: "Response and recovery planning",
+        expected: Achieved,
+        judge: |e| {
+            (
+                level(
+                    e.kill_switches_tested && e.reinstatement_tested,
+                    e.kill_switches_tested,
                 ),
-                baseline_expectation: PartiallyAchieved,
-                evidence: format!("{} detection rules", ev.detection_rules_active),
-            },
-            CafPrinciple {
-                id: "D1",
-                title: "Response and recovery planning",
-                achieved: tri(
-                    ev.kill_switches_tested && ev.reinstatement_tested,
-                    ev.kill_switches_tested,
-                ),
-                baseline_expectation: Achieved,
-                evidence: format!(
+                format!(
                     "kill switches tested = {}, reinstatement = {}",
-                    ev.kill_switches_tested, ev.reinstatement_tested
+                    e.kill_switches_tested, e.reinstatement_tested
                 ),
-            },
-            CafPrinciple {
-                id: "D2",
-                title: "Lessons learned",
-                achieved: tri(ev.lessons_loop, false),
-                baseline_expectation: PartiallyAchieved,
-                evidence: format!("alert->config feedback loop = {}", ev.lessons_loop),
-            },
-        ];
-        CafAssessment { principles }
-    }
-
-    /// Principles meeting the baseline / total.
-    pub fn baseline_score(&self) -> (usize, usize) {
-        (
-            self.principles
-                .iter()
-                .filter(|p| p.meets_baseline())
-                .count(),
-            self.principles.len(),
-        )
-    }
-
-    /// Baseline-profile compliant?
-    pub fn baseline_compliant(&self) -> bool {
-        self.principles.iter().all(|p| p.meets_baseline())
-    }
-
-    /// Principles below baseline.
-    pub fn gaps(&self) -> Vec<&CafPrinciple> {
-        self.principles
-            .iter()
-            .filter(|p| !p.meets_baseline())
-            .collect()
-    }
-}
+            )
+        },
+    },
+    Rule {
+        id: "D2",
+        title: "Lessons learned",
+        expected: PartiallyAchieved,
+        judge: |e| flag("alert->config feedback loop", e.lessons_loop),
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn full_evidence() -> CafEvidence {
-        CafEvidence {
-            roles_separated: true,
-            assets_inventoried: 7,
-            config_checks_run: 12,
-            federation_metadata_verified: true,
-            services_with_policy: 6,
-            services_total: 6,
-            mfa_enforced: true,
-            no_global_admin: true,
-            iam_encrypted: true,
-            default_deny: true,
-            bastion_instances: 3,
-            devsecops_established: false, // honest: paper says in progress
-            telemetry_sources: 5,
-            events_collected: 1000,
-            detection_rules_active: 4,
-            kill_switches_tested: true,
-            reinstatement_tested: true,
-            lessons_loop: true,
-        }
-    }
+    use crate::compliance::{assess, deployed, Achievement};
 
     #[test]
     fn deployed_codesign_meets_baseline() {
-        let assessment = CafAssessment::run(&full_evidence());
-        assert!(
-            assessment.baseline_compliant(),
-            "gaps: {:?}",
-            assessment.gaps().iter().map(|p| p.id).collect::<Vec<_>>()
-        );
-        assert_eq!(assessment.baseline_score(), (14, 14));
+        let assessment = assess(CAF, &deployed());
+        assert!(assessment.compliant(), "gaps: {:?}", assessment.gaps());
+        assert_eq!(assessment.score(), (14, 14));
         // B6 is only partially achieved (DevSecOps in progress) but the
         // baseline only expects partial.
-        let b6 = assessment.principles.iter().find(|p| p.id == "B6").unwrap();
+        let b6 = assessment.controls.iter().find(|c| c.id == "B6").unwrap();
         assert_eq!(b6.achieved, Achievement::PartiallyAchieved);
-        assert!(b6.meets_baseline());
+        assert!(b6.met());
     }
 
     #[test]
     fn missing_mfa_breaks_b2() {
-        let mut ev = full_evidence();
+        let mut ev = deployed();
         ev.mfa_enforced = false;
-        let assessment = CafAssessment::run(&ev);
-        assert!(!assessment.baseline_compliant());
-        assert!(assessment.gaps().iter().any(|p| p.id == "B2"));
+        let assessment = assess(CAF, &ev);
+        assert!(!assessment.compliant());
+        assert!(assessment.gaps().contains(&"B2"));
     }
 
     #[test]
     fn no_monitoring_breaks_c1() {
-        let mut ev = full_evidence();
+        let mut ev = deployed();
         ev.events_collected = 0;
         ev.telemetry_sources = 0;
-        let assessment = CafAssessment::run(&ev);
-        assert!(assessment.gaps().iter().any(|p| p.id == "C1"));
+        let assessment = assess(CAF, &ev);
+        assert!(assessment.gaps().contains(&"C1"));
     }
 
     #[test]
@@ -353,11 +224,11 @@ mod tests {
 
     #[test]
     fn single_bastion_is_partial_on_b5() {
-        let mut ev = full_evidence();
+        let mut ev = deployed();
         ev.bastion_instances = 1;
-        let assessment = CafAssessment::run(&ev);
-        let b5 = assessment.principles.iter().find(|p| p.id == "B5").unwrap();
+        let assessment = assess(CAF, &ev);
+        let b5 = assessment.controls.iter().find(|c| c.id == "B5").unwrap();
         assert_eq!(b5.achieved, Achievement::PartiallyAchieved);
-        assert!(b5.meets_baseline(), "baseline expects partial for B5");
+        assert!(b5.met(), "baseline expects partial for B5");
     }
 }

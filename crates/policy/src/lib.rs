@@ -10,20 +10,23 @@
 //!   from identity assurance, authentication context, device posture,
 //!   source zone, session age and resource sensitivity; decide against a
 //!   per-sensitivity threshold.
-//! * [`tenets`] — a machine-checked audit of the seven tenets over
-//!   evidence the assembled infrastructure produces (E15).
-//! * [`caf`] — the NCSC Cyber Assessment Framework baseline-profile
-//!   assessment the paper names as its next step.
+//! * [`compliance`] — one assessment of the paper's three compliance
+//!   claims: the seven tenets (E15), the CIS-style configuration checks
+//!   and the NCSC CAF baseline profile the paper names as its next step
+//!   (E16). Each is a rule table ([`TENETS`], [`CIS`], [`CAF`]) read by
+//!   one [`assess`] over one [`Evidence`] record into an [`Assessment`]
+//!   of [`Control`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod caf;
-pub mod tenets;
+mod caf;
+mod cis;
+pub mod compliance;
+mod tenets;
 pub mod trust;
 
-pub use caf::{Achievement, CafAssessment, CafEvidence, CafPrinciple};
-pub use tenets::{TenetAudit, TenetEvidence, TenetResult};
+pub use compliance::{assess, Achievement, Assessment, Control, Evidence, Rule, CAF, CIS, TENETS};
 pub use trust::{
     AccessDecision, AccessRequest, DevicePosture, MemoizedPdp, PolicyDecisionPoint, Sensitivity,
     SourceZone,

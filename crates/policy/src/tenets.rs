@@ -1,256 +1,173 @@
-//! Machine-checked audit of the seven NIST zero-trust tenets (§II-C).
+//! The seven NIST zero-trust tenets (§II-C) as a rule table.
 //!
-//! The audit consumes *evidence* gathered from the running
-//! infrastructure rather than configuration claims: counts of registered
-//! resources, observed encryption, token lifetimes, PDP consultations,
-//! telemetry volumes. The E15 experiment shows the full co-design passes
-//! all seven while ablated variants fail specific tenets.
+//! The tenets are judged on live evidence, not configuration claims:
+//! counts of registered resources, observed encryption, credential
+//! lifetimes, PDP consultations, telemetry volumes. The E15 experiment
+//! shows the full co-design passes all seven while ablated variants fail
+//! specific tenets.
 
-/// Evidence gathered from the assembled infrastructure.
-#[derive(Debug, Clone, Default)]
-pub struct TenetEvidence {
-    // Tenet 1: all data sources and computing services are resources.
-    /// Services discovered in the deployment.
-    pub services_total: usize,
-    /// Services registered with a token policy (managed as resources).
-    pub services_with_policy: usize,
+use crate::compliance::{Achievement::Achieved, Rule, CREDENTIAL_TTL_CEILING_SECS};
 
-    // Tenet 2: all communication secured regardless of location.
-    /// Channels audited.
-    pub channels_total: usize,
-    /// Channels carrying encrypted + authenticated traffic.
-    pub channels_encrypted: usize,
-
-    // Tenet 3: per-session access.
-    /// Longest credential lifetime observed (seconds).
-    pub max_credential_ttl_secs: u64,
-    /// Are tokens bound to sessions (sid claim) and audiences?
-    pub tokens_session_bound: bool,
-
-    // Tenet 4: dynamic policy.
-    /// Did access decisions consult identity+device+environment signals?
-    pub pdp_signals: usize,
-    /// PDP consultations observed.
-    pub pdp_consultations: u64,
-
-    // Tenet 5: monitor and measure asset integrity/posture.
-    /// Assets tracked in the inventory.
-    pub assets_inventoried: usize,
-    /// Configuration checks executed.
-    pub config_checks_run: usize,
-
-    // Tenet 6: dynamic, strictly enforced authn/authz.
-    /// Does re-authentication get forced on session expiry?
-    pub reauth_enforced: bool,
-    /// Does revocation cut access before credential expiry?
-    pub revocation_effective: bool,
-
-    // Tenet 7: collect as much information as possible.
-    /// Security events collected.
-    pub events_collected: u64,
-    /// Distinct event sources feeding the SIEM.
-    pub telemetry_sources: usize,
-}
-
-/// Per-tenet verdict.
-#[derive(Debug, Clone)]
-pub struct TenetResult {
-    /// Tenet number (1–7).
-    pub tenet: u8,
-    /// NIST's phrasing (abbreviated).
-    pub statement: &'static str,
-    /// Verdict.
-    pub passed: bool,
-    /// The evidence summary behind the verdict.
-    pub evidence: String,
-}
-
-/// The audit outcome.
-#[derive(Debug, Clone)]
-pub struct TenetAudit {
-    /// Individual results.
-    pub results: Vec<TenetResult>,
-}
-
-/// Ceiling for "short-lived" credentials (seconds).
-const CREDENTIAL_TTL_CEILING_SECS: u64 = 24 * 3600;
-
-impl TenetAudit {
-    /// Run the audit over evidence.
-    pub fn run(ev: &TenetEvidence) -> TenetAudit {
-        let results = vec![
-            TenetResult {
-                tenet: 1,
-                statement: "all data sources and computing services are resources",
-                passed: ev.services_total > 0 && ev.services_with_policy == ev.services_total,
-                evidence: format!(
+/// The seven tenets, ids `1`–`7`, each expected `Achieved`.
+pub const TENETS: &[Rule] = &[
+    Rule {
+        id: "1",
+        title: "all data sources and computing services are resources",
+        expected: Achieved,
+        judge: |e| {
+            (
+                (e.services_total > 0 && e.services_with_policy == e.services_total).into(),
+                format!(
                     "{}/{} services under token policy",
-                    ev.services_with_policy, ev.services_total
+                    e.services_with_policy, e.services_total
                 ),
-            },
-            TenetResult {
-                tenet: 2,
-                statement: "all communication secured regardless of network location",
-                passed: ev.channels_total > 0 && ev.channels_encrypted == ev.channels_total,
-                evidence: format!(
+            )
+        },
+    },
+    Rule {
+        id: "2",
+        title: "all communication secured regardless of network location",
+        expected: Achieved,
+        judge: |e| {
+            (
+                (e.channels_total > 0 && e.channels_encrypted == e.channels_total).into(),
+                format!(
                     "{}/{} channels encrypted+authenticated",
-                    ev.channels_encrypted, ev.channels_total
+                    e.channels_encrypted, e.channels_total
                 ),
-            },
-            TenetResult {
-                tenet: 3,
-                statement: "access granted per session",
-                passed: ev.tokens_session_bound
-                    && ev.max_credential_ttl_secs > 0
-                    && ev.max_credential_ttl_secs <= CREDENTIAL_TTL_CEILING_SECS,
-                evidence: format!(
+            )
+        },
+    },
+    Rule {
+        id: "3",
+        title: "access granted per session",
+        expected: Achieved,
+        judge: |e| {
+            (
+                (e.tokens_session_bound
+                    && e.longest_credential_ttl_secs > 0
+                    && e.longest_credential_ttl_secs <= CREDENTIAL_TTL_CEILING_SECS)
+                    .into(),
+                format!(
                     "session-bound={}, max TTL {}s",
-                    ev.tokens_session_bound, ev.max_credential_ttl_secs
+                    e.tokens_session_bound, e.longest_credential_ttl_secs
                 ),
-            },
-            TenetResult {
-                tenet: 4,
-                statement: "access determined by dynamic policy",
-                passed: ev.pdp_signals >= 3 && ev.pdp_consultations > 0,
-                evidence: format!(
+            )
+        },
+    },
+    Rule {
+        id: "4",
+        title: "access determined by dynamic policy",
+        expected: Achieved,
+        judge: |e| {
+            (
+                (e.pdp_signals >= 3 && e.pdp_consultations > 0).into(),
+                format!(
                     "{} signal classes, {} consultations",
-                    ev.pdp_signals, ev.pdp_consultations
+                    e.pdp_signals, e.pdp_consultations
                 ),
-            },
-            TenetResult {
-                tenet: 5,
-                statement: "integrity and posture of assets monitored",
-                passed: ev.assets_inventoried > 0 && ev.config_checks_run > 0,
-                evidence: format!(
+            )
+        },
+    },
+    Rule {
+        id: "5",
+        title: "integrity and posture of assets monitored",
+        expected: Achieved,
+        judge: |e| {
+            (
+                (e.assets_inventoried > 0 && e.config_checks_run > 0).into(),
+                format!(
                     "{} assets inventoried, {} config checks",
-                    ev.assets_inventoried, ev.config_checks_run
+                    e.assets_inventoried, e.config_checks_run
                 ),
-            },
-            TenetResult {
-                tenet: 6,
-                statement: "authentication and authorization dynamic and strictly enforced",
-                passed: ev.reauth_enforced && ev.revocation_effective,
-                evidence: format!(
+            )
+        },
+    },
+    Rule {
+        id: "6",
+        title: "authentication and authorization dynamic and strictly enforced",
+        expected: Achieved,
+        judge: |e| {
+            (
+                (e.reauth_enforced && e.revocation_effective).into(),
+                format!(
                     "reauth={}, revocation={}",
-                    ev.reauth_enforced, ev.revocation_effective
+                    e.reauth_enforced, e.revocation_effective
                 ),
-            },
-            TenetResult {
-                tenet: 7,
-                statement: "collect and use information to improve posture",
-                passed: ev.events_collected > 0 && ev.telemetry_sources >= 3,
-                evidence: format!(
+            )
+        },
+    },
+    Rule {
+        id: "7",
+        title: "collect and use information to improve posture",
+        expected: Achieved,
+        judge: |e| {
+            (
+                (e.events_collected > 0 && e.telemetry_sources >= 3).into(),
+                format!(
                     "{} events from {} sources",
-                    ev.events_collected, ev.telemetry_sources
+                    e.events_collected, e.telemetry_sources
                 ),
-            },
-        ];
-        TenetAudit { results }
-    }
-
-    /// Passed / total.
-    pub fn score(&self) -> (usize, usize) {
-        (
-            self.results.iter().filter(|r| r.passed).count(),
-            self.results.len(),
-        )
-    }
-
-    /// True when every tenet passes.
-    pub fn compliant(&self) -> bool {
-        self.results.iter().all(|r| r.passed)
-    }
-
-    /// The failing tenet numbers.
-    pub fn failing(&self) -> Vec<u8> {
-        self.results
-            .iter()
-            .filter(|r| !r.passed)
-            .map(|r| r.tenet)
-            .collect()
-    }
-}
+            )
+        },
+    },
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn full_evidence() -> TenetEvidence {
-        TenetEvidence {
-            services_total: 6,
-            services_with_policy: 6,
-            channels_total: 5,
-            channels_encrypted: 5,
-            max_credential_ttl_secs: 8 * 3600,
-            tokens_session_bound: true,
-            pdp_signals: 5,
-            pdp_consultations: 100,
-            assets_inventoried: 12,
-            config_checks_run: 12,
-            reauth_enforced: true,
-            revocation_effective: true,
-            events_collected: 5000,
-            telemetry_sources: 6,
-        }
-    }
+    use crate::compliance::{assess, deployed, Evidence};
 
     #[test]
     fn full_codesign_passes_all_seven() {
-        let audit = TenetAudit::run(&full_evidence());
-        assert!(audit.compliant(), "failing: {:?}", audit.failing());
+        let audit = assess(TENETS, &deployed());
+        assert!(audit.compliant(), "failing: {:?}", audit.gaps());
         assert_eq!(audit.score(), (7, 7));
     }
 
     #[test]
     fn unencrypted_channel_fails_tenet_2() {
-        let mut ev = full_evidence();
+        let mut ev = deployed();
         ev.channels_encrypted = 4;
-        let audit = TenetAudit::run(&ev);
-        assert_eq!(audit.failing(), vec![2]);
+        let audit = assess(TENETS, &ev);
+        assert_eq!(audit.gaps(), ["2"]);
     }
 
     #[test]
     fn long_lived_credentials_fail_tenet_3() {
-        let mut ev = full_evidence();
-        ev.max_credential_ttl_secs = 365 * 24 * 3600;
-        assert_eq!(TenetAudit::run(&ev).failing(), vec![3]);
+        let mut ev = deployed();
+        ev.longest_credential_ttl_secs = 365 * 24 * 3600;
+        assert_eq!(assess(TENETS, &ev).gaps(), ["3"]);
     }
 
     #[test]
     fn no_revocation_fails_tenet_6() {
-        let mut ev = full_evidence();
+        let mut ev = deployed();
         ev.revocation_effective = false;
-        assert_eq!(TenetAudit::run(&ev).failing(), vec![6]);
+        assert_eq!(assess(TENETS, &ev).gaps(), ["6"]);
     }
 
     #[test]
     fn no_telemetry_fails_tenet_7() {
-        let mut ev = full_evidence();
+        let mut ev = deployed();
         ev.events_collected = 0;
-        assert_eq!(TenetAudit::run(&ev).failing(), vec![7]);
+        assert_eq!(assess(TENETS, &ev).gaps(), ["7"]);
     }
 
     #[test]
     fn perimeter_model_fails_many_tenets() {
         // A classic "trusted network" HPC deployment: long-lived keys,
         // plaintext internal traffic, no PDP, no SIEM.
-        let ev = TenetEvidence {
+        let ev = Evidence {
             services_total: 6,
             services_with_policy: 1,
             channels_total: 5,
             channels_encrypted: 1,
-            max_credential_ttl_secs: 365 * 24 * 3600,
-            tokens_session_bound: false,
+            longest_credential_ttl_secs: 365 * 24 * 3600,
             pdp_signals: 1,
-            pdp_consultations: 0,
-            assets_inventoried: 0,
-            config_checks_run: 0,
-            reauth_enforced: false,
-            revocation_effective: false,
-            events_collected: 0,
-            telemetry_sources: 0,
+            ..Evidence::default()
         };
-        let audit = TenetAudit::run(&ev);
+        let audit = assess(TENETS, &ev);
         let (passed, total) = audit.score();
         assert_eq!(total, 7);
         assert_eq!(passed, 0);
@@ -258,10 +175,10 @@ mod tests {
 
     #[test]
     fn results_carry_evidence_strings() {
-        let audit = TenetAudit::run(&full_evidence());
-        for r in &audit.results {
-            assert!(!r.evidence.is_empty());
-            assert!(!r.statement.is_empty());
+        let audit = assess(TENETS, &deployed());
+        for c in &audit.controls {
+            assert!(!c.evidence.is_empty());
+            assert!(!c.title.is_empty());
         }
     }
 }

@@ -236,8 +236,6 @@ pub const SESSION_AGE_BUCKET_SECS: u64 = 60;
 /// (wired to the kill switch and posture-feed updates) invalidates every
 /// cached decision at once — invalidation leads caching.
 pub struct MemoizedPdp {
-    /// The wrapped decision point.
-    pub pdp: PolicyDecisionPoint,
     enabled: std::sync::atomic::AtomicBool,
     epoch: std::sync::atomic::AtomicU64,
     memo: dri_sync::ShardMap<MemoEntry>,
@@ -252,11 +250,9 @@ struct MemoEntry {
 }
 
 impl MemoizedPdp {
-    /// Wrap `pdp` with a memo of `shards` shards (rounded to a power of
-    /// two), enabled.
-    pub fn new(pdp: PolicyDecisionPoint, shards: usize) -> MemoizedPdp {
+    /// A memo of `shards` shards (rounded to a power of two), enabled.
+    pub fn new(shards: usize) -> MemoizedPdp {
         MemoizedPdp {
-            pdp,
             enabled: std::sync::atomic::AtomicBool::new(true),
             epoch: std::sync::atomic::AtomicU64::new(0),
             memo: dri_sync::ShardMap::new(shards),
@@ -347,10 +343,10 @@ impl MemoizedPdp {
     }
 
     /// Decide `req`, consulting the memo when enabled. Identical output
-    /// to `self.pdp.decide(&canonicalized)` in all cases.
+    /// to `PolicyDecisionPoint.decide(&canonicalized)` in all cases.
     pub fn decide(&self, req: &AccessRequest) -> AccessDecision {
         if !self.enabled() {
-            return self.pdp.decide(&Self::canonicalize(req));
+            return PolicyDecisionPoint.decide(&Self::canonicalize(req));
         }
         Self::with_memo_key(req, |key| self.decide_memoized(key, req))
     }
@@ -370,7 +366,7 @@ impl MemoizedPdp {
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
         }
-        let decision = self.pdp.decide(&Self::canonicalize(req));
+        let decision = PolicyDecisionPoint.decide(&Self::canonicalize(req));
         let replaced = self.memo.insert(
             key.to_string(),
             MemoEntry {
@@ -407,7 +403,6 @@ impl Clone for MemoEntry {
 impl std::fmt::Debug for MemoizedPdp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoizedPdp")
-            .field("pdp", &self.pdp)
             .field("enabled", &self.enabled())
             .field("epoch", &self.epoch())
             .field("entries", &self.len())
@@ -523,7 +518,7 @@ mod tests {
 
     #[test]
     fn memoized_and_plain_agree_on_and_off() {
-        let memo = MemoizedPdp::new(PolicyDecisionPoint, 16);
+        let memo = MemoizedPdp::new(16);
         let plain = PolicyDecisionPoint;
         let mut requests = Vec::new();
         for age in [0u64, 59, 60, 61, 3599, 7 * 3600, 8 * 3600, 9 * 3600] {
@@ -563,7 +558,7 @@ mod tests {
 
     #[test]
     fn memo_shares_entries_across_subjects_not_features() {
-        let memo = MemoizedPdp::new(PolicyDecisionPoint, 16);
+        let memo = MemoizedPdp::new(16);
         let mut a = base_request();
         a.subject = "maid-1".into();
         let mut b = base_request();
@@ -581,7 +576,7 @@ mod tests {
 
     #[test]
     fn epoch_bump_invalidates_memoized_decisions() {
-        let memo = MemoizedPdp::new(PolicyDecisionPoint, 16);
+        let memo = MemoizedPdp::new(16);
         let req = base_request();
         assert!(memo.decide(&req).allow);
         memo.decide(&req);
@@ -600,7 +595,7 @@ mod tests {
         // lookup; only the first insert may count as a miss.
         const WORKERS: usize = 8;
         const KEYS: u64 = 64;
-        let memo = MemoizedPdp::new(PolicyDecisionPoint, 16);
+        let memo = MemoizedPdp::new(16);
         let barrier = std::sync::Barrier::new(WORKERS);
         std::thread::scope(|scope| {
             for _ in 0..WORKERS {
@@ -623,7 +618,7 @@ mod tests {
     fn stale_gate_exact_under_quantization() {
         // 8h divides into 60s buckets exactly: the stale-session gate
         // must fire at >= 8h and not a bucket earlier.
-        let memo = MemoizedPdp::new(PolicyDecisionPoint, 4);
+        let memo = MemoizedPdp::new(4);
         let mut req = base_request();
         req.session_age_secs = 8 * 3600 - 1;
         assert!(memo.decide(&req).allow);

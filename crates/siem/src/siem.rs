@@ -5,7 +5,7 @@
 //! pushes the event onto a pending buffer under its own short lock: no
 //! detection work, no state lock. Pending events are stored in batches
 //! under the state lock, either lazily by any accessor
-//! ([`Siem::alerts`], [`Siem::event_count`], …) or explicitly via
+//! ([`Siem::alerts`], [`Siem::events_ingested`], …) or explicitly via
 //! [`Siem::flush`].
 //!
 //! Everything past the pending buffer lives behind one state lock. A
@@ -333,11 +333,6 @@ impl Siem {
             .collect()
     }
 
-    /// Count of stored events (stores pending events first).
-    pub fn event_count(&self) -> usize {
-        self.flushed().events.len()
-    }
-
     /// Every stored event correlated to `trace_id`, in ingest order —
     /// an index lookup (O(events-of-this-trace)), not a scan of the
     /// whole store. This is how `respond_to_alert` pulls the full
@@ -485,7 +480,7 @@ mod tests {
             "aud=ssh-ca",
             Severity::Info,
         )]);
-        assert_eq!(siem.event_count(), 1);
+        assert_eq!(siem.events_ingested(), 1);
         assert!(siem.alerts().is_empty());
         assert_eq!(siem.events_of_kind(EventKind::TokenIssued).len(), 1);
     }

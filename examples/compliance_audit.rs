@@ -1,5 +1,6 @@
-//! Compliance & ablation report (E10 + E15): run the seven-tenet audit
-//! and the CIS-style assessment on the exercised co-design, then compare
+//! Compliance & ablation report (E10 + E15 + E16): assess the exercised
+//! co-design's live evidence against the seven-tenet, CIS-style and CAF
+//! baseline rule tables, then compare
 //! the blast radius of one stolen credential against the perimeter-trust
 //! baseline the paper's §II-C describes.
 //!
@@ -34,13 +35,13 @@ fn main() {
 
     println!("== NIST SP 800-207 seven-tenet audit ==");
     let audit = infra.tenet_audit();
-    for r in &audit.results {
+    for c in &audit.controls {
         println!(
             "  tenet {}: {}  [{}]\n           evidence: {}",
-            r.tenet,
-            if r.passed { "PASS" } else { "FAIL" },
-            r.statement,
-            r.evidence
+            c.id,
+            if c.met() { "PASS" } else { "FAIL" },
+            c.title,
+            c.evidence
         );
     }
     let (p, t) = audit.score();
@@ -48,12 +49,12 @@ fn main() {
 
     println!("== CIS-style configuration assessment ==");
     let report = infra.cis_report();
-    for c in &report.checks {
+    for c in &report.controls {
         println!(
             "  {:<7} {}  — {}",
             c.id,
-            if c.passed { "PASS" } else { "FAIL" },
-            c.description
+            if c.met() { "PASS" } else { "FAIL" },
+            c.title
         );
     }
     let (cp, ct) = report.score();
@@ -61,19 +62,19 @@ fn main() {
 
     println!("== NCSC CAF baseline-profile assessment (the paper's next step) ==");
     let caf = infra.caf_assessment();
-    for p in &caf.principles {
+    for c in &caf.controls {
         println!(
             "  {:<3} {:<42} {:<20} (baseline wants {})",
-            p.id,
-            p.title,
-            p.achieved.as_str(),
-            p.baseline_expectation.as_str()
+            c.id,
+            c.title,
+            c.achieved.as_str(),
+            c.expected.as_str()
         );
     }
-    let (cb, ct2) = caf.baseline_score();
+    let (cb, ct2) = caf.score();
     println!(
         "  baseline-profile: {cb}/{ct2} principles met -> compliant = {}\n",
-        caf.baseline_compliant()
+        caf.compliant()
     );
 
     println!("== E10 ablation: blast radius of one stolen credential ==");

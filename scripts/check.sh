@@ -51,7 +51,10 @@ cargo test -q --offline -p isambard-dri --test storm_shard_stress
 # The one example that prints the stage summaries.
 cargo run --release --offline --example day_in_the_life
 
-echo "== compliance: tenet and CIS evidence read the deployment constants =="
+echo "== compliance: the tenet, CIS and CAF rule tables over one live evidence record =="
+# The three tables and their unit tests live in dri-policy; e15 and e16
+# assess the live evidence of exercised deployments.
+cargo test -q --offline -p dri-policy
 cargo test -q --offline -p isambard-dri --test e15_tenets --test e16_caf_baseline
 cargo run --release --offline --example compliance_audit
 

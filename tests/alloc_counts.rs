@@ -145,7 +145,7 @@ const TRACING_RETAINED_BYTES_PER_FLOW: i64 = 1800;
 fn allocations_per_flow_are_pinned() {
     // Storm totals over USERS flows, byte-stable run to run. A change that
     // moves one must update it here and say why in CHANGES.md; a rise
-    // needs a reason. Per flow: warm 103.7, cold 171.4, tracing off 96.3.
+    // needs a reason. Per flow: warm 101.7, cold 169.4, tracing off 94.3.
     let per_flow = |total: u64| total as f64 / USERS as f64;
     let warm = storm_usage(true, true);
     assert!(
@@ -155,7 +155,7 @@ fn allocations_per_flow_are_pinned() {
     );
     assert_eq!(
         warm.allocs,
-        3318,
+        3254,
         "warm storm ({:.1} per flow)",
         per_flow(warm.allocs)
     );
@@ -164,7 +164,7 @@ fn allocations_per_flow_are_pinned() {
     let cold = storm_usage(false, true);
     assert_eq!(
         cold.allocs,
-        5486,
+        5422,
         "cold storm ({:.1} per flow)",
         per_flow(cold.allocs)
     );
@@ -172,7 +172,7 @@ fn allocations_per_flow_are_pinned() {
     let untraced = storm_usage(true, false);
     assert_eq!(
         untraced.allocs,
-        3082,
+        3018,
         "untraced storm ({:.1} per flow)",
         per_flow(untraced.allocs)
     );

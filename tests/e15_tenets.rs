@@ -2,7 +2,7 @@
 //! co-design and against ablated variants.
 
 use isambard_dri::core::{InfraConfig, Infrastructure};
-use isambard_dri::policy::{TenetAudit, TenetEvidence};
+use isambard_dri::policy::{assess, Evidence, TENETS};
 
 /// Exercise the infrastructure enough to generate real evidence.
 fn exercised_infra() -> Infrastructure {
@@ -35,8 +35,8 @@ fn full_codesign_passes_all_seven_tenets() {
     assert!(
         audit.compliant(),
         "failing tenets: {:?}\n{:#?}",
-        audit.failing(),
-        audit.results
+        audit.gaps(),
+        audit.controls
     );
     assert_eq!(audit.score(), (7, 7));
 }
@@ -44,7 +44,7 @@ fn full_codesign_passes_all_seven_tenets() {
 #[test]
 fn evidence_is_live_not_configured() {
     let infra = exercised_infra();
-    let ev = infra.tenet_evidence();
+    let ev = infra.evidence();
     // Real counters, not constants.
     assert!(ev.pdp_consultations >= 3, "stories consult the PDP");
     assert!(ev.events_collected > 10, "telemetry flowed");
@@ -62,11 +62,7 @@ fn long_lived_credentials_fail_tenet_3() {
     // Exercised like the full co-design, so every other tenet has its
     // evidence and the certificate lifetime is the only difference.
     let audit = exercised(cfg).tenet_audit();
-    assert_eq!(
-        audit.failing(),
-        vec![3],
-        "year-long certs break tenet 3 only"
-    );
+    assert_eq!(audit.gaps(), ["3"], "year-long certs break tenet 3 only");
 }
 
 #[test]
@@ -75,11 +71,7 @@ fn no_telemetry_fails_tenet_7() {
     // demonstrate tenet 7 — evidence must be earned.
     let infra = Infrastructure::new(InfraConfig::default());
     let audit = infra.tenet_audit();
-    assert!(
-        audit.failing().contains(&7),
-        "failing: {:?}",
-        audit.failing()
-    );
+    assert!(audit.gaps().contains(&"7"), "failing: {:?}", audit.gaps());
 }
 
 #[test]
@@ -87,12 +79,12 @@ fn perimeter_baseline_fails_most_tenets() {
     // The hand-built evidence of a perimeter deployment (long-lived keys,
     // plaintext interior, no PDP / SIEM) — the paper's "typical
     // supercomputing environment".
-    let ev = TenetEvidence {
+    let ev = Evidence {
         services_total: 6,
         services_with_policy: 1,
         channels_total: 5,
         channels_encrypted: 1,
-        max_credential_ttl_secs: 10 * 365 * 24 * 3600,
+        longest_credential_ttl_secs: 10 * 365 * 24 * 3600,
         tokens_session_bound: false,
         pdp_signals: 1,
         pdp_consultations: 0,
@@ -102,8 +94,9 @@ fn perimeter_baseline_fails_most_tenets() {
         revocation_effective: false,
         events_collected: 0,
         telemetry_sources: 0,
+        ..Evidence::default()
     };
-    let audit = TenetAudit::run(&ev);
+    let audit = assess(TENETS, &ev);
     let (passed, _) = audit.score();
     assert_eq!(passed, 0);
 }
@@ -115,5 +108,5 @@ fn cis_report_matches_paper_self_assessment() {
     let (passed, total) = report.score();
     assert_eq!(total, 12);
     assert_eq!(passed, 11, "all but HPC-fabric encryption");
-    assert_eq!(report.failures()[0].id, "DRI-12");
+    assert_eq!(report.gaps()[0], "DRI-12");
 }

@@ -73,7 +73,7 @@ proptest! {
         prop_assert!(running_nodes <= part.allocated_nodes);
     }
 
-    /// Usage accounting is conserved: drained node-hours never exceed
+    /// Usage accounting is conserved: reported node-hours never exceed
     /// what completed/cancelled jobs could have consumed.
     #[test]
     fn usage_accounting_bounded(
@@ -94,9 +94,13 @@ proptest! {
         for _ in 0..walltimes.len() {
             sched.tick();
         }
-        let drained: f64 = sched.drain_usage().iter().map(|(_, h)| h * 3600.0).sum();
-        prop_assert!(drained <= max_possible_node_secs as f64 + 1e-6,
-            "drained {drained} > possible {max_possible_node_secs}");
+        let used: f64 = sched
+            .accounting_report()
+            .iter()
+            .map(|row| row.node_hours * 3600.0)
+            .sum();
+        prop_assert!(used <= max_possible_node_secs as f64 + 1e-6,
+            "used {used} > possible {max_possible_node_secs}");
     }
 }
 
