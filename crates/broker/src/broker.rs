@@ -252,7 +252,7 @@ pub const DEFAULT_BROKER_SHARDS: usize = 16;
 /// different subjects take different locks:
 ///
 /// * sessions — [`ShardMap`] keyed by session id;
-/// * active/revoked tokens — [`ShardMap`]/[`ShardSet`] keyed by `jti`;
+/// * active tokens — [`ShardMap`] keyed by `jti`;
 /// * revoked subjects — [`ShardSet`] keyed by subject;
 /// * `tokens_issued` — one `AtomicU64` per subject shard, summed on
 ///   read;
@@ -273,7 +273,6 @@ pub struct IdentityBroker {
     policies: Snapshot<HashMap<String, TokenPolicy>>,
     sessions: ShardMap<SessionInfo>,
     active_tokens: ShardMap<(String, u64)>, // jti -> (subject, exp)
-    revoked_tokens: ShardSet,
     revoked_subjects: ShardSet,
     tokens_issued: Vec<AtomicU64>, // per subject shard
     session_ttl_secs: u64,
@@ -356,7 +355,6 @@ impl IdentityBroker {
             policies: Snapshot::new(HashMap::new()),
             sessions: ShardMap::new(shards),
             active_tokens: ShardMap::new(shards),
-            revoked_tokens: ShardSet::new(shards),
             revoked_subjects: ShardSet::new(shards),
             tokens_issued: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             session_ttl_secs,
@@ -719,9 +717,6 @@ impl IdentityBroker {
     /// in addition to local JWKS validation.
     pub fn introspect(&self, jti: &str) -> bool {
         let _coarse = self.coarse_read();
-        if self.revoked_tokens.contains(jti) {
-            return false;
-        }
         self.active_tokens
             .with(jti, |(subject, exp)| {
                 !self.revoked_subjects.contains(subject) && self.clock.now_secs() < *exp
@@ -736,7 +731,9 @@ impl IdentityBroker {
         Arc::new(move |jti| broker.introspect(jti))
     }
 
-    /// Revoke a single token.
+    /// Revoke a single token: its id leaves the active set, so
+    /// introspection refuses it as it refuses any unknown id, and nothing
+    /// is kept for it.
     ///
     /// Revocation is enforced by introspection (the JWKS path checks
     /// signatures, not liveness); bumping the verifier epoch first is
@@ -744,7 +741,14 @@ impl IdentityBroker {
     /// survives it.
     pub fn revoke_token(&self, jti: &str) {
         self.token_cache.bump_epoch();
-        self.revoked_tokens.insert(jti.to_string());
+        self.active_tokens.remove(jti);
+    }
+
+    /// Token ids the broker still tracks as active. A revoked id leaves
+    /// at once; an expired one when an issue into its shard finds the
+    /// shard full.
+    pub fn tracked_tokens(&self) -> usize {
+        self.active_tokens.len()
     }
 
     /// End a session (logout or kill switch). Tokens already issued remain

@@ -30,11 +30,17 @@
 //! the counts are those of keying by a hash of the token bytes. Stale
 //! entries are removed lazily on the epoch mismatch that discovers them
 //! (counted as an *epoch bust*), so the counters make invalidation
-//! observable. An expired token is rarely presented again, so an insert
-//! that finds its shard full first drops the shard's entries for tokens
-//! expired at the inserting time ([`ShardMap::insert_sweeping`]); a
-//! dropped entry only turns a later hit into a full verify that refuses
-//! the token just the same.
+//! observable.
+//!
+//! The cache holds live state, not history: each shard keeps at most
+//! [`SHARD_CAPACITY`] entries, so the default 16 shards hold at most
+//! 1 024 (about 1 MiB). An insert that finds its shard full first drops
+//! the shard's entries for tokens expired at the inserting time, which
+//! are rarely presented again; if the shard is still full it evicts its
+//! oldest entry, one per insert. The entry just inserted is never the one
+//! evicted, so a token seeded at issue still hits when it is presented
+//! right after. A dropped or evicted entry only turns a later hit into a
+//! full verify, which decides the same way.
 //!
 //! The issuing broker *seeds* the cache at sign time: issuer and
 //! verifiers share a trust domain (the broker publishes the JWKS the
@@ -54,6 +60,9 @@ use dri_sync::ShardMap;
 /// Default shard count for the cache map (power of two).
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
+/// Entries one shard holds at most; an insert into a full shard evicts.
+pub const SHARD_CAPACITY: usize = 64;
+
 /// The bytes of an Ed25519 challenge an entry keeps: a 256-bit prefix
 /// of SHA-512 is still collision resistant.
 const CHALLENGE_BYTES: usize = 32;
@@ -66,6 +75,11 @@ struct CachedVerification {
     claims: Arc<Claims>,
     /// The leading bytes of the verified token's challenge.
     challenge: [u8; CHALLENGE_BYTES],
+    /// Insertion order: a full shard evicts its lowest.
+    seq: u64,
+    /// The token's expiry, copied out of the claims so that a full shard
+    /// is scanned without following a pointer per entry.
+    expires_at: u64,
 }
 
 /// The leading [`CHALLENGE_BYTES`] of a challenge digest.
@@ -89,7 +103,8 @@ fn presented_challenge(
     )))
 }
 
-/// Sharded verified-token cache with epoch invalidation.
+/// Sharded verified-token cache with epoch invalidation, bounded to
+/// [`SHARD_CAPACITY`] entries per shard.
 ///
 /// Shared (behind an `Arc`) between the issuing broker, which seeds and
 /// invalidates it, and every relying service's [`crate::Jwks`] snapshot,
@@ -100,6 +115,8 @@ pub struct TokenCache {
     enabled: AtomicBool,
     epoch: AtomicU64,
     entries: ShardMap<CachedVerification>,
+    /// The next entry's insertion sequence number.
+    next_seq: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     epoch_busts: AtomicU64,
@@ -113,6 +130,7 @@ impl TokenCache {
             enabled: AtomicBool::new(true),
             epoch: AtomicU64::new(0),
             entries: ShardMap::new(shards),
+            next_seq: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             epoch_busts: AtomicU64::new(0),
@@ -152,7 +170,9 @@ impl TokenCache {
     /// Cache misses: one per distinct (token, epoch) verified into the
     /// cache plus one per failed verification. A validation that verified
     /// concurrently with another one of the same bytes, and found that
-    /// one's entry on insert, counts as a hit.
+    /// one's entry on insert, counts as a hit. A token whose entry was
+    /// dropped or evicted from a full shard misses again on its next
+    /// validation.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -162,7 +182,7 @@ impl TokenCache {
         self.epoch_busts.load(Ordering::Relaxed)
     }
 
-    /// Number of live entries.
+    /// Number of entries held, at most [`SHARD_CAPACITY`] per shard.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -186,27 +206,42 @@ impl TokenCache {
         };
         // A token is signed at its issue time.
         let now = claims.issued_at;
-        self.insert(
-            signature,
-            CachedVerification {
-                epoch: self.epoch(),
-                claims,
-                challenge: prefix(challenge),
-            },
-            now,
-        );
+        self.insert(signature, self.epoch(), claims, prefix(challenge), now);
     }
 
-    /// Insert an entry; a full shard first drops its entries for tokens
-    /// expired at `now`.
+    /// Insert an entry, returning the one it replaced. A new key into a
+    /// full shard first drops the shard's entries for tokens expired at
+    /// `now`, then, if the shard is still full, its oldest entry.
     fn insert(
         &self,
         signature: &str,
-        entry: CachedVerification,
+        epoch: u64,
+        claims: Arc<Claims>,
+        challenge: [u8; CHALLENGE_BYTES],
         now: u64,
     ) -> Option<CachedVerification> {
-        self.entries
-            .insert_sweeping(signature.to_string(), entry, |e| e.claims.expires_at <= now)
+        let entry = CachedVerification {
+            epoch,
+            expires_at: claims.expires_at,
+            claims,
+            challenge,
+            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
+        };
+        let mut shard = self.entries.write_shard(signature);
+        if shard.len() >= SHARD_CAPACITY && !shard.contains_key(signature) {
+            // One scan finds the oldest entry and whether any expired.
+            let (mut oldest, mut expired) = (u64::MAX, false);
+            for e in shard.values() {
+                oldest = oldest.min(e.seq);
+                expired |= e.expires_at <= now;
+            }
+            if expired {
+                shard.retain(|_, e| e.expires_at > now);
+            } else {
+                shard.retain(|_, e| e.seq != oldest);
+            }
+        }
+        shard.insert(signature.to_string(), entry)
     }
 
     /// Validate `token` (whose header names the key published as `key`)
@@ -268,11 +303,9 @@ impl TokenCache {
                     .expect("a verified token carries a 64-byte signature");
                 let replaced = self.insert(
                     signature,
-                    CachedVerification {
-                        epoch,
-                        claims: Arc::clone(claims),
-                        challenge,
-                    },
+                    epoch,
+                    Arc::clone(claims),
+                    challenge,
                     validation.now,
                 );
                 matches!(replaced, Some(entry)
@@ -502,6 +535,97 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         assert!(cache.validate(&pk, &live, &v).is_ok());
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    /// Seed `n` distinct tokens issued at `now`, oldest first.
+    fn seed_many(cache: &TokenCache, sk: &SigningKey, n: usize, now: u64, ttl: u64) -> Vec<String> {
+        (0..n)
+            .map(|i| {
+                let mut claims = Claims::new("iss", "sub", "aud", now, ttl);
+                claims.token_id = format!("jti-{now}-{i}");
+                let (token, challenge) = jwt::sign_ed25519(&claims, sk, "k1");
+                cache.seed(&token, &challenge, Arc::new(claims));
+                token
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_full_shard_evicts_its_oldest_entry_first() {
+        let sk = SigningKey::from_seed(&[7u8; 32]);
+        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let cache = TokenCache::new(1);
+        let tokens = seed_many(&cache, &sk, SHARD_CAPACITY + 2, 1000, 600);
+        assert_eq!(cache.len(), SHARD_CAPACITY);
+        let v = validation(1000);
+        // The two oldest were evicted: each verifies in full again, and
+        // its re-insert evicts the then-oldest entry.
+        for token in &tokens[..2] {
+            assert!(cache.validate(&pk, token, &v).is_ok());
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        // Every later token is still held.
+        for token in &tokens[4..] {
+            assert!(cache.validate(&pk, token, &v).is_ok());
+        }
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (SHARD_CAPACITY as u64 - 2, 2)
+        );
+        assert_eq!(cache.len(), SHARD_CAPACITY);
+    }
+
+    #[test]
+    fn expired_entries_are_dropped_before_live_ones() {
+        let sk = SigningKey::from_seed(&[7u8; 32]);
+        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let cache = TokenCache::new(1);
+        // The oldest entry is long-lived; the rest expire at 1100.
+        let long = seed_many(&cache, &sk, 1, 1000, 3600);
+        seed_many(&cache, &sk, SHARD_CAPACITY - 1, 1000, 100);
+        assert_eq!(cache.len(), SHARD_CAPACITY);
+        // An insert at 1200 drops the expired entries, not the oldest.
+        let fresh = seed_many(&cache, &sk, 1, 1200, 600);
+        assert_eq!(cache.len(), 2);
+        let v = validation(1200);
+        assert!(cache.validate(&pk, &long[0], &v).is_ok());
+        assert!(cache.validate(&pk, &fresh[0], &v).is_ok());
+        assert_eq!((cache.hits(), cache.misses()), (2, 0));
+    }
+
+    #[test]
+    fn the_newest_seeded_entry_always_survives() {
+        let sk = SigningKey::from_seed(&[7u8; 32]);
+        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let cache = TokenCache::new(2);
+        for round in 0..3 * SHARD_CAPACITY as u64 {
+            let token = seed_many(&cache, &sk, 1, 1000 + round, 600).remove(0);
+            assert!(cache.len() <= 2 * SHARD_CAPACITY);
+            cache
+                .validate(&pk, &token, &validation(1000 + round))
+                .unwrap();
+        }
+        assert_eq!(cache.misses(), 0);
+        assert_eq!(cache.hits(), 3 * SHARD_CAPACITY as u64);
+    }
+
+    #[test]
+    fn a_stale_epoch_entry_in_a_full_shard_is_a_bust_not_a_hit() {
+        let sk = SigningKey::from_seed(&[7u8; 32]);
+        let pk = PreparedVerifyingKey::new(&sk.verifying_key());
+        let cache = TokenCache::new(1);
+        let tokens = seed_many(&cache, &sk, SHARD_CAPACITY, 1000, 600);
+        cache.bump_epoch();
+        let v = validation(1000);
+        let newest = tokens.last().unwrap();
+        assert!(cache.validate(&pk, newest, &v).is_ok());
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.epoch_busts()),
+            (0, 1, 1)
+        );
+        // The re-verified entry is current; the next validation hits.
+        assert!(cache.validate(&pk, newest, &v).is_ok());
+        assert_eq!((cache.hits(), cache.len()), (1, SHARD_CAPACITY));
     }
 
     #[test]

@@ -442,8 +442,12 @@ mod tests {
         let f = fixture(10);
         let session = f.service.spawn(&headers(&token(&f))).unwrap();
         assert!(f.service.stop(&session.id));
-        let job = f.scheduler.job(&session.job_id).unwrap();
-        assert_eq!(job.state, crate::slurm::JobState::Cancelled);
+        // The cancelled job left the table for the accounting.
+        assert!(f.scheduler.job(&session.job_id).is_none());
+        let report = f.scheduler.accounting_report();
+        assert_eq!(report.len(), 1);
+        assert_eq!(report[0].project, "climate-llm");
+        assert_eq!((report[0].cancelled, report[0].running), (1, 0));
         assert!(!f.service.stop(&session.id));
     }
 

@@ -1,5 +1,10 @@
 //! A miniature Slurm: partitions, job queue, FIFO + backfill scheduling,
 //! walltime enforcement, and per-project usage accounting.
+//!
+//! The job table holds live jobs only, as Slurm's does: a job leaves it
+//! when it completes or is cancelled, and lives on only in the
+//! per-project accounting that [`Scheduler::accounting_report`] reads
+//! (Slurm's `sacct`).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -7,17 +12,13 @@ use std::collections::{BinaryHeap, HashMap};
 use dri_clock::{IdGen, SimClock};
 use parking_lot::RwLock;
 
-/// Job lifecycle.
+/// Lifecycle of a job in the table; a finished job leaves it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Queued, awaiting nodes.
     Pending,
     /// Running on allocated nodes.
     Running,
-    /// Finished (walltime reached or completed).
-    Completed,
-    /// Cancelled by user or admin.
-    Cancelled,
 }
 
 /// A batch job.
@@ -39,10 +40,8 @@ pub struct Job {
     pub state: JobState,
     /// Submit time (seconds).
     pub submitted_at: u64,
-    /// Start time (seconds), when running/complete.
+    /// Start time (seconds), when running.
     pub started_at: Option<u64>,
-    /// End time (seconds), when complete/cancelled.
-    pub ended_at: Option<u64>,
 }
 
 /// A partition (named pool of nodes).
@@ -90,16 +89,64 @@ impl std::error::Error for SubmitError {}
 #[derive(Default)]
 struct SchedState {
     partitions: HashMap<String, Partition>,
+    /// Pending and running jobs only.
     jobs: HashMap<String, Job>,
     queue: Vec<String>,
-    /// (project, node-seconds) consumed over the scheduler's life, read
-    /// by `accounting_report`.
-    usage: HashMap<String, u64>,
+    /// What each project's finished jobs consumed over the scheduler's
+    /// life, read by `accounting_report`.
+    usage: HashMap<String, ProjectUsage>,
     /// Walltime expiry min-heap of `(deadline_secs, job_id)` for running
     /// jobs, so `tick` completes jobs in O(expired log n) instead of
-    /// scanning every job. Entries for cancelled jobs go stale and are
-    /// discarded lazily on pop.
+    /// scanning every job. A cancelled job's entry goes stale: it is
+    /// discarded on pop, or when stale entries outnumber the running jobs
+    /// (`purge_stale_deadlines`).
     deadlines: BinaryHeap<Reverse<(u64, String)>>,
+    /// Entries of `deadlines` whose job was cancelled while running.
+    stale_deadlines: usize,
+}
+
+/// One project's finished jobs, folded in as each one leaves the table.
+#[derive(Default)]
+struct ProjectUsage {
+    node_secs: u64,
+    completed: usize,
+    cancelled: usize,
+}
+
+impl SchedState {
+    /// Take a finished job out of the table, freeing its nodes when it
+    /// ran `ran_secs`, and fold it into its project's usage.
+    fn finish(&mut self, job_id: &str, ran_secs: Option<u64>, completed: bool) {
+        let Some(job) = self.jobs.remove(job_id) else {
+            return;
+        };
+        if ran_secs.is_some() {
+            if let Some(p) = self.partitions.get_mut(&job.partition) {
+                p.allocated_nodes -= job.nodes;
+            }
+        }
+        // The removed job's project string becomes the key, so folding
+        // in never allocates.
+        let usage = self.usage.entry(job.project).or_default();
+        usage.node_secs += ran_secs.unwrap_or(0) * job.nodes as u64;
+        if completed {
+            usage.completed += 1;
+        } else {
+            usage.cancelled += 1;
+        }
+    }
+
+    /// Drop the stale walltime entries once they outnumber the running
+    /// jobs, so the heap holds at most twice the running jobs.
+    fn purge_stale_deadlines(&mut self) {
+        let running = self.deadlines.len() - self.stale_deadlines;
+        if self.stale_deadlines > running {
+            let jobs = &self.jobs;
+            self.deadlines
+                .retain(|Reverse((_, id))| jobs.contains_key(id));
+            self.stale_deadlines = 0;
+        }
+    }
 }
 
 /// Per-project accounting row (sreport-like).
@@ -194,7 +241,6 @@ impl Scheduler {
             state: JobState::Pending,
             submitted_at: self.clock.now_secs(),
             started_at: None,
-            ended_at: None,
         };
         let id = job.id.clone();
         state.queue.push(id.clone());
@@ -211,46 +257,32 @@ impl Scheduler {
 
         // Completions first (frees nodes): pop expired deadlines from the
         // min-heap; stale entries (cancelled jobs) are skipped.
-        let mut freed: Vec<(String, u32, String, u64)> = Vec::new();
         while state
             .deadlines
             .peek()
             .is_some_and(|Reverse((deadline, _))| *deadline <= now)
         {
-            let Reverse((deadline, job_id)) = state.deadlines.pop().expect("peeked");
-            if let Some(job) = state.jobs.get_mut(&job_id) {
-                let live = job.state == JobState::Running
-                    && job.started_at.map(|s| s + job.walltime_secs) == Some(deadline);
-                if live {
-                    job.state = JobState::Completed;
-                    job.ended_at = Some(deadline);
-                    freed.push((
-                        job.partition.clone(),
-                        job.nodes,
-                        job.project.clone(),
-                        (job.walltime_secs) * job.nodes as u64,
-                    ));
+            let Reverse((_, job_id)) = state.deadlines.pop().expect("peeked");
+            match state.jobs.get(&job_id) {
+                Some(job) => {
+                    let walltime = job.walltime_secs;
+                    state.finish(&job_id, Some(walltime), true);
                 }
+                None => state.stale_deadlines -= 1,
             }
         }
-        for (partition, nodes, project, node_secs) in freed {
-            if let Some(p) = state.partitions.get_mut(&partition) {
-                p.allocated_nodes -= nodes;
-            }
-            *state.usage.entry(project).or_insert(0) += node_secs;
-        }
+        state.purge_stale_deadlines();
 
         // Starts: FIFO with backfill.
         let queue = std::mem::take(&mut state.queue);
         let mut still_queued = Vec::with_capacity(queue.len());
         for job_id in queue {
-            let (partition, nodes, cancelled) = match state.jobs.get(&job_id) {
-                Some(j) if j.state == JobState::Pending => (j.partition.clone(), j.nodes, false),
-                _ => (String::new(), 0, true),
+            // The queue holds pending jobs only: `cancel` takes a
+            // cancelled one out of both.
+            let (partition, nodes) = {
+                let job = &state.jobs[&job_id];
+                (job.partition.clone(), job.nodes)
             };
-            if cancelled {
-                continue;
-            }
             let fits = state
                 .partitions
                 .get(&partition)
@@ -278,29 +310,17 @@ impl Scheduler {
     pub fn cancel(&self, job_id: &str) -> bool {
         let now = self.clock.now_secs();
         let mut state = self.state.write();
-        let (was_running, partition, nodes, project, elapsed) = match state.jobs.get_mut(job_id) {
-            Some(j) if j.state == JobState::Pending || j.state == JobState::Running => {
-                let was_running = j.state == JobState::Running;
-                let elapsed = j.started_at.map(|s| now.saturating_sub(s)).unwrap_or(0);
-                j.state = JobState::Cancelled;
-                j.ended_at = Some(now);
-                (
-                    was_running,
-                    j.partition.clone(),
-                    j.nodes,
-                    j.project.clone(),
-                    elapsed,
-                )
-            }
-            _ => return false,
+        let Some(started_at) = state.jobs.get(job_id).map(|j| j.started_at) else {
+            return false;
         };
-        if was_running {
-            if let Some(p) = state.partitions.get_mut(&partition) {
-                p.allocated_nodes -= nodes;
+        state.finish(job_id, started_at.map(|s| now.saturating_sub(s)), false);
+        match started_at {
+            Some(_) => {
+                state.stale_deadlines += 1;
+                state.purge_stale_deadlines();
             }
-            *state.usage.entry(project).or_insert(0) += elapsed * nodes as u64;
+            None => state.queue.retain(|id| id != job_id),
         }
-        state.queue.retain(|id| id != job_id);
         true
     }
 
@@ -311,24 +331,26 @@ impl Scheduler {
             state
                 .jobs
                 .values()
-                .filter(|j| {
-                    j.user == user && (j.state == JobState::Pending || j.state == JobState::Running)
-                })
+                .filter(|j| j.user == user)
                 .map(|j| j.id.clone())
                 .collect()
         };
-        let mut n = 0;
-        for id in ids {
-            if self.cancel(&id) {
-                n += 1;
-            }
-        }
-        n
+        ids.iter().filter(|id| self.cancel(id)).count()
     }
 
-    /// Job snapshot.
+    /// A pending or running job. A job that completed or was cancelled
+    /// has left the table: it is `None` here and counted in
+    /// [`Scheduler::accounting_report`].
     pub fn job(&self, id: &str) -> Option<Job> {
         self.state.read().jobs.get(id).cloned()
+    }
+
+    /// Entries in the job table and in the walltime heap. The table holds
+    /// only pending and running jobs; the heap at most twice the running
+    /// jobs.
+    pub fn table_sizes(&self) -> (usize, usize) {
+        let state = self.state.read();
+        (state.jobs.len(), state.deadlines.len())
     }
 
     /// Partition snapshot.
@@ -351,41 +373,33 @@ impl Scheduler {
 
     /// An sreport-style accounting summary: per project, lifetime
     /// node-hours plus (completed, cancelled, running, pending) job
-    /// counts, sorted by project name.
+    /// counts, sorted by project name. Finished jobs are read from the
+    /// per-project usage they were folded into, live ones from the table.
     pub fn accounting_report(&self) -> Vec<ProjectAccounting> {
         let state = self.state.read();
-        let mut by_project: HashMap<String, ProjectAccounting> = HashMap::new();
-        for job in state.jobs.values() {
-            let entry =
-                by_project
-                    .entry(job.project.clone())
-                    .or_insert_with(|| ProjectAccounting {
-                        project: job.project.clone(),
-                        node_hours: 0.0,
-                        completed: 0,
-                        cancelled: 0,
-                        running: 0,
-                        pending: 0,
-                    });
-            match job.state {
-                JobState::Completed => entry.completed += 1,
-                JobState::Cancelled => entry.cancelled += 1,
-                JobState::Running => entry.running += 1,
-                JobState::Pending => entry.pending += 1,
-            }
+        let mut by_project: HashMap<&str, ProjectAccounting> = HashMap::new();
+        let empty = |project: &str| ProjectAccounting {
+            project: project.to_string(),
+            node_hours: 0.0,
+            completed: 0,
+            cancelled: 0,
+            running: 0,
+            pending: 0,
+        };
+        for (project, usage) in &state.usage {
+            let row = by_project.entry(project).or_insert_with(|| empty(project));
+            row.node_hours = usage.node_secs as f64 / 3600.0;
+            row.completed = usage.completed;
+            row.cancelled = usage.cancelled;
         }
-        for (project, secs) in &state.usage {
-            by_project
-                .entry(project.clone())
-                .or_insert_with(|| ProjectAccounting {
-                    project: project.clone(),
-                    node_hours: 0.0,
-                    completed: 0,
-                    cancelled: 0,
-                    running: 0,
-                    pending: 0,
-                })
-                .node_hours = *secs as f64 / 3600.0;
+        for job in state.jobs.values() {
+            let row = by_project
+                .entry(&job.project)
+                .or_insert_with(|| empty(&job.project));
+            match job.state {
+                JobState::Running => row.running += 1,
+                JobState::Pending => row.pending += 1,
+            }
         }
         let mut out: Vec<ProjectAccounting> = by_project.into_values().collect();
         out.sort_by(|a, b| a.project.cmp(&b.project));
@@ -395,17 +409,12 @@ impl Scheduler {
     /// Counts of (pending, running) jobs.
     pub fn queue_depth(&self) -> (usize, usize) {
         let state = self.state.read();
-        let pending = state
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Pending)
-            .count();
         let running = state
             .jobs
             .values()
             .filter(|j| j.state == JobState::Running)
             .count();
-        (pending, running)
+        (state.jobs.len() - running, running)
     }
 }
 
@@ -430,14 +439,17 @@ mod tests {
         assert_eq!(s.partition("gh").unwrap().allocated_nodes, 2);
         clock.advance_secs(3600);
         s.tick();
-        let job = s.job(&id).unwrap();
-        assert_eq!(job.state, JobState::Completed);
+        // The finished job left the table for the accounting.
+        assert!(s.job(&id).is_none());
+        assert_eq!(s.table_sizes(), (0, 0));
         assert_eq!(s.partition("gh").unwrap().allocated_nodes, 0);
         // Usage: 2 nodes * 1 hour.
         let report = s.accounting_report();
         assert_eq!(report.len(), 1);
         assert_eq!(report[0].project, "climate-llm");
         assert_eq!(report[0].node_hours, 2.0);
+        assert_eq!((report[0].completed, report[0].cancelled), (1, 0));
+        assert_eq!((report[0].running, report[0].pending), (0, 0));
     }
 
     #[test]
@@ -460,7 +472,10 @@ mod tests {
         // tick and cancel never consult the fault plane.
         clock.advance_secs(3600);
         s.tick();
-        assert_eq!(s.job(&running).unwrap().state, JobState::Completed);
+        assert!(s.job(&running).is_none());
+        let report = s.accounting_report();
+        assert_eq!((report[0].completed, report[0].running), (1, 0));
+        assert_eq!(report[0].node_hours, 2.0);
         plane.set_enabled(false);
         assert!(s.submit("u123", "climate-llm", "gh", 1, 60).is_ok());
     }
@@ -513,21 +528,51 @@ mod tests {
         // Cancel running job after 600s: usage accrues pro rata.
         clock.advance_secs(600);
         assert!(s.cancel(&a));
-        assert_eq!(s.job(&a).unwrap().state, JobState::Cancelled);
-        // Cancel pending (b is running too... cancel it while pending?).
+        assert!(s.job(&a).is_none());
+        // Cancel a pending job: it leaves the table and the queue.
         let c = s.submit("u1", "p", "gh", 2, 1000).unwrap();
         assert!(s.cancel(&c));
-        assert_eq!(s.job(&c).unwrap().state, JobState::Cancelled);
+        assert!(s.job(&c).is_none());
+        assert_eq!(s.queue_depth(), (0, 1));
         // Double cancel fails.
         assert!(!s.cancel(&a));
         let report = s.accounting_report();
         assert_eq!(report.len(), 1);
+        assert_eq!((report[0].cancelled, report[0].completed), (2, 0));
+        assert_eq!((report[0].running, report[0].pending), (1, 0));
         let hours = report[0].node_hours;
         assert!(
             (hours - 2.0 * 600.0 / 3600.0).abs() < 1e-9,
             "pro-rata usage, got {hours}"
         );
-        let _ = b;
+        assert_eq!(s.job(&b).unwrap().state, JobState::Running);
+    }
+
+    #[test]
+    fn cancelled_jobs_leave_the_table_and_the_walltime_heap() {
+        let (s, clock) = sched();
+        let ids: Vec<String> = (0..8)
+            .map(|_| s.submit("u1", "p", "gh", 1, 4 * 3600).unwrap())
+            .collect();
+        s.tick();
+        assert_eq!(s.table_sizes(), (8, 8));
+        // Each cancel leaves a stale heap entry until stale entries
+        // outnumber the running jobs; then they are dropped.
+        for (n, id) in ids[1..].iter().enumerate() {
+            assert!(s.cancel(id));
+            let (jobs, heap) = s.table_sizes();
+            assert_eq!(jobs, 8 - (n + 1));
+            assert!(heap <= 2 * jobs, "{heap} heap entries for {jobs} jobs");
+        }
+        assert_eq!(s.table_sizes(), (1, 1));
+        assert!(s.cancel(&ids[0]));
+        assert_eq!(s.table_sizes(), (0, 0));
+        // Nothing is left for the walltime pass to complete.
+        clock.advance_secs(4 * 3600);
+        s.tick();
+        let report = s.accounting_report();
+        assert_eq!((report[0].completed, report[0].cancelled), (0, 8));
+        assert_eq!(s.partition("gh").unwrap().allocated_nodes, 0);
     }
 
     #[test]
@@ -592,10 +637,13 @@ mod tests {
         clock.advance_secs(99);
         s.tick();
         assert_eq!(s.job(&id).unwrap().state, JobState::Running);
+        assert_eq!(s.accounting_report()[0].node_hours, 0.0);
         clock.advance_secs(1);
         s.tick();
-        let job = s.job(&id).unwrap();
-        assert_eq!(job.state, JobState::Completed);
-        assert_eq!(job.ended_at, Some(100));
+        assert!(s.job(&id).is_none());
+        // Charged for exactly its 100 node-seconds.
+        let report = s.accounting_report();
+        assert!((report[0].node_hours * 3600.0 - 100.0).abs() < 1e-9);
+        assert_eq!((report[0].completed, report[0].running), (1, 0));
     }
 }

@@ -432,13 +432,23 @@ impl Infrastructure {
         );
 
         // The running job survives the whole outage and completes on
-        // schedule.
+        // schedule: it leaves the job table as one more completed job of
+        // the project, charged its full 600 node-seconds.
+        let finished = || {
+            self.scheduler
+                .accounting_report()
+                .into_iter()
+                .find(|row| row.project == project)
+                .map(|row| (row.completed, row.node_hours))
+                .unwrap_or_default()
+        };
+        let before = finished();
         self.clock.advance_secs(600);
         self.scheduler.tick();
-        let survived = self
-            .scheduler
-            .job(&survivor)
-            .is_some_and(|j| j.state == JobState::Completed);
+        let after = finished();
+        let survived = self.scheduler.job(&survivor).is_none()
+            && after.0 == before.0 + 1
+            && ((after.1 - before.1) * 3600.0 - 600.0).abs() < 1e-6;
         drill.note(format!("job {survivor} completed through the outage"));
         drill.check("running job survived the scheduler outage", survived);
 

@@ -95,8 +95,9 @@ impl Infrastructure {
     /// Live probe: issue + revoke a token for a synthetic subject and
     /// check introspection turns false before expiry.
     fn probe_revocation(&self) -> bool {
-        // Use the built-in ops admin who always exists.
-        let session = match self.admin_login("ops") {
+        // Use the built-in ops admin who always exists, in a session of
+        // the probe's own: a login ops holds stays theirs.
+        let session = match self.admin_session("ops") {
             Ok(s) => s,
             Err(_) => return false,
         };

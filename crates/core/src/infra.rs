@@ -800,6 +800,15 @@ impl Infrastructure {
 
     /// Login through the administrator IdP (hardware-key ceremony).
     pub fn admin_login(&self, label: &str) -> Result<SessionInfo, FlowError> {
+        let session = self.admin_session(label)?;
+        self.record_login(label, &session);
+        Ok(session)
+    }
+
+    /// [`Infrastructure::admin_login`] without recording the session as
+    /// the user's, so a session the user already holds stays theirs. The
+    /// live compliance probe logs in this way.
+    pub(crate) fn admin_session(&self, label: &str) -> Result<SessionInfo, FlowError> {
         let _flow = dri_trace::flow(&self.tracer, label, "login.admin", Stage::Flow);
         let (username, password, hw_key) = {
             let users = self.users.read();
@@ -837,15 +846,25 @@ impl Infrastructure {
             .broker
             .login_managed(&login, IdentitySource::AdminIdp)
             .map_err(FlowError::Broker)?;
-        self.finish_login(label, &session);
+        self.log_login(&session);
         Ok(session)
     }
 
     fn finish_login(&self, label: &str, session: &SessionInfo) {
+        self.record_login(label, session);
+        self.log_login(session);
+    }
+
+    /// Record `session` as `label`'s, the one its tokens are issued from.
+    fn record_login(&self, label: &str, session: &SessionInfo) {
         if let Some(user) = self.users.write().get_mut(label) {
             user.session_id = Some(session.session_id.clone());
             user.subject = Some(session.subject.clone());
         }
+    }
+
+    /// Report a successful login to the SIEM.
+    fn log_login(&self, session: &SessionInfo) {
         self.emit(
             "fds/broker",
             EventKind::AuthnSuccess,

@@ -40,11 +40,13 @@ impl PartialEq for Fe {
 
 impl Eq for Fe {}
 
-/// `a + b + carry` as (low limb, carry-out).
+/// `a + b + carry` as (low limb, carry-out), for a carry of 0 or 1: the
+/// two additions cannot both overflow.
 #[inline(always)]
 fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
-    let t = a as u128 + b as u128 + carry as u128;
-    (t as u64, (t >> 64) as u64)
+    let (s, c1) = a.overflowing_add(b);
+    let (s, c2) = s.overflowing_add(carry);
+    (s, (c1 | c2) as u64)
 }
 
 /// `a − b − borrow` as (low limb, borrow-out).
@@ -1053,6 +1055,23 @@ mod tests {
         for a in lazy_edges() {
             assert_powers_match(a);
         }
+    }
+
+    #[test]
+    fn add_matches_the_reference_when_both_carries_go_out() {
+        // 2p + k for k < 38 spans [2^256 − 38, 2^256). Two such operands
+        // with k1 + k2 ≥ 38 sum to at least 2^257 − 38: the limb chain
+        // carries out of the top limb, and folding that carry back in as
+        // +38 carries out a second time. k1 + k2 < 38 carries out once.
+        for k1 in 0..38 {
+            for k2 in 0..38 {
+                let (a, b) = (plus(TWO_P, k1), plus(TWO_P, k2));
+                assert_same(a.add(b), reduced(a).add(reduced(b)), "add");
+            }
+        }
+        // A carry-in alone overflowing a limb: u64::MAX + 0 + 1.
+        let a = Fe([u64::MAX, u64::MAX, u64::MAX, 0]);
+        assert_same(a.add(fe(1)), reduced(a).add(reduced(fe(1))), "add");
     }
 
     #[test]

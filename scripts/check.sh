@@ -79,6 +79,11 @@ cargo test -q --offline -p dri-broker token_cache
 cargo test -q --offline -p dri-policy trust
 cargo test -q --offline -p isambard-dri --test token_cache
 
+echo "== bounded state: capped token cache, live-only job table, soak over simulated days =="
+cargo test -q --offline -p isambard-dri --test bounded_state
+cargo test -q --offline -p dri-cluster slurm
+cargo test -q --offline -p dri-broker token_cache
+
 echo "== one token gate: no relying service validates tokens itself =="
 cargo test -q --offline -p dri-broker gate
 if grep -rnE 'validate_shared|has_role\(' crates/{cluster,sshca,netsim,core,portal}/src; then

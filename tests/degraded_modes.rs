@@ -71,13 +71,16 @@ proptest! {
         }
 
         // No dropped work: tick/cancel never consult the fault plane, so
-        // the running job completes on schedule mid-outage.
+        // the running job completes on schedule mid-outage. It leaves the
+        // job table as the project's one completed job, charged its full
+        // 600 node-seconds.
         infra.clock.advance_secs(600);
         infra.scheduler.tick();
-        prop_assert!(infra
-            .scheduler
-            .job(&survivor)
-            .is_some_and(|j| j.state == JobState::Completed));
+        prop_assert!(infra.scheduler.job(&survivor).is_none());
+        let report = infra.scheduler.accounting_report();
+        let row = report.iter().find(|row| row.project == "proj").unwrap();
+        prop_assert_eq!((row.completed, row.cancelled, row.running), (1, 0, 0));
+        prop_assert!((row.node_hours * 3600.0 - 600.0).abs() < 1e-6);
 
         // Disarm: submissions flow again.
         plane.set_enabled(false);

@@ -73,8 +73,10 @@ fn single_bastion_deployment_still_meets_baseline() {
 #[test]
 fn compliance_probes_leave_nothing_behind() {
     // Every assessment runs the live revocation and kill-switch probes;
-    // they must leave no session open and no key blocked.
+    // they must leave no session open, no key blocked, and the login ops
+    // already holds intact.
     let infra = exercised();
+    infra.admin_login("ops").expect("ops logs in");
     let broker_sessions = infra.broker.session_count();
     let bastion_sessions = infra.bastion.session_count();
     assert!(infra.tenet_audit().compliant());
@@ -85,4 +87,7 @@ fn compliance_probes_leave_nothing_behind() {
     infra
         .story4_ssh_connect("alice", "p")
         .expect("story 4 after the probes");
+    infra
+        .token_for("ops", "mgmt-tailnet", vec![])
+        .expect("ops's session survives the probes");
 }
